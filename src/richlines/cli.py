@@ -2,7 +2,7 @@
 
 Subcommands: construct, verify, sweep, oracle, selftest.  All experiment
 subcommands read a JSON config (--config) and are deterministic for a fixed
-config and seed, independent of --workers.
+config.
 """
 
 import argparse
@@ -32,7 +32,6 @@ def _dump_artifacts(args, config, report, out_dir):
     if not (args.dump_points or args.dump_lines):
         return
     from .construction import ConstructionParams, build_construction
-    from fractions import Fraction
 
     basis = basis_from_spec(config.basis_spec)
     params = ConstructionParams(
@@ -43,7 +42,7 @@ def _dump_artifacts(args, config, report, out_dir):
         report.c1_final,
         auto_tune=False,
     )
-    box, tuned = build_construction(params, workers=args.workers)
+    box, tuned = build_construction(params)
     if args.dump_points:
         with open(os.path.join(out_dir, "points.txt"), "w") as fh:
             fh.write(points_to_text(box))
@@ -54,7 +53,7 @@ def _dump_artifacts(args, config, report, out_dir):
 
 def cmd_construct(args):
     config = _load_config(args.config)
-    report = harness.run(config, workers=args.workers)
+    report = harness.run(config)
     out_dir = _ensure_out(args.out or ".")
     harness.write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())
     _dump_artifacts(args, config, report, out_dir)
@@ -68,7 +67,7 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     config = _load_config(args.config)
-    report = harness.run(config, workers=args.workers)
+    report = harness.run(config)
     checks = [
         ("claim2 all lines r-rich", report.frac_r_rich == 1.0),
         ("min richness >= r", report.min_richness >= report.r),
@@ -125,7 +124,7 @@ def _gnuplot_script(fit):
 
 def cmd_oracle(args):
     config = _load_config(args.config)
-    rep = harness.oracle(config, workers=args.workers)
+    rep = harness.oracle(config)
     print(
         f"oracle: {rep.oracle_rich_lines} r-rich lines by brute force, "
         f"family has {rep.family_lines} "
@@ -155,8 +154,6 @@ def build_parser():
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("construct", help="build P and L, dump artifacts")
     common(p)
@@ -170,6 +167,12 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="r- or n-sweep with log-log fit")
     common(p)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="deprecated and ignored: sweeps run in one process",
+    )
     p.add_argument("--timings", action="store_true", help="record runtime_ms in CSV")
     p.add_argument("--gnuplot", action="store_true", help="emit a gnuplot script")
     p.set_defaults(func=cmd_sweep)
@@ -180,6 +183,7 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="quick property suites")
     common(p, needs_config=False)
+    p.add_argument("--seed", type=int, default=0, help="property-sampling seed")
     p.set_defaults(func=cmd_selftest)
     return parser
 

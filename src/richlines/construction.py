@@ -10,7 +10,6 @@ statistics by exact counting.
 """
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -28,10 +27,12 @@ from .gapset import (
 from .geometry import (
     CanonicalLine,
     Point,
-    _reduce_flat,
+    _line_counts,
     canonicalize_triple,
-    line_pair_counts,
+    group_pairs,
+    key_tuples,
     on_line,
+    shift_keys,
 )
 from .numberfield import Element, NiceBasis, divide, integer_inverse
 
@@ -253,9 +254,6 @@ class Provenance:
     translate: tuple
     pair: tuple  # the two witnessing Points
 
-    def order_key(self):
-        return self.translate_index
-
 
 @dataclass
 class LineFamily:
@@ -271,87 +269,36 @@ class LineFamily:
         return iter(self.lines)
 
 
-def _raw_keys_for_translates(basis, cell_coords, translates, start, stop):
-    """Content-reduced raw line triples for a block of translate indices.
-
-    Returns {reduced_flat_triple: (translate_index, i, j)} keeping the first
-    (smallest) witness per key; pure coordinate-tuple arithmetic.
-    """
-    mul = basis.mul_coords
-    out = {}
-    ncell = len(cell_coords)
-    for t_idx in range(start, stop):
-        tx, ty = translates[t_idx]
-        pts = [
-            (
-                tuple(u + v for u, v in zip(cx, tx)),
-                tuple(u + v for u, v in zip(cy, ty)),
-            )
-            for cx, cy in cell_coords
-        ]
-        for i in range(ncell):
-            px, py = pts[i]
-            for j in range(i + 1, ncell):
-                qx, qy = pts[j]
-                a = tuple(u - v for u, v in zip(qy, py))
-                b = tuple(u - v for u, v in zip(px, qx))
-                c = tuple(
-                    u - v for u, v in zip(mul(py, qx), mul(px, qy))
-                )
-                key = _reduce_flat(list(a) + list(b) + list(c))
-                if key not in out:
-                    out[key] = (t_idx, i, j)
-    return out
-
-
-def _family_worker(args):
-    basis_sc, basis_emb, cell_coords, translates, start, stop = args
-    basis = NiceBasis(basis_sc, basis_emb)
-    return _raw_keys_for_translates(basis, cell_coords, translates, start, stop)
-
-
-def _raw_family(geom, workers=1):
+def _raw_family(geom):
     """Content-reduced raw line triples over all translates, with the
-    lexicographically-smallest witness per triple."""
+    lexicographically-smallest witness (translate index, i, j) per triple.
+
+    The cell's pairs are grouped once and each cell key is moved to every
+    translate by shift_keys; a moved key keeps the cell's first pair as its
+    first witness.
+    """
     basis = geom.basis
     cell_pts = geom.cell_points()
-    cell_coords = [(p.x.coords, p.y.coords) for p in cell_pts]
     translates = translate_vectors(geom)
-    trans_coords = [(tx.coords, ty.coords) for tx, ty in translates]
-    nt = len(trans_coords)
-    if workers <= 1 or nt < 2:
-        raw = _raw_keys_for_translates(basis, cell_coords, trans_coords, 0, nt)
-    else:
-        nw = min(workers, nt)
-        bounds = [nt * k // nw for k in range(nw + 1)]
-        jobs = [
-            (
-                basis.structure_constants,
-                basis.embedding,
-                cell_coords,
-                trans_coords,
-                bounds[k],
-                bounds[k + 1],
-            )
-            for k in range(nw)
-        ]
-        raw = {}
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            for part in pool.map(_family_worker, jobs):
-                for key, prov in part.items():
-                    if key not in raw or prov < raw[key]:
-                        raw[key] = prov
+    keys, _, first = group_pairs(
+        basis, [p.x.coords for p in cell_pts], [p.y.coords for p in cell_pts]
+    )
+    # one int object per cell index, shared by every witness that names it
+    index = list(range(len(cell_pts)))
+    raw = {}
+    for t_idx, (tx, ty) in enumerate(translates):
+        shifted = shift_keys(basis, keys, tx.coords, ty.coords)
+        for key, (i, j) in zip(shifted, key_tuples(first)):
+            if key not in raw:
+                raw[key] = (t_idx, index[i], index[j])
     return raw, cell_pts, translates
 
 
-def generate_line_family(geom, workers=1):
+def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
-    deduplicated by canonical triple, with deterministic provenance.
-
-    The merge keeps the lexicographically-smallest (translate, pair) witness,
-    so the result is identical for any worker count.
-    """
-    raw, cell_pts, translates = _raw_family(geom, workers=workers)
+    deduplicated by canonical triple, with deterministic provenance: each
+    line keeps its lexicographically-smallest (translate, pair) witness."""
+    raw, cell_pts, translates = _raw_family(geom)
     return _family_from_raw(geom.basis, raw, cell_pts, translates)
 
 
@@ -556,7 +503,7 @@ def claim1_statistic(geom, realized_p=None):
     if len(cell_pts) < 2:
         n_lines = 0
     else:
-        n_lines = len(line_pair_counts(cell_pts))
+        n_lines = len(_line_counts(cell_pts))
     if realized_p is None:
         box = build_pointset(geom.basis, geom.params.n, geom.params.alpha)
         realized_p = len(box)
@@ -603,7 +550,7 @@ def _all_raw_rich(basis, raw, box, r):
     return True
 
 
-def auto_tune_c1(params, max_halvings=20, workers=1):
+def auto_tune_c1(params, max_halvings=20):
     """Halve the cell constant from its starting value until every family
     line is r-rich and the translates are exactly disjoint; fail loudly after
     max_halvings."""
@@ -625,7 +572,7 @@ def auto_tune_c1(params, max_halvings=20, workers=1):
         if not verify_disjoint_translates(geom):
             last_reason = f"translates overlap at c1={c1}"
         else:
-            raw, cell_pts, translates = _raw_family(geom, workers=workers)
+            raw, cell_pts, translates = _raw_family(geom)
             if _all_raw_rich(basis, raw, box, params.r):
                 family = _family_from_raw(basis, raw, cell_pts, translates)
                 report = verify_claim2(family, box, params.r)
@@ -642,14 +589,14 @@ def auto_tune_c1(params, max_halvings=20, workers=1):
     )
 
 
-def build_construction(params, workers=1):
+def build_construction(params):
     """Build (pointset, geometry, family) honoring params.auto_tune."""
     box = build_pointset(params.basis, params.n, params.alpha)
     if params.auto_tune:
-        tuned = auto_tune_c1(params, workers=workers)
+        tuned = auto_tune_c1(params)
         return box, tuned
     geom = build_cell_geometry(params)
-    family = generate_line_family(geom, workers=workers)
+    family = generate_line_family(geom)
     report = verify_claim2(family, box, params.r)
     return box, TunedConstruction(params, geom, family, report, 0)
 
@@ -680,7 +627,7 @@ def _round_cube_root(x):
     return t
 
 
-def szt_incidence_construction(basis, n, m, workers=1):
+def szt_incidence_construction(basis, n, m):
     """Point/line family with Omega(n^(2/3) m^(2/3)) incidences.
 
     Sets r = round(n^(2/3) / m^(1/3)) (clamped to >= 2) and picks the
@@ -712,7 +659,7 @@ def szt_incidence_construction(basis, n, m, workers=1):
         )
     params, geom = chosen
     box = build_pointset(basis, n, params.alpha)
-    family = generate_line_family(geom, workers=workers)
+    family = generate_line_family(geom)
     rich = line_richnesses(list(family), box)
     incidences = sum(rich)
     realized = len(box)

@@ -7,11 +7,10 @@ their coordinate triples are identical, which makes them hashable dedup keys.
 """
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
-from . import fastpath
 from .errors import DegeneratePairError, InvalidParameterError
 from .numberfield import (
     BasisMismatchError,
@@ -209,70 +208,211 @@ def _reduce_flat(flat):
     return flat
 
 
-def _raw_pair_counts_loop(points):
-    basis = points[0].basis
+def _raw_pair_counts_loop(basis, xs, ys):
+    """Pure-Python reference of group_pairs: {reduced raw key: [pair count,
+    i, j]} with (i, j) the first pair, in row-major order, giving the key."""
     mul = basis.mul_coords
-    coords = [(p.x.coords, p.y.coords) for p in points]
     raw = {}
-    n = len(points)
+    n = len(xs)
     for i in range(n):
-        px, py = coords[i]
+        px, py = xs[i], ys[i]
         for j in range(i + 1, n):
-            qx, qy = coords[j]
+            qx, qy = xs[j], ys[j]
             a = tuple(u - v for u, v in zip(qy, py))
             b = tuple(u - v for u, v in zip(px, qx))
             c = tuple(u - v for u, v in zip(mul(py, qx), mul(px, qy)))
             key = _reduce_flat(a + b + c)
-            raw[key] = raw.get(key, 0) + 1
+            entry = raw.get(key)
+            if entry is None:
+                raw[key] = [1, i, j]
+            else:
+                entry[0] += 1
     return raw
 
 
-def _raw_pair_counts_vec(points):
-    """Vectorized reduced-key pair grouping for any degree, int64 only.
-
-    Per anchor point the raw triples of all later points come from two small
-    matmuls against the multiplication matrices of the anchor's coordinates.
-    """
-    basis = points[0].basis
-    sc = np.array(basis.structure_constants, dtype=np.int64)
-    xs = np.array([p.x.coords for p in points], dtype=np.int64)
-    ys = np.array([p.y.coords for p in points], dtype=np.int64)
-    raw = {}
-    n = len(points)
-    for i in range(n - 1):
-        a = ys[i + 1 :] - ys[i]
-        b = xs[i] - xs[i + 1 :]
-        my = np.einsum("i,ijk->jk", ys[i], sc)
-        mx = np.einsum("i,ijk->jk", xs[i], sc)
-        c = xs[i + 1 :] @ my - ys[i + 1 :] @ mx
-        rows = np.concatenate([a, b, c], axis=1)
-        g = np.gcd.reduce(np.abs(rows), axis=1)
-        g[g == 0] = 1
-        rows //= g[:, None]
-        first = np.argmax(rows != 0, axis=1)
-        lead = np.take_along_axis(rows, first[:, None], axis=1)[:, 0]
-        rows[lead < 0] *= -1
-        uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-        for row, k in zip(uniq.tolist(), cnt.tolist()):
-            key = tuple(row)
-            raw[key] = raw.get(key, 0) + k
-    return raw
+# Pairs (or key rows) per chunk; bounds the temporaries of group_pairs,
+# shift_keys and key_tuples.
+_CHUNK_PAIRS = 1 << 14
 
 
-# Keeps every intermediate of the vectorized path inside int64: |C| is at
-# most 2 d^2 C_L max|x| max|y|.
-_VEC_COORD_CAP = 2**24
-
-
-def _raw_pair_counts_generic(points):
-    basis = points[0].basis
+def product_bounds(basis, u, v):
+    """Per coordinate k, the largest |(x * y)_k| over coordinate vectors with
+    |x_i| <= u and |y_j| <= v: u v sum_ij |c_ijk|."""
     d = basis.degree
-    biggest = max(
-        (abs(v) for p in points for v in p.x.coords + p.y.coords), default=0
+    sc = basis.structure_constants
+    return [
+        u * v * sum(abs(sc[i][j][k]) for i in range(d) for j in range(d))
+        for k in range(d)
+    ]
+
+
+def key_radices(basis, mx, my):
+    """Per-entry radix of a packed raw key for coordinates bounded by mx
+    (x) and my (y): |a| <= 2 my, |b| <= 2 mx, |c_k| <= 2 product_bound_k.
+    Every intermediate of group_pairs stays below its entry's bound."""
+    d = basis.degree
+    return (
+        [4 * my + 1] * d
+        + [4 * mx + 1] * d
+        + [4 * m + 1 for m in product_bounds(basis, mx, my)]
     )
-    if biggest * basis.c_lambda * d * d < _VEC_COORD_CAP:
-        return _raw_pair_counts_vec(points)
-    return _raw_pair_counts_loop(points)
+
+
+def _words(radices):
+    """Split the key entries into consecutive runs (start, stop) whose radix
+    product fits in int64, greedily from the first entry."""
+    words, start, size = [], 0, 1
+    for k, radix in enumerate(radices):
+        if size * radix > 2**63:
+            words.append((start, k))
+            start, size = k, 1
+        size *= radix
+    words.append((start, len(radices)))
+    return words
+
+
+def group_pairs(basis, xs, ys):
+    """Group the point pairs i < j by the line they span.
+
+    xs, ys: the x and y coordinate vectors of n distinct points.  The key of
+    a pair is the flat integer triple (a, b, c) = (y_j - y_i, x_i - x_j,
+    y_i x_j - x_i y_j), content-reduced with its first nonzero entry made
+    positive, as _reduce_flat gives it.  Returns (keys, counts, first): the
+    distinct keys as rows in lexicographic order, the number of pairs giving
+    each, and the (i, j) of the first such pair in row-major order.
+
+    Keys are packed by mixed radix into as few int64 words as key_radices
+    allows (one for desk-scale boxes and cells)
+    and grouped by one stable sort.  Only when a single key entry could
+    leave int64 does the exact pure-Python loop answer instead, with keys as
+    an object array of Python ints.
+    """
+    d = basis.degree
+    n = len(xs)
+    mx = max((abs(int(v)) for row in xs for v in row), default=0)
+    my = max((abs(int(v)) for row in ys for v in row), default=0)
+    radices = key_radices(basis, mx, my)
+    if max(radices) > 2**63:
+        xs = [tuple(map(int, row)) for row in xs]
+        ys = [tuple(map(int, row)) for row in ys]
+        raw = _raw_pair_counts_loop(basis, xs, ys)
+        keys = sorted(raw)
+        return (
+            np.array(keys, dtype=object).reshape(len(keys), 3 * d),
+            np.array([raw[k][0] for k in keys], dtype=np.int64),
+            np.array([raw[k][1:] for k in keys], dtype=np.int64).reshape(-1, 2),
+        )
+    x = np.array(xs, dtype=np.int64).reshape(n, d)
+    y = np.array(ys, dtype=np.int64).reshape(n, d)
+    sc = np.array(basis.structure_constants, dtype=np.int64).reshape(d * d, d)
+    words = _words(radices)
+    offset = np.array([r // 2 for r in radices], dtype=np.int64)
+    # weight of each entry inside its word
+    weight = np.array(
+        [prod(radices[k + 1 : b]) for a, b in words for k in range(a, b)],
+        dtype=np.int64,
+    )
+    anchors = np.arange(n, dtype=np.int64)
+    # index of pair (i, i + 1) in row-major order
+    start = anchors * (n - 1) - anchors * (anchors - 1) // 2
+    total = n * (n - 1) // 2
+    packed = np.empty((len(words), total), dtype=np.int64)
+    for p0 in range(0, total, _CHUNK_PAIRS):
+        i, j = _pairs_at(start, np.arange(p0, min(p0 + _CHUNK_PAIRS, total)))
+        xi, xj, yi, yj = x[i], x[j], y[i], y[j]
+        c = (
+            yi[:, :, None] * xj[:, None, :] - xi[:, :, None] * yj[:, None, :]
+        ).reshape(-1, d * d) @ sc
+        rows = np.concatenate([yj - yi, xi - xj, c], axis=1)
+        rows //= np.gcd.reduce(rows, axis=1)[:, None]
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        rows[lead < 0] *= -1
+        rows += offset
+        for w, (a, b) in enumerate(words):
+            packed[w, p0 : p0 + len(rows)] = rows[:, a:b] @ weight[a:b]
+    # a stable sort puts each key's first pair at the head of its run
+    order = np.lexsort(packed[::-1])
+    packed = packed[:, order]
+    head = np.ones(total, dtype=bool)
+    head[1:] = (packed[:, 1:] != packed[:, :-1]).any(axis=0)
+    heads = np.flatnonzero(head)
+    counts = np.diff(heads, append=total)
+    first = order[heads]
+    uniq = packed[:, heads]
+    del order, packed, head
+    # the narrowest signed type that holds every key entry
+    dtype = next(
+        t for t in (np.int8, np.int16, np.int32, np.int64)
+        if max(radices) // 2 <= np.iinfo(t).max
+    )
+    keys = np.empty((len(heads), 3 * d), dtype=dtype)
+    for w, (a, b) in enumerate(words):  # column by column keeps the temporaries small
+        for k in range(a, b):
+            keys[:, k] = uniq[w] // weight[k] % radices[k] - offset[k]
+    return keys, counts, np.stack(_pairs_at(start, first), axis=1)
+
+
+def shift_keys(basis, keys, tx, ty):
+    """The key rows (a, b, c) of lines moved by the translate (tx, ty):
+    (a, b, c - a*tx - b*ty), as tuples of Python ints.
+
+    The coordinates of a*tx + b*ty are integer combinations of those of a
+    and b, so a reduced, sign-fixed key stays reduced and sign-fixed.  Each
+    block of rows is shifted in int64 when product_bounds keep every entry
+    inside it, and in exact Python ints otherwise.
+    """
+    d = basis.degree
+    shift = max(abs(v) for v in tx + ty)
+    for b0 in range(0, len(keys), _CHUNK_PAIRS):
+        block = keys[b0 : b0 + _CHUNK_PAIRS]
+        coeff = int(np.abs(block[:, : 2 * d]).max(initial=0))
+        bound = int(np.abs(block[:, 2 * d :]).max(initial=0)) + 2 * max(
+            product_bounds(basis, coeff, shift)
+        )
+        dtype = np.int64 if bound < 2**63 else object
+        block = block.astype(dtype)
+        # u @ tx_m gives the coordinates of u * tx for coordinate rows u
+        sc = np.array(basis.structure_constants, dtype=dtype)
+        tx_m, ty_m = (
+            np.tensordot(sc, np.array(t, dtype=dtype), axes=([1], [0]))
+            for t in (tx, ty)
+        )
+        block[:, 2 * d :] -= block[:, :d] @ tx_m + block[:, d : 2 * d] @ ty_m
+        yield from key_tuples(block)
+
+
+def key_tuples(keys):
+    """The rows of a key array as tuples of Python ints, converted a block
+    of rows at a time to bound the intermediate lists."""
+    for b in range(0, len(keys), _CHUNK_PAIRS):
+        yield from zip(*keys[b : b + _CHUNK_PAIRS].T.tolist())
+
+
+def _pairs_at(start, p):
+    """(i, j) of the pairs with row-major indices p."""
+    i = np.searchsorted(start, p, side="right") - 1
+    return i, p - start[i] + i + 1
+
+
+def _raw_counts(points, threshold=1):
+    """{reduced raw key: pair count} for the keys of at least threshold pairs."""
+    keys, counts, _ = group_pairs(
+        points[0].basis, [p.x.coords for p in points], [p.y.coords for p in points]
+    )
+    if threshold > 1:
+        keep = counts >= threshold
+        keys, counts = keys[keep], counts[keep]
+    return dict(zip(key_tuples(keys), counts.tolist()))
+
+
+def _line_counts(points):
+    """{line key: pair count}.  Degree-1 primitive triples are already unique
+    per line over Q; higher degrees merge unit multiples first."""
+    basis = points[0].basis
+    raw = _raw_counts(points)
+    if basis.degree == 1:
+        return raw
+    return _merge_raw_by_line(basis, raw)
 
 
 def _merge_raw_by_line(basis, raw):
@@ -307,60 +447,20 @@ def _canonical_from_key(basis, key):
     )
 
 
-def _line_pair_counts_generic(points):
-    """Pair grouping on raw coordinate tuples; the much cheaper reduced
-    integer keys are only pushed through field canonicalization once per
-    line, after merging unit multiples."""
-    basis = points[0].basis
-    merged = _merge_raw_by_line(basis, _raw_pair_counts_generic(points))
-    return {
-        _canonical_from_key(basis, key): cnt for key, cnt in merged.items()
-    }
-
-
-def _raw_pair_counts_d1(points, backend=None):
-    """{primitive int triple: pair count} for a degree-1 point set.  Primitive
-    triples are already unique per line over Q, so no field canonicalization
-    is needed until a line is actually reported."""
-    px = np.array([p.x.coords[0] for p in points], dtype=np.int64)
-    py = np.array([p.y.coords[0] for p in points], dtype=np.int64)
-    return fastpath.pair_line_counts(px, py, backend=backend)
-
-
-def _canonical_d1(basis, triple):
-    a, b, c = triple
-    return canonicalize_triple(
-        basis, Element(basis, (a,)), Element(basis, (b,)), Element(basis, (c,))
-    )
-
-
-def _line_pair_counts_fast(points, backend=None):
-    basis = points[0].basis
-    raw = _raw_pair_counts_d1(points, backend=backend)
-    return {_canonical_d1(basis, key): cnt for key, cnt in raw.items()}
-
-
-def line_pair_counts(points, backend=None):
-    """Map each spanned line to its number of unordered point pairs.
-
-    Uses the int64 fast path for degree-1 point sets with safely-bounded
-    coordinates; the generic exact path otherwise.  backend="generic" forces
-    the reference path.
-    """
+def line_pair_counts(points):
+    """Map each spanned line to its number of unordered point pairs."""
     points = list(points)
     if len(points) < 2:
         return {}
     _check_distinct(points)
     basis = points[0].basis
-    if backend != "generic" and basis.degree == 1:
-        try:
-            return _line_pair_counts_fast(points, backend=backend)
-        except OverflowError:
-            pass
-    return _line_pair_counts_generic(points)
+    return {
+        _canonical_from_key(basis, key): cnt
+        for key, cnt in _line_counts(points).items()
+    }
 
 
-def rich_lines_bruteforce(points, r, backend=None):
+def rich_lines_bruteforce(points, r):
     """All lines containing at least r points of P, with exact richness.
 
     The O(n^2) pair-grouping oracle: deterministic output, keys sorted by
@@ -374,33 +474,19 @@ def rich_lines_bruteforce(points, r, backend=None):
     _check_distinct(points)
     basis = points[0].basis
     threshold = comb(r, 2)
-    if backend != "generic" and basis.degree == 1:
-        try:
-            raw = _raw_pair_counts_d1(points, backend=backend)
-        except OverflowError:
-            raw = None
-        if raw is not None:
-            counts = {
-                _canonical_d1(basis, key): cnt
-                for key, cnt in raw.items()
-                if cnt >= threshold
-            }
-            return {
-                line: _richness_from_pairs(counts[line])
-                for line in sorted(counts, key=CanonicalLine.sort_key)
-            }
-    merged = _merge_raw_by_line(basis, _raw_pair_counts_generic(points))
-    counts = {
-        _canonical_from_key(basis, key): cnt
-        for key, cnt in merged.items()
-        if cnt >= threshold
+    if basis.degree == 1:
+        counts = _raw_counts(points, threshold)
+    else:
+        counts = {
+            key: cnt
+            for key, cnt in _line_counts(points).items()
+            if cnt >= threshold
+        }
+    lines = {_canonical_from_key(basis, key): cnt for key, cnt in counts.items()}
+    return {
+        line: _richness_from_pairs(lines[line])
+        for line in sorted(lines, key=CanonicalLine.sort_key)
     }
-    rich = {}
-    for line in sorted(counts, key=CanonicalLine.sort_key):
-        k = _richness_from_pairs(counts[line])
-        if k >= r:
-            rich[line] = k
-    return rich
 
 
 def count_incidences(points, lines):
@@ -419,15 +505,7 @@ def beck_statistic(points):
     if len(points) < 2:
         raise InvalidParameterError("need at least 2 points")
     _check_distinct(points)
-    basis = points[0].basis
-    if basis.degree == 1:
-        try:
-            counts = _raw_pair_counts_d1(points)
-        except OverflowError:
-            counts = _raw_pair_counts_loop(points)
-    else:
-        # integer merged keys suffice; no need to build CanonicalLines here
-        counts = _merge_raw_by_line(basis, _raw_pair_counts_generic(points))
+    counts = _line_counts(points)
     max_collinear = max(_richness_from_pairs(c) for c in counts.values())
     return max_collinear, len(counts)
 

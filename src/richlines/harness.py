@@ -209,11 +209,11 @@ def _single_config(config, r=None, n=None):
     return basis, params
 
 
-def run(config, workers=1, r=None, n=None):
+def run(config, r=None, n=None):
     """Execute the full pipeline for one parameter point."""
     basis, params = _single_config(config, r=r, n=n)
     t0 = time.perf_counter()
-    box, tuned = build_construction(params, workers=workers)
+    box, tuned = build_construction(params)
     t1 = time.perf_counter()
     report = tuned.report
     incidences, rate3, rate4 = claim3_claim4_statistics(
@@ -280,14 +280,19 @@ def fit_loglog(xs, ys, x_name="r"):
 
 def sweep(config, workers=1):
     """Run each sweep point and fit log(num_lines) against log(r) (for
-    r-sweeps) or log(p_realized) (for n-sweeps)."""
+    r-sweeps) or log(p_realized) (for n-sweeps).
+
+    The points run one after another in this process.  `workers` is
+    deprecated and ignored; it stays only while the perfbench sweep
+    operations pass `--workers` (ROADMAP open item 6 removes both).
+    """
     if config.r_list is not None:
-        reports = [run(config, workers=workers, r=r) for r in config.r_list]
+        reports = [run(config, r=r) for r in config.r_list]
         fit = fit_loglog(
             [rep.r for rep in reports], [rep.num_lines for rep in reports], "r"
         )
     elif config.n_list is not None:
-        reports = [run(config, workers=workers, n=n) for n in config.n_list]
+        reports = [run(config, n=n) for n in config.n_list]
         fit = fit_loglog(
             [rep.p_realized for rep in reports],
             [rep.num_lines for rep in reports],
@@ -324,7 +329,7 @@ class OracleReport:
         }
 
 
-def oracle(config, workers=1):
+def oracle(config):
     """Brute-force cross-check: the family must be a subset of the exact
     r-rich lines of P."""
     basis, params = _single_config(config)
@@ -334,7 +339,7 @@ def oracle(config, workers=1):
             f"realized |P| = {len(box)} exceeds the oracle cap "
             f"{ORACLE_POINT_CAP}; use a smaller n for oracle runs"
         )
-    _, tuned = build_construction(params, workers=workers)
+    _, tuned = build_construction(params)
     rich = rich_lines_bruteforce(list(box), params.r)
     subset = all(line in rich for line in tuned.family)
     coverage = len(tuned.family) / len(rich) if rich else 1.0

@@ -285,22 +285,6 @@ def basis_vector(basis, i):
     return Element(basis, coords)
 
 
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def neg(a):
-    return -a
-
-
-def mul(a, b):
-    return a * b
-
-
 def divide(a, b):
     """The unique q in the fraction field with q * b == a.
 

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import richlines as rl
+from richlines import construction
 from richlines.construction import (
     AutoTuneError,
     ConstructionParams,
@@ -26,7 +28,15 @@ from richlines.construction import (
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
 from richlines.gapset import GapSet
-from richlines.geometry import on_line, rich_lines_bruteforce
+from richlines.numberfield import Element
+from richlines.geometry import (
+    CanonicalLine,
+    Point,
+    _raw_pair_counts_loop,
+    line_through,
+    on_line,
+    rich_lines_bruteforce,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -125,14 +135,60 @@ def test_family_dedups_across_translates(integers):
     assert len(family) < per_translate_total
 
 
-def test_family_deterministic_across_workers(sqrt2):
-    geom = build_cell_geometry(ConstructionParams(sqrt2, 6561, HALF, 3))
-    f1 = generate_line_family(geom, workers=1)
-    f4 = generate_line_family(geom, workers=4)
-    assert list(f1.lines) == list(f4.lines)
-    for line in f1:
-        assert f1.lines[line].translate_index == f4.lines[line].translate_index
-        assert f1.lines[line].pair == f4.lines[line].pair
+def _family_by_pair_scan(geom):
+    """Reference family: line_through over every pair of every translated
+    cell, keeping the smallest (translate index, i, j) witness per line."""
+    cell = geom.cell_points()
+    best = {}
+    for t_idx, (tx, ty) in enumerate(translate_vectors(geom)):
+        pts = [Point(p.x + tx, p.y + ty) for p in cell]
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                best.setdefault(line_through(pts[i], pts[j]), (t_idx, (pts[i], pts[j])))
+    return best
+
+
+def test_family_matches_pair_scan_reference(integers, sqrt2):
+    nine = build_cell_geometry(ConstructionParams(sqrt2, 6561, HALF, 3))
+    nine.trans_x = GapSet(sqrt2, 1, scale=nine.s)  # 9 x-shifts, 1 y-shift
+    cases = [
+        (build_cell_geometry(ConstructionParams(integers, 100, HALF, 2)), 1),
+        (build_cell_geometry(ConstructionParams(integers, 400, HALF, 3)), 9),
+        (build_cell_geometry(ConstructionParams(sqrt2, 400, HALF, 2)), 1),
+        (nine, 9),
+    ]
+    for geom, num_translates in cases:
+        assert len(translate_vectors(geom)) == num_translates
+        family = generate_line_family(geom)
+        best = _family_by_pair_scan(geom)
+        assert list(family.lines) == sorted(best, key=CanonicalLine.sort_key)
+        for line, prov in family.lines.items():
+            assert (prov.translate_index, prov.pair) == best[line]
+
+
+def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
+    """Translates too large for an int64 shift take the exact path; both
+    sides of that bound match the per-translate reference loop."""
+    cell = [
+        Point(Element(sqrt2, (i, j)), Element(sqrt2, (j, i + 1)))
+        for i in range(3)
+        for j in range(3)
+    ]
+    geom = SimpleNamespace(basis=sqrt2, cell_points=lambda: cell)
+    zero = Element(sqrt2, (0, 0))
+    for big in (10**17, 10**19):
+        far = (Element(sqrt2, (big, 1)), Element(sqrt2, (7, big)))
+        translates = [(zero, zero), far]
+        monkeypatch.setattr(construction, "translate_vectors", lambda g: translates)
+        best = {}
+        for t_idx, (tx, ty) in enumerate(translates):
+            pts = [Point(p.x + tx, p.y + ty) for p in cell]
+            raw = _raw_pair_counts_loop(
+                sqrt2, [p.x.coords for p in pts], [p.y.coords for p in pts]
+            )
+            for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
+                best.setdefault(key, (t_idx, i, j))
+        assert construction._raw_family(geom)[0] == best
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):

@@ -183,11 +183,20 @@ def test_pair_grouping_identity_random(integers, sqrt2):
 
 
 def test_generic_path_matches_fast_path(integers):
+    """Degree-1 primitive keys skip the unit-multiple merge; merging the
+    reference keys must give the same lines and counts."""
     rng = random.Random(51)
     pts = random_points(rng, integers, 60)
-    fast = line_pair_counts(pts)
-    generic = line_pair_counts(pts, backend="generic")
-    assert fast == generic
+    raw = geo._raw_pair_counts_loop(
+        integers, [p.x.coords for p in pts], [p.y.coords for p in pts]
+    )
+    merged = geo._merge_raw_by_line(
+        integers, {key: entry[0] for key, entry in raw.items()}
+    )
+    generic = {
+        geo._canonical_from_key(integers, key): cnt for key, cnt in merged.items()
+    }
+    assert line_pair_counts(pts) == generic
 
 
 def test_dedup_key_equivalence(sqrt2):
@@ -219,17 +228,28 @@ def test_rich_lines_sorted_deterministically(integers):
     assert keys == sorted(keys, key=CanonicalLine.sort_key)
 
 
-def test_raw_vec_equals_raw_loop(sqrt2, cbrt2):
+def test_raw_vec_equals_raw_loop(integers, sqrt2, cbrt2):
+    """group_pairs equals its pure-Python reference: keys, pair counts and
+    first pairs, on seeded random points of every basis."""
     rng = random.Random(81)
-    for basis in (sqrt2, cbrt2):
-        pts = random_points(rng, basis, 30, bound=8)
-        assert geo._raw_pair_counts_vec(pts) == geo._raw_pair_counts_loop(pts)
+    for basis, count, bound in ((integers, 120, 1000), (sqrt2, 30, 8), (cbrt2, 30, 8)):
+        pts = random_points(rng, basis, count, bound=bound)
+        xs = [p.x.coords for p in pts]
+        ys = [p.y.coords for p in pts]
+        keys, counts, first = geo.group_pairs(basis, xs, ys)
+        raw = geo._raw_pair_counts_loop(basis, xs, ys)
+        assert {
+            tuple(k): [c, i, j]
+            for k, c, (i, j) in zip(keys.tolist(), counts.tolist(), first.tolist())
+        } == raw
+        assert [tuple(k) for k in keys.tolist()] == sorted(raw)
+        assert counts.sum() == comb(count, 2)
 
 
 def test_merged_counts_sum_to_all_pairs(cbrt2):
     rng = random.Random(91)
     pts = random_points(rng, cbrt2, 25, bound=3)
-    merged = geo._merge_raw_by_line(cbrt2, geo._raw_pair_counts_generic(pts))
+    merged = geo._line_counts(pts)
     assert sum(merged.values()) == comb(len(pts), 2)
 
 
