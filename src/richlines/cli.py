@@ -150,9 +150,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("construct", help="build P and L, dump artifacts")
@@ -182,7 +181,6 @@ def build_parser():
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="quick property suites")
-    common(p, needs_config=False)
     p.add_argument("--seed", type=int, default=0, help="property-sampling seed")
     p.set_defaults(func=cmd_selftest)
     return parser

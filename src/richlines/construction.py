@@ -12,7 +12,6 @@ statistics by exact counting.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -27,14 +26,12 @@ from .gapset import (
 from .geometry import (
     CanonicalLine,
     Point,
-    _line_counts,
-    canonicalize_triple,
     group_pairs,
     key_tuples,
     on_line,
     shift_keys,
 )
-from .numberfield import Element, NiceBasis, divide, integer_inverse
+from .numberfield import Element, NiceBasis, integer_inverse
 
 ALPHA_GRID = (
     Fraction(1, 5),
@@ -270,12 +267,13 @@ class LineFamily:
 
 
 def _raw_family(geom):
-    """Content-reduced raw line triples over all translates, with the
-    lexicographically-smallest witness (translate index, i, j) per triple.
+    """Primitive line keys over all translates, with the lexicographically
+    smallest witness (translate index, i, j) per line.
 
     The cell's pairs are grouped once and each cell key is moved to every
-    translate by shift_keys; a moved key keeps the cell's first pair as its
-    first witness.
+    translate by shift_keys; a moved key keeps the cell's first pair on its
+    line as its first witness, and the first translate that reaches a line
+    wins.
     """
     basis = geom.basis
     cell_pts = geom.cell_points()
@@ -303,21 +301,9 @@ def generate_line_family(geom):
 
 
 def _family_from_raw(basis, raw, cell_pts, translates):
-    d = basis.degree
-    merged = {}
-    for key, (t_idx, i, j) in raw.items():
-        line = canonicalize_triple(
-            basis,
-            Element(basis, key[:d]),
-            Element(basis, key[d : 2 * d]),
-            Element(basis, key[2 * d :]),
-        )
-        prev = merged.get(line)
-        if prev is None or (t_idx, i, j) < prev:
-            merged[line] = (t_idx, i, j)
     ordered = {}
-    for line in sorted(merged, key=CanonicalLine.sort_key):
-        t_idx, i, j = merged[line]
+    for line in sorted((CanonicalLine(basis, key) for key in raw), key=CanonicalLine.sort_key):
+        t_idx, i, j = raw[line.key]
         tx, ty = translates[t_idx]
         p = Point(cell_pts[i].x + tx, cell_pts[i].y + ty)
         q = Point(cell_pts[j].x + tx, cell_pts[j].y + ty)
@@ -329,13 +315,15 @@ def _family_from_raw(basis, raw, cell_pts, translates):
 # Richness counting against the box point set.
 
 
-def _count_on_line_int(basis, acoords, bcoords, ccoords, box, x_cols=None):
-    """Richness of the integer-triple line a*X + b*Y + c = 0 in the box.
+def _count_on_line_int(basis, key, box, x_cols=None):
+    """Richness of the line with integer key (a, b, c) in the box.
 
     Pure integer arithmetic: one exact inversion per line, then per x-column
     the unique candidate y is accepted iff its cleared-denominator coords are
     divisible by delta (times the box scale) and within the radius.
     """
+    d = basis.degree
+    acoords, bcoords, ccoords = key[:d], key[d : 2 * d], key[2 * d :]
     mul = basis.mul_coords
     if not any(bcoords):
         q, delta = integer_inverse(basis, tuple(acoords))
@@ -363,72 +351,58 @@ def _count_on_line_int(basis, acoords, bcoords, ccoords, box, x_cols=None):
     return count
 
 
-def _line_int_coords(line):
-    """Clear denominators of a canonical line to an integer coefficient
-    triple (any common multiple defines the same line)."""
-    den = 1
-    for coeff in (line.a, line.b, line.c):
-        for f in coeff.coords:
-            den = den * f.denominator // gcd(den, f.denominator)
-    return [
-        tuple(int(f * den) for f in coeff.coords)
-        for coeff in (line.a, line.b, line.c)
-    ]
-
-
 def line_richness_in_box(line, box):
     """Exact number of box points on the line, by column iteration: for each
     x-column the line meets at most one y, tested for box membership."""
-    a, b, c = _line_int_coords(line)
-    return _count_on_line_int(line.basis, a, b, c, box)
+    return _count_on_line_int(line.basis, line.key, box)
 
 
-def _int_triple_d1(line):
-    """(a, b, c) integer line equation for a degree-1 canonical line."""
-    fa, fb, fc = line.a.coords[0], line.b.coords[0], line.c.coords[0]
-    den = fa.denominator
-    for f in (fb, fc):
-        den = den * f.denominator // gcd(den, f.denominator)
-    return int(fa * den), int(fb * den), int(fc * den)
-
-
-def _richness_batch_d1(lines, box):
-    """Vectorized richness for degree-1 lines over an integer box."""
-    return _richness_batch_d1_triples([_int_triple_d1(line) for line in lines], box)
-
-
-def _richness_batch_d1_triples(int_triples, box):
+def _richness_batch_d1_triples(keys, box):
+    """Richness of degree-1 line keys (a, b, c) over an integer box,
+    vectorized in int64 for the keys whose products a*x + c stay inside it
+    and exact for the rest."""
     rx, ry = box.x_set.radius, box.y_set.radius
-    triples = np.array(int_triples, dtype=np.int64)
+    keys = np.array(keys, dtype=object).reshape(-1, 3)
+    # |a x + c| <= |a| rx + |c| bounds every intermediate below
+    fits = np.maximum(np.abs(keys[:, 1]), np.abs(keys[:, 2]) + np.abs(keys[:, 0]) * rx) < 2**63
+    out = np.zeros(len(keys), dtype=np.int64)
+    for k in np.flatnonzero(~fits):
+        out[k] = _count_on_line_int(box.basis, tuple(keys[k]), box)
+    triples = keys[fits].astype(np.int64)
     a = triples[:, 0:1]
     b = triples[:, 1:2]
     c = triples[:, 2:3]
     xs = np.arange(-rx, rx + 1, dtype=np.int64)[None, :]
-    out = np.zeros(len(triples), dtype=np.int64)
+    rich = np.zeros(len(triples), dtype=np.int64)
     vert = b[:, 0] == 0
     if vert.any():
         av, cv = a[vert, 0], c[vert, 0]
         xv = -cv // av
         hit = (cv % av == 0) & (np.abs(xv) <= rx)
-        out[vert] = np.where(hit, 2 * ry + 1, 0)
+        rich[vert] = np.where(hit, 2 * ry + 1, 0)
     gen = ~vert
     if gen.any():
         num = -c[gen] - a[gen] * xs
         bg = b[gen]
         y = num // bg
         hit = (num % bg == 0) & (np.abs(y) <= ry)
-        out[gen] = hit.sum(axis=1)
-    return [int(v) for v in out]
+        rich[gen] = hit.sum(axis=1)
+    out[fits] = rich
+    return out.tolist()
+
+
+def _key_richnesses(basis, keys, box):
+    """Exact richness of each line key in the box: batched on integer boxes,
+    lazily one line at a time otherwise."""
+    if basis.degree == 1 and box.x_set.scale == 1 and box.y_set.scale == 1:
+        return iter(_richness_batch_d1_triples(keys, box))
+    x_cols = [x.coords for x in box.columns()]
+    return (_count_on_line_int(basis, key, box, x_cols) for key in keys)
 
 
 def line_richnesses(lines, box):
     """Exact richness of each line in the box, batched where possible."""
-    lines = list(lines)
-    if not lines:
-        return []
-    if box.basis.degree == 1 and box.x_set.scale == 1 and box.y_set.scale == 1:
-        return _richness_batch_d1(lines, box)
-    return [line_richness_in_box(line, box) for line in lines]
+    return list(_key_richnesses(box.basis, [line.key for line in lines], box))
 
 
 @dataclass
@@ -503,7 +477,11 @@ def claim1_statistic(geom, realized_p=None):
     if len(cell_pts) < 2:
         n_lines = 0
     else:
-        n_lines = len(_line_counts(cell_pts))
+        n_lines = len(
+            group_pairs(
+                geom.basis, [p.x.coords for p in cell_pts], [p.y.coords for p in cell_pts]
+            )[0]
+        )
     if realized_p is None:
         box = build_pointset(geom.basis, geom.params.n, geom.params.alpha)
         realized_p = len(box)
@@ -529,25 +507,14 @@ class TunedConstruction:
 
 
 def _all_raw_rich(basis, raw, box, r):
-    """Fast tuning gate: every raw family triple is r-rich in the box.
+    """Fast tuning gate: every family line key is r-rich in the box.
 
-    Raw triples are checked before any canonicalization and in order of
+    Keys are checked before any CanonicalLine is built and in order of
     decreasing coefficient size (steep lines fail first), so rejected cell
     constants bail out early instead of paying for the full family.
     """
     keys = sorted(raw, key=lambda k: max(abs(v) for v in k), reverse=True)
-    if basis.degree == 1 and box.x_set.scale == 1 and box.y_set.scale == 1:
-        rich = _richness_batch_d1_triples(keys, box)
-        return all(k >= r for k in rich)
-    d = basis.degree
-    x_cols = [x.coords for x in box.columns()]
-    for key in keys:
-        k = _count_on_line_int(
-            basis, key[:d], key[d : 2 * d], key[2 * d :], box, x_cols
-        )
-        if k < r:
-            return False
-    return True
+    return all(k >= r for k in _key_richnesses(basis, keys, box))
 
 
 def auto_tune_c1(params, max_halvings=20):

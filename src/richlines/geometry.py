@@ -1,13 +1,16 @@
 """Exact incidence geometry over a nice-basis field.
 
-Lines are stored as coefficient triples A*X + B*Y + C = 0 over the fraction
-field, normalized so the first nonzero coefficient (in the order A, B, C) is
-the field's unity.  Two CanonicalLines are then equal as lines exactly when
-their coordinate triples are identical, which makes them hashable dedup keys.
+A line A*X + B*Y + C = 0 is identified by its primitive key: the flat
+integer triple (A, B, C) scaled so that the pivot (A, or B when A = 0) is an
+integer multiple of the field's unity, content-reduced, with its first
+nonzero entry positive.  Two triples give the same line exactly when their
+primitive keys are equal, so the keys are the dedup identity from the pair
+kernel through to output.  A CanonicalLine carries its key and the
+Fraction coefficients with the pivot equal to unity, for output.
 """
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -16,7 +19,6 @@ from .numberfield import (
     BasisMismatchError,
     Element,
     RationalElement,
-    divide,
     integer_inverse,
 )
 
@@ -50,17 +52,29 @@ class Point:
 
 
 class CanonicalLine:
-    """A line A*X + B*Y + C = 0 with RationalElement coefficients, normalized
-    so the first nonzero coefficient is unity."""
+    """The line with primitive key `key`, as A*X + B*Y + C = 0 with
+    RationalElement coefficients whose pivot (A, or B when A = 0) is unity.
 
-    __slots__ = ("basis", "a", "b", "c", "_hash")
+    The pivot block of a primitive key is lam * unity for a rational lam,
+    read off at the first nonzero coordinate of unity, so each coefficient
+    coordinate is the key entry over lam.
+    """
 
-    def __init__(self, basis, a, b, c):
+    __slots__ = ("basis", "key", "a", "b", "c")
+
+    def __init__(self, basis, key):
+        d = basis.degree
+        pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
+        one = basis.one.coords
+        k = next(i for i, f in enumerate(one) if f)
+        # v / lam with lam = pivot[k] / one[k]
+        num, den = one[k].numerator, pivot[k] * one[k].denominator
         self.basis = basis
-        self.a = a
-        self.b = b
-        self.c = c
-        self._hash = hash((a.coords, b.coords, c.coords))
+        self.key = key
+        self.a, self.b, self.c = (
+            RationalElement(basis, [Fraction(v * num, den) for v in key[i : i + d]])
+            for i in (0, d, 2 * d)
+        )
 
     def coeffs(self):
         return (self.a, self.b, self.c)
@@ -76,13 +90,11 @@ class CanonicalLine:
         return (
             isinstance(other, CanonicalLine)
             and self.basis == other.basis
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
+            and self.key == other.key
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
         return f"CanonicalLine(a={self.a!r}, b={self.b!r}, c={self.c!r})"
@@ -107,52 +119,8 @@ def raw_line_coeffs(p, q):
 
 
 def canonicalize_triple(basis, a, b, c):
-    """Normalize an integer coefficient triple to a CanonicalLine.
-
-    Repeated triples are common (every pair on a line reproduces one of a few
-    integer triples), so results are cached per basis keyed on the
-    content-reduced triple.
-    """
-    if a.is_zero() and b.is_zero():
-        raise DegeneratePairError("degenerate line: A and B both zero")
-    flat = list(a.coords) + list(b.coords) + list(c.coords)
-    g = 0
-    for v in flat:
-        g = gcd(g, abs(v))
-    if g > 1:
-        flat = [v // g for v in flat]
-    for v in flat:
-        if v:
-            if v < 0:
-                flat = [-w for w in flat]
-            break
-    key = tuple(flat)
-    cache = basis._line_cache
-    line = cache.get(key)
-    if line is None and basis.degree == 1:
-        ka, kb, kc = key
-        pivot = ka if ka else kb
-        line = CanonicalLine(
-            basis,
-            RationalElement(basis, (Fraction(ka, pivot),)),
-            RationalElement(basis, (Fraction(kb, pivot),)),
-            RationalElement(basis, (Fraction(kc, pivot),)),
-        )
-        cache[key] = line
-    if line is None:
-        d = basis.degree
-        pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
-        q, delta = integer_inverse(basis, pivot)
-        mul = basis.mul_coords
-        coeffs = [
-            RationalElement(
-                basis, tuple(Fraction(v, delta) for v in mul(part, q))
-            )
-            for part in (key[:d], key[d : 2 * d], key[2 * d :])
-        ]
-        line = CanonicalLine(basis, *coeffs)
-        cache[key] = line
-    return line
+    """The CanonicalLine of the integer coefficient triple (a, b, c)."""
+    return CanonicalLine(basis, _primitive_key(basis, a.coords + b.coords + c.coords))
 
 
 def line_through(p, q):
@@ -208,9 +176,25 @@ def _reduce_flat(flat):
     return flat
 
 
+def _primitive_key(basis, flat):
+    """The primitive key of the flat integer triple (a, b, c): the triple
+    times the integer inverse of its pivot (a, or b when a = 0),
+    content-reduced with its first nonzero entry made positive."""
+    d = basis.degree
+    flat = _reduce_flat(flat)
+    pivot = flat[:d] if any(flat[:d]) else flat[d : 2 * d]
+    if not any(pivot):
+        raise DegeneratePairError("degenerate line: A and B both zero")
+    q, _ = integer_inverse(basis, pivot)
+    mul = basis.mul_coords
+    return _reduce_flat(
+        mul(flat[:d], q) + mul(flat[d : 2 * d], q) + mul(flat[2 * d :], q)
+    )
+
+
 def _raw_pair_counts_loop(basis, xs, ys):
-    """Pure-Python reference of group_pairs: {reduced raw key: [pair count,
-    i, j]} with (i, j) the first pair, in row-major order, giving the key."""
+    """Pure-Python reference of group_pairs: {primitive key: [pair count,
+    i, j]} with (i, j) the first pair, in row-major order, on the line."""
     mul = basis.mul_coords
     raw = {}
     n = len(xs)
@@ -221,7 +205,7 @@ def _raw_pair_counts_loop(basis, xs, ys):
             a = tuple(u - v for u, v in zip(qy, py))
             b = tuple(u - v for u, v in zip(px, qx))
             c = tuple(u - v for u, v in zip(mul(py, qx), mul(px, qy)))
-            key = _reduce_flat(a + b + c)
+            key = _primitive_key(basis, a + b + c)
             entry = raw.get(key)
             if entry is None:
                 raw[key] = [1, i, j]
@@ -246,16 +230,57 @@ def product_bounds(basis, u, v):
     ]
 
 
+def _det(m, sign=-1):
+    """Determinants (sign -1) or permanents (sign 1) of the trailing square
+    matrices of m, by cofactor expansion along the first row; exact in the
+    array's integer or object dtype."""
+    k = m.shape[-1]
+    if k == 0:
+        return np.ones(m.shape[:-2], dtype=m.dtype)
+    total = 0
+    for j in range(k):
+        minor = np.delete(m[..., 1:, :], j, axis=-1)
+        total = total + sign**j * m[..., 0, j] * _det(minor, sign)
+    return total
+
+
+def _adjugate(m, sign=-1):
+    """Adjugates of the trailing d x d matrices of m (with sign 1, the
+    permanents of the same minors, which bound the adjugate's entries)."""
+    d = m.shape[-1]
+    adj = np.empty_like(m)
+    for i in range(d):
+        rest = np.delete(m, i, axis=-2)
+        for k in range(d):
+            adj[..., k, i] = sign ** (i + k) * _det(np.delete(rest, k, axis=-1), sign)
+    return adj
+
+
 def key_radices(basis, mx, my):
-    """Per-entry radix of a packed raw key for coordinates bounded by mx
-    (x) and my (y): |a| <= 2 my, |b| <= 2 mx, |c_k| <= 2 product_bound_k.
-    Every intermediate of group_pairs stays below its entry's bound."""
+    """Per-entry radix of a packed primitive key for coordinates bounded by
+    mx (x) and my (y), or None when some intermediate of group_pairs could
+    leave int64.
+
+    A raw key has |a| <= 2 my, |b| <= 2 mx and |c_k| <= 2 product_bound_k.
+    Its pivot has entries at most p = 2 max(mx, my), so the multiplication
+    matrix M has |M[k][i]| <= p sum_j |c_ijk|, the permanents of its minors
+    bound adj(M), and adj(M) times the raw bounds bounds the primitive key.
+    """
     d = basis.degree
-    return (
-        [4 * my + 1] * d
-        + [4 * mx + 1] * d
-        + [4 * m + 1 for m in product_bounds(basis, mx, my)]
-    )
+    sc = basis.structure_constants
+    raw = [2 * my] * d + [2 * mx] * d + [2 * m for m in product_bounds(basis, mx, my)]
+    p = 2 * max(mx, my)
+    mul = [[p * sum(abs(sc[i][j][k]) for j in range(d)) for i in range(d)] for k in range(d)]
+    adj = _adjugate(np.array(mul, dtype=object), sign=1).tolist()
+    final = [
+        sum(adj[k][i] * raw[block + i] for i in range(d))
+        for block in (0, d, 2 * d)
+        for k in range(d)
+    ]
+    inner = max(raw + sum(mul, []) + sum(adj, []))
+    if inner >= 2**63 or max(final) >= 2**62:
+        return None
+    return [2 * f + 1 for f in final]
 
 
 def _words(radices):
@@ -274,25 +299,27 @@ def _words(radices):
 def group_pairs(basis, xs, ys):
     """Group the point pairs i < j by the line they span.
 
-    xs, ys: the x and y coordinate vectors of n distinct points.  The key of
-    a pair is the flat integer triple (a, b, c) = (y_j - y_i, x_i - x_j,
-    y_i x_j - x_i y_j), content-reduced with its first nonzero entry made
-    positive, as _reduce_flat gives it.  Returns (keys, counts, first): the
-    distinct keys as rows in lexicographic order, the number of pairs giving
-    each, and the (i, j) of the first such pair in row-major order.
+    xs, ys: the x and y coordinate vectors of n distinct points.  The raw
+    key of a pair is the flat integer triple (a, b, c) = (y_j - y_i,
+    x_i - x_j, y_i x_j - x_i y_j); its primitive key is the raw key times
+    adj(M_p), M_p the multiplication-by-pivot matrix, content-reduced with
+    its first nonzero entry made positive, as _primitive_key gives it.
+    Returns (keys, counts, first): the distinct primitive keys as rows in
+    lexicographic order, the number of pairs on each line, and the (i, j)
+    of the first such pair in row-major order.
 
     Keys are packed by mixed radix into as few int64 words as key_radices
-    allows (one for desk-scale boxes and cells)
-    and grouped by one stable sort.  Only when a single key entry could
-    leave int64 does the exact pure-Python loop answer instead, with keys as
-    an object array of Python ints.
+    allows (one for most desk-scale boxes and cells) and grouped by one
+    stable sort.  Only when an intermediate could leave int64 does the exact
+    pure-Python loop answer instead, with keys as an object array of Python
+    ints.
     """
     d = basis.degree
     n = len(xs)
     mx = max((abs(int(v)) for row in xs for v in row), default=0)
     my = max((abs(int(v)) for row in ys for v in row), default=0)
     radices = key_radices(basis, mx, my)
-    if max(radices) > 2**63:
+    if radices is None:
         xs = [tuple(map(int, row)) for row in xs]
         ys = [tuple(map(int, row)) for row in ys]
         raw = _raw_pair_counts_loop(basis, xs, ys)
@@ -304,7 +331,10 @@ def group_pairs(basis, xs, ys):
         )
     x = np.array(xs, dtype=np.int64).reshape(n, d)
     y = np.array(ys, dtype=np.int64).reshape(n, d)
-    sc = np.array(basis.structure_constants, dtype=np.int64).reshape(d * d, d)
+    sc = np.array(basis.structure_constants, dtype=np.int64)
+    # p @ mul_by gives M_p, with M_p[k][i] the l_k coordinate of l_i * p
+    mul_by = sc.transpose(1, 2, 0).reshape(d, d * d)
+    sc = sc.reshape(d * d, d)
     words = _words(radices)
     offset = np.array([r // 2 for r in radices], dtype=np.int64)
     # weight of each entry inside its word
@@ -323,7 +353,10 @@ def group_pairs(basis, xs, ys):
         c = (
             yi[:, :, None] * xj[:, None, :] - xi[:, :, None] * yj[:, None, :]
         ).reshape(-1, d * d) @ sc
-        rows = np.concatenate([yj - yi, xi - xj, c], axis=1)
+        blocks = np.stack([yj - yi, xi - xj, c], axis=1)
+        pivot = np.where(blocks[:, 0].any(axis=1)[:, None], blocks[:, 0], blocks[:, 1])
+        adj = _adjugate((pivot @ mul_by).reshape(-1, d, d))
+        rows = (blocks @ adj.transpose(0, 2, 1)).reshape(-1, 3 * d)
         rows //= np.gcd.reduce(rows, axis=1)[:, None]
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
         rows[lead < 0] *= -1
@@ -357,7 +390,7 @@ def shift_keys(basis, keys, tx, ty):
     (a, b, c - a*tx - b*ty), as tuples of Python ints.
 
     The coordinates of a*tx + b*ty are integer combinations of those of a
-    and b, so a reduced, sign-fixed key stays reduced and sign-fixed.  Each
+    and b, and a and b do not change, so a primitive key stays primitive.  Each
     block of rows is shifted in int64 when product_bounds keep every entry
     inside it, and in exact Python ints otherwise.
     """
@@ -394,57 +427,12 @@ def _pairs_at(start, p):
     return i, p - start[i] + i + 1
 
 
-def _raw_counts(points, threshold=1):
-    """{reduced raw key: pair count} for the keys of at least threshold pairs."""
+def _pair_counts(points):
+    """(primitive keys, pair counts) of the lines spanned by the points."""
     keys, counts, _ = group_pairs(
         points[0].basis, [p.x.coords for p in points], [p.y.coords for p in points]
     )
-    if threshold > 1:
-        keep = counts >= threshold
-        keys, counts = keys[keep], counts[keep]
-    return dict(zip(key_tuples(keys), counts.tolist()))
-
-
-def _line_counts(points):
-    """{line key: pair count}.  Degree-1 primitive triples are already unique
-    per line over Q; higher degrees merge unit multiples first."""
-    basis = points[0].basis
-    raw = _raw_counts(points)
-    if basis.degree == 1:
-        return raw
-    return _merge_raw_by_line(basis, raw)
-
-
-def _merge_raw_by_line(basis, raw):
-    """Merge reduced raw keys that are unit multiples of the same line.
-
-    Multiplying a key by the inverse of its pivot and content-reducing gives
-    a primitive integer representative of the canonical triple, so two raw
-    keys map together exactly when they denote the same line.  Everything
-    stays in integer arithmetic; CanonicalLine objects are only built later
-    for the keys a caller actually reports.
-    """
-    d = basis.degree
-    mul = basis.mul_coords
-    out = {}
-    for key, cnt in raw.items():
-        pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
-        q, _ = integer_inverse(basis, pivot)
-        ck = _reduce_flat(
-            mul(key[:d], q) + mul(key[d : 2 * d], q) + mul(key[2 * d :], q)
-        )
-        out[ck] = out.get(ck, 0) + cnt
-    return out
-
-
-def _canonical_from_key(basis, key):
-    d = basis.degree
-    return canonicalize_triple(
-        basis,
-        Element(basis, key[:d]),
-        Element(basis, key[d : 2 * d]),
-        Element(basis, key[2 * d :]),
-    )
+    return keys, counts
 
 
 def line_pair_counts(points):
@@ -454,9 +442,10 @@ def line_pair_counts(points):
         return {}
     _check_distinct(points)
     basis = points[0].basis
+    keys, counts = _pair_counts(points)
     return {
-        _canonical_from_key(basis, key): cnt
-        for key, cnt in _line_counts(points).items()
+        CanonicalLine(basis, key): cnt
+        for key, cnt in zip(key_tuples(keys), counts.tolist())
     }
 
 
@@ -473,16 +462,12 @@ def rich_lines_bruteforce(points, r):
         return {}
     _check_distinct(points)
     basis = points[0].basis
-    threshold = comb(r, 2)
-    if basis.degree == 1:
-        counts = _raw_counts(points, threshold)
-    else:
-        counts = {
-            key: cnt
-            for key, cnt in _line_counts(points).items()
-            if cnt >= threshold
-        }
-    lines = {_canonical_from_key(basis, key): cnt for key, cnt in counts.items()}
+    keys, counts = _pair_counts(points)
+    keep = counts >= comb(r, 2)
+    lines = {
+        CanonicalLine(basis, key): cnt
+        for key, cnt in zip(key_tuples(keys[keep]), counts[keep].tolist())
+    }
     return {
         line: _richness_from_pairs(lines[line])
         for line in sorted(lines, key=CanonicalLine.sort_key)
@@ -505,9 +490,8 @@ def beck_statistic(points):
     if len(points) < 2:
         raise InvalidParameterError("need at least 2 points")
     _check_distinct(points)
-    counts = _line_counts(points)
-    max_collinear = max(_richness_from_pairs(c) for c in counts.values())
-    return max_collinear, len(counts)
+    _, counts = _pair_counts(points)
+    return _richness_from_pairs(int(counts.max())), len(counts)
 
 
 def pair_grouping_identity(points):
@@ -569,12 +553,7 @@ def lines_from_text(text, basis):
             raise InvalidParameterError(
                 f"line row needs {3 * d} rationals, got {len(vals)}"
             )
-        lines.append(
-            CanonicalLine(
-                basis,
-                RationalElement(basis, vals[:d]),
-                RationalElement(basis, vals[d : 2 * d]),
-                RationalElement(basis, vals[2 * d :]),
-            )
-        )
+        den = lcm(*(f.denominator for f in vals))
+        key = _primitive_key(basis, tuple(int(f * den) for f in vals))
+        lines.append(CanonicalLine(basis, key))
     return lines

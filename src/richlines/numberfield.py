@@ -50,7 +50,6 @@ class NiceBasis:
         self._check_associative()
         self._check_embedding()
         self._one = None
-        self._line_cache = {}
         self._inv_cache = {}
 
     def _check_commutative(self):
@@ -339,7 +338,7 @@ def _solve_linear(mat, rhs):
 
 def integer_inverse(basis, coords):
     """(q, delta) with Element(q)/delta the inverse of the integer element
-    with the given coords.  Cached per basis: line canonicalization and
+    with the given coords.  Cached per basis: primitive line keys and
     per-line richness counting hit the same pivots over and over."""
     cached = basis._inv_cache.get(coords)
     if cached is None:

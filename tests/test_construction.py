@@ -34,6 +34,7 @@ from richlines.geometry import (
     Point,
     _raw_pair_counts_loop,
     line_through,
+    lines_from_text,
     on_line,
     rich_lines_bruteforce,
 )
@@ -199,6 +200,12 @@ def test_line_richness_matches_bruteforce(integers, sqrt2):
         assert line_richnesses(lines, box) == [rich[l] for l in lines]
         for line in lines[:50]:
             assert line_richness_in_box(line, box) == rich[line]
+    # X + (2^62 - 3)/(2^62 + 1) Y = 0: a*x overflows int64 inside the box
+    box = build_pointset(integers, 100, HALF)
+    (line,) = lines_from_text(f"1/1 {2**62 - 3}/{2**62 + 1} 0/1\n", integers)
+    exact = sum(on_line(p, line) for p in box)
+    assert exact == 1
+    assert line_richnesses([line], box) == [exact] == [line_richness_in_box(line, box)]
 
 
 def test_verify_claim2_tuned(integers):

@@ -3,9 +3,29 @@ pure-Python reference, on adversarial inputs and on both sides of the bounds
 that choose how keys are packed."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, prod
 
+import richlines as rl
 from richlines import geometry as geo
+from richlines.construction import (
+    ConstructionParams,
+    build_construction,
+    line_richnesses,
+)
+from richlines.geometry import CanonicalLine, Point, count_incidences, line_through
+from richlines.numberfield import Element
+
+# every basis of the arithmetic acceptance criteria, degree 4 included
+ARITH_BASES = (
+    rl.build_integers_basis(),
+    rl.build_quadratic_basis(2),
+    rl.build_quadratic_basis(5),
+    rl.build_quadratic_basis(-1),
+    rl.build_power_basis([-2, 0, 0]),
+    rl.build_power_basis([-1, -1, 0, 0]),
+)
 
 
 def grouped(basis, xs, ys):
@@ -49,23 +69,29 @@ def largest_bound(fits):
     return lo
 
 
-def test_backends_agree(integers, sqrt2, cbrt2):
+def test_backends_agree():
     """The int64 path and the pure-Python reference agree exactly: keys,
-    pair counts and first pairs, on seeded random points of every basis."""
+    pair counts and first pairs, on seeded random points of every basis,
+    with small coordinates and with coordinates whose keys take two or more
+    int64 words."""
     rng = random.Random(3)
-    cases = [(integers, 120, 1000), (sqrt2, 40, 30), (cbrt2, 40, 8)]
-    # coordinates whose keys take two or more int64 words
-    cases += [(integers, 60, 10**6), (sqrt2, 40, 10**4), (cbrt2, 40, 10**4)]
-    for basis, n, bound in cases:
-        xs, ys = random_coords(rng, basis, n, bound)
-        assert geo.group_pairs(basis, xs, ys)[0].dtype.kind == "i"
-        assert grouped(basis, xs, ys) == reference(basis, xs, ys)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        large = 10 ** (6 // d)
+        assert len(geo._words(geo.key_radices(basis, large, large))) > 1
+        for n, bound in ((40, 3), (30, large)):
+            xs, ys = random_coords(rng, basis, n, bound)
+            assert geo.group_pairs(basis, xs, ys)[0].dtype.kind == "i"
+            assert grouped(basis, xs, ys) == reference(basis, xs, ys)
 
 
-def test_keys_are_primitive(integers, sqrt2, cbrt2):
+def test_keys_are_primitive():
+    """Content 1, first nonzero entry positive, and the pivot block a
+    multiple of unity (only its first coordinate is nonzero)."""
     rng = random.Random(4)
-    for basis in (integers, sqrt2, cbrt2):
-        xs, ys = random_coords(rng, basis, 60, 20)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        xs, ys = random_coords(rng, basis, 40, 20 // d)
         keys, _, _ = grouped(basis, xs, ys)
         for key in keys:
             g = 0
@@ -73,14 +99,67 @@ def test_keys_are_primitive(integers, sqrt2, cbrt2):
                 g = gcd(g, v)
             assert g == 1
             assert next(v for v in key if v) > 0
+            pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
+            assert pivot[0] and not any(pivot[1:])
 
 
-def test_counts_cover_all_pairs(integers, sqrt2, cbrt2):
+def test_keys_are_distinct_lines():
+    """No two keys give equal CanonicalLines, each equals line_through of its
+    first pair, and the counts add up to all pairs."""
+    rng = random.Random(7)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        xs, ys = random_coords(rng, basis, 40, 6 // d)
+        keys, counts, first = grouped(basis, xs, ys)
+        lines = [CanonicalLine(basis, key) for key in keys]
+        assert len(set(lines)) == len(keys)
+        for line, (i, j) in zip(lines, first):
+            p = Point(Element(basis, xs[i]), Element(basis, ys[i]))
+            q = Point(Element(basis, xs[j]), Element(basis, ys[j]))
+            assert line_through(p, q) == line
+            assert (line.a if any(line.a.coords) else line.b) == basis.one
+        assert sum(counts) == comb(40, 2)
+
+
+def test_unit_multiple_raw_keys_merge():
+    """Pairs of one line whose raw keys differ by units or non-rational
+    multiples (differences 1, sqrt2, 1 + sqrt2, ...) give one key."""
+    sqrt2 = ARITH_BASES[1]
+    steps = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 2), (-1, 1)]
+    # y = (1 + sqrt2) x + 3 through x = e for each step e
+    xs = list(steps)
+    ys = [(u + 2 * v + 3, u + v) for u, v in steps]
+    pts = [Point(Element(sqrt2, x), Element(sqrt2, y)) for x, y in zip(xs, ys)]
+    raw = {
+        geo._reduce_flat(sum((e.coords for e in geo.raw_line_coeffs(p, q)), ()))
+        for p, q in combinations(pts, 2)
+    }
+    assert len(raw) > 3
+    keys, counts, first = grouped(sqrt2, xs, ys)
+    assert (counts, first) == ([comb(len(xs), 2)], [(0, 1)])
+    assert (keys, counts, first) == reference(sqrt2, xs, ys)
+    line = CanonicalLine(sqrt2, keys[0])
+    assert [f for e in line.coeffs() for f in e.coords] == [
+        Fraction(v) for v in (1, 0, 1, -1, -3, 3)
+    ]
+
+
+def test_richness_sums_to_incidences(integers, sqrt2):
+    """Sum of line richnesses over (the first lines of) a small
+    construction's family equals its exact incidence count with the box."""
+    for basis in (integers, sqrt2):
+        params = ConstructionParams(basis, 400, Fraction(1, 2), 2)
+        box, tuned = build_construction(params)
+        lines = list(tuned.family)[:150]
+        assert sum(line_richnesses(lines, box)) == count_incidences(list(box), lines)
+
+
+def test_counts_cover_all_pairs():
     rng = random.Random(5)
-    for basis in (integers, sqrt2, cbrt2):
-        xs, ys = random_coords(rng, basis, 80, 6)
+    for basis in ARITH_BASES:
+        xs, ys = random_coords(rng, basis, 60, 6 // basis.degree)
         _, counts, _ = grouped(basis, xs, ys)
-        assert sum(counts) == comb(80, 2)
+        assert sum(counts) == comb(60, 2)
 
 
 def test_collinear_run_counted_once(integers, sqrt2):
@@ -107,23 +186,23 @@ def test_vertical_and_horizontal_lines(integers):
     assert sum(got[1]) == comb(20, 2)
 
 
-def test_overflow_guard(integers, sqrt2, cbrt2):
+def test_overflow_guard():
     """Coordinates one step either side of each bound agree with the
     reference: keys packed in one int64 word, keys packed in several, and
-    entries that could leave int64, which take the exact fallback."""
+    intermediates that could leave int64, which take the exact fallback."""
     rng = random.Random(6)
-    for basis in (integers, sqrt2, cbrt2):
+    for basis in ARITH_BASES:
         d = basis.degree
         radices = lambda m: geo.key_radices(basis, m, m)
-        one_word = largest_bound(lambda m: prod(radices(m)) <= 2**63)
-        entries = largest_bound(lambda m: max(radices(m)) <= 2**63)
-        cases = [(one_word, "i"), (one_word + 1, "i"), (entries, "i"), (entries + 1, "O")]
-        for bound, kind in cases:
+        fits = largest_bound(lambda m: radices(m) is not None)
+        one_word = largest_bound(lambda m: radices(m) is not None and prod(radices(m)) <= 2**63)
+        cases = [(one_word, "i"), (one_word + 1, "i"), (fits, "i"), (fits + 1, "O")]
+        for bound, kind in cases[not one_word :]:  # no bound 0: one key word needs one point
             if kind == "i":
                 words = len(geo._words(radices(bound)))
                 assert (words == 1) == (bound == one_word)
             xs, ys = random_coords(rng, basis, 25, bound)
-            # extreme pairs: primitive keys with entries near their radices
+            # extreme pairs: keys with entries near their radices
             top = (bound,) * d
             edge = (bound - 1,) + (bound,) * (d - 1)
             low = tuple(-v for v in top)

@@ -183,20 +183,22 @@ def test_pair_grouping_identity_random(integers, sqrt2):
 
 
 def test_generic_path_matches_fast_path(integers):
-    """Degree-1 primitive keys skip the unit-multiple merge; merging the
-    reference keys must give the same lines and counts."""
+    """The int64 kernel's lines and counts must equal both the pure-Python
+    reference keys and grouping every pair by line_through."""
     rng = random.Random(51)
     pts = random_points(rng, integers, 60)
     raw = geo._raw_pair_counts_loop(
         integers, [p.x.coords for p in pts], [p.y.coords for p in pts]
     )
-    merged = geo._merge_raw_by_line(
-        integers, {key: entry[0] for key, entry in raw.items()}
-    )
-    generic = {
-        geo._canonical_from_key(integers, key): cnt for key, cnt in merged.items()
+    reference = {
+        CanonicalLine(integers, key): entry[0] for key, entry in raw.items()
     }
-    assert line_pair_counts(pts) == generic
+    generic = {}
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            line = line_through(pts[i], pts[j])
+            generic[line] = generic.get(line, 0) + 1
+    assert line_pair_counts(pts) == reference == generic
 
 
 def test_dedup_key_equivalence(sqrt2):
@@ -249,7 +251,7 @@ def test_raw_vec_equals_raw_loop(integers, sqrt2, cbrt2):
 def test_merged_counts_sum_to_all_pairs(cbrt2):
     rng = random.Random(91)
     pts = random_points(rng, cbrt2, 25, bound=3)
-    merged = geo._line_counts(pts)
+    merged = line_pair_counts(pts)
     assert sum(merged.values()) == comb(len(pts), 2)
 
 

@@ -1,11 +1,12 @@
 """Config parsing, the run/sweep/oracle drivers, and the CLI."""
 
+import inspect
 import json
 import math
 
 import pytest
 
-from richlines import cli, harness
+from richlines import cli, construction, geometry, harness, numberfield
 from richlines.errors import ConfigError
 from richlines.harness import (
     CSV_COLUMNS,
@@ -242,3 +243,24 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad = write_cfg(tmp_path, {"basis": {"type": "integers"}, "n": 1, "r": 3})
     assert cli.main(["construct", "--config", bad]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_selftest_has_no_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--out", "d"])
+    assert exc.value.code == 2
+
+
+def test_benchmark_hook_targets_exist():
+    """The public functions the benchmark's tracer hooks by name: renaming
+    one would silently zero a benchmark counter."""
+    targets = {
+        construction: ("translate_vectors", "build_construction", "verify_claim2", "auto_tune_c1"),
+        geometry: ("rich_lines_bruteforce",),
+        numberfield: ("build_power_basis",),
+        harness: ("sweep",),
+    }
+    for module, names in targets.items():
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
