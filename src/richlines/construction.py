@@ -9,7 +9,6 @@ every collected line is r-rich in P; the verifiers check that and the rate
 statistics by exact counting.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -246,29 +245,40 @@ def _cross_check_nearest(geom, check, verdict, cell_points):
 
 
 @dataclass
-class Provenance:
-    translate_index: int
-    translate: tuple
-    pair: tuple  # the two witnessing Points
-
-
-@dataclass
 class LineFamily:
-    """Globally deduplicated lines with one witness per line."""
+    """Globally deduplicated lines as a table of primitive keys, in canonical
+    order, with one witness (translate index, i, j) per key: the cell points
+    i and j moved by that translate.
+
+    Iterating yields CanonicalLines, which build their coefficients only
+    when asked; witness_points builds one line's witness Points.
+    """
 
     basis: NiceBasis
-    lines: dict  # CanonicalLine -> Provenance, in canonical sort order
+    keys: list
+    witnesses: list
+    cell_points: list
+    translates: list
+    cell_lines: int  # lines spanned by the untranslated cell
 
     def __len__(self):
-        return len(self.lines)
+        return len(self.keys)
 
     def __iter__(self):
-        return iter(self.lines)
+        return (CanonicalLine(self.basis, key) for key in self.keys)
+
+    def witness_points(self, index):
+        """The two translated cell Points that witness line `index`."""
+        t_idx, i, j = self.witnesses[index]
+        tx, ty = self.translates[t_idx]
+        p, q = self.cell_points[i], self.cell_points[j]
+        return Point(p.x + tx, p.y + ty), Point(q.x + tx, q.y + ty)
 
 
 def _raw_family(geom):
-    """Primitive line keys over all translates, with the lexicographically
-    smallest witness (translate index, i, j) per line.
+    """The line family of geom before ordering: {primitive key: smallest
+    witness (translate index, i, j)}, the cell points, the translates and
+    the number of lines the cell spans.
 
     The cell's pairs are grouped once and each cell key is moved to every
     translate by shift_keys; a moved key keeps the cell's first pair on its
@@ -289,26 +299,21 @@ def _raw_family(geom):
         for key, (i, j) in zip(shifted, key_tuples(first)):
             if key not in raw:
                 raw[key] = (t_idx, index[i], index[j])
-    return raw, cell_pts, translates
+    return raw, cell_pts, translates, len(keys)
+
+
+def _ordered_family(basis, raw, cell_pts, translates, cell_lines):
+    keys = sorted(raw, key=lambda key: CanonicalLine(basis, key).sort_key())
+    return LineFamily(
+        basis, keys, [raw[key] for key in keys], cell_pts, translates, cell_lines
+    )
 
 
 def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
-    deduplicated by canonical triple, with deterministic provenance: each
-    line keeps its lexicographically-smallest (translate, pair) witness."""
-    raw, cell_pts, translates = _raw_family(geom)
-    return _family_from_raw(geom.basis, raw, cell_pts, translates)
-
-
-def _family_from_raw(basis, raw, cell_pts, translates):
-    ordered = {}
-    for line in sorted((CanonicalLine(basis, key) for key in raw), key=CanonicalLine.sort_key):
-        t_idx, i, j = raw[line.key]
-        tx, ty = translates[t_idx]
-        p = Point(cell_pts[i].x + tx, cell_pts[i].y + ty)
-        q = Point(cell_pts[j].x + tx, cell_pts[j].y + ty)
-        ordered[line] = Provenance(t_idx, (tx, ty), (p, q))
-    return LineFamily(basis, ordered)
+    deduplicated by primitive key, with deterministic provenance: each line
+    keeps its lexicographically-smallest (translate, pair) witness."""
+    return _ordered_family(geom.basis, *_raw_family(geom))
 
 
 # ---------------------------------------------------------------------------
@@ -425,27 +430,17 @@ def verify_claim2(family, box, r, mechanism_sample=8):
     witness pair must lie on the line; the fraction of those points landing
     inside the box is reported (it reaches 1 only for small cell constants).
     """
-    lines = list(family)
-    rich = line_richnesses(lines, box)
-    if not lines:
+    rich = list(_key_richnesses(family.basis, family.keys, box))
+    if not rich:
         return RichnessReport(r, 0, 0, 1.0, None, [], True, 1.0)
-    min_rich = min(rich)
     n_ok = sum(1 for k in rich if k >= r)
-    failing = None
-    for line, k in zip(lines, rich):
-        if k < r:
-            failing = line
-            break
+    failing = next(
+        (CanonicalLine(family.basis, key) for key, k in zip(family.keys, rich) if k < r),
+        None,
+    )
     mech_on, mech_in = _mechanism_check(family, box, r, mechanism_sample)
     return RichnessReport(
-        r,
-        len(lines),
-        min_rich,
-        n_ok / len(lines),
-        failing,
-        rich,
-        mech_on,
-        mech_in,
+        r, len(rich), min(rich), n_ok / len(rich), failing, rich, mech_on, mech_in
     )
 
 
@@ -456,8 +451,8 @@ def _mechanism_check(family, box, r, sample):
     total = 0
     inside = 0
     all_on = True
-    for line, prov in itertools.islice(family.lines.items(), sample):
-        (p, q) = prov.pair
+    for index, line in zip(range(sample), family):
+        p, q = family.witness_points(index)
         dx = p.x - q.x
         dy = p.y - q.y
         for t in multipliers:
@@ -470,28 +465,20 @@ def _mechanism_check(family, box, r, sample):
     return all_on, (inside / total if total else 1.0)
 
 
-def claim1_statistic(geom, realized_p=None):
-    """|L_(0,0)| * r^4 / |P|^2: the single-cell line count at its claimed
-    rate, using the realized point-set size."""
-    cell_pts = geom.cell_points()
-    if len(cell_pts) < 2:
-        n_lines = 0
-    else:
-        n_lines = len(
-            group_pairs(
-                geom.basis, [p.x.coords for p in cell_pts], [p.y.coords for p in cell_pts]
-            )[0]
-        )
+def claim1_statistic(tuned, realized_p=None):
+    """|L_(0,0)| * r^4 / |P|^2: the single-cell line count of a built
+    construction at its claimed rate, using the realized point-set size."""
+    params = tuned.params
+    n_lines = tuned.family.cell_lines
     if realized_p is None:
-        box = build_pointset(geom.basis, geom.params.n, geom.params.alpha)
-        realized_p = len(box)
-    return n_lines, n_lines * geom.params.r**4 / realized_p**2
+        realized_p = len(build_pointset(params.basis, params.n, params.alpha))
+    return n_lines, n_lines * params.r**4 / realized_p**2
 
 
 def claim3_claim4_statistics(box, family, r, richnesses=None):
     """(incidences * r^2 / |P|^2, |L| * r^3 / |P|^2) with exact counts."""
     if richnesses is None:
-        richnesses = line_richnesses(list(family), box)
+        richnesses = _key_richnesses(family.basis, family.keys, box)
     incidences = sum(richnesses)
     p = len(box)
     return incidences, incidences * r**2 / p**2, len(family) * r**3 / p**2
@@ -509,9 +496,10 @@ class TunedConstruction:
 def _all_raw_rich(basis, raw, box, r):
     """Fast tuning gate: every family line key is r-rich in the box.
 
-    Keys are checked before any CanonicalLine is built and in order of
-    decreasing coefficient size (steep lines fail first), so rejected cell
-    constants bail out early instead of paying for the full family.
+    Keys are checked before the family is put in canonical order and in
+    order of decreasing coefficient size (steep lines fail first), so
+    rejected cell constants bail out early instead of paying for the full
+    family.
     """
     keys = sorted(raw, key=lambda k: max(abs(v) for v in k), reverse=True)
     return all(k >= r for k in _key_richnesses(basis, keys, box))
@@ -539,9 +527,9 @@ def auto_tune_c1(params, max_halvings=20):
         if not verify_disjoint_translates(geom):
             last_reason = f"translates overlap at c1={c1}"
         else:
-            raw, cell_pts, translates = _raw_family(geom)
+            raw, *rest = _raw_family(geom)
             if _all_raw_rich(basis, raw, box, params.r):
-                family = _family_from_raw(basis, raw, cell_pts, translates)
+                family = _ordered_family(basis, raw, *rest)
                 report = verify_claim2(family, box, params.r)
                 if report.frac_r_rich != 1.0:
                     raise AssertionError(
@@ -627,8 +615,7 @@ def szt_incidence_construction(basis, n, m):
     params, geom = chosen
     box = build_pointset(basis, n, params.alpha)
     family = generate_line_family(geom)
-    rich = line_richnesses(list(family), box)
-    incidences = sum(rich)
+    incidences = sum(_key_richnesses(basis, family.keys, box))
     realized = len(box)
     nominal_rate = float(n) ** (2 / 3) * float(m) ** (2 / 3)
     realized_rate = float(realized) ** (2 / 3) * float(max(len(family), 1)) ** (2 / 3)

@@ -5,8 +5,10 @@ integer triple (A, B, C) scaled so that the pivot (A, or B when A = 0) is an
 integer multiple of the field's unity, content-reduced, with its first
 nonzero entry positive.  Two triples give the same line exactly when their
 primitive keys are equal, so the keys are the dedup identity from the pair
-kernel through to output.  A CanonicalLine carries its key and the
-Fraction coefficients with the pivot equal to unity, for output.
+kernel through to output.  A CanonicalLine is just its basis and key; the
+coefficients with the pivot equal to unity are built from the key on
+demand, as integer (numerator, denominator) pairs for ordering and text
+output and as Fraction-based RationalElements only when coeffs() is called.
 """
 
 from fractions import Fraction
@@ -53,38 +55,34 @@ class Point:
 
 class CanonicalLine:
     """The line with primitive key `key`, as A*X + B*Y + C = 0 with
-    RationalElement coefficients whose pivot (A, or B when A = 0) is unity.
+    rational coefficients whose pivot (A, or B when A = 0) is unity.
 
-    The pivot block of a primitive key is lam * unity for a rational lam,
-    read off at the first nonzero coordinate of unity, so each coefficient
-    coordinate is the key entry over lam.
+    Only the basis and the key are stored; sort_key() and coeffs() build the
+    coefficients from the key when called.
     """
 
-    __slots__ = ("basis", "key", "a", "b", "c")
+    __slots__ = ("basis", "key")
 
     def __init__(self, basis, key):
-        d = basis.degree
-        pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
-        one = basis.one.coords
-        k = next(i for i, f in enumerate(one) if f)
-        # v / lam with lam = pivot[k] / one[k]
-        num, den = one[k].numerator, pivot[k] * one[k].denominator
         self.basis = basis
         self.key = key
-        self.a, self.b, self.c = (
-            RationalElement(basis, [Fraction(v * num, den) for v in key[i : i + d]])
+
+    def sort_key(self):
+        """The coefficient coordinates of A, B, C in order, as reduced
+        (numerator, denominator) pairs with positive denominators."""
+        return _coeff_pairs(self.basis, self.key)
+
+    def coeffs(self):
+        d = self.basis.degree
+        pairs = self.sort_key()
+        return tuple(
+            RationalElement(self.basis, [Fraction(*f) for f in pairs[i : i + d]])
             for i in (0, d, 2 * d)
         )
 
-    def coeffs(self):
-        return (self.a, self.b, self.c)
-
-    def sort_key(self):
-        out = []
-        for coeff in (self.a, self.b, self.c):
-            for f in coeff.coords:
-                out.append((f.numerator, f.denominator))
-        return tuple(out)
+    a = property(lambda self: self.coeffs()[0])
+    b = property(lambda self: self.coeffs()[1])
+    c = property(lambda self: self.coeffs()[2])
 
     def __eq__(self, other):
         return (
@@ -97,7 +95,27 @@ class CanonicalLine:
         return hash(self.key)
 
     def __repr__(self):
-        return f"CanonicalLine(a={self.a!r}, b={self.b!r}, c={self.c!r})"
+        return "CanonicalLine(a={!r}, b={!r}, c={!r})".format(*self.coeffs())
+
+
+def _coeff_pairs(basis, key):
+    """Each entry of a primitive key over lam, as a reduced (numerator,
+    denominator) pair with positive denominator.
+
+    The pivot block of a primitive key is lam * unity for an integer lam:
+    pivot * l_1 = lam * l_1, and the first coordinate of pivot * l_1 is
+    sum_j pivot[j] c[j][0][0].
+    """
+    d = basis.degree
+    sc = basis.structure_constants
+    pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
+    lam = sum(pivot[j] * sc[j][0][0] for j in range(d))
+    sign = 1 if lam > 0 else -1
+    out = []
+    for v in key:
+        g = gcd(v, lam)
+        out.append((sign * v // g, sign * lam // g))
+    return tuple(out)
 
 
 def collinear(p, q, t):
@@ -137,8 +155,11 @@ def on_line(p, line):
     """Exact incidence test A*p.x + B*p.y + C == 0."""
     if p.basis != line.basis:
         raise BasisMismatchError("point and line from different bases")
-    val = line.a * p.x + line.b * p.y + line.c
-    return val.is_zero()
+    # the key is a nonzero rational multiple of (A, B, C)
+    d = p.basis.degree
+    key, mul = line.key, p.basis.mul_coords
+    ax, by = mul(key[:d], p.x.coords), mul(key[d : 2 * d], p.y.coords)
+    return not any(u + v + w for u, v, w in zip(ax, by, key[2 * d :]))
 
 
 def _richness_from_pairs(pair_count):
@@ -464,13 +485,10 @@ def rich_lines_bruteforce(points, r):
     basis = points[0].basis
     keys, counts = _pair_counts(points)
     keep = counts >= comb(r, 2)
-    lines = {
-        CanonicalLine(basis, key): cnt
-        for key, cnt in zip(key_tuples(keys[keep]), counts[keep].tolist())
-    }
+    lines = zip(key_tuples(keys[keep]), counts[keep].tolist())
     return {
-        line: _richness_from_pairs(lines[line])
-        for line in sorted(lines, key=CanonicalLine.sort_key)
+        CanonicalLine(basis, key): _richness_from_pairs(cnt)
+        for key, cnt in sorted(lines, key=lambda line: _coeff_pairs(basis, line[0]))
     }
 
 
@@ -531,13 +549,7 @@ def points_from_text(text, basis):
 
 
 def lines_to_text(lines):
-    rows = []
-    for line in lines:
-        parts = []
-        for coeff in line.coeffs():
-            for f in coeff.coords:
-                parts.append(f"{f.numerator}/{f.denominator}")
-        rows.append(" ".join(parts))
+    rows = [" ".join(f"{num}/{den}" for num, den in line.sort_key()) for line in lines]
     return "\n".join(rows) + ("\n" if rows else "")
 
 

@@ -219,7 +219,7 @@ def run(config, r=None, n=None):
     incidences, rate3, rate4 = claim3_claim4_statistics(
         box, tuned.family, params.r, richnesses=report.richnesses
     )
-    cell_lines, rate1 = claim1_statistic(tuned.geometry, realized_p=len(box))
+    cell_lines, rate1 = claim1_statistic(tuned, realized_p=len(box))
     t2 = time.perf_counter()
     return ExperimentReport(
         basis_description=basis.description,

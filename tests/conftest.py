@@ -4,6 +4,16 @@ import richlines as rl
 from richlines.numberfield import Element
 from richlines.geometry import Point
 
+# every basis of the arithmetic acceptance criteria, degree 4 included
+ARITH_BASES = (
+    rl.build_integers_basis(),
+    rl.build_quadratic_basis(2),
+    rl.build_quadratic_basis(5),
+    rl.build_quadratic_basis(-1),
+    rl.build_power_basis([-2, 0, 0]),
+    rl.build_power_basis([-1, -1, 0, 0]),
+)
+
 
 @pytest.fixture(scope="session")
 def integers():

@@ -11,6 +11,7 @@ from richlines import construction
 from richlines.construction import (
     AutoTuneError,
     ConstructionParams,
+    LineFamily,
     auto_tune_c1,
     build_cell_geometry,
     build_construction,
@@ -33,11 +34,15 @@ from richlines.geometry import (
     CanonicalLine,
     Point,
     _raw_pair_counts_loop,
+    group_pairs,
+    line_pair_counts,
     line_through,
     lines_from_text,
     on_line,
     rich_lines_bruteforce,
 )
+
+from conftest import ARITH_BASES
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -118,8 +123,8 @@ def test_overlapping_translates_detected(integers):
 def test_family_witnesses_on_their_lines(sqrt2):
     geom = build_cell_geometry(ConstructionParams(sqrt2, 6561, HALF, 3))
     family = generate_line_family(geom)
-    for line, prov in list(family.lines.items())[:200]:
-        p, q = prov.pair
+    for index, line in zip(range(200), family):
+        p, q = family.witness_points(index)
         assert on_line(p, line) and on_line(q, line)
 
 
@@ -128,8 +133,6 @@ def test_family_dedups_across_translates(integers):
     family = generate_line_family(geom)
     per_translate_total = 0
     cell = geom.cell_points()
-    from richlines.geometry import line_pair_counts
-
     for tx, ty in translate_vectors(geom):
         shifted = [type(p)(p.x + tx, p.y + ty) for p in cell]
         per_translate_total += len(line_pair_counts(shifted))
@@ -162,9 +165,10 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
         assert len(translate_vectors(geom)) == num_translates
         family = generate_line_family(geom)
         best = _family_by_pair_scan(geom)
-        assert list(family.lines) == sorted(best, key=CanonicalLine.sort_key)
-        for line, prov in family.lines.items():
-            assert (prov.translate_index, prov.pair) == best[line]
+        assert list(family) == sorted(best, key=CanonicalLine.sort_key)
+        for index, line in enumerate(family):
+            witness = (family.witnesses[index][0], family.witness_points(index))
+            assert witness == best[line]
 
 
 def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
@@ -193,10 +197,24 @@ def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):
-    for basis, n in ((integers, 2304), (sqrt2, 81)):
-        box = build_pointset(basis, n, HALF)
-        rich = rich_lines_bruteforce(list(box), 3)
+    """Batched and per-line richness equal the oracle's on a small box of
+    every basis.  The smallest x^4 - x - 1 box with two nonzero radii has
+    6561 points, too many for the oracle here, so that basis takes its
+    81-point box, the single vertical line x = 0."""
+    sqrt5, gauss, cbrt2, quartic = ARITH_BASES[2:]
+    cases = (
+        (integers, 2304, HALF, 3),
+        (sqrt2, 81, HALF, 3),
+        (sqrt5, 81, HALF, 3),
+        (gauss, 81, HALF, 3),
+        (cbrt2, 1000, HALF, 5),
+        (quartic, 10000, Fraction(1, 4), 3),
+    )
+    for basis, n, alpha, r in cases:
+        box = build_pointset(basis, n, alpha)
+        rich = rich_lines_bruteforce(list(box), r)
         lines = list(rich)
+        assert lines
         assert line_richnesses(lines, box) == [rich[l] for l in lines]
         for line in lines[:50]:
             assert line_richness_in_box(line, box) == rich[line]
@@ -217,6 +235,12 @@ def test_verify_claim2_tuned(integers):
     assert tuned.report.frac_r_rich == 1.0
     assert tuned.report.min_richness == 5
     assert tuned.report.mechanism_on_line
+    # the failing line is the first one below r, and only lines below r fail
+    box = build_pointset(integers, 2304, HALF)
+    assert verify_claim2(tuned.family, box, 5).failing_line is None
+    report = verify_claim2(tuned.family, box, 6)
+    lines = list(tuned.family)
+    assert report.failing_line == lines[report.richnesses.index(5)]
 
 
 def test_verify_claim2_oversized_cell_fails(integers):
@@ -237,25 +261,28 @@ def test_auto_tune_failure_modes(integers):
         auto_tune_c1(ConstructionParams(integers, 1500, THIRD, 3, Fraction(1), True))
 
 
-def test_claim1_statistic(integers):
-    geom = build_cell_geometry(ConstructionParams(integers, 8100, HALF, 5))
-    n_lines, ratio = claim1_statistic(geom)
-    # 13x13 cell: a healthy chunk of distinct lines, positive normalized rate
-    assert n_lines > 100
-    assert ratio > 0
+def test_claim1_statistic(integers, sqrt2):
+    """The cell line count that claim 1 reads off the family equals
+    regrouping the cell, on a d = 1 and a d = 2 geometry."""
+    for params in (
+        ConstructionParams(integers, 8100, HALF, 5),
+        ConstructionParams(sqrt2, 6561, HALF, 3),
+    ):
+        box, tuned = build_construction(params)
+        cell = tuned.geometry.cell_points()
+        n_lines, ratio = claim1_statistic(tuned)
+        keys = group_pairs(params.basis, [p.x.coords for p in cell], [p.y.coords for p in cell])[0]
+        assert n_lines == len(keys) == len(line_pair_counts(cell))
+        assert ratio == n_lines * params.r**4 / len(box) ** 2
+        assert claim1_statistic(tuned, realized_p=len(box)) == (n_lines, ratio)
+        # a healthy chunk of distinct lines (the integer cell is 13 x 13)
+        assert n_lines > 100
 
 
 def test_claim3_claim4_empty(integers):
     box = build_pointset(integers, 81, HALF)
-
-    class EmptyFam:
-        def __iter__(self):
-            return iter(())
-
-        def __len__(self):
-            return 0
-
-    inc, r3, r4 = claim3_claim4_statistics(box, EmptyFam(), 3)
+    empty = LineFamily(integers, [], [], [], [], 0)
+    inc, r3, r4 = claim3_claim4_statistics(box, empty, 3)
     assert (inc, r3, r4) == (0, 0.0, 0.0)
 
 

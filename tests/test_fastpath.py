@@ -7,25 +7,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
 
-import richlines as rl
 from richlines import geometry as geo
 from richlines.construction import (
     ConstructionParams,
     build_construction,
+    build_pointset,
     line_richnesses,
 )
-from richlines.geometry import CanonicalLine, Point, count_incidences, line_through
-from richlines.numberfield import Element
-
-# every basis of the arithmetic acceptance criteria, degree 4 included
-ARITH_BASES = (
-    rl.build_integers_basis(),
-    rl.build_quadratic_basis(2),
-    rl.build_quadratic_basis(5),
-    rl.build_quadratic_basis(-1),
-    rl.build_power_basis([-2, 0, 0]),
-    rl.build_power_basis([-1, -1, 0, 0]),
+from richlines.geometry import (
+    CanonicalLine,
+    Point,
+    count_incidences,
+    line_through,
+    lines_to_text,
+    rich_lines_bruteforce,
 )
+from richlines.numberfield import Element, NiceBasis
+
+from conftest import ARITH_BASES
 
 
 def grouped(basis, xs, ys):
@@ -145,13 +144,61 @@ def test_unit_multiple_raw_keys_merge():
 
 
 def test_richness_sums_to_incidences(integers, sqrt2):
-    """Sum of line richnesses over (the first lines of) a small
-    construction's family equals its exact incidence count with the box."""
+    """The richness of each line equals its exact incidence count with the
+    box by on_line: on (the first lines of) a small construction's family,
+    on the oracle's rich lines of a small box of every basis, and on the
+    lines through 8 random points of the 6561-point x^4 - x - 1 box."""
+    cases = []
     for basis in (integers, sqrt2):
         params = ConstructionParams(basis, 400, Fraction(1, 2), 2)
         box, tuned = build_construction(params)
-        lines = list(tuned.family)[:150]
-        assert sum(line_richnesses(lines, box)) == count_incidences(list(box), lines)
+        cases.append((box, list(tuned.family)[:150]))
+    sizes = (2304, 81, 81, 81, 1000)
+    for basis, n in zip(ARITH_BASES, sizes):
+        box = build_pointset(basis, n, Fraction(1, 2))
+        cases.append((box, list(rich_lines_bruteforce(list(box), 3))[:150]))
+    box = build_pointset(ARITH_BASES[5], 10000, Fraction(1, 2))
+    assert len(box) == 6561
+    sample = random.Random(9).sample(list(box), 8)
+    cases.append((box, list(rich_lines_bruteforce(sample, 2))))
+    for box, lines in cases:
+        points = list(box)
+        rich = line_richnesses(lines, box)
+        assert rich == [count_incidences(points, [line]) for line in lines]
+        assert max(rich) > 2
+
+
+def test_text_and_order_match_fraction_reference():
+    """CanonicalLine.sort_key(), coeffs() and lines_to_text equal the
+    coefficients Fraction(entry, lam), with lam the pivot block's entry at
+    the first nonzero coordinate of unity over that coordinate, and the
+    canonical order is the order of those (numerator, denominator) pairs."""
+    # Z[sqrt2] on the basis (sqrt2, 1), whose unity is the second vector,
+    # and Z on the basis (-1), whose unity has a negative coordinate
+    swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [2**0.5, 1])
+    negated = NiceBasis([[[-1]]], [-1])
+    rng = random.Random(8)
+    for basis in ARITH_BASES + (swapped, negated):
+        d = basis.degree
+        one = basis.one.coords
+        k = next(i for i, f in enumerate(one) if f)
+        xs, ys = random_coords(rng, basis, 30, 6 // d)
+        keys, _, _ = grouped(basis, xs, ys)
+        rng.shuffle(keys)
+        expected = []
+        for key in keys:
+            pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
+            lam = pivot[k] / one[k]
+            expected.append([Fraction(v, lam) for v in key])
+        lines = [CanonicalLine(basis, key) for key in keys]
+        pairs = [tuple((f.numerator, f.denominator) for f in e) for e in expected]
+        assert [line.sort_key() for line in lines] == pairs
+        assert [[f for e in line.coeffs() for f in e.coords] for line in lines] == expected
+        assert lines_to_text(lines).splitlines() == [
+            " ".join(f"{f.numerator}/{f.denominator}" for f in e) for e in expected
+        ]
+        by_reference = [CanonicalLine(basis, key) for _, key in sorted(zip(pairs, keys))]
+        assert sorted(lines, key=CanonicalLine.sort_key) == by_reference
 
 
 def test_counts_cover_all_pairs():

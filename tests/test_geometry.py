@@ -26,7 +26,7 @@ from richlines.geometry import (
 )
 from richlines.numberfield import Element
 
-from conftest import int_point, make_point
+from conftest import ARITH_BASES, int_point, make_point
 
 
 def grid(basis, nx, ny):
@@ -267,13 +267,16 @@ def test_points_round_trip(sqrt2):
     assert back == pts
 
 
-def test_lines_round_trip(integers):
+def test_lines_round_trip():
+    """Every line spanned by random points of every basis survives
+    lines_to_text and lines_from_text."""
     rng = random.Random(102)
-    pts = random_points(rng, integers, 20)
-    rich = rich_lines_bruteforce(pts, 3)
-    lines = list(rich)
-    back = lines_from_text(lines_to_text(lines), integers)
-    assert back == lines
+    for basis in ARITH_BASES:
+        pts = random_points(rng, basis, 20, bound=30 // basis.degree)
+        lines = list(rich_lines_bruteforce(pts, 2))
+        assert len(lines) > 100
+        back = lines_from_text(lines_to_text(lines), basis)
+        assert back == lines
 
 
 def test_points_from_text_validates(integers):

@@ -1,8 +1,12 @@
 """Config parsing, the run/sweep/oracle drivers, and the CLI."""
 
+import hashlib
+import importlib.util
 import inspect
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,66 @@ def test_benchmark_hook_targets_exist():
         for name in names:
             fn = getattr(module, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_outputs_match_benchmark_reference(tmp_path, capsys):
+    """points.txt, lines.txt and sweep.csv are byte-identical to the
+    benchmark's recorded reference: the three construct cells that exit 0
+    (dumping points and lines) and the criterion-6 sweep."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["ops"]
+    ops = [op for op in workloads.CONSTRUCT if reference[op.id]["exit"] == 0]
+    assert len(ops) == 3
+    for op in ops:
+        out = tmp_path / op.id
+        path = write_cfg(tmp_path, {**op.config, "seed": 0}, name=f"{op.id}.json")
+        argv = [op.command, "--config", path, "--out", str(out), *op.extra_argv]
+        assert cli.main(argv) == 0
+        assert _sha256(out / "points.txt") == reference[op.id]["points_sha256"]
+        assert _sha256(out / "lines.txt") == reference[op.id]["lines_sha256"]
+    path = write_cfg(tmp_path, {**workloads.SWEEP_CFG, "seed": 0}, name="sweep.json")
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "sweep")]) == 0
+    assert _sha256(tmp_path / "sweep" / "sweep.csv") == reference["sweep-w1"]["csv_sha256"]
+
+
+def test_pipeline_builds_no_fractions(monkeypatch):
+    """A run and the claim-2 verifier construct no RationalElement, and a run
+    groups its cell's pairs once: Fraction coefficients are built only for
+    lines that are output."""
+    calls = {"rational": 0, "group_pairs": 0}
+    init = numberfield.RationalElement.__init__
+    group_pairs = construction.group_pairs
+
+    def counting_init(self, *args):
+        calls["rational"] += 1
+        init(self, *args)
+
+    def counting_group_pairs(*args):
+        calls["group_pairs"] += 1
+        return group_pairs(*args)
+
+    monkeypatch.setattr(numberfield.RationalElement, "__init__", counting_init)
+    monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
+    report = run(parse_config(SWEEP_CFG), r=3)
+    assert report.num_lines == 21400
+    assert calls == {"rational": 0, "group_pairs": 1}
+
+    sqrt2 = numberfield.build_quadratic_basis(2)
+    params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
+    box, tuned = construction.build_construction(params)
+    calls["rational"] = 0
+    report = construction.verify_claim2(tuned.family, box, 3)
+    assert report.frac_r_rich == 1.0 and report.mechanism_on_line
+    assert calls["rational"] == 0
+    # the counter sees the coefficients that output builds
+    next(iter(tuned.family)).coeffs()
+    assert calls["rational"] == 3
