@@ -6,11 +6,14 @@ much smaller cell P' = A_{C1 n^a / r} x A_{C1 n^(1-a) / r}, translates it by
 the lattice A_r(s Lambda) x A_r(s' Lambda), and collects every line spanned
 by two points of a translated cell.  With a small enough cell constant C1,
 every collected line is r-rich in P; the verifiers check that and the rate
-statistics by exact counting.
+statistics by exact counting.  One batched counter, _key_richnesses, counts
+every richness, and an auto-tuned build counts each family key once: the
+tuning gate's counts become the claim-2 report.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -23,14 +26,16 @@ from .gapset import (
     scaled_power_le,
 )
 from .geometry import (
+    _CHUNK_PAIRS,
     CanonicalLine,
     Point,
     group_pairs,
     key_tuples,
     on_line,
+    product_bounds,
     shift_keys,
 )
-from .numberfield import Element, NiceBasis, integer_inverse
+from .numberfield import Element, NiceBasis, _cofactor_solve, _mul_matrix, integer_inverse
 
 ALPHA_GRID = (
     Fraction(1, 5),
@@ -303,111 +308,113 @@ def _raw_family(geom):
 
 
 def _ordered_family(basis, raw, cell_pts, translates, cell_lines):
-    keys = sorted(raw, key=lambda key: CanonicalLine(basis, key).sort_key())
-    return LineFamily(
-        basis, keys, [raw[key] for key in keys], cell_pts, translates, cell_lines
-    )
+    """The family in canonical order, and the positions of its keys in raw."""
+    keys = list(raw)
+    order = sorted(range(len(keys)), key=lambda k: CanonicalLine(basis, keys[k]).sort_key())
+    keys = [keys[k] for k in order]
+    witnesses = [raw[key] for key in keys]
+    return LineFamily(basis, keys, witnesses, cell_pts, translates, cell_lines), order
 
 
 def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
     deduplicated by primitive key, with deterministic provenance: each line
     keeps its lexicographically-smallest (translate, pair) witness."""
-    return _ordered_family(geom.basis, *_raw_family(geom))
+    return _ordered_family(geom.basis, *_raw_family(geom))[0]
 
 
 # ---------------------------------------------------------------------------
 # Richness counting against the box point set.
 
 
-def _count_on_line_int(basis, key, box, x_cols=None):
-    """Richness of the line with integer key (a, b, c) in the box.
-
-    Pure integer arithmetic: one exact inversion per line, then per x-column
-    the unique candidate y is accepted iff its cleared-denominator coords are
-    divisible by delta (times the box scale) and within the radius.
-    """
+def _count_on_line_int(basis, key, box):
+    """Richness of the line with integer key (a, b, c) in the box: the
+    pure-Python reference of _key_richnesses.  Along each column u of the
+    other axis, the pivot's coordinate -(c + other*u) / pivot is tested for
+    membership in its axis' box."""
     d = basis.degree
-    acoords, bcoords, ccoords = key[:d], key[d : 2 * d], key[2 * d :]
+    a, b, c = key[:d], key[d : 2 * d], key[2 * d :]
+    if any(b):
+        pivot, other, columns, target = b, a, box.x_set, box.y_set
+    else:
+        pivot, other, columns, target = a, b, box.y_set, box.x_set
+    q, delta = integer_inverse(basis, tuple(pivot))
     mul = basis.mul_coords
-    if not any(bcoords):
-        q, delta = integer_inverse(basis, tuple(acoords))
-        xd = mul(tuple(-v for v in ccoords), q)
-        if all(v % delta == 0 for v in xd):
-            x = Element(basis, tuple(v // delta for v in xd))
-            if box.x_set.contains(x):
-                return len(box.y_set)
-        return 0
-    q, delta = integer_inverse(basis, tuple(bcoords))
-    y_set = box.y_set
-    step = y_set.scale * delta
-    bound = y_set.radius * step
-    if x_cols is None:
-        x_cols = [x.coords for x in box.columns()]
     count = 0
-    for xc in x_cols:
-        ax = mul(acoords, xc)
-        yd = mul(tuple(-(u + v) for u, v in zip(ccoords, ax)), q)
-        for v in yd:
-            if v % step or abs(v) > bound:
-                break
-        else:
-            count += 1
+    for u in columns:
+        w = mul(tuple(-(s + t) for s, t in zip(c, mul(other, u.coords))), q)
+        if all(v % delta == 0 for v in w):
+            count += target.contains(Element(basis, [v // delta for v in w]))
     return count
 
 
-def line_richness_in_box(line, box):
-    """Exact number of box points on the line, by column iteration: for each
-    x-column the line meets at most one y, tested for box membership."""
-    return _count_on_line_int(line.basis, line.key, box)
-
-
-def _richness_batch_d1_triples(keys, box):
-    """Richness of degree-1 line keys (a, b, c) over an integer box,
-    vectorized in int64 for the keys whose products a*x + c stay inside it
-    and exact for the rest."""
-    rx, ry = box.x_set.radius, box.y_set.radius
-    keys = np.array(keys, dtype=object).reshape(-1, 3)
-    # |a x + c| <= |a| rx + |c| bounds every intermediate below
-    fits = np.maximum(np.abs(keys[:, 1]), np.abs(keys[:, 2]) + np.abs(keys[:, 0]) * rx) < 2**63
-    out = np.zeros(len(keys), dtype=np.int64)
-    for k in np.flatnonzero(~fits):
-        out[k] = _count_on_line_int(box.basis, tuple(keys[k]), box)
-    triples = keys[fits].astype(np.int64)
-    a = triples[:, 0:1]
-    b = triples[:, 1:2]
-    c = triples[:, 2:3]
-    xs = np.arange(-rx, rx + 1, dtype=np.int64)[None, :]
-    rich = np.zeros(len(triples), dtype=np.int64)
-    vert = b[:, 0] == 0
-    if vert.any():
-        av, cv = a[vert, 0], c[vert, 0]
-        xv = -cv // av
-        hit = (cv % av == 0) & (np.abs(xv) <= rx)
-        rich[vert] = np.where(hit, 2 * ry + 1, 0)
-    gen = ~vert
-    if gen.any():
-        num = -c[gen] - a[gen] * xs
-        bg = b[gen]
-        y = num // bg
-        hit = (num % bg == 0) & (np.abs(y) <= ry)
-        rich[gen] = hit.sum(axis=1)
-    out[fits] = rich
-    return out.tolist()
+def _key_array(rows, width):
+    """Key rows as a (len, width) array: int64 when every entry fits, and
+    object (exact Python ints) otherwise."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, width)
 
 
 def _key_richnesses(basis, keys, box):
-    """Exact richness of each line key in the box: batched on integer boxes,
-    lazily one line at a time otherwise."""
-    if basis.degree == 1 and box.x_set.scale == 1 and box.y_set.scale == 1:
-        return iter(_richness_batch_d1_triples(keys, box))
-    x_cols = [x.coords for x in box.columns()]
-    return (_count_on_line_int(basis, key, box, x_cols) for key in keys)
+    """Exact richness of each line key (a, b, c) in the box, as an int64
+    array.  Each line is solved for its pivot's axis (y, or x when b = 0)
+    along every column u of the other axis, in blocks of about _CHUNK_PAIRS
+    (key, column) pairs: the solution is -v / det for v = adj(M)(c + other*u)
+    and M the pivot's multiplication matrix, so it lies in the box exactly
+    when every coordinate of v is divisible by scale*det and at most
+    radius*scale*|det|.  A block runs in int64 when _block_bound fits and in
+    object dtype (exact Python ints) otherwise."""
+    d = basis.degree
+    keys = _key_array(keys, 3 * d)
+    out = np.zeros(len(keys), dtype=np.int64)
+    vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
+    for rows, blocks, columns, target in (
+        (~vertical, (1, 0, 2), box.x_set, box.y_set),
+        (vertical, (0, 1, 2), box.y_set, box.x_set),
+    ):
+        rows = np.flatnonzero(rows)
+        cols = np.array([e.coords for e in columns], dtype=np.int64).reshape(-1, d)
+        size = max(1, _CHUNK_PAIRS // len(cols))
+        for b0 in range(0, len(rows), size):
+            idx = rows[b0 : b0 + size]
+            pivot, other, c = (keys[idx, k * d : (k + 1) * d] for k in blocks)
+            fits = _block_bound(basis, pivot, other, c, cols, target) < 2**63
+            # key coordinates as (keys, 1) arrays, column coordinates as (1, columns)
+            pivot, other, c = (
+                list(m.astype(np.int64 if fits else object).T[:, :, None])
+                for m in (pivot, other, c)
+            )
+            # adj(M) c, and adj(M) (other * l_j) for each basis vector l_j
+            (v, *other_l), det = _cofactor_solve(
+                basis, pivot, c, *zip(*_mul_matrix(basis, other))
+            )
+            for ol, u in zip(other_l, cols.T[:, None, :]):
+                v = [vk + olk * u for vk, olk in zip(v, ol)]
+            step = target.scale * det
+            hit = [(vk % step == 0) & (np.abs(vk) <= target.radius * np.abs(step)) for vk in v]
+            out[idx] = np.all(hit, axis=0).sum(axis=1)
+    return out
+
+
+def _block_bound(basis, pivot, other, c, cols, target):
+    """A bound on every intermediate of _key_richnesses on one block: with s
+    the largest product_bounds(1, 1), M_pivot and M_other are at most p s
+    and o s entrywise, so the cofactors of M_pivot are at most
+    a = (d-1)! (p s)^(d-1) and its determinant d p s a."""
+    d = basis.degree
+    p, o, cc, x = (int(np.abs(m).max(initial=0)) for m in (pivot, other, c, cols))
+    s = max(product_bounds(basis, 1, 1))
+    a = factorial(d - 1) * (p * s) ** (d - 1)
+    return max(
+        o * s, d * a * (cc + d * o * s * x), max(target.radius, 1) * target.scale * d * p * s * a
+    )
 
 
 def line_richnesses(lines, box):
-    """Exact richness of each line in the box, batched where possible."""
-    return list(_key_richnesses(box.basis, [line.key for line in lines], box))
+    """Exact richness of each line in the box."""
+    return _key_richnesses(box.basis, [line.key for line in lines], box).tolist()
 
 
 @dataclass
@@ -422,15 +429,18 @@ class RichnessReport:
     mechanism_in_p_fraction: float
 
 
-def verify_claim2(family, box, r, mechanism_sample=8):
-    """Exact per-line richness of the family in the box.
+def verify_claim2(family, box, r, richnesses=None):
+    """Exact per-line richness of the family in the box, counted here unless
+    `richnesses` gives them in the family's key order.
 
     Also replays the multiplier mechanism on a sample of lines: for each t in
     A_{3^d r}(Lambda) the point (a + t(a-a'), b + t(b-b')) built from the
     witness pair must lie on the line; the fraction of those points landing
     inside the box is reported (it reaches 1 only for small cell constants).
     """
-    rich = list(_key_richnesses(family.basis, family.keys, box))
+    rich = richnesses
+    if rich is None:
+        rich = _key_richnesses(family.basis, family.keys, box).tolist()
     if not rich:
         return RichnessReport(r, 0, 0, 1.0, None, [], True, 1.0)
     n_ok = sum(1 for k in rich if k >= r)
@@ -438,13 +448,13 @@ def verify_claim2(family, box, r, mechanism_sample=8):
         (CanonicalLine(family.basis, key) for key, k in zip(family.keys, rich) if k < r),
         None,
     )
-    mech_on, mech_in = _mechanism_check(family, box, r, mechanism_sample)
+    mech_on, mech_in = _mechanism_check(family, box, r)
     return RichnessReport(
         r, len(rich), min(rich), n_ok / len(rich), failing, rich, mech_on, mech_in
     )
 
 
-def _mechanism_check(family, box, r, sample):
+def _mechanism_check(family, box, r, sample=8):
     basis = family.basis
     d = basis.degree
     multipliers = list(gap_set(basis, Fraction(3**d * r)))
@@ -478,7 +488,7 @@ def claim1_statistic(tuned, realized_p=None):
 def claim3_claim4_statistics(box, family, r, richnesses=None):
     """(incidences * r^2 / |P|^2, |L| * r^3 / |P|^2) with exact counts."""
     if richnesses is None:
-        richnesses = _key_richnesses(family.basis, family.keys, box)
+        richnesses = _key_richnesses(family.basis, family.keys, box).tolist()
     incidences = sum(richnesses)
     p = len(box)
     return incidences, incidences * r**2 / p**2, len(family) * r**3 / p**2
@@ -494,15 +504,25 @@ class TunedConstruction:
 
 
 def _all_raw_rich(basis, raw, box, r):
-    """Fast tuning gate: every family line key is r-rich in the box.
-
-    Keys are checked before the family is put in canonical order and in
-    order of decreasing coefficient size (steep lines fail first), so
-    rejected cell constants bail out early instead of paying for the full
-    family.
-    """
-    keys = sorted(raw, key=lambda k: max(abs(v) for v in k), reverse=True)
-    return all(k >= r for k in _key_richnesses(basis, keys, box))
+    """Fast tuning gate: the richness of every family key, in raw's order,
+    or None at the first block of keys with one below r.  Blocks go in order
+    of decreasing max |entry| (steep lines fail first), before the family is
+    sorted; only one max per key is held beside raw."""
+    keys = list(raw)
+    steep = [
+        np.abs(_key_array(keys[b0 : b0 + _CHUNK_PAIRS], 3 * basis.degree)).max(axis=1)
+        for b0 in range(0, len(keys), _CHUNK_PAIRS)
+    ]
+    order = np.argsort(-np.concatenate(steep), kind="stable")
+    rich = np.empty(len(keys), dtype=np.int64)
+    size = max(1, _CHUNK_PAIRS // len(box.x_set))
+    for b0 in range(0, len(keys), size):
+        idx = order[b0 : b0 + size]
+        counts = _key_richnesses(basis, [keys[i] for i in idx], box)
+        if counts.min() < r:
+            return None
+        rich[idx] = counts
+    return rich
 
 
 def auto_tune_c1(params, max_halvings=20):
@@ -528,13 +548,10 @@ def auto_tune_c1(params, max_halvings=20):
             last_reason = f"translates overlap at c1={c1}"
         else:
             raw, *rest = _raw_family(geom)
-            if _all_raw_rich(basis, raw, box, params.r):
-                family = _ordered_family(basis, raw, *rest)
-                report = verify_claim2(family, box, params.r)
-                if report.frac_r_rich != 1.0:
-                    raise AssertionError(
-                        "raw-triple gate disagrees with canonical richness"
-                    )
+            rich = _all_raw_rich(basis, raw, box, params.r)
+            if rich is not None:
+                family, order = _ordered_family(basis, raw, *rest)
+                report = verify_claim2(family, box, params.r, rich[order].tolist())
                 return TunedConstruction(trial, geom, family, report, step)
             last_reason = f"a family line has richness below r at c1={c1}"
         c1 = c1 / 2
@@ -615,7 +632,7 @@ def szt_incidence_construction(basis, n, m):
     params, geom = chosen
     box = build_pointset(basis, n, params.alpha)
     family = generate_line_family(geom)
-    incidences = sum(_key_richnesses(basis, family.keys, box))
+    incidences = int(_key_richnesses(basis, family.keys, box).sum())
     realized = len(box)
     nominal_rate = float(n) ** (2 / 3) * float(m) ** (2 / 3)
     realized_rate = float(realized) ** (2 / 3) * float(max(len(family), 1)) ** (2 / 3)

@@ -21,7 +21,8 @@ from .numberfield import (
     BasisMismatchError,
     Element,
     RationalElement,
-    integer_inverse,
+    _adjugate,
+    _cofactor_solve,
 )
 
 
@@ -199,18 +200,15 @@ def _reduce_flat(flat):
 
 def _primitive_key(basis, flat):
     """The primitive key of the flat integer triple (a, b, c): the triple
-    times the integer inverse of its pivot (a, or b when a = 0),
-    content-reduced with its first nonzero entry made positive."""
+    times the adjugate of its pivot's multiplication matrix (pivot a, or b
+    when a = 0), content-reduced with its first nonzero entry made positive,
+    as group_pairs computes it."""
     d = basis.degree
-    flat = _reduce_flat(flat)
     pivot = flat[:d] if any(flat[:d]) else flat[d : 2 * d]
     if not any(pivot):
         raise DegeneratePairError("degenerate line: A and B both zero")
-    q, _ = integer_inverse(basis, pivot)
-    mul = basis.mul_coords
-    return _reduce_flat(
-        mul(flat[:d], q) + mul(flat[d : 2 * d], q) + mul(flat[2 * d :], q)
-    )
+    solved, _ = _cofactor_solve(basis, pivot, flat[:d], flat[d : 2 * d], flat[2 * d :])
+    return _reduce_flat(sum(solved, []))
 
 
 def _raw_pair_counts_loop(basis, xs, ys):
@@ -235,8 +233,8 @@ def _raw_pair_counts_loop(basis, xs, ys):
     return raw
 
 
-# Pairs (or key rows) per chunk; bounds the temporaries of group_pairs,
-# shift_keys and key_tuples.
+# Pairs, key rows or (key, box column) pairs per chunk; bounds the
+# temporaries of group_pairs, shift_keys, key_tuples and the richness counter.
 _CHUNK_PAIRS = 1 << 14
 
 
@@ -249,32 +247,6 @@ def product_bounds(basis, u, v):
         u * v * sum(abs(sc[i][j][k]) for i in range(d) for j in range(d))
         for k in range(d)
     ]
-
-
-def _det(m, sign=-1):
-    """Determinants (sign -1) or permanents (sign 1) of the trailing square
-    matrices of m, by cofactor expansion along the first row; exact in the
-    array's integer or object dtype."""
-    k = m.shape[-1]
-    if k == 0:
-        return np.ones(m.shape[:-2], dtype=m.dtype)
-    total = 0
-    for j in range(k):
-        minor = np.delete(m[..., 1:, :], j, axis=-1)
-        total = total + sign**j * m[..., 0, j] * _det(minor, sign)
-    return total
-
-
-def _adjugate(m, sign=-1):
-    """Adjugates of the trailing d x d matrices of m (with sign 1, the
-    permanents of the same minors, which bound the adjugate's entries)."""
-    d = m.shape[-1]
-    adj = np.empty_like(m)
-    for i in range(d):
-        rest = np.delete(m, i, axis=-2)
-        for k in range(d):
-            adj[..., k, i] = sign ** (i + k) * _det(np.delete(rest, k, axis=-1), sign)
-    return adj
 
 
 def key_radices(basis, mx, my):
@@ -292,7 +264,7 @@ def key_radices(basis, mx, my):
     raw = [2 * my] * d + [2 * mx] * d + [2 * m for m in product_bounds(basis, mx, my)]
     p = 2 * max(mx, my)
     mul = [[p * sum(abs(sc[i][j][k]) for j in range(d)) for i in range(d)] for k in range(d)]
-    adj = _adjugate(np.array(mul, dtype=object), sign=1).tolist()
+    adj = _adjugate(mul, sign=1)
     final = [
         sum(adj[k][i] * raw[block + i] for i in range(d))
         for block in (0, d, 2 * d)
@@ -352,10 +324,7 @@ def group_pairs(basis, xs, ys):
         )
     x = np.array(xs, dtype=np.int64).reshape(n, d)
     y = np.array(ys, dtype=np.int64).reshape(n, d)
-    sc = np.array(basis.structure_constants, dtype=np.int64)
-    # p @ mul_by gives M_p, with M_p[k][i] the l_k coordinate of l_i * p
-    mul_by = sc.transpose(1, 2, 0).reshape(d, d * d)
-    sc = sc.reshape(d * d, d)
+    sc = np.array(basis.structure_constants, dtype=np.int64).reshape(d * d, d)
     words = _words(radices)
     offset = np.array([r // 2 for r in radices], dtype=np.int64)
     # weight of each entry inside its word
@@ -374,10 +343,10 @@ def group_pairs(basis, xs, ys):
         c = (
             yi[:, :, None] * xj[:, None, :] - xi[:, :, None] * yj[:, None, :]
         ).reshape(-1, d * d) @ sc
-        blocks = np.stack([yj - yi, xi - xj, c], axis=1)
-        pivot = np.where(blocks[:, 0].any(axis=1)[:, None], blocks[:, 0], blocks[:, 1])
-        adj = _adjugate((pivot @ mul_by).reshape(-1, d, d))
-        rows = (blocks @ adj.transpose(0, 2, 1)).reshape(-1, 3 * d)
+        blocks = (yj - yi, xi - xj, c)
+        pivot = np.where(blocks[0].any(axis=1)[:, None], blocks[0], blocks[1])
+        solved, _ = _cofactor_solve(basis, list(pivot.T), *(list(m.T) for m in blocks))
+        rows = np.stack(sum(solved, []), axis=1)
         rows //= np.gcd.reduce(rows, axis=1)[:, None]
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
         rows[lead < 0] *= -1

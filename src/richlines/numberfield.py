@@ -7,6 +7,7 @@ floating point appears only in the diagnostic complex embedding.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class NiceBasis:
         self._check_commutative()
         self._check_associative()
         self._check_embedding()
-        self._one = None
-        self._inv_cache = {}
+        self._unity = None
 
     def _check_commutative(self):
         sc = self.structure_constants
@@ -116,20 +116,19 @@ class NiceBasis:
         return tuple(out)
 
     @property
+    def unity(self):
+        """(u, den) with Element(u) / den the ring's unity, l_1 / l_1."""
+        if self._unity is None:
+            e = basis_vector(self, 0).coords
+            (u,), det = _cofactor_solve(self, e, e)
+            self._unity = u, det
+        return self._unity
+
+    @property
     def one(self):
         """Canonical representation of the ring's unity, as a RationalElement."""
-        if self._one is None:
-            last_err = None
-            for i in range(self.degree):
-                e = basis_vector(self, i)
-                try:
-                    self._one = divide(e, e)
-                    break
-                except ZeroDivisorError as err:
-                    last_err = err
-            else:
-                raise last_err
-        return self._one
+        u, den = self.unity
+        return RationalElement(self, [Fraction(v, den) for v in u])
 
     def __eq__(self, other):
         return (
@@ -285,72 +284,84 @@ def basis_vector(basis, i):
 
 
 def divide(a, b):
-    """The unique q in the fraction field with q * b == a.
-
-    Solves the d x d rational system M_b q = a, where M_b is the
-    multiplication-by-b matrix read off the structure constants.  A singular
-    M_b with b != 0 means the presented ring has zero divisors (e.g. the
-    supplied minimal polynomial was reducible); that is reported as a
-    basis-validity failure rather than a numeric error.
-    """
+    """The unique q in the fraction field with q * b == a: a * b^-1, with
+    b^-1 from integer_inverse."""
     basis = b.basis
-    if isinstance(a, Element):
-        a = _as_rational(basis, a)
-    elif a.basis != basis:
+    if a.basis != basis:
         raise BasisMismatchError("elements come from different bases")
-    if b.is_zero():
+    q, delta = integer_inverse(basis, b.coords)
+    return RationalElement(
+        basis, [Fraction(v) / delta for v in basis.mul_coords(a.coords, q)]
+    )
+
+
+def integer_inverse(basis, coords):
+    """(q, delta) with Element(q) / delta the inverse of the integer element
+    b with the given coords, in lowest terms with delta > 0: adj(M_b) u over
+    det(M_b), for the unity u, by integer cofactor expansion."""
+    if not any(coords):
         raise ZeroDivisionError("division by the zero element")
+    u, den = basis.unity
+    (q,), delta = _cofactor_solve(basis, coords, u)
+    g = gcd(*q, delta * den) * (1 if delta * den > 0 else -1)
+    return tuple(v // g for v in q), delta * den // g
+
+
+def _mul_matrix(basis, b):
+    """M_b, the multiplication-by-b matrix, as a nested list: M_b[k][i] is
+    the l_k coordinate of l_i * b.  Here and in _det, _adjugate and
+    _cofactor_solve, entries may be Python ints or numpy arrays of
+    broadcastable shapes, one matrix per array element, and results are
+    exact in the entries' type."""
     d = basis.degree
     sc = basis.structure_constants
-    bc = b.coords
-    # M[k][i] = coefficient of l_k in l_i * b
-    mat = [
-        [Fraction(sum(bc[j] * sc[i][j][k] for j in range(d))) for i in range(d)]
+    return [
+        [sum(b[j] * sc[i][j][k] for j in range(d) if sc[i][j][k]) for i in range(d)]
         for k in range(d)
     ]
-    rhs = list(a.coords)
-    q = _solve_linear(mat, rhs)
-    if q is None:
+
+
+def _det(m, sign=-1):
+    """Determinant (sign -1) or permanent (sign 1) of the square nested list
+    m, by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    total = 0
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total = total + sign**j * m[0][j] * _det(minor, sign)
+    return total
+
+
+def _adjugate(m, sign=-1):
+    """The adjugate of the square nested list m, adj[k][i] the signed
+    cofactor of m[i][k] (with sign 1, the permanents of the same minors,
+    which bound the adjugate's entries)."""
+    d = len(m)
+    return [
+        [
+            sign ** (i + k)
+            * _det([row[:k] + row[k + 1 :] for row in m[:i] + m[i + 1 :]], sign)
+            for i in range(d)
+        ]
+        for k in range(d)
+    ]
+
+
+def _cofactor_solve(basis, b, *rhs):
+    """([adj(M_b) a for a in rhs], det(M_b)): each a / b is adj(M_b) a over
+    det(M_b).  A singular M_b with b != 0 means the presented ring has zero
+    divisors (e.g. the supplied minimal polynomial was reducible); that is
+    reported as a basis-validity failure rather than a numeric error."""
+    m = _mul_matrix(basis, b)
+    adj = _adjugate(m)
+    det = sum(m[0][i] * adj[i][0] for i in range(len(m)))
+    if np.any(det == 0):
         raise ZeroDivisorError(
             "multiplication matrix is singular for a nonzero element; "
             "the presented basis is not a domain (reducible minimal polynomial?)"
         )
-    return RationalElement(basis, q)
-
-
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over Fractions; None when the matrix is singular."""
-    d = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(d):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][d] for i in range(d)]
-
-
-def integer_inverse(basis, coords):
-    """(q, delta) with Element(q)/delta the inverse of the integer element
-    with the given coords.  Cached per basis: primitive line keys and
-    per-line richness counting hit the same pivots over and over."""
-    cached = basis._inv_cache.get(coords)
-    if cached is None:
-        from math import gcd
-
-        inv = divide(basis.one, Element(basis, coords))
-        delta = 1
-        for f in inv.coords:
-            delta = delta * f.denominator // gcd(delta, f.denominator)
-        cached = (tuple(int(f * delta) for f in inv.coords), delta)
-        basis._inv_cache[coords] = cached
-    return cached
+    return [[sum(r[i] * a[i] for i in range(len(a))) for r in adj] for a in rhs], det
 
 
 def embed(a):

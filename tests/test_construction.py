@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import richlines as rl
@@ -19,7 +20,6 @@ from richlines.construction import (
     claim1_statistic,
     claim3_claim4_statistics,
     generate_line_family,
-    line_richness_in_box,
     line_richnesses,
     szt_incidence_construction,
     translate_vectors,
@@ -217,13 +217,83 @@ def test_line_richness_matches_bruteforce(integers, sqrt2):
         assert lines
         assert line_richnesses(lines, box) == [rich[l] for l in lines]
         for line in lines[:50]:
-            assert line_richness_in_box(line, box) == rich[line]
+            assert construction._count_on_line_int(basis, line.key, box) == rich[line]
     # X + (2^62 - 3)/(2^62 + 1) Y = 0: a*x overflows int64 inside the box
     box = build_pointset(integers, 100, HALF)
     (line,) = lines_from_text(f"1/1 {2**62 - 3}/{2**62 + 1} 0/1\n", integers)
     exact = sum(on_line(p, line) for p in box)
     assert exact == 1
-    assert line_richnesses([line], box) == [exact] == [line_richness_in_box(line, box)]
+    assert line_richnesses([line], box) == [exact]
+    assert construction._count_on_line_int(integers, line.key, box) == exact
+
+
+def _richness_block_bound(basis, key, box):
+    """construction._block_bound for a block holding the one key."""
+    d = basis.degree
+    a, b, c = (np.array([key[k : k + d]], dtype=object) for k in (0, d, 2 * d))
+    if any(key[d : 2 * d]):
+        pivot, other, columns, target = b, a, box.x_set, box.y_set
+    else:
+        pivot, other, columns, target = a, b, box.y_set, box.x_set
+    cols = np.array([e.coords for e in columns], dtype=np.int64)
+    return construction._block_bound(basis, pivot, other, c, cols, target)
+
+
+def test_batched_richness_matches_per_line_reference():
+    """The batched counter equals _count_on_line_int on seeded random keys of
+    every arithmetic basis, over a box whose x axis is scaled: lines through
+    two box points (vertical ones included), random keys (most miss the
+    box), and three lines through box points multiplied up to one step
+    either side of the int64 bound, past which the block runs in object
+    dtype."""
+    rng = random.Random(21)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        rx, ry = (2, 3) if d <= 2 else (1, 1)
+        box = construction.PointBox(GapSet(basis, rx, scale=2), GapSet(basis, ry))
+        xs, ys = list(box.x_set), list(box.y_set)
+        keys = []
+        for _ in range(60):
+            p, q = (Point(rng.choice(xs), rng.choice(ys)) for _ in range(2))
+            if p != q:
+                keys.append(line_through(p, q).key)
+        for _ in range(10):
+            x = rng.choice(xs)
+            y1, y2 = rng.sample(ys, 2)
+            keys.append(line_through(Point(x, y1), Point(x, y2)).key)
+        while len(keys) < 120:
+            key = tuple(rng.randint(-9, 9) for _ in range(3 * d))
+            if any(key[: 2 * d]):
+                keys.append(key)
+        expected = [construction._count_on_line_int(basis, key, box) for key in keys]
+        assert construction._key_richnesses(basis, keys, box).tolist() == expected
+        assert 0 in expected and max(expected) > 2
+        vertical = [k for k, r in zip(keys, expected) if r and not any(k[d : 2 * d])]
+        assert vertical
+        richest = max(zip(expected, keys))[1]
+        # a steep line through the origin: c = 0, so the columns drive the bound
+        origin = Point(Element(basis, [0] * d), Element(basis, [0] * d))
+        corner = Point(Element(basis, [2] + [0] * (d - 1)), Element(basis, [ry] * d))
+        through_origin = line_through(origin, corner).key
+        for key in (richest, vertical[0], through_origin):
+            rich = construction._count_on_line_int(basis, key, box)
+            lo, hi = 1, 2**63  # the largest multiple whose block fits int64
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                fits = _richness_block_bound(basis, [mid * v for v in key], box) < 2**63
+                lo, hi = (mid, hi) if fits else (lo, mid)
+            for t, fits in ((lo, True), (lo + 1, False)):
+                scaled = tuple(t * v for v in key)
+                assert (_richness_block_bound(basis, scaled, box) < 2**63) == fits
+                assert construction._count_on_line_int(basis, scaled, box) == rich
+                assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
+    # 2^59 (15 X + 2 Y) = 0 meets the box only at the origin, but at x = +-2
+    # int64 products a*x wrap past 2^64 onto multiples of b inside the radius
+    integers = ARITH_BASES[0]
+    box = construction.PointBox(GapSet(integers, 3), GapSet(integers, 3))
+    key = (15 * 2**59, 2 * 2**59, 0)
+    assert construction._count_on_line_int(integers, key, box) == 1
+    assert construction._key_richnesses(integers, [key], box).tolist() == [1]
 
 
 def test_verify_claim2_tuned(integers):
@@ -249,7 +319,7 @@ def test_verify_claim2_oversized_cell_fails(integers):
     box, tuned = build_construction(params)
     assert tuned.report.frac_r_rich < 1.0
     assert tuned.report.failing_line is not None
-    assert line_richness_in_box(tuned.report.failing_line, box) < 3
+    assert line_richnesses([tuned.report.failing_line], box)[0] < 3
 
 
 def test_auto_tune_failure_modes(integers):

@@ -261,7 +261,7 @@ def test_benchmark_hook_targets_exist():
     targets = {
         construction: ("translate_vectors", "build_construction", "verify_claim2", "auto_tune_c1"),
         geometry: ("rich_lines_bruteforce",),
-        numberfield: ("build_power_basis",),
+        numberfield: ("build_power_basis", "integer_inverse"),
         harness: ("sweep",),
     }
     for module, names in targets.items():
@@ -300,9 +300,9 @@ def test_outputs_match_benchmark_reference(tmp_path, capsys):
 
 
 def test_pipeline_builds_no_fractions(monkeypatch):
-    """A run and the claim-2 verifier construct no RationalElement, and a run
-    groups its cell's pairs once: Fraction coefficients are built only for
-    lines that are output."""
+    """A run and an auto-tuned build on a freshly built basis construct no
+    RationalElement, and a run groups its cell's pairs once: Fraction
+    coefficients are built only for lines that are output."""
     calls = {"rational": 0, "group_pairs": 0}
     init = numberfield.RationalElement.__init__
     group_pairs = construction.group_pairs
@@ -324,10 +324,28 @@ def test_pipeline_builds_no_fractions(monkeypatch):
     sqrt2 = numberfield.build_quadratic_basis(2)
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
     box, tuned = construction.build_construction(params)
-    calls["rational"] = 0
     report = construction.verify_claim2(tuned.family, box, 3)
     assert report.frac_r_rich == 1.0 and report.mechanism_on_line
     assert calls["rational"] == 0
     # the counter sees the coefficients that output builds
     next(iter(tuned.family)).coeffs()
     assert calls["rational"] == 3
+
+
+def test_tuned_build_counts_each_key_once(monkeypatch):
+    """The accepted attempt of an auto-tuned build sends each family key to
+    the richness counter once: the gate's counts become the report's."""
+    counted = []
+    key_richnesses = construction._key_richnesses
+
+    def counting(basis, keys, box):
+        counted.extend(keys)
+        return key_richnesses(basis, keys, box)
+
+    monkeypatch.setattr(construction, "_key_richnesses", counting)
+    sqrt2 = numberfield.build_quadratic_basis(2)
+    params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
+    box, tuned = construction.build_construction(params)
+    assert tuned.halvings == 0 and len(tuned.family) == 1520
+    assert sorted(counted) == sorted(tuned.family.keys)
+    assert tuned.report.richnesses == key_richnesses(sqrt2, tuned.family.keys, box).tolist()

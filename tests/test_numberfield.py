@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from richlines.errors import (
 )
 from richlines.numberfield import (
     Element,
+    NiceBasis,
     RationalElement,
     basis_from_spec,
     basis_vector,
@@ -22,6 +24,8 @@ from richlines.numberfield import (
     integer_inverse,
     zero,
 )
+
+from conftest import ARITH_BASES
 
 
 def rand_element(rng, basis, bound=50):
@@ -158,9 +162,67 @@ def test_reducible_polynomial_surfaces_as_zero_divisor():
 def test_integer_inverse_cached(sqrt2):
     q, delta = integer_inverse(sqrt2, (1, 1))
     # (1+sqrt2)^-1 = -1+sqrt2, already integral
-    prod = sqrt2.mul_coords(q, (1, 1))
-    assert prod == (delta, 0)
-    assert integer_inverse(sqrt2, (1, 1)) is not None  # cache hit path
+    assert (q, delta) == ((-1, 1), 1)
+    assert sqrt2.mul_coords(q, (1, 1)) == (delta, 0)
+    # nothing is cached: a second call computes the same answer again
+    assert integer_inverse(sqrt2, (1, 1)) == (q, delta)
+    assert not hasattr(sqrt2, "_inv_cache")
+
+
+def fraction_solve(basis, b, a):
+    """Reference a / b: Gaussian elimination over Fractions on M_b q = a,
+    M_b[k][i] the l_k coordinate of l_i * b; None when M_b is singular."""
+    d = basis.degree
+    sc = basis.structure_constants
+    m = [
+        [Fraction(sum(b[j] * sc[i][j][k] for j in range(d))) for i in range(d)]
+        + [Fraction(a[k])]
+        for k in range(d)
+    ]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(d):
+            if r != col and m[r][col]:
+                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[col])]
+    return [row[d] for row in m]
+
+
+def test_inverse_divide_and_one_match_fraction_reference():
+    """integer_inverse, divide and basis.one equal Gaussian elimination over
+    Fractions on every arithmetic basis, on Z[sqrt2] over the basis
+    (sqrt2, 1), whose unity is the second vector, and on Z over the basis
+    (-1), whose unity has a negative coordinate."""
+    swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [2**0.5, 1])
+    negated = NiceBasis([[[-1]]], [-1])
+    rng = random.Random(12)
+    for basis in ARITH_BASES + (swapped, negated):
+        d = basis.degree
+        e = basis_vector(basis, 0).coords
+        one = fraction_solve(basis, e, e)
+        assert list(basis.one.coords) == one
+        for i in range(d):
+            unit = basis_vector(basis, i).coords
+            assert basis.mul_coords(one, unit) == unit
+        for bound in (3, 10**6):
+            for _ in range(40):
+                a = rand_element(rng, basis, bound)
+                b = rand_element(rng, basis, bound)
+                if b.is_zero():
+                    continue
+                q, delta = integer_inverse(basis, b.coords)
+                assert delta > 0 and gcd(*q, delta) == 1
+                assert [Fraction(v, delta) for v in q] == fraction_solve(basis, b.coords, one)
+                assert list(divide(a, b).coords) == fraction_solve(basis, b.coords, a.coords)
+    # x^2 - 1 is reducible: M_(1 + theta) is singular
+    reducible = rl.build_power_basis([-1, 0])
+    assert fraction_solve(reducible, (1, 1), (1, 0)) is None
+    with pytest.raises(ZeroDivisorError):
+        integer_inverse(reducible, (1, 1))
+    assert integer_inverse(reducible, (2, 1)) == ((2, -1), 3)
 
 
 def test_rational_element_normalization(sqrt2):
