@@ -6,9 +6,12 @@ much smaller cell P' = A_{C1 n^a / r} x A_{C1 n^(1-a) / r}, translates it by
 the lattice A_r(s Lambda) x A_r(s' Lambda), and collects every line spanned
 by two points of a translated cell.  With a small enough cell constant C1,
 every collected line is r-rich in P; the verifiers check that and the rate
-statistics by exact counting.  One batched counter, _key_richnesses, counts
-every richness, and an auto-tuned build counts each family key once: the
-tuning gate's counts become the claim-2 report.
+statistics by exact counting.  The family is an integer array of primitive
+keys from translation to output: one sort deduplicates it, another puts it
+in canonical order, and CanonicalLines are built only for lines that are
+output.  One batched counter, _key_richnesses, counts every richness, and an
+auto-tuned build counts each family key once: the tuning gate's counts
+become the claim-2 report.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +32,8 @@ from .geometry import (
     _CHUNK_PAIRS,
     CanonicalLine,
     Point,
+    _sorted_runs,
+    canonical_order,
     group_pairs,
     key_tuples,
     on_line,
@@ -86,7 +91,7 @@ class ConstructionParams:
 
 class PointBox:
     """The Cartesian product of two GAP boxes, as a deterministic point
-    sequence with O(1) membership and column access."""
+    sequence with O(1) membership."""
 
     def __init__(self, x_set, y_set):
         self.x_set = x_set
@@ -107,9 +112,6 @@ class PointBox:
 
     def __contains__(self, p):
         return self.contains(p)
-
-    def columns(self):
-        return iter(self.x_set)
 
 
 def build_pointset(basis, n, alpha):
@@ -251,8 +253,9 @@ def _cross_check_nearest(geom, check, verdict, cell_points):
 
 @dataclass
 class LineFamily:
-    """Globally deduplicated lines as a table of primitive keys, in canonical
-    order, with one witness (translate index, i, j) per key: the cell points
+    """Globally deduplicated lines as an (n, 3d) array of primitive keys in
+    canonical order (int64, or object when an entry leaves int64), with an
+    (n, 3) int64 array of witnesses (translate index, i, j): the cell points
     i and j moved by that translate.
 
     Iterating yields CanonicalLines, which build their coefficients only
@@ -260,8 +263,8 @@ class LineFamily:
     """
 
     basis: NiceBasis
-    keys: list
-    witnesses: list
+    keys: np.ndarray
+    witnesses: np.ndarray
     cell_points: list
     translates: list
     cell_lines: int  # lines spanned by the untranslated cell
@@ -270,25 +273,26 @@ class LineFamily:
         return len(self.keys)
 
     def __iter__(self):
-        return (CanonicalLine(self.basis, key) for key in self.keys)
+        return (CanonicalLine(self.basis, key) for key in key_tuples(self.keys))
 
     def witness_points(self, index):
         """The two translated cell Points that witness line `index`."""
-        t_idx, i, j = self.witnesses[index]
+        t_idx, i, j = self.witnesses[index].tolist()
         tx, ty = self.translates[t_idx]
         p, q = self.cell_points[i], self.cell_points[j]
         return Point(p.x + tx, p.y + ty), Point(q.x + tx, q.y + ty)
 
 
 def _raw_family(geom):
-    """The line family of geom before ordering: {primitive key: smallest
-    witness (translate index, i, j)}, the cell points, the translates and
-    the number of lines the cell spans.
+    """The line family of geom before ordering: its distinct primitive keys,
+    an (n, 3) array of their smallest witnesses (translate index, i, j), the
+    cell points, the translates and the number of lines the cell spans.
 
     The cell's pairs are grouped once and each cell key is moved to every
     translate by shift_keys; a moved key keeps the cell's first pair on its
-    line as its first witness, and the first translate that reaches a line
-    wins.
+    line as its first witness.  The moved keys are stacked in (translate,
+    cell key) order, so a stable sort makes the first translate that reaches
+    a line the head of its run.
     """
     basis = geom.basis
     cell_pts = geom.cell_points()
@@ -296,24 +300,20 @@ def _raw_family(geom):
     keys, _, first = group_pairs(
         basis, [p.x.coords for p in cell_pts], [p.y.coords for p in cell_pts]
     )
-    # one int object per cell index, shared by every witness that names it
-    index = list(range(len(cell_pts)))
-    raw = {}
-    for t_idx, (tx, ty) in enumerate(translates):
-        shifted = shift_keys(basis, keys, tx.coords, ty.coords)
-        for key, (i, j) in zip(shifted, key_tuples(first)):
-            if key not in raw:
-                raw[key] = (t_idx, index[i], index[j])
-    return raw, cell_pts, translates, len(keys)
+    moved = np.concatenate(
+        [shift_keys(basis, keys, tx.coords, ty.coords) for tx, ty in translates]
+    )
+    order, heads = _sorted_runs(moved.T)
+    rows = order[heads]
+    witnesses = np.column_stack([rows // len(keys), first[rows % len(keys)]])
+    return moved[rows], witnesses, cell_pts, translates, len(keys)
 
 
-def _ordered_family(basis, raw, cell_pts, translates, cell_lines):
-    """The family in canonical order, and the positions of its keys in raw."""
-    keys = list(raw)
-    order = sorted(range(len(keys)), key=lambda k: CanonicalLine(basis, keys[k]).sort_key())
-    keys = [keys[k] for k in order]
-    witnesses = [raw[key] for key in keys]
-    return LineFamily(basis, keys, witnesses, cell_pts, translates, cell_lines), order
+def _ordered_family(basis, keys, witnesses, *rest):
+    """The family in canonical order, and the positions of its keys in the
+    raw family."""
+    order = canonical_order(basis, keys)
+    return LineFamily(basis, keys[order], witnesses[order], *rest), order
 
 
 def generate_line_family(geom):
@@ -348,17 +348,8 @@ def _count_on_line_int(basis, key, box):
     return count
 
 
-def _key_array(rows, width):
-    """Key rows as a (len, width) array: int64 when every entry fits, and
-    object (exact Python ints) otherwise."""
-    try:
-        return np.array(rows, dtype=np.int64).reshape(-1, width)
-    except OverflowError:
-        return np.array(rows, dtype=object).reshape(-1, width)
-
-
 def _key_richnesses(basis, keys, box):
-    """Exact richness of each line key (a, b, c) in the box, as an int64
+    """Exact richness of each key row (a, b, c) in the box, as an int64
     array.  Each line is solved for its pivot's axis (y, or x when b = 0)
     along every column u of the other axis, in blocks of about _CHUNK_PAIRS
     (key, column) pairs: the solution is -v / det for v = adj(M)(c + other*u)
@@ -367,7 +358,7 @@ def _key_richnesses(basis, keys, box):
     radius*scale*|det|.  A block runs in int64 when _block_bound fits and in
     object dtype (exact Python ints) otherwise."""
     d = basis.degree
-    keys = _key_array(keys, 3 * d)
+    keys = np.reshape(keys, (len(keys), 3 * d))
     out = np.zeros(len(keys), dtype=np.int64)
     vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
     for rows, blocks, columns, target in (
@@ -414,7 +405,8 @@ def _block_bound(basis, pivot, other, c, cols, target):
 
 def line_richnesses(lines, box):
     """Exact richness of each line in the box."""
-    return _key_richnesses(box.basis, [line.key for line in lines], box).tolist()
+    keys = np.array([line.key for line in lines], dtype=object)
+    return _key_richnesses(box.basis, keys, box).tolist()
 
 
 @dataclass
@@ -438,19 +430,19 @@ def verify_claim2(family, box, r, richnesses=None):
     witness pair must lie on the line; the fraction of those points landing
     inside the box is reported (it reaches 1 only for small cell constants).
     """
-    rich = richnesses
-    if rich is None:
-        rich = _key_richnesses(family.basis, family.keys, box).tolist()
-    if not rich:
+    if richnesses is None:
+        richnesses = _key_richnesses(family.basis, family.keys, box)
+    rich = np.asarray(richnesses, dtype=np.int64)
+    if not len(rich):
         return RichnessReport(r, 0, 0, 1.0, None, [], True, 1.0)
-    n_ok = sum(1 for k in rich if k >= r)
-    failing = next(
-        (CanonicalLine(family.basis, key) for key, k in zip(family.keys, rich) if k < r),
-        None,
-    )
+    low = np.flatnonzero(rich < r)
+    failing = None
+    if len(low):
+        failing = CanonicalLine(family.basis, tuple(family.keys[low[0]].tolist()))
     mech_on, mech_in = _mechanism_check(family, box, r)
+    frac = (len(rich) - len(low)) / len(rich)
     return RichnessReport(
-        r, len(rich), min(rich), n_ok / len(rich), failing, rich, mech_on, mech_in
+        r, len(rich), int(rich.min()), frac, failing, rich.tolist(), mech_on, mech_in
     )
 
 
@@ -503,22 +495,17 @@ class TunedConstruction:
     halvings: int
 
 
-def _all_raw_rich(basis, raw, box, r):
-    """Fast tuning gate: the richness of every family key, in raw's order,
-    or None at the first block of keys with one below r.  Blocks go in order
-    of decreasing max |entry| (steep lines fail first), before the family is
-    sorted; only one max per key is held beside raw."""
-    keys = list(raw)
-    steep = [
-        np.abs(_key_array(keys[b0 : b0 + _CHUNK_PAIRS], 3 * basis.degree)).max(axis=1)
-        for b0 in range(0, len(keys), _CHUNK_PAIRS)
-    ]
-    order = np.argsort(-np.concatenate(steep), kind="stable")
+def _all_raw_rich(basis, keys, box, r):
+    """Fast tuning gate: the richness of every raw family key, in the raw
+    order, or None at the first block of keys with one below r.  Blocks go
+    in order of decreasing max |entry| (steep lines fail first), before the
+    family is sorted."""
+    order = np.argsort(-np.abs(keys).max(axis=1), kind="stable")
     rich = np.empty(len(keys), dtype=np.int64)
     size = max(1, _CHUNK_PAIRS // len(box.x_set))
     for b0 in range(0, len(keys), size):
         idx = order[b0 : b0 + size]
-        counts = _key_richnesses(basis, [keys[i] for i in idx], box)
+        counts = _key_richnesses(basis, keys[idx], box)
         if counts.min() < r:
             return None
         rich[idx] = counts
@@ -547,11 +534,11 @@ def auto_tune_c1(params, max_halvings=20):
         if not verify_disjoint_translates(geom):
             last_reason = f"translates overlap at c1={c1}"
         else:
-            raw, *rest = _raw_family(geom)
-            rich = _all_raw_rich(basis, raw, box, params.r)
+            keys, *rest = _raw_family(geom)
+            rich = _all_raw_rich(basis, keys, box, params.r)
             if rich is not None:
-                family, order = _ordered_family(basis, raw, *rest)
-                report = verify_claim2(family, box, params.r, rich[order].tolist())
+                family, order = _ordered_family(basis, keys, *rest)
+                report = verify_claim2(family, box, params.r, rich[order])
                 return TunedConstruction(trial, geom, family, report, step)
             last_reason = f"a family line has richness below r at c1={c1}"
         c1 = c1 / 2

@@ -41,9 +41,6 @@ class Point:
     def basis(self):
         return self.x.basis
 
-    def sort_key(self):
-        return (self.x.coords, self.y.coords)
-
     def __eq__(self, other):
         return isinstance(other, Point) and self.x == other.x and self.y == other.y
 
@@ -71,7 +68,8 @@ class CanonicalLine:
     def sort_key(self):
         """The coefficient coordinates of A, B, C in order, as reduced
         (numerator, denominator) pairs with positive denominators."""
-        return _coeff_pairs(self.basis, self.key)
+        num, den = _coeff_pairs(self.basis, np.array([self.key], dtype=object))
+        return tuple(zip(num[0].tolist(), den[0].tolist()))
 
     def coeffs(self):
         d = self.basis.degree
@@ -99,24 +97,34 @@ class CanonicalLine:
         return "CanonicalLine(a={!r}, b={!r}, c={!r})".format(*self.coeffs())
 
 
-def _coeff_pairs(basis, key):
-    """Each entry of a primitive key over lam, as a reduced (numerator,
-    denominator) pair with positive denominator.
+def _coeff_pairs(basis, keys):
+    """Each entry of the primitive key rows over its row's lam, as reduced
+    numerator and denominator arrays with positive denominators.
 
     The pivot block of a primitive key is lam * unity for an integer lam:
     pivot * l_1 = lam * l_1, and the first coordinate of pivot * l_1 is
-    sum_j pivot[j] c[j][0][0].
+    sum_j pivot[j] c[j][0][0].  The arrays are int64 when
+    max |key| * sum_j |c[j][0][0]| fits, and object (Python ints) otherwise.
     """
     d = basis.degree
-    sc = basis.structure_constants
-    pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
-    lam = sum(pivot[j] * sc[j][0][0] for j in range(d))
-    sign = 1 if lam > 0 else -1
-    out = []
-    for v in key:
-        g = gcd(v, lam)
-        out.append((sign * v // g, sign * lam // g))
-    return tuple(out)
+    sc0 = [row[0][0] for row in basis.structure_constants]
+    bound = int(np.abs(keys).max(initial=0)) * sum(map(abs, sc0))
+    dtype = np.int64 if bound < 2**63 else object
+    keys = keys.astype(dtype)
+    pivot = np.where(keys[:, :d].any(axis=1)[:, None], keys[:, :d], keys[:, d : 2 * d])
+    lam = (pivot @ np.array(sc0, dtype=dtype))[:, None]
+    # the gcd carries lam's sign, so every denominator comes out positive
+    g = np.gcd(keys, lam) * np.sign(lam)
+    return keys // g, lam // g
+
+
+def canonical_order(basis, keys):
+    """The permutation that puts primitive key rows in canonical order: by
+    their coefficients' (numerator, denominator) pairs, compared entry by
+    entry as CanonicalLine.sort_key() gives them."""
+    num, den = _coeff_pairs(basis, keys)
+    # np.lexsort sorts by its last column first
+    return np.lexsort([m[:, k] for k in range(num.shape[1] - 1, -1, -1) for m in (den, num)])
 
 
 def collinear(p, q, t):
@@ -184,18 +192,10 @@ def _check_distinct(points):
 
 def _reduce_flat(flat):
     """Content-reduce a flat integer triple and fix the overall sign."""
-    flat = tuple(flat)
-    g = 0
-    for v in flat:
-        g = gcd(g, v if v >= 0 else -v)
-    if g > 1:
-        flat = tuple(v // g for v in flat)
-    for v in flat:
-        if v:
-            if v < 0:
-                flat = tuple(-w for w in flat)
-            break
-    return flat
+    g = gcd(*flat) or 1
+    if next((v for v in flat if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in flat)
 
 
 def _primitive_key(basis, flat):
@@ -234,7 +234,7 @@ def _raw_pair_counts_loop(basis, xs, ys):
 
 
 # Pairs, key rows or (key, box column) pairs per chunk; bounds the
-# temporaries of group_pairs, shift_keys, key_tuples and the richness counter.
+# temporaries of group_pairs, key_tuples and the richness counter.
 _CHUNK_PAIRS = 1 << 14
 
 
@@ -354,15 +354,11 @@ def group_pairs(basis, xs, ys):
         for w, (a, b) in enumerate(words):
             packed[w, p0 : p0 + len(rows)] = rows[:, a:b] @ weight[a:b]
     # a stable sort puts each key's first pair at the head of its run
-    order = np.lexsort(packed[::-1])
-    packed = packed[:, order]
-    head = np.ones(total, dtype=bool)
-    head[1:] = (packed[:, 1:] != packed[:, :-1]).any(axis=0)
-    heads = np.flatnonzero(head)
+    order, heads = _sorted_runs(packed)
     counts = np.diff(heads, append=total)
     first = order[heads]
-    uniq = packed[:, heads]
-    del order, packed, head
+    uniq = packed[:, first]
+    del order, packed
     # the narrowest signed type that holds every key entry
     dtype = next(
         t for t in (np.int8, np.int16, np.int32, np.int64)
@@ -375,33 +371,41 @@ def group_pairs(basis, xs, ys):
     return keys, counts, np.stack(_pairs_at(start, first), axis=1)
 
 
+def _sorted_runs(cols):
+    """Stable lexicographic sort of the columns of cols, first row most
+    significant: the permutation, and the positions in sorted order where
+    each run of equal columns starts (at the run's first input column)."""
+    order = np.lexsort(cols[::-1])
+    cols = cols[:, order]
+    head = np.ones(cols.shape[1], dtype=bool)
+    head[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    return order, np.flatnonzero(head)
+
+
 def shift_keys(basis, keys, tx, ty):
     """The key rows (a, b, c) of lines moved by the translate (tx, ty):
-    (a, b, c - a*tx - b*ty), as tuples of Python ints.
+    (a, b, c - a*tx - b*ty), as one array.
 
     The coordinates of a*tx + b*ty are integer combinations of those of a
-    and b, and a and b do not change, so a primitive key stays primitive.  Each
-    block of rows is shifted in int64 when product_bounds keep every entry
-    inside it, and in exact Python ints otherwise.
+    and b, and a and b do not change, so a primitive key stays primitive.  The
+    array is int64 when product_bounds keep every entry inside it, and
+    object (exact Python ints) otherwise.
     """
     d = basis.degree
     shift = max(abs(v) for v in tx + ty)
-    for b0 in range(0, len(keys), _CHUNK_PAIRS):
-        block = keys[b0 : b0 + _CHUNK_PAIRS]
-        coeff = int(np.abs(block[:, : 2 * d]).max(initial=0))
-        bound = int(np.abs(block[:, 2 * d :]).max(initial=0)) + 2 * max(
-            product_bounds(basis, coeff, shift)
-        )
-        dtype = np.int64 if bound < 2**63 else object
-        block = block.astype(dtype)
-        # u @ tx_m gives the coordinates of u * tx for coordinate rows u
-        sc = np.array(basis.structure_constants, dtype=dtype)
-        tx_m, ty_m = (
-            np.tensordot(sc, np.array(t, dtype=dtype), axes=([1], [0]))
-            for t in (tx, ty)
-        )
-        block[:, 2 * d :] -= block[:, :d] @ tx_m + block[:, d : 2 * d] @ ty_m
-        yield from key_tuples(block)
+    coeff = int(np.abs(keys[:, : 2 * d]).max(initial=0))
+    bound = int(np.abs(keys[:, 2 * d :]).max(initial=0)) + 2 * max(
+        product_bounds(basis, coeff, shift)
+    )
+    dtype = np.int64 if bound < 2**63 else object
+    keys = keys.astype(dtype)
+    # u @ tx_m gives the coordinates of u * tx for coordinate rows u
+    sc = np.array(basis.structure_constants, dtype=dtype)
+    tx_m, ty_m = (
+        np.tensordot(sc, np.array(t, dtype=dtype), axes=([1], [0])) for t in (tx, ty)
+    )
+    keys[:, 2 * d :] -= keys[:, :d] @ tx_m + keys[:, d : 2 * d] @ ty_m
+    return keys
 
 
 def key_tuples(keys):
@@ -453,11 +457,11 @@ def rich_lines_bruteforce(points, r):
     _check_distinct(points)
     basis = points[0].basis
     keys, counts = _pair_counts(points)
-    keep = counts >= comb(r, 2)
-    lines = zip(key_tuples(keys[keep]), counts[keep].tolist())
+    keep = np.flatnonzero(counts >= comb(r, 2))
+    keep = keep[canonical_order(basis, keys[keep])]
     return {
         CanonicalLine(basis, key): _richness_from_pairs(cnt)
-        for key, cnt in sorted(lines, key=lambda line: _coeff_pairs(basis, line[0]))
+        for key, cnt in zip(key_tuples(keys[keep]), counts[keep].tolist())
     }
 
 
@@ -518,8 +522,12 @@ def points_from_text(text, basis):
 
 
 def lines_to_text(lines):
-    rows = [" ".join(f"{num}/{den}" for num, den in line.sort_key()) for line in lines]
-    return "\n".join(rows) + ("\n" if rows else "")
+    lines = list(lines)
+    if not lines:
+        return ""
+    num, den = _coeff_pairs(lines[0].basis, np.array([line.key for line in lines], dtype=object))
+    rows = (" ".join(map("{}/{}".format, n, m)) for n, m in zip(num.tolist(), den.tolist()))
+    return "\n".join(rows) + "\n"
 
 
 def lines_from_text(text, basis):

@@ -284,7 +284,7 @@ def sweep(config, workers=1):
 
     The points run one after another in this process.  `workers` is
     deprecated and ignored; it stays only while the perfbench sweep
-    operations pass `--workers` (ROADMAP open item 6 removes both).
+    operations pass `--workers` (ROADMAP open item 1 removes both).
     """
     if config.r_list is not None:
         reports = [run(config, r=r) for r in config.r_list]

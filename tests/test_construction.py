@@ -35,6 +35,7 @@ from richlines.geometry import (
     Point,
     _raw_pair_counts_loop,
     group_pairs,
+    key_tuples,
     line_pair_counts,
     line_through,
     lines_from_text,
@@ -193,7 +194,10 @@ def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
             )
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
-        assert construction._raw_family(geom)[0] == best
+        keys, witnesses = construction._raw_family(geom)[:2]
+        assert keys.dtype == (np.int64 if big < 2**63 else object)
+        assert len(keys) == len(best)
+        assert dict(zip(key_tuples(keys), map(tuple, witnesses.tolist()))) == best
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
 
+import numpy as np
+
 from richlines import geometry as geo
 from richlines.construction import (
     ConstructionParams,
@@ -169,10 +171,11 @@ def test_richness_sums_to_incidences(integers, sqrt2):
 
 
 def test_text_and_order_match_fraction_reference():
-    """CanonicalLine.sort_key(), coeffs() and lines_to_text equal the
-    coefficients Fraction(entry, lam), with lam the pivot block's entry at
-    the first nonzero coordinate of unity over that coordinate, and the
-    canonical order is the order of those (numerator, denominator) pairs."""
+    """CanonicalLine.sort_key(), coeffs(), lines_to_text and the array
+    routines _coeff_pairs and canonical_order equal the coefficients
+    Fraction(entry, lam), with lam the pivot block's entry at the first
+    nonzero coordinate of unity over that coordinate, and the canonical
+    order is the order of those (numerator, denominator) pairs."""
     # Z[sqrt2] on the basis (sqrt2, 1), whose unity is the second vector,
     # and Z on the basis (-1), whose unity has a negative coordinate
     swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [2**0.5, 1])
@@ -199,6 +202,26 @@ def test_text_and_order_match_fraction_reference():
         ]
         by_reference = [CanonicalLine(basis, key) for _, key in sorted(zip(pairs, keys))]
         assert sorted(lines, key=CanonicalLine.sort_key) == by_reference
+        # the array routines on int64 and object keys, and on keys scaled to
+        # one step either side of the int64 bound max |key| * sum |c[j][0][0]|;
+        # a scaled key has the same coefficients
+        ref_order = sorted(range(len(keys)), key=pairs.__getitem__)
+        top = max(abs(v) for key in keys for v in key)
+        sc0 = sum(abs(row[0][0]) for row in basis.structure_constants)
+        step = (2**63 - 1) // (top * sc0)
+        rows = np.array(keys, dtype=np.int64)
+        cases = [
+            (rows, np.int64),
+            (rows.astype(object), np.int64),
+            (rows.astype(object) * step, np.int64),
+            (rows.astype(object) * (step + 1), object),
+        ]
+        for scaled, dtype in cases:
+            num, den = geo._coeff_pairs(basis, scaled)
+            assert num.dtype == den.dtype == dtype
+            assert [tuple(zip(*nd)) for nd in zip(num.tolist(), den.tolist())] == pairs
+            assert geo.canonical_order(basis, scaled).tolist() == ref_order
+    assert lines_to_text([]) == ""
 
 
 def test_counts_cover_all_pairs():

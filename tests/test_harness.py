@@ -302,24 +302,32 @@ def test_outputs_match_benchmark_reference(tmp_path, capsys):
 def test_pipeline_builds_no_fractions(monkeypatch):
     """A run and an auto-tuned build on a freshly built basis construct no
     RationalElement, and a run groups its cell's pairs once: Fraction
-    coefficients are built only for lines that are output."""
-    calls = {"rational": 0, "group_pairs": 0}
+    coefficients are built only for lines that are output.  A run builds
+    CanonicalLines only for its 8-line mechanism sample and its failing
+    line; the family stays a key array."""
+    calls = {"rational": 0, "group_pairs": 0, "line": 0}
     init = numberfield.RationalElement.__init__
+    line_init = geometry.CanonicalLine.__init__
     group_pairs = construction.group_pairs
 
     def counting_init(self, *args):
         calls["rational"] += 1
         init(self, *args)
 
+    def counting_line_init(self, *args):
+        calls["line"] += 1
+        line_init(self, *args)
+
     def counting_group_pairs(*args):
         calls["group_pairs"] += 1
         return group_pairs(*args)
 
     monkeypatch.setattr(numberfield.RationalElement, "__init__", counting_init)
+    monkeypatch.setattr(geometry.CanonicalLine, "__init__", counting_line_init)
     monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
     report = run(parse_config(SWEEP_CFG), r=3)
-    assert report.num_lines == 21400
-    assert calls == {"rational": 0, "group_pairs": 1}
+    assert report.num_lines == 21400 and report.frac_r_rich < 1
+    assert calls == {"rational": 0, "group_pairs": 1, "line": 9}
 
     sqrt2 = numberfield.build_quadratic_basis(2)
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
@@ -339,7 +347,7 @@ def test_tuned_build_counts_each_key_once(monkeypatch):
     key_richnesses = construction._key_richnesses
 
     def counting(basis, keys, box):
-        counted.extend(keys)
+        counted.extend(geometry.key_tuples(keys))
         return key_richnesses(basis, keys, box)
 
     monkeypatch.setattr(construction, "_key_richnesses", counting)
@@ -347,5 +355,5 @@ def test_tuned_build_counts_each_key_once(monkeypatch):
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
     box, tuned = construction.build_construction(params)
     assert tuned.halvings == 0 and len(tuned.family) == 1520
-    assert sorted(counted) == sorted(tuned.family.keys)
+    assert sorted(counted) == sorted(geometry.key_tuples(tuned.family.keys))
     assert tuned.report.richnesses == key_richnesses(sqrt2, tuned.family.keys, box).tolist()
