@@ -16,7 +16,7 @@ become the claim-2 report.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .gapset import (
     floor_scaled_root,
     gap_set,
     gap_set_power,
+    iroot,
     scaled_power_le,
 )
 from .geometry import (
@@ -98,8 +99,12 @@ class PointBox:
         self.y_set = y_set
         self.basis = x_set.basis
 
+    @property
+    def size(self):
+        return self.x_set.size * self.y_set.size
+
     def __len__(self):
-        return len(self.x_set) * len(self.y_set)
+        return self.size
 
     def __iter__(self):
         ys = list(self.y_set)
@@ -209,7 +214,7 @@ def translate_vectors(geom):
     return [(x, y) for x in xs for y in ys]
 
 
-def verify_disjoint_translates(geom, cell_points=None):
+def verify_disjoint_translates(geom):
     """Exact pairwise disjointness of the translated cell copies.
 
     Translate shifts differ by at least the step size in some coordinate, so
@@ -225,16 +230,15 @@ def verify_disjoint_translates(geom, cell_points=None):
         checks.append((geom.s_prime, geom.cell_y.radius, 1))
     verdict = all(step > 2 * rho for step, rho, _ in checks)
     if checks:
-        _cross_check_nearest(geom, checks[0], verdict, cell_points)
+        _cross_check_nearest(geom, checks[0], verdict)
     return verdict
 
 
-def _cross_check_nearest(geom, check, verdict, cell_points):
+def _cross_check_nearest(geom, check, verdict):
     step, _, axis = check
     basis = geom.basis
     d = basis.degree
-    if cell_points is None:
-        cell_points = geom.cell_points()
+    cell_points = geom.cell_points()
     shift = [0] * d
     shift[0] = step
     shift = Element(basis, shift)
@@ -292,7 +296,8 @@ def _raw_family(geom):
     translate by shift_keys; a moved key keeps the cell's first pair on its
     line as its first witness.  The moved keys are stacked in (translate,
     cell key) order, so a stable sort makes the first translate that reaches
-    a line the head of its run.
+    a line the head of its run.  One translate needs no sort: a shift is a
+    bijection on lines, so its moved keys are already distinct.
     """
     basis = geom.basis
     cell_pts = geom.cell_points()
@@ -303,8 +308,11 @@ def _raw_family(geom):
     moved = np.concatenate(
         [shift_keys(basis, keys, tx.coords, ty.coords) for tx, ty in translates]
     )
-    order, heads = _sorted_runs(moved.T)
-    rows = order[heads]
+    if len(translates) == 1:
+        rows = np.arange(len(keys))
+    else:
+        order, heads = _sorted_runs(moved.T)
+        rows = order[heads]
     witnesses = np.column_stack([rows // len(keys), first[rows % len(keys)]])
     return moved[rows], witnesses, cell_pts, translates, len(keys)
 
@@ -446,14 +454,17 @@ def verify_claim2(family, box, r, richnesses=None):
     )
 
 
-def _mechanism_check(family, box, r, sample=8):
+_MECHANISM_SAMPLE = 8  # lines whose multiplier mechanism verify_claim2 replays
+
+
+def _mechanism_check(family, box, r):
     basis = family.basis
     d = basis.degree
     multipliers = list(gap_set(basis, Fraction(3**d * r)))
     total = 0
     inside = 0
     all_on = True
-    for index, line in zip(range(sample), family):
+    for index, line in zip(range(_MECHANISM_SAMPLE), family):
         p, q = family.witness_points(index)
         dx = p.x - q.x
         dy = p.y - q.y
@@ -576,14 +587,10 @@ class SztResult:
 
 
 def _round_cube_root(x):
-    """round(x^(1/3)) for a positive Fraction x, exactly."""
-    t = 0
-    while (t + 1) ** 3 <= x:
-        t += 1
+    """round(x^(1/3)) for a positive Fraction x, exactly (halves round up)."""
+    t = iroot(floor(x), 3)
     # round up when x >= (t + 1/2)^3
-    if Fraction(2 * t + 1, 2) ** 3 <= x:
-        return t + 1
-    return t
+    return t + 1 if (2 * t + 1) ** 3 <= 8 * x else t
 
 
 def szt_incidence_construction(basis, n, m):
@@ -601,9 +608,6 @@ def szt_incidence_construction(basis, n, m):
     r = max(2, _round_cube_root(Fraction(n * n, m)))
     chosen = None
     for alpha in ALPHA_GRID:
-        p, q = alpha.numerator, alpha.denominator
-        if r**q > n**p:
-            continue
         try:
             params = ConstructionParams(basis, n, alpha, r)
             geom = build_cell_geometry(params)

@@ -1,10 +1,10 @@
 """Symmetric GAP boxes A_m(Lambda) and their closure bounds.
 
-A_m(Lambda) collects the elements sum a_i l_i with |a_i| <= m^(1/d)/3.  The
-box radius floor(m^(1/d)/3) is computed by exact integer root extraction, so
-membership stays decidable even when m is an irrational power like n^(1/3):
-bounds of that shape are handled as coeff * n^alpha with rational coeff and
-alpha, compared through integer powering.
+A_m(Lambda) collects the elements sum a_i l_i with |a_i| <= m^(1/d)/3.  Every
+box radius and translate step comes from one integer root, iroot, so
+membership stays exact even when m is an irrational power like n^(1/3): a
+bound coeff * n^alpha with rational coeff = u/v and alpha = p/q has the
+floor root iroot(u^q n^p // v^q, d q), and the radius is that root // 3.
 """
 
 import itertools
@@ -14,70 +14,42 @@ from .errors import InvalidParameterError
 from .numberfield import Element
 
 
-def _floor_scaled_root(coeff, n, alpha, d):
-    """Largest integer t >= 0 with t^d <= coeff * n^alpha (all exact).
+def iroot(x, k):
+    """floor(x^(1/k)) for integers x >= 0 and k >= 1, by integer Newton
+    steps from 2^ceil(bits/k), which lies above the root: the steps decrease
+    until they stop at the floor."""
+    if x < 2:
+        return x
+    t = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * t + x // t ** (k - 1)) // k
+        if s >= t:
+            return t
+        t = s
 
-    coeff: positive Fraction; alpha: Fraction p/q; n: positive int.
-    The comparison t^d <= (u/v) n^(p/q) is decided as t^(dq) v^q <= u^q n^p.
-    """
+
+def floor_scaled_root(coeff, n, alpha, d):
+    """floor((coeff * n^alpha)^(1/d)) for a positive rational coeff = u/v,
+    a positive int n and a rational alpha = p/q, exactly: t^(dq) v^q <= u^q
+    n^p holds exactly when t^(dq) <= floor(u^q n^p / v^q)."""
     coeff = Fraction(coeff)
     alpha = Fraction(alpha)
     if coeff <= 0 or n <= 0:
         raise InvalidParameterError("bound must be positive")
     p, q = alpha.numerator, alpha.denominator
     u, v = coeff.numerator, coeff.denominator
-    rhs = u**q * n**p
-    vq = v**q
-
-    def ok(t):
-        return t >= 0 and t ** (d * q) * vq <= rhs
-
-    # Float seed, then exact fix-up; fall back to doubling + bisection when
-    # the float path overflows.
-    try:
-        t = max(int((float(coeff) * float(n) ** float(alpha)) ** (1.0 / d)), 0)
-    except OverflowError:
-        t = None
-    if t is None or not (ok(t) or ok(t - 1) or ok(t + 1)):
-        hi = 1
-        while ok(hi):
-            hi *= 2
-        lo = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    while not ok(t):
-        t -= 1
-    while ok(t + 1):
-        t += 1
-    return t
+    return iroot(u**q * n**p // v**q, d * q)
 
 
 def gap_radius(m, d):
     """floor(m^(1/d) / 3) for a positive rational m: the largest t with
-    (3t)^d <= m."""
+    (3t)^d <= m, which is floor(floor(m^(1/d)) / 3)."""
     m = Fraction(m)
     if m <= 0:
         raise InvalidParameterError("m must be positive")
     if d < 1:
         raise InvalidParameterError("d must be a positive integer")
-    # (3t)^d <= m  <=>  t^d <= m / 3^d
-    return _floor_scaled_root(m / 3**d, 1, Fraction(0), d)
-
-
-def gap_radius_power(coeff, n, alpha, d):
-    """Box radius for the bound m = coeff * n^alpha, exactly."""
-    return _floor_scaled_root(Fraction(coeff) / 3**d, n, alpha, d)
-
-
-def floor_scaled_root(coeff, n, alpha, d):
-    """floor((coeff * n^alpha)^(1/d)), exactly.  Used for the translate
-    lattice step sizes."""
-    return _floor_scaled_root(coeff, n, alpha, d)
+    return floor_scaled_root(m, 1, 0, d) // 3
 
 
 def scaled_power_le(coeff, n, alpha, x):
@@ -101,7 +73,7 @@ class GapSet:
     every construction downstream deterministic.
     """
 
-    def __init__(self, basis, radius, scale=1, bound=None):
+    def __init__(self, basis, radius, scale=1):
         if radius < 0:
             raise InvalidParameterError("radius must be nonnegative")
         if scale < 1:
@@ -109,10 +81,14 @@ class GapSet:
         self.basis = basis
         self.radius = int(radius)
         self.scale = int(scale)
-        self.bound = bound  # Fraction, or a (coeff, n, alpha) triple, or None
+
+    @property
+    def size(self):
+        """The number of elements, also past sys.maxsize, where len fails."""
+        return (2 * self.radius + 1) ** self.basis.degree
 
     def __len__(self):
-        return (2 * self.radius + 1) ** self.basis.degree
+        return self.size
 
     def __iter__(self):
         rng = range(-self.radius, self.radius + 1)
@@ -141,13 +117,13 @@ class GapSet:
 
 def gap_set(basis, m, scale=1):
     """A_m(scale * Lambda) for a positive rational bound m."""
-    return GapSet(basis, gap_radius(m, basis.degree), scale, bound=Fraction(m))
+    return GapSet(basis, gap_radius(m, basis.degree), scale)
 
 
 def gap_set_power(basis, coeff, n, alpha, scale=1):
     """A_m(scale * Lambda) for the bound m = coeff * n^alpha, exactly."""
-    r = gap_radius_power(coeff, n, alpha, basis.degree)
-    return GapSet(basis, r, scale, bound=(Fraction(coeff), n, Fraction(alpha)))
+    r = floor_scaled_root(coeff, n, alpha, basis.degree) // 3
+    return GapSet(basis, r, scale)
 
 
 def generate(basis, m, scale=1):

@@ -131,7 +131,6 @@ class ExperimentReport:
     mechanism_in_p_fraction: float
     disjoint_sufficient: bool
     seed: int
-    oracle_subset: bool | None = None
     runtime_ms: dict = field(default_factory=dict)
 
     def echo_config(self):
@@ -167,7 +166,7 @@ class ExperimentReport:
         return ",".join(fields)
 
     def to_json_dict(self):
-        out = {
+        return {
             "basis": self.basis_spec,
             "basis_description": self.basis_description,
             "d": self.degree,
@@ -191,18 +190,20 @@ class ExperimentReport:
             "seed": self.seed,
             "runtime_ms": self.runtime_ms,
         }
-        if self.oracle_subset is not None:
-            out["oracle_subset"] = self.oracle_subset
-        return out
 
 
 def _single_config(config, r=None, n=None):
+    r = r if r is not None else config.r
+    if r is None:
+        raise ConfigError(
+            "'r' is required outside a sweep; 'r_list' only sets sweep points"
+        )
     basis = basis_from_spec(config.basis_spec)
     params = ConstructionParams(
         basis,
         n if n is not None else config.n,
         config.alpha,
-        r if r is not None else config.r,
+        r,
         config.c1 if config.c1 is not None else Fraction(1),
         auto_tune=config.auto_tune,
     )
@@ -334,9 +335,9 @@ def oracle(config):
     r-rich lines of P."""
     basis, params = _single_config(config)
     box = build_pointset(basis, params.n, params.alpha)
-    if len(box) > ORACLE_POINT_CAP:
+    if box.size > ORACLE_POINT_CAP:
         raise ConfigError(
-            f"realized |P| = {len(box)} exceeds the oracle cap "
+            f"realized |P| = {box.size} exceeds the oracle cap "
             f"{ORACLE_POINT_CAP}; use a smaller n for oracle runs"
         )
     _, tuned = build_construction(params)

@@ -375,6 +375,19 @@ def test_round_cube_root():
     # rounds up past the halfway cube
     assert _round_cube_root(Fraction(15, 1)) == 2
     assert _round_cube_root(Fraction(16)) == 3  # (2.5)^3 = 15.625
+    # either side of each halfway cube (t + 1/2)^3 = (2t + 1)^3 / 8
+    eps = Fraction(1, 10**40)
+    for t in list(range(200)) + [10**9, 10**10 - 1]:
+        half = Fraction((2 * t + 1) ** 3, 8)
+        assert _round_cube_root(half - eps) == t
+        assert _round_cube_root(half) == t + 1
+    # random x up to 10^30 against the defining inequalities
+    # (2R - 1)^3 <= 8x < (2R + 1)^3
+    rng = random.Random(4)
+    for _ in range(2000):
+        x = Fraction(rng.randint(1, 10**30), rng.randint(1, 1000))
+        rounded = _round_cube_root(x)
+        assert (2 * rounded - 1) ** 3 <= 8 * x < (2 * rounded + 1) ** 3
 
 
 def test_szt_construction(integers):

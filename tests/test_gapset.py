@@ -14,6 +14,7 @@ from richlines.gapset import (
     gap_radius,
     gap_set,
     gap_set_power,
+    iroot,
     product_bound,
     scaled_power_le,
     sum_bound,
@@ -135,21 +136,44 @@ def test_floor_scaled_root_exact():
         assert floor_scaled_root(coeff, n, alpha, d) == expect
 
 
-def test_floor_scaled_root_random_and_huge():
+def test_iroot():
+    # t = iroot(x, k) against t^k <= x < (t + 1)^k
+    rng = random.Random(21)
+    xs = [0, 1] + list(range(2, 3000))
+    xs += [2**e + s for e in range(1, 401) for s in (-1, 0, 1)]
+    xs += [rng.randrange(10**80) for _ in range(300)]
+    for k in range(1, 9):
+        for x in xs:
+            t = iroot(x, k)
+            assert t**k <= x < (t + 1) ** k, (x, k)
+    assert iroot(10**400, 2) == 10**200
+    assert iroot(27**40 - 1, 40) == 26 and iroot(27**40, 40) == 27
+
+
+def test_floor_scaled_root_random_and_huge(integers):
     rng = random.Random(13)
-    for _ in range(200):
-        coeff = Fraction(rng.randint(1, 50), rng.randint(1, 50))
-        n = rng.randint(2, 10**6)
-        alpha = Fraction(rng.randint(1, 3), rng.randint(3, 7))
-        d = rng.randint(1, 4)
-        t = floor_scaled_root(coeff, n, alpha, d)
-        p, q = alpha.numerator, alpha.denominator
-        u, v = coeff.numerator, coeff.denominator
-        assert t ** (d * q) * v**q <= u**q * n**p
-        assert (t + 1) ** (d * q) * v**q > u**q * n**p
-    # the float seed overflows here; the exact fallback must still answer
+    for n_max in (10**6, 10**60):
+        for _ in range(200):
+            coeff = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+            n = rng.randint(2, n_max)
+            alpha = Fraction(rng.randint(1, 3), rng.randint(3, 7))
+            d = rng.randint(1, 4)
+            t = floor_scaled_root(coeff, n, alpha, d)
+            p, q = alpha.numerator, alpha.denominator
+            u, v = coeff.numerator, coeff.denominator
+            assert t ** (d * q) * v**q <= u**q * n**p
+            assert (t + 1) ** (d * q) * v**q > u**q * n**p
+    # roots far beyond 2^53, where a root seeded from a float is off by
+    # more than a few steps
     big = floor_scaled_root(Fraction(1), 10**400, Fraction(1, 2), 1)
     assert big == 10**200
+    assert floor_scaled_root(1, 2**100 + 2**45, 1, 1) == 2**100 + 2**45
+    n, alpha = 2**200, Fraction(1, 2)
+    box = rl.build_pointset(integers, n, alpha)
+    for gap, a in ((box.x_set, alpha), (box.y_set, 1 - alpha)):
+        # (3t)^d <= n^a < (3t + 3)^d, raised to the power q of a = p/q
+        p, q, t, d = a.numerator, a.denominator, gap.radius, integers.degree
+        assert (3 * t) ** (d * q) <= n**p < (3 * t + 3) ** (d * q)
 
 
 def test_scaled_power_le():

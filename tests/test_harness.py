@@ -170,6 +170,9 @@ def test_oracle_subset():
 def test_oracle_cap():
     with pytest.raises(ConfigError):
         oracle(parse_config(cfg(n=10**6)))
+    # |P| past sys.maxsize, where len() raises OverflowError
+    with pytest.raises(ConfigError, match="oracle cap"):
+        oracle(parse_config(cfg(n=2**200)))
 
 
 def test_selftest_passes():
@@ -247,6 +250,14 @@ def test_cli_error_exit_code(tmp_path, capsys):
     bad = write_cfg(tmp_path, {"basis": {"type": "integers"}, "n": 1, "r": 3})
     assert cli.main(["construct", "--config", bad]) == 2
     assert "error:" in capsys.readouterr().err
+    # an r-sweep config has no single r to construct, verify or check
+    sweep_only = write_cfg(tmp_path, cfg(r=None, r_list=[3, 4]), "sweep.json")
+    for command in ("construct", "verify", "oracle"):
+        assert cli.main([command, "--config", sweep_only]) == 2
+        assert "error: 'r'" in capsys.readouterr().err
+    huge = write_cfg(tmp_path, cfg(n=2**200), "huge.json")
+    assert cli.main(["oracle", "--config", huge]) == 2
+    assert "exceeds the oracle cap" in capsys.readouterr().err
 
 
 def test_cli_selftest_has_no_out(capsys):
