@@ -7,8 +7,9 @@ the lattice A_r(s Lambda) x A_r(s' Lambda), and collects every line spanned
 by two points of a translated cell.  With a small enough cell constant C1,
 every collected line is r-rich in P; the verifiers check that and the rate
 statistics by exact counting.  The family is an integer array of primitive
-keys from translation to output: one sort deduplicates it, another puts it
-in canonical order, and CanonicalLines are built only for lines that are
+keys from translation to output, in the narrowest integer type that holds
+them (object past int64): one sort deduplicates it, another puts it in
+canonical order, and CanonicalLines are built only for lines that are
 output.  One batched counter, _key_richnesses, counts every richness, and an
 auto-tuned build counts each family key once: the tuning gate's counts
 become the claim-2 report.
@@ -33,6 +34,7 @@ from .geometry import (
     _CHUNK_PAIRS,
     CanonicalLine,
     Point,
+    _exact_dtype,
     _sorted_runs,
     canonical_order,
     group_pairs,
@@ -258,9 +260,10 @@ def _cross_check_nearest(geom, check, verdict):
 @dataclass
 class LineFamily:
     """Globally deduplicated lines as an (n, 3d) array of primitive keys in
-    canonical order (int64, or object when an entry leaves int64), with an
-    (n, 3) int64 array of witnesses (translate index, i, j): the cell points
-    i and j moved by that translate.
+    canonical order (in the narrowest integer type that holds every entry,
+    or object past int64), with an (n, 3) int64 array of witnesses
+    (translate index, i, j): the cell points i and j moved by that
+    translate.
 
     Iterating yields CanonicalLines, which build their coefficients only
     when asked; witness_points builds one line's witness Points.
@@ -363,8 +366,8 @@ def _key_richnesses(basis, keys, box):
     (key, column) pairs: the solution is -v / det for v = adj(M)(c + other*u)
     and M the pivot's multiplication matrix, so it lies in the box exactly
     when every coordinate of v is divisible by scale*det and at most
-    radius*scale*|det|.  A block runs in int64 when _block_bound fits and in
-    object dtype (exact Python ints) otherwise."""
+    radius*scale*|det|.  A block runs in the dtype _exact_dtype picks for
+    _block_bound, object (exact Python ints) past int64."""
     d = basis.degree
     keys = np.reshape(keys, (len(keys), 3 * d))
     out = np.zeros(len(keys), dtype=np.int64)
@@ -379,17 +382,14 @@ def _key_richnesses(basis, keys, box):
         for b0 in range(0, len(rows), size):
             idx = rows[b0 : b0 + size]
             pivot, other, c = (keys[idx, k * d : (k + 1) * d] for k in blocks)
-            fits = _block_bound(basis, pivot, other, c, cols, target) < 2**63
+            dtype = _exact_dtype(_block_bound(basis, pivot, other, c, cols, target))
             # key coordinates as (keys, 1) arrays, column coordinates as (1, columns)
-            pivot, other, c = (
-                list(m.astype(np.int64 if fits else object).T[:, :, None])
-                for m in (pivot, other, c)
-            )
+            pivot, other, c = (list(m.astype(dtype).T[:, :, None]) for m in (pivot, other, c))
             # adj(M) c, and adj(M) (other * l_j) for each basis vector l_j
             (v, *other_l), det = _cofactor_solve(
                 basis, pivot, c, *zip(*_mul_matrix(basis, other))
             )
-            for ol, u in zip(other_l, cols.T[:, None, :]):
+            for ol, u in zip(other_l, cols.astype(dtype).T[:, None, :]):
                 v = [vk + olk * u for vk, olk in zip(v, ol)]
             step = target.scale * det
             hit = [(vk % step == 0) & (np.abs(vk) <= target.radius * np.abs(step)) for vk in v]
@@ -398,16 +398,20 @@ def _key_richnesses(basis, keys, box):
 
 
 def _block_bound(basis, pivot, other, c, cols, target):
-    """A bound on every intermediate of _key_richnesses on one block: with s
-    the largest product_bounds(1, 1), M_pivot and M_other are at most p s
-    and o s entrywise, so the cofactors of M_pivot are at most
-    a = (d-1)! (p s)^(d-1) and its determinant d p s a."""
+    """A bound on every intermediate of _key_richnesses on one block, and on
+    the column coordinates x: with s the largest product_bounds(1, 1),
+    M_pivot and M_other are at most p s and o s entrywise, so the cofactors
+    of M_pivot are at most a = (d-1)! (p s)^(d-1) and its determinant
+    d p s a."""
     d = basis.degree
     p, o, cc, x = (int(np.abs(m).max(initial=0)) for m in (pivot, other, c, cols))
     s = max(product_bounds(basis, 1, 1))
     a = factorial(d - 1) * (p * s) ** (d - 1)
     return max(
-        o * s, d * a * (cc + d * o * s * x), max(target.radius, 1) * target.scale * d * p * s * a
+        x,
+        o * s,
+        d * a * (cc + d * o * s * x),
+        max(target.radius, 1) * target.scale * d * p * s * a,
     )
 
 

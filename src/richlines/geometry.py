@@ -12,7 +12,7 @@ output and as Fraction-based RationalElements only when coeffs() is called.
 """
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -103,13 +103,12 @@ def _coeff_pairs(basis, keys):
 
     The pivot block of a primitive key is lam * unity for an integer lam:
     pivot * l_1 = lam * l_1, and the first coordinate of pivot * l_1 is
-    sum_j pivot[j] c[j][0][0].  The arrays are int64 when
-    max |key| * sum_j |c[j][0][0]| fits, and object (Python ints) otherwise.
+    sum_j pivot[j] c[j][0][0].  The arrays take the dtype _exact_dtype picks
+    for max(1, max |key|) * sum_j |c[j][0][0]|.
     """
     d = basis.degree
     sc0 = [row[0][0] for row in basis.structure_constants]
-    bound = int(np.abs(keys).max(initial=0)) * sum(map(abs, sc0))
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = _exact_dtype(int(np.abs(keys).max(initial=1)) * sum(map(abs, sc0)))
     keys = keys.astype(dtype)
     pivot = np.where(keys[:, :d].any(axis=1)[:, None], keys[:, :d], keys[:, d : 2 * d])
     lam = (pivot @ np.array(sc0, dtype=dtype))[:, None]
@@ -249,15 +248,30 @@ def product_bounds(basis, u, v):
     ]
 
 
-def key_radices(basis, mx, my):
-    """Per-entry radix of a packed primitive key for coordinates bounded by
-    mx (x) and my (y), or None when some intermediate of group_pairs could
-    leave int64.
+def _exact_dtype(bound):
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer v with |v| <= bound, or object (exact Python ints) past int64.
+
+    Every Python int that meets an array of this dtype must also lie within
+    the bound: NumPy raises on a Python int outside the dtype, and array
+    arithmetic that leaves it wraps silently."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(object)
+
+
+def key_bound(basis, mx, my):
+    """(work, entry) for coordinates bounded by mx (x) and my (y): bounds on
+    the absolute value of every intermediate of group_pairs, and of every
+    entry of its primitive keys.
 
     A raw key has |a| <= 2 my, |b| <= 2 mx and |c_k| <= 2 product_bound_k.
     Its pivot has entries at most p = 2 max(mx, my), so the multiplication
     matrix M has |M[k][i]| <= p sum_j |c_ijk|, the permanents of its minors
-    bound adj(M), and adj(M) times the raw bounds bounds the primitive key.
+    bound adj(M) and the permanent of M bounds det(M), and adj(M) times the
+    raw bounds bounds the primitive key.  The structure constants meet the
+    arrays too.
     """
     d = basis.degree
     sc = basis.structure_constants
@@ -265,28 +279,14 @@ def key_radices(basis, mx, my):
     p = 2 * max(mx, my)
     mul = [[p * sum(abs(sc[i][j][k]) for j in range(d)) for i in range(d)] for k in range(d)]
     adj = _adjugate(mul, sign=1)
-    final = [
+    det = sum(mul[0][i] * adj[i][0] for i in range(d))
+    entry = max(
         sum(adj[k][i] * raw[block + i] for i in range(d))
         for block in (0, d, 2 * d)
         for k in range(d)
-    ]
-    inner = max(raw + sum(mul, []) + sum(adj, []))
-    if inner >= 2**63 or max(final) >= 2**62:
-        return None
-    return [2 * f + 1 for f in final]
-
-
-def _words(radices):
-    """Split the key entries into consecutive runs (start, stop) whose radix
-    product fits in int64, greedily from the first entry."""
-    words, start, size = [], 0, 1
-    for k, radix in enumerate(radices):
-        if size * radix > 2**63:
-            words.append((start, k))
-            start, size = k, 1
-        size *= radix
-    words.append((start, len(radices)))
-    return words
+    )
+    work = max(raw + sum(mul, []) + sum(adj, []) + [det, entry, basis.c_lambda])
+    return work, entry
 
 
 def group_pairs(basis, xs, ys):
@@ -301,42 +301,26 @@ def group_pairs(basis, xs, ys):
     lexicographic order, the number of pairs on each line, and the (i, j)
     of the first such pair in row-major order.
 
-    Keys are packed by mixed radix into as few int64 words as key_radices
-    allows (one for most desk-scale boxes and cells) and grouped by one
-    stable sort.  Only when an intermediate could leave int64 does the exact
-    pure-Python loop answer instead, with keys as an object array of Python
-    ints.
+    Pairs are keyed in chunks, computed in the dtype _exact_dtype picks for
+    key_bound's work bound; the keys are stored as the columns of one array
+    in the dtype it picks for the entry bound and grouped by one stable
+    lexicographic sort.  Desk-scale boxes and cells give int8 or int16
+    entries, which NumPy sorts by radix sort; past int64 the same code runs
+    on exact Python ints in object dtype.
     """
     d = basis.degree
     n = len(xs)
     mx = max((abs(int(v)) for row in xs for v in row), default=0)
     my = max((abs(int(v)) for row in ys for v in row), default=0)
-    radices = key_radices(basis, mx, my)
-    if radices is None:
-        xs = [tuple(map(int, row)) for row in xs]
-        ys = [tuple(map(int, row)) for row in ys]
-        raw = _raw_pair_counts_loop(basis, xs, ys)
-        keys = sorted(raw)
-        return (
-            np.array(keys, dtype=object).reshape(len(keys), 3 * d),
-            np.array([raw[k][0] for k in keys], dtype=np.int64),
-            np.array([raw[k][1:] for k in keys], dtype=np.int64).reshape(-1, 2),
-        )
-    x = np.array(xs, dtype=np.int64).reshape(n, d)
-    y = np.array(ys, dtype=np.int64).reshape(n, d)
-    sc = np.array(basis.structure_constants, dtype=np.int64).reshape(d * d, d)
-    words = _words(radices)
-    offset = np.array([r // 2 for r in radices], dtype=np.int64)
-    # weight of each entry inside its word
-    weight = np.array(
-        [prod(radices[k + 1 : b]) for a, b in words for k in range(a, b)],
-        dtype=np.int64,
-    )
+    work, entry = map(_exact_dtype, key_bound(basis, mx, my))
+    x = np.array(xs, dtype=work).reshape(n, d)
+    y = np.array(ys, dtype=work).reshape(n, d)
+    sc = np.array(basis.structure_constants, dtype=work).reshape(d * d, d)
     anchors = np.arange(n, dtype=np.int64)
     # index of pair (i, i + 1) in row-major order
     start = anchors * (n - 1) - anchors * (anchors - 1) // 2
     total = n * (n - 1) // 2
-    packed = np.empty((len(words), total), dtype=np.int64)
+    cols = np.empty((3 * d, total), dtype=entry)
     for p0 in range(0, total, _CHUNK_PAIRS):
         i, j = _pairs_at(start, np.arange(p0, min(p0 + _CHUNK_PAIRS, total)))
         xi, xj, yi, yj = x[i], x[j], y[i], y[j]
@@ -350,24 +334,13 @@ def group_pairs(basis, xs, ys):
         rows //= np.gcd.reduce(rows, axis=1)[:, None]
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
         rows[lead < 0] *= -1
-        rows += offset
-        for w, (a, b) in enumerate(words):
-            packed[w, p0 : p0 + len(rows)] = rows[:, a:b] @ weight[a:b]
+        cols[:, p0 : p0 + len(rows)] = rows.T
     # a stable sort puts each key's first pair at the head of its run
-    order, heads = _sorted_runs(packed)
+    order, heads = _sorted_runs(cols)
     counts = np.diff(heads, append=total)
     first = order[heads]
-    uniq = packed[:, first]
-    del order, packed
-    # the narrowest signed type that holds every key entry
-    dtype = next(
-        t for t in (np.int8, np.int16, np.int32, np.int64)
-        if max(radices) // 2 <= np.iinfo(t).max
-    )
-    keys = np.empty((len(heads), 3 * d), dtype=dtype)
-    for w, (a, b) in enumerate(words):  # column by column keeps the temporaries small
-        for k in range(a, b):
-            keys[:, k] = uniq[w] // weight[k] % radices[k] - offset[k]
+    keys = cols.T[first]
+    del order, cols
     return keys, counts, np.stack(_pairs_at(start, first), axis=1)
 
 
@@ -376,9 +349,11 @@ def _sorted_runs(cols):
     significant: the permutation, and the positions in sorted order where
     each run of equal columns starts (at the run's first input column)."""
     order = np.lexsort(cols[::-1])
-    cols = cols[:, order]
-    head = np.ones(cols.shape[1], dtype=bool)
-    head[1:] = (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for row in cols:  # a row at a time: no sorted copy of cols
+        row = row[order]
+        head[1:] |= row[1:] != row[:-1]
     return order, np.flatnonzero(head)
 
 
@@ -388,21 +363,21 @@ def shift_keys(basis, keys, tx, ty):
 
     The coordinates of a*tx + b*ty are integer combinations of those of a
     and b, and a and b do not change, so a primitive key stays primitive.  The
-    array is int64 when product_bounds keep every entry inside it, and
-    object (exact Python ints) otherwise.
+    array takes the dtype _exact_dtype picks for the largest entry that
+    product_bounds allow.
     """
     d = basis.degree
     shift = max(abs(v) for v in tx + ty)
-    coeff = int(np.abs(keys[:, : 2 * d]).max(initial=0))
-    bound = int(np.abs(keys[:, 2 * d :]).max(initial=0)) + 2 * max(
-        product_bounds(basis, coeff, shift)
-    )
-    dtype = np.int64 if bound < 2**63 else object
+    coeff = int(np.abs(keys[:, : 2 * d]).max(initial=1))
+    const = int(np.abs(keys[:, 2 * d :]).max(initial=0))
+    dtype = _exact_dtype(max(coeff, const + 2 * max(product_bounds(basis, coeff, shift))))
     keys = keys.astype(dtype)
-    # u @ tx_m gives the coordinates of u * tx for coordinate rows u
-    sc = np.array(basis.structure_constants, dtype=dtype)
+    # u @ tx_m gives the coordinates of u * tx for coordinate rows u; its
+    # entries are at most product_bounds(basis, 1, shift)
+    sc = np.array(basis.structure_constants, dtype=object)
     tx_m, ty_m = (
-        np.tensordot(sc, np.array(t, dtype=dtype), axes=([1], [0])) for t in (tx, ty)
+        np.tensordot(sc, np.array(t, dtype=object), axes=([1], [0])).astype(dtype)
+        for t in (tx, ty)
     )
     keys[:, 2 * d :] -= keys[:, :d] @ tx_m + keys[:, d : 2 * d] @ ty_m
     return keys

@@ -25,7 +25,7 @@ from .construction import (
 )
 from .errors import ConfigError
 from .geometry import rich_lines_bruteforce
-from .numberfield import basis_from_spec
+from .numberfield import _is_int, basis_from_spec
 
 CSV_COLUMNS = (
     "basis,d,n_nominal,p_realized,alpha,r,c1,num_lines,min_richness,"
@@ -36,13 +36,11 @@ ORACLE_POINT_CAP = 50_000
 
 
 def _parse_fraction(value, name):
-    try:
-        if isinstance(value, int):
+    if _is_int(value) or isinstance(value, str):
+        try:
             return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ConfigError(f"{name!r} must be an integer or a 'p/q' string, got {value!r}")
 
 
@@ -103,7 +101,7 @@ def parse_config(raw):
         if not (0 < c1 <= 1):
             raise ConfigError(f"'c1' must lie in (0, 1], got {c1}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("'seed' must be an integer")
     return Config(basis_spec, raw["n"], alpha, r, r_list, n_list, c1, seed)
 

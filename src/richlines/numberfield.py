@@ -7,7 +7,7 @@ floating point appears only in the diagnostic complex embedding.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -364,6 +364,11 @@ def _cofactor_solve(basis, b, *rhs):
     return [[sum(r[i] * a[i] for i in range(len(a))) for r in adj] for a in rhs], det
 
 
+def _is_int(v):
+    """v is an int and not a bool (JSON true and false parse as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def embed(a):
     """Approximate complex value of an element; diagnostic only."""
     return sum(
@@ -379,7 +384,7 @@ def build_power_basis(minpoly, description=None):
     detected later, as a zero-divisor error in divide().
     """
     p = list(minpoly)
-    if any(not isinstance(c, int) for c in p):
+    if not all(map(_is_int, p)):
         raise InvalidPolynomialError("minimal polynomial needs integer coefficients")
     d = len(p)
     if d == 0:
@@ -434,10 +439,12 @@ def _poly_str(p):
 
 
 def build_quadratic_basis(k):
-    """The basis {1, sqrt(k)} for square-free k not in {0, 1}."""
-    k = int(k)
-    if k in (0, 1):
-        raise InvalidParameterError("k must be square-free and not 0 or 1")
+    """The basis {1, sqrt(k)} for an integer k that is not a perfect square,
+    so that x^2 - k is irreducible."""
+    if not _is_int(k):
+        raise InvalidParameterError(f"k must be an integer, got {k!r}")
+    if k >= 0 and isqrt(k) ** 2 == k:
+        raise InvalidParameterError(f"k={k} is a perfect square: x^2 - k is reducible")
     return build_power_basis([-k, 0], description=f"quadratic basis {{1, sqrt({k})}}")
 
 

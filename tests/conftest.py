@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import richlines as rl
@@ -12,6 +13,15 @@ ARITH_BASES = (
     rl.build_quadratic_basis(-1),
     rl.build_power_basis([-2, 0, 0]),
     rl.build_power_basis([-1, -1, 0, 0]),
+)
+
+# each threshold of geometry._exact_dtype: the largest bound its dtype
+# holds, that dtype, and the dtype one step past it
+DTYPE_THRESHOLDS = (
+    (127, np.int8, np.int16),
+    (2**15 - 1, np.int16, np.int32),
+    (2**31 - 1, np.int32, np.int64),
+    (2**63 - 1, np.int64, object),
 )
 
 

@@ -7,11 +7,16 @@ prints); the test states the requirement as written and is expected to fail
 honestly on those cells rather than shrink the matrix.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -304,13 +309,29 @@ def test_criterion_7_incidence_rate():
     assert elapsed < 60
 
 
-def test_criterion_8_worker_determinism():
+def test_criterion_8_worker_determinism(tmp_path):
     config = parse_config(SWEEP_CFG)
     csv1 = sweep_csv(sweep(config, workers=1)[0])
     csv8 = sweep_csv(sweep(config, workers=8)[0])
-    ok = csv1 == csv8
+    # the same sweep through the CLI in fresh interpreters with different
+    # str hashing, so no output may depend on the order of a set
+    root = Path(__file__).resolve().parents[1]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SWEEP_CFG))
+    fresh = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": "src"}
+        subprocess.run(
+            [sys.executable, "-m", "richlines.cli", "sweep",
+             "--config", str(config_path), "--out", str(out)],
+            cwd=root, env=env, check=True, capture_output=True, timeout=300,
+        )
+        fresh.append((out / "sweep.csv").read_bytes())
+    ok = csv1 == csv8 and fresh == [csv1.encode()] * 2
     print(
         f"criterion 8: {'PASS' if ok else 'FAIL'} "
-        f"(sweep CSV byte-identical for --workers 1 vs 8, {len(csv1)} bytes)"
+        f"(sweep CSV byte-identical for --workers 1 vs 8 and in fresh interpreters "
+        f"with PYTHONHASHSEED 0 and 1, {len(csv1)} bytes)"
     )
     assert ok

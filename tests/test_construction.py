@@ -33,6 +33,7 @@ from richlines.numberfield import Element
 from richlines.geometry import (
     CanonicalLine,
     Point,
+    _exact_dtype,
     _raw_pair_counts_loop,
     group_pairs,
     key_tuples,
@@ -40,10 +41,12 @@ from richlines.geometry import (
     line_through,
     lines_from_text,
     on_line,
+    product_bounds,
     rich_lines_bruteforce,
+    shift_keys,
 )
 
-from conftest import ARITH_BASES
+from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -173,8 +176,9 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
 
 
 def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
-    """Translates too large for an int64 shift take the exact path; both
-    sides of that bound match the per-translate reference loop."""
+    """Moved keys take the dtype _exact_dtype picks for the bound of
+    shift_keys, object exactly past int64, and match the per-translate
+    reference loop on a small translate and on both sides of int64."""
     cell = [
         Point(Element(sqrt2, (i, j)), Element(sqrt2, (j, i + 1)))
         for i in range(3)
@@ -182,7 +186,10 @@ def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
     ]
     geom = SimpleNamespace(basis=sqrt2, cell_points=lambda: cell)
     zero = Element(sqrt2, (0, 0))
-    for big in (10**17, 10**19):
+    cell_keys = group_pairs(sqrt2, [p.x.coords for p in cell], [p.y.coords for p in cell])[0]
+    coeff = int(np.abs(cell_keys[:, :4]).max())
+    const = int(np.abs(cell_keys[:, 4:]).max())
+    for big in (10, 10**17, 10**19):
         far = (Element(sqrt2, (big, 1)), Element(sqrt2, (7, big)))
         translates = [(zero, zero), far]
         monkeypatch.setattr(construction, "translate_vectors", lambda g: translates)
@@ -195,9 +202,14 @@ def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
         keys, witnesses = construction._raw_family(geom)[:2]
-        assert keys.dtype == (np.int64 if big < 2**63 else object)
+        bound = max(coeff, const + 2 * max(product_bounds(sqrt2, coeff, big)))
+        assert keys.dtype == _exact_dtype(bound)
+        assert keys.dtype == {10: np.int16, 10**17: np.int64, 10**19: object}[big]
         assert len(keys) == len(best)
         assert dict(zip(key_tuples(keys), map(tuple, witnesses.tolist()))) == best
+    # a zero translate keeps a and b exact when they outgrow c
+    steep = np.array([[300, 0, 1, 0, 0, 0]], dtype=np.int16)
+    assert shift_keys(sqrt2, steep, (0, 0), (0, 0)).tolist() == steep.tolist()
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):
@@ -248,8 +260,8 @@ def test_batched_richness_matches_per_line_reference():
     every arithmetic basis, over a box whose x axis is scaled: lines through
     two box points (vertical ones included), random keys (most miss the
     box), and three lines through box points multiplied up to one step
-    either side of the int64 bound, past which the block runs in object
-    dtype."""
+    either side of each _exact_dtype threshold of _block_bound: int8, int16,
+    int32, and int64, past which the block runs in object dtype."""
     rng = random.Random(21)
     for basis in ARITH_BASES:
         d = basis.degree
@@ -281,16 +293,20 @@ def test_batched_richness_matches_per_line_reference():
         through_origin = line_through(origin, corner).key
         for key in (richest, vertical[0], through_origin):
             rich = construction._count_on_line_int(basis, key, box)
-            lo, hi = 1, 2**63  # the largest multiple whose block fits int64
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                fits = _richness_block_bound(basis, [mid * v for v in key], box) < 2**63
-                lo, hi = (mid, hi) if fits else (lo, mid)
-            for t, fits in ((lo, True), (lo + 1, False)):
-                scaled = tuple(t * v for v in key)
-                assert (_richness_block_bound(basis, scaled, box) < 2**63) == fits
-                assert construction._count_on_line_int(basis, scaled, box) == rich
-                assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
+            for limit, below, above in DTYPE_THRESHOLDS:
+                lo, hi = 0, 2**63  # the largest multiple whose block bound is at most limit
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    fits = _richness_block_bound(basis, [mid * v for v in key], box) <= limit
+                    lo, hi = (mid, hi) if fits else (lo, mid)
+                if not lo:  # the key itself is past this threshold
+                    continue
+                for t, dtype in ((lo, below), (lo + 1, above)):
+                    scaled = tuple(t * v for v in key)
+                    assert _exact_dtype(_richness_block_bound(basis, scaled, box)) == dtype
+                    assert construction._count_on_line_int(basis, scaled, box) == rich
+                    assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
+            assert lo  # the int64 threshold
     # 2^59 (15 X + 2 Y) = 0 meets the box only at the origin, but at x = +-2
     # int64 products a*x wrap past 2^64 onto multiples of b inside the radius
     integers = ARITH_BASES[0]

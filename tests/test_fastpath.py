@@ -1,11 +1,11 @@
-"""The int64 fast path of pair grouping (geometry.group_pairs) against its
-pure-Python reference, on adversarial inputs and on both sides of the bounds
-that choose how keys are packed."""
+"""The vectorized pair grouping (geometry.group_pairs) and the array
+coefficient routines against their pure-Python references, on adversarial
+inputs and one step either side of each bound that picks their dtype."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, prod
+from math import comb, gcd
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from richlines.geometry import (
     lines_to_text,
     rich_lines_bruteforce,
 )
-from richlines.numberfield import Element, NiceBasis
+from richlines.numberfield import Element, NiceBasis, build_quadratic_basis
 
-from conftest import ARITH_BASES
+from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 
 
 def grouped(basis, xs, ys):
@@ -71,19 +71,23 @@ def largest_bound(fits):
 
 
 def test_backends_agree():
-    """The int64 path and the pure-Python reference agree exactly: keys,
-    pair counts and first pairs, on seeded random points of every basis,
-    with small coordinates and with coordinates whose keys take two or more
-    int64 words."""
+    """group_pairs and the pure-Python reference agree exactly: keys, pair
+    counts and first pairs, on seeded random points of every basis with
+    small and with larger coordinates, and on 0 and 1 point."""
     rng = random.Random(3)
     for basis in ARITH_BASES:
         d = basis.degree
-        large = 10 ** (6 // d)
-        assert len(geo._words(geo.key_radices(basis, large, large))) > 1
-        for n, bound in ((40, 3), (30, large)):
+        for n, bound in ((40, 3), (30, 10 ** (6 // d))):
             xs, ys = random_coords(rng, basis, n, bound)
-            assert geo.group_pairs(basis, xs, ys)[0].dtype.kind == "i"
             assert grouped(basis, xs, ys) == reference(basis, xs, ys)
+    # with one point at the origin only the structure constants, up to 1000
+    # in Z[sqrt(1000)], set the work bound
+    for basis in ARITH_BASES + (build_quadratic_basis(1000),):
+        d = basis.degree
+        for xs in ([], [(0,) * d]):
+            keys, counts, first = geo.group_pairs(basis, xs, xs)
+            assert (keys.shape, counts.shape, first.shape) == ((0, 3 * d), (0,), (0, 2))
+            assert grouped(basis, xs, xs) == reference(basis, xs, xs)
 
 
 def test_keys_are_primitive():
@@ -203,19 +207,20 @@ def test_text_and_order_match_fraction_reference():
         by_reference = [CanonicalLine(basis, key) for _, key in sorted(zip(pairs, keys))]
         assert sorted(lines, key=CanonicalLine.sort_key) == by_reference
         # the array routines on int64 and object keys, and on keys scaled to
-        # one step either side of the int64 bound max |key| * sum |c[j][0][0]|;
-        # a scaled key has the same coefficients
+        # one step either side of each _exact_dtype threshold of the bound
+        # max |key| * sum |c[j][0][0]|; a scaled key has the same coefficients
         ref_order = sorted(range(len(keys)), key=pairs.__getitem__)
         top = max(abs(v) for key in keys for v in key)
         sc0 = sum(abs(row[0][0]) for row in basis.structure_constants)
-        step = (2**63 - 1) // (top * sc0)
         rows = np.array(keys, dtype=np.int64)
-        cases = [
-            (rows, np.int64),
-            (rows.astype(object), np.int64),
-            (rows.astype(object) * step, np.int64),
-            (rows.astype(object) * (step + 1), object),
-        ]
+        small = geo._exact_dtype(top * sc0)
+        cases = [(rows, small), (rows.astype(object), small)]
+        for limit, below, above in DTYPE_THRESHOLDS:
+            step = limit // (top * sc0)
+            if step:
+                cases.append((rows.astype(object) * step, below))
+                cases.append((rows.astype(object) * (step + 1), above))
+        assert cases[-1][1] is object
         for scaled, dtype in cases:
             num, den = geo._coeff_pairs(basis, scaled)
             assert num.dtype == den.dtype == dtype
@@ -256,29 +261,41 @@ def test_vertical_and_horizontal_lines(integers):
     assert sum(got[1]) == comb(20, 2)
 
 
+def test_exact_dtype_thresholds():
+    for limit, below, above in DTYPE_THRESHOLDS:
+        assert geo._exact_dtype(limit) == below
+        assert geo._exact_dtype(limit + 1) == above
+    assert geo._exact_dtype(0) == np.int8
+
+
 def test_overflow_guard():
-    """Coordinates one step either side of each bound agree with the
-    reference: keys packed in one int64 word, keys packed in several, and
-    intermediates that could leave int64, which take the exact fallback."""
+    """Coordinates one step either side of each _exact_dtype threshold of
+    key_bound's entry bound, and of its work bound's int64 limit, agree with
+    the reference and give keys of the dtype the entry bound picks; past
+    int64 the keys are exact Python ints in object dtype."""
     rng = random.Random(6)
     for basis in ARITH_BASES:
         d = basis.degree
-        radices = lambda m: geo.key_radices(basis, m, m)
-        fits = largest_bound(lambda m: radices(m) is not None)
-        one_word = largest_bound(lambda m: radices(m) is not None and prod(radices(m)) <= 2**63)
-        cases = [(one_word, "i"), (one_word + 1, "i"), (fits, "i"), (fits + 1, "O")]
-        for bound, kind in cases[not one_word :]:  # no bound 0: one key word needs one point
-            if kind == "i":
-                words = len(geo._words(radices(bound)))
-                assert (words == 1) == (bound == one_word)
-            xs, ys = random_coords(rng, basis, 25, bound)
-            # extreme pairs: keys with entries near their radices
-            top = (bound,) * d
-            edge = (bound - 1,) + (bound,) * (d - 1)
-            low = tuple(-v for v in top)
-            for px, py in ((top, top), (low, edge), (low, top), (top, low)):
-                if (px, py) not in zip(xs, ys):
-                    xs.append(px)
-                    ys.append(py)
-            assert geo.group_pairs(basis, xs, ys)[0].dtype.kind == kind
+        work = lambda m: geo.key_bound(basis, m, m)[0]
+        entry = lambda m: geo.key_bound(basis, m, m)[1]
+        tops = [largest_bound(lambda m: entry(m) <= limit) for limit, _, _ in DTYPE_THRESHOLDS]
+        tops.append(largest_bound(lambda m: work(m) <= 2**63 - 1))
+        assert geo._exact_dtype(work(tops[-1])) == np.int64
+        assert geo._exact_dtype(work(tops[-1] + 1)) == object
+        for bound in sorted({m for top in tops for m in (top, top + 1)}):
+            dtype = geo._exact_dtype(entry(bound))
+            if bound == 0:  # the box holds one point
+                xs = ys = [(0,) * d]
+            else:
+                xs, ys = random_coords(rng, basis, 25, bound)
+                # extreme pairs: keys with entries near their bound
+                top = (bound,) * d
+                edge = (bound - 1,) + (bound,) * (d - 1)
+                low = tuple(-v for v in top)
+                for px, py in ((top, top), (low, edge), (low, top), (top, low)):
+                    if (px, py) not in zip(xs, ys):
+                        xs.append(px)
+                        ys.append(py)
+            assert geo.group_pairs(basis, xs, ys)[0].dtype == dtype
             assert grouped(basis, xs, ys) == reference(basis, xs, ys)
+        assert geo._exact_dtype(entry(tops[3] + 1)) == object

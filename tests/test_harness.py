@@ -65,9 +65,11 @@ def test_parse_rejects_with_field_names():
         (cfg(r=1), "'r'"),
         (cfg(c1="0"), "c1"),
         (cfg(c1=1.5), "c1"),
+        (cfg(c1=True), "c1"),
         (cfg(r=None, n_list=[100, 200]), "n_list"),
         (cfg(r_list=[]), "r_list"),
         (cfg(seed="zero"), "seed"),
+        (cfg(seed=True), "seed"),
         (cfg(r=None), "required"),
     ]
     for raw, fragment in bad_cases:
@@ -255,6 +257,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
     for command in ("construct", "verify", "oracle"):
         assert cli.main([command, "--config", sweep_only]) == 2
         assert "error: 'r'" in capsys.readouterr().err
+    # booleans and non-integers in the config and the basis spec
+    for field, value in (
+        ("c1", True),
+        ("seed", True),
+        ("basis", {"type": "quadratic", "k": 2.5}),
+        ("basis", {"type": "quadratic", "k": "3"}),
+        ("basis", {"type": "power", "minpoly": [True, 0]}),
+    ):
+        malformed = write_cfg(tmp_path, cfg(**{field: value}), "malformed.json")
+        assert cli.main(["construct", "--config", malformed]) == 2
+        assert "error:" in capsys.readouterr().err
     huge = write_cfg(tmp_path, cfg(n=2**200), "huge.json")
     assert cli.main(["oracle", "--config", huge]) == 2
     assert "exceeds the oracle cap" in capsys.readouterr().err

@@ -65,10 +65,10 @@ def test_quadratic_variants():
 
 
 def test_quadratic_rejects_degenerate_k():
-    with pytest.raises(InvalidParameterError):
-        rl.build_quadratic_basis(0)
-    with pytest.raises(InvalidParameterError):
-        rl.build_quadratic_basis(1)
+    # perfect squares make x^2 - k reducible; k must be an int, not a bool
+    for k in (0, 1, 4, 9, 2.5, "3", True):
+        with pytest.raises(InvalidParameterError):
+            rl.build_quadratic_basis(k)
 
 
 def test_power_basis_rejects_bad_polynomials():
@@ -76,6 +76,8 @@ def test_power_basis_rejects_bad_polynomials():
         rl.build_power_basis([])
     with pytest.raises(InvalidPolynomialError):
         rl.build_power_basis([1.5, 0])
+    with pytest.raises(InvalidPolynomialError):
+        rl.build_power_basis([True, 0])
 
 
 def test_power_basis_products_match_polynomial_reduction():
