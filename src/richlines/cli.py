@@ -6,6 +6,7 @@ config.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,13 +34,13 @@ def _dump_artifacts(args, config, report, out_dir):
         return
     from .construction import ConstructionParams, build_construction
 
-    basis = basis_from_spec(config.basis_spec)
+    basis = basis_from_spec(config.basis)
     params = ConstructionParams(
         basis,
         config.n,
         config.alpha,
         config.r,
-        report.c1_final,
+        report.c1,
         auto_tune=False,
     )
     box, tuned = build_construction(params)
@@ -59,7 +60,7 @@ def cmd_construct(args):
     _dump_artifacts(args, config, report, out_dir)
     print(
         f"{report.basis_description}: |P|={report.p_realized} r={report.r} "
-        f"c1={report.c1_final} |L|={report.num_lines} "
+        f"c1={report.c1} |L|={report.num_lines} "
         f"frac_r_rich={report.frac_r_rich}"
     )
     return 0
@@ -77,7 +78,7 @@ def cmd_verify(args):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(
         f"  |P|={report.p_realized} |L|={report.num_lines} "
-        f"c1={report.c1_final} (after {report.auto_tune_steps} halvings) "
+        f"c1={report.c1} (after {report.auto_tune_steps} halvings) "
         f"rates: claim4={report.rate_claim4:.4f} claim3={report.rate_claim3:.4f} "
         f"claim1={report.rate_claim1:.4f}"
     )
@@ -99,25 +100,26 @@ def cmd_sweep(args):
         os.path.join(out_dir, "sweep.json"),
         {
             "reports": [rep.to_json_dict() for rep in reports],
-            "fit": fit.to_json_dict(),
+            "fit": dataclasses.asdict(fit),
         },
     )
     if args.gnuplot:
         with open(os.path.join(out_dir, "sweep.gp"), "w") as fh:
             fh.write(_gnuplot_script(fit))
     print(f"wrote {csv_path}")
-    print(f"fit: log(num_lines) ~ {fit.slope:.4f} * log({fit.x_name}) + {fit.intercept:.4f}")
+    print(f"fit: log(num_lines) ~ {fit.slope:.4f} * log({fit.x}) + {fit.intercept:.4f}")
     return 0
 
 
 def _gnuplot_script(fit):
-    xcol = "6" if fit.x_name == "r" else "4"
+    columns = harness.CSV_COLUMNS.split(",")
+    xcol, ycol = columns.index(fit.x) + 1, columns.index("num_lines") + 1
     return (
         "set datafile separator ','\n"
         "set logscale xy\n"
-        f"set xlabel '{fit.x_name}'\n"
+        f"set xlabel '{fit.x}'\n"
         "set ylabel 'num_lines'\n"
-        f"plot 'sweep.csv' using {xcol}:8 skip 1 with points title 'num_lines', \\\n"
+        f"plot 'sweep.csv' using {xcol}:{ycol} skip 1 with points title 'num_lines', \\\n"
         f"     exp({fit.intercept}) * x**({fit.slope}) title 'OLS fit'\n"
     )
 
@@ -132,7 +134,7 @@ def cmd_oracle(args):
     )
     if args.out:
         out_dir = _ensure_out(args.out)
-        harness.write_json(os.path.join(out_dir, "oracle.json"), rep.to_json_dict())
+        harness.write_json(os.path.join(out_dir, "oracle.json"), dataclasses.asdict(rep))
     return 0 if rep.subset else 1
 
 

@@ -53,6 +53,10 @@ ALPHA_GRID = (
     Fraction(1, 2),
 )
 
+# The most points one exact pass holds in memory: the cell a family is
+# built from, and the box the brute-force oracle scans all pairs of.
+POINT_CAP = 50_000
+
 
 class AutoTuneError(RichlinesError, RuntimeError):
     """No halving of the cell constant produced a fully r-rich, disjoint
@@ -169,6 +173,12 @@ def build_cell_geometry(params):
         raise RTooLargeError(
             f"cell degenerate for r={r}, c1={c1}, n={n}, alpha={alpha}: "
             "use a smaller r, larger c1, or larger n"
+        )
+    cell_size = cell_x.size * cell_y.size
+    if cell_size > POINT_CAP:
+        raise InvalidParameterError(
+            f"cell of {cell_size} points exceeds the cap {POINT_CAP} for n={n}, "
+            f"alpha={alpha}, r={r}, c1={c1}: use a smaller n or c1"
         )
     s = floor_scaled_root(c1 / r, n, alpha, d)
     s_prime = floor_scaled_root(c1 / r, n, 1 - alpha, d)
@@ -482,13 +492,12 @@ def _mechanism_check(family, box, r):
     return all_on, (inside / total if total else 1.0)
 
 
-def claim1_statistic(tuned, realized_p=None):
+def claim1_statistic(tuned):
     """|L_(0,0)| * r^4 / |P|^2: the single-cell line count of a built
     construction at its claimed rate, using the realized point-set size."""
     params = tuned.params
     n_lines = tuned.family.cell_lines
-    if realized_p is None:
-        realized_p = len(build_pointset(params.basis, params.n, params.alpha))
+    realized_p = len(build_pointset(params.basis, params.n, params.alpha))
     return n_lines, n_lines * params.r**4 / realized_p**2
 
 

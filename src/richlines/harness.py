@@ -10,13 +10,14 @@ explicit flag, to keep default CSV output byte-reproducible).
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import gapset, geometry, numberfield
 from .construction import (
+    POINT_CAP,
     ConstructionParams,
     build_construction,
     build_pointset,
@@ -32,8 +33,6 @@ CSV_COLUMNS = (
     "frac_r_rich,incidences,rate_claim4,rate_claim3,rate_claim1,runtime_ms"
 )
 
-ORACLE_POINT_CAP = 50_000
-
 
 def _parse_fraction(value, name):
     if _is_int(value) or isinstance(value, str):
@@ -46,7 +45,7 @@ def _parse_fraction(value, name):
 
 @dataclass
 class Config:
-    basis_spec: dict
+    basis: dict
     n: int
     alpha: Fraction
     r: int | None
@@ -64,14 +63,13 @@ def parse_config(raw):
     """Validate a config dict, with field-precise error messages."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"basis", "n", "alpha", "r", "r_list", "n_list", "c1", "seed"}
+    known = {f.name for f in fields(Config)}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
     if "basis" not in raw:
         raise ConfigError("'basis' is required")
-    basis_spec = raw["basis"]
-    basis_from_spec(basis_spec)  # validates eagerly
+    basis_from_spec(raw["basis"])  # validates eagerly
     if "n" not in raw or not isinstance(raw["n"], int) or raw["n"] < 2:
         raise ConfigError("'n' must be an integer >= 2")
     alpha = _parse_fraction(raw.get("alpha", "1/2"), "alpha")
@@ -93,6 +91,8 @@ def parse_config(raw):
             raise ConfigError(f"{name!r} must be a nonempty list of integers >= 2")
     if n_list is not None and r is None:
         raise ConfigError("'n_list' sweeps need a fixed 'r'")
+    if r_list is not None and n_list is not None:
+        raise ConfigError("'r_list' and 'n_list' cannot be combined: sweep one of them")
     c1_raw = raw.get("c1", "auto")
     if c1_raw == "auto":
         c1 = None
@@ -103,19 +103,22 @@ def parse_config(raw):
     seed = raw.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError("'seed' must be an integer")
-    return Config(basis_spec, raw["n"], alpha, r, r_list, n_list, c1, seed)
+    return Config(raw["basis"], raw["n"], alpha, r, r_list, n_list, c1, seed)
 
 
 @dataclass
 class ExperimentReport:
+    """One run's report: the field names are report.json's keys and name
+    the CSV_COLUMNS."""
+
     basis_description: str
-    basis_spec: dict
-    degree: int
+    basis: dict
+    d: int
     n_nominal: int
     p_realized: int
     alpha: Fraction
     r: int
-    c1_final: Fraction
+    c1: Fraction
     auto_tune_steps: int
     num_lines: int
     min_richness: int
@@ -131,63 +134,23 @@ class ExperimentReport:
     seed: int
     runtime_ms: dict = field(default_factory=dict)
 
+    def to_json_dict(self):
+        row = asdict(self)
+        # "p/q", with q written also when it is 1
+        row["alpha"], row["c1"] = (f"{x.numerator}/{x.denominator}" for x in (self.alpha, self.c1))
+        return row
+
     def echo_config(self):
         """A config that reproduces this run exactly (auto-tune resolved)."""
-        return {
-            "basis": self.basis_spec,
-            "n": self.n_nominal,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "r": self.r,
-            "c1": f"{self.c1_final.numerator}/{self.c1_final.denominator}",
-            "seed": self.seed,
-        }
+        row = self.to_json_dict()
+        row["n"] = self.n_nominal
+        return {f.name: row[f.name] for f in fields(Config) if f.name in row}
 
     def csv_row(self, include_timings=False):
-        runtime = int(self.runtime_ms.get("total", 0)) if include_timings else 0
-        fields = [
-            self.basis_description,
-            str(self.degree),
-            str(self.n_nominal),
-            str(self.p_realized),
-            f"{self.alpha.numerator}/{self.alpha.denominator}",
-            str(self.r),
-            f"{self.c1_final.numerator}/{self.c1_final.denominator}",
-            str(self.num_lines),
-            str(self.min_richness),
-            str(self.frac_r_rich),
-            str(self.incidences),
-            str(self.rate_claim4),
-            str(self.rate_claim3),
-            str(self.rate_claim1),
-            str(runtime),
-        ]
-        return ",".join(fields)
-
-    def to_json_dict(self):
-        return {
-            "basis": self.basis_spec,
-            "basis_description": self.basis_description,
-            "d": self.degree,
-            "n_nominal": self.n_nominal,
-            "p_realized": self.p_realized,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "r": self.r,
-            "c1": f"{self.c1_final.numerator}/{self.c1_final.denominator}",
-            "auto_tune_steps": self.auto_tune_steps,
-            "num_lines": self.num_lines,
-            "min_richness": self.min_richness,
-            "frac_r_rich": self.frac_r_rich,
-            "incidences": self.incidences,
-            "rate_claim4": self.rate_claim4,
-            "rate_claim3": self.rate_claim3,
-            "rate_claim1": self.rate_claim1,
-            "cell_lines": self.cell_lines,
-            "mechanism_on_line": self.mechanism_on_line,
-            "mechanism_in_p_fraction": self.mechanism_in_p_fraction,
-            "disjoint_sufficient": self.disjoint_sufficient,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-        }
+        row = self.to_json_dict()
+        row["basis"] = self.basis_description
+        row["runtime_ms"] = int(self.runtime_ms.get("total", 0)) if include_timings else 0
+        return ",".join(str(row[name]) for name in CSV_COLUMNS.split(","))
 
 
 def _single_config(config, r=None, n=None):
@@ -196,7 +159,7 @@ def _single_config(config, r=None, n=None):
         raise ConfigError(
             "'r' is required outside a sweep; 'r_list' only sets sweep points"
         )
-    basis = basis_from_spec(config.basis_spec)
+    basis = basis_from_spec(config.basis)
     params = ConstructionParams(
         basis,
         n if n is not None else config.n,
@@ -218,17 +181,17 @@ def run(config, r=None, n=None):
     incidences, rate3, rate4 = claim3_claim4_statistics(
         box, tuned.family, params.r, richnesses=report.richnesses
     )
-    cell_lines, rate1 = claim1_statistic(tuned, realized_p=len(box))
+    cell_lines, rate1 = claim1_statistic(tuned)
     t2 = time.perf_counter()
     return ExperimentReport(
         basis_description=basis.description,
-        basis_spec=config.basis_spec,
-        degree=basis.degree,
+        basis=config.basis,
+        d=basis.degree,
         n_nominal=params.n,
         p_realized=len(box),
         alpha=params.alpha,
         r=params.r,
-        c1_final=tuned.params.c1,
+        c1=tuned.params.c1,
         auto_tune_steps=tuned.halvings,
         num_lines=len(tuned.family),
         min_richness=report.min_richness,
@@ -255,18 +218,10 @@ class FitResult:
     slope: float
     intercept: float
     residuals: list
-    x_name: str
-
-    def to_json_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residuals": self.residuals,
-            "x": self.x_name,
-        }
+    x: str
 
 
-def fit_loglog(xs, ys, x_name="r"):
+def fit_loglog(xs, ys, x="r"):
     """OLS of log(y) against log(x); needs at least 3 sweep points."""
     if len(xs) < 3:
         raise ConfigError("log-log fit needs at least 3 sweep points")
@@ -274,7 +229,7 @@ def fit_loglog(xs, ys, x_name="r"):
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = (ly - (slope * lx + intercept)).tolist()
-    return FitResult(float(slope), float(intercept), resid, x_name)
+    return FitResult(float(slope), float(intercept), resid, x)
 
 
 def sweep(config, workers=1):
@@ -286,20 +241,13 @@ def sweep(config, workers=1):
     operations pass `--workers` (ROADMAP open item 1 removes both).
     """
     if config.r_list is not None:
-        reports = [run(config, r=r) for r in config.r_list]
-        fit = fit_loglog(
-            [rep.r for rep in reports], [rep.num_lines for rep in reports], "r"
-        )
+        x, reports = "r", [run(config, r=r) for r in config.r_list]
     elif config.n_list is not None:
-        reports = [run(config, n=n) for n in config.n_list]
-        fit = fit_loglog(
-            [rep.p_realized for rep in reports],
-            [rep.num_lines for rep in reports],
-            "p_realized",
-        )
+        x, reports = "p_realized", [run(config, n=n) for n in config.n_list]
     else:
         raise ConfigError("sweep needs 'r_list' or 'n_list'")
-    return reports, fit
+    xs = [getattr(rep, x) for rep in reports]
+    return reports, fit_loglog(xs, [rep.num_lines for rep in reports], x)
 
 
 def sweep_csv(reports, include_timings=False):
@@ -317,26 +265,16 @@ class OracleReport:
     subset: bool
     coverage: float
 
-    def to_json_dict(self):
-        return {
-            "r": self.r,
-            "p_realized": self.p_realized,
-            "oracle_rich_lines": self.oracle_rich_lines,
-            "family_lines": self.family_lines,
-            "subset": self.subset,
-            "coverage": self.coverage,
-        }
-
 
 def oracle(config):
     """Brute-force cross-check: the family must be a subset of the exact
     r-rich lines of P."""
     basis, params = _single_config(config)
     box = build_pointset(basis, params.n, params.alpha)
-    if box.size > ORACLE_POINT_CAP:
+    if box.size > POINT_CAP:
         raise ConfigError(
             f"realized |P| = {box.size} exceeds the oracle cap "
-            f"{ORACLE_POINT_CAP}; use a smaller n for oracle runs"
+            f"{POINT_CAP}; use a smaller n for oracle runs"
         )
     _, tuned = build_construction(params)
     rich = rich_lines_bruteforce(list(box), params.r)

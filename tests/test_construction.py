@@ -7,7 +7,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import richlines as rl
 from richlines import construction
 from richlines.construction import (
     AutoTuneError,
@@ -364,7 +363,6 @@ def test_claim1_statistic(integers, sqrt2):
         keys = group_pairs(params.basis, [p.x.coords for p in cell], [p.y.coords for p in cell])[0]
         assert n_lines == len(keys) == len(line_pair_counts(cell))
         assert ratio == n_lines * params.r**4 / len(box) ** 2
-        assert claim1_statistic(tuned, realized_p=len(box)) == (n_lines, ratio)
         # a healthy chunk of distinct lines (the integer cell is 13 x 13)
         assert n_lines > 100
 

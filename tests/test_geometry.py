@@ -6,7 +6,6 @@ from math import comb
 
 import pytest
 
-import richlines as rl
 from richlines import geometry as geo
 from richlines.errors import DegeneratePairError, InvalidParameterError
 from richlines.geometry import (
@@ -24,7 +23,6 @@ from richlines.geometry import (
     points_to_text,
     rich_lines_bruteforce,
 )
-from richlines.numberfield import Element
 
 from conftest import ARITH_BASES, int_point, make_point
 

@@ -4,7 +4,6 @@ import hashlib
 import importlib.util
 import inspect
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +67,7 @@ def test_parse_rejects_with_field_names():
         (cfg(c1=True), "c1"),
         (cfg(r=None, n_list=[100, 200]), "n_list"),
         (cfg(r_list=[]), "r_list"),
+        (cfg(r_list=[3, 4, 5], n_list=[600, 1100, 2304]), "'r_list' and 'n_list'"),
         (cfg(seed="zero"), "seed"),
         (cfg(seed=True), "seed"),
         (cfg(r=None), "required"),
@@ -87,7 +87,7 @@ def test_parse_rejects_with_field_names():
 def test_run_report_coherent():
     report = run(parse_config(cfg()))
     assert report.p_realized == 1089
-    assert report.c1_final == harness.Fraction(1, 2)
+    assert report.c1 == harness.Fraction(1, 2)
     assert report.auto_tune_steps == 1
     assert report.num_lines == 944
     assert report.min_richness == 5
@@ -104,7 +104,7 @@ def test_echo_config_reproduces():
     replay = run(echoed)
     assert replay.num_lines == report.num_lines
     assert replay.incidences == report.incidences
-    assert replay.c1_final == report.c1_final
+    assert replay.c1 == report.c1
     assert replay.auto_tune_steps == 0
 
 
@@ -152,7 +152,7 @@ def test_sweep_n_list():
     reports, fit = sweep(
         parse_config(cfg(r=3, n_list=[600, 1100, 2304], c1="1/2"))
     )
-    assert fit.x_name == "p_realized"
+    assert fit.x == "p_realized"
     assert all(rep.r == 3 for rep in reports)
     assert [rep.p_realized for rep in reports] == [289, 529, 1089]
 
@@ -271,6 +271,8 @@ def test_cli_error_exit_code(tmp_path, capsys):
     huge = write_cfg(tmp_path, cfg(n=2**200), "huge.json")
     assert cli.main(["oracle", "--config", huge]) == 2
     assert "exceeds the oracle cap" in capsys.readouterr().err
+    assert cli.main(["construct", "--config", huge]) == 2
+    assert "exceeds the cap 50000" in capsys.readouterr().err
 
 
 def test_cli_selftest_has_no_out(capsys):
