@@ -13,6 +13,13 @@ canonical order, and CanonicalLines are built only for lines that are
 output.  One batched counter, _key_richnesses, counts every richness, and an
 auto-tuned build counts each family key once: the tuning gate's counts
 become the claim-2 report.
+
+Each auto-tuning attempt gates a probe first: the lines through the cell's
+corner and each other cell point, moved to every translate.  A probe line
+passes through two points of one translated cell, so it is a family line,
+and one below r rejects the attempt exactly as the full gate would.  The
+cell's pairs are grouped only when the probe passes, so the verdict, the
+accepted c1 and the family are the full gate's.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +42,12 @@ from .geometry import (
     CanonicalLine,
     Point,
     _exact_dtype,
+    _pair_kernel,
     _sorted_runs,
     canonical_order,
     group_pairs,
     key_tuples,
+    lines_to_text,
     on_line,
     product_bounds,
     shift_keys,
@@ -300,24 +309,34 @@ class LineFamily:
         return Point(p.x + tx, p.y + ty), Point(q.x + tx, q.y + ty)
 
 
-def _raw_family(geom):
+def _raw_family(geom, translates):
     """The line family of geom before ordering: its distinct primitive keys,
     an (n, 3) array of their smallest witnesses (translate index, i, j), the
     cell points, the translates and the number of lines the cell spans.
 
     The cell's pairs are grouped once and each cell key is moved to every
-    translate by shift_keys; a moved key keeps the cell's first pair on its
-    line as its first witness.  The moved keys are stacked in (translate,
-    cell key) order, so a stable sort makes the first translate that reaches
-    a line the head of its run.  One translate needs no sort: a shift is a
-    bijection on lines, so its moved keys are already distinct.
+    translate by _spread; a moved key keeps the cell's first pair on its
+    line as its first witness.
     """
     basis = geom.basis
     cell_pts = geom.cell_points()
-    translates = translate_vectors(geom)
     keys, _, first = group_pairs(
         basis, [p.x.coords for p in cell_pts], [p.y.coords for p in cell_pts]
     )
+    moved, rows = _spread(basis, keys, translates)
+    witnesses = np.column_stack([rows // len(keys), first[rows % len(keys)]])
+    return moved, witnesses, cell_pts, translates, len(keys)
+
+
+def _spread(basis, keys, translates):
+    """Key rows of distinct lines moved to every translate by shift_keys,
+    deduplicated: the distinct moved rows, and the position of each in the
+    moved keys stacked in (translate, key) order.
+
+    A stable sort makes the first translate that reaches a line the head of
+    its run.  One translate needs no sort: a shift is a bijection on lines,
+    so its moved keys are already distinct.
+    """
     moved = np.concatenate(
         [shift_keys(basis, keys, tx.coords, ty.coords) for tx, ty in translates]
     )
@@ -326,8 +345,26 @@ def _raw_family(geom):
     else:
         order, heads = _sorted_runs(moved.T)
         rows = order[heads]
-    witnesses = np.column_stack([rows // len(keys), first[rows % len(keys)]])
-    return moved[rows], witnesses, cell_pts, translates, len(keys)
+    return moved[rows], rows
+
+
+def _corner_keys(geom, translates):
+    """The probe of the tuning gate: the distinct key rows of the lines
+    through the cell's corner (point 0 of cell_points, every coordinate at
+    -radius) and each other cell point, moved to every translate.
+
+    These are the lines of the cell's first n - 1 pairs in row-major order,
+    (0, j), keyed by the kernel of group_pairs.  Each passes through two
+    points of one translated cell, so each is a family line.
+    """
+    basis = geom.basis
+    xs = [x.coords for x in geom.cell_x]
+    ys = [y.coords for y in geom.cell_y]
+    keys_of, entry = _pair_kernel(basis, [x for x in xs for _ in ys], ys * len(xs))
+    j = np.arange(1, len(xs) * len(ys))
+    anchor = keys_of(np.zeros_like(j), j).astype(entry)
+    order, heads = _sorted_runs(anchor.T)
+    return _spread(basis, anchor[order[heads]], translates)[0]
 
 
 def _ordered_family(basis, keys, witnesses, *rest):
@@ -341,7 +378,7 @@ def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
     deduplicated by primitive key, with deterministic provenance: each line
     keeps its lexicographically-smallest (translate, pair) witness."""
-    return _ordered_family(geom.basis, *_raw_family(geom))[0]
+    return _ordered_family(geom.basis, *_raw_family(geom, translate_vectors(geom)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,27 +556,83 @@ class TunedConstruction:
     halvings: int
 
 
-def _all_raw_rich(basis, keys, box, r):
-    """Fast tuning gate: the richness of every raw family key, in the raw
-    order, or None at the first block of keys with one below r.  Blocks go
-    in order of decreasing max |entry| (steep lines fail first), before the
-    family is sorted."""
-    order = np.argsort(-np.abs(keys).max(axis=1), kind="stable")
-    rich = np.empty(len(keys), dtype=np.int64)
+def _all_raw_rich(basis, keys, box, r, rich=None):
+    """Fast tuning gate: (rich, low) with rich the richness of the raw
+    family keys in the raw order, and low None when every key is r-rich or
+    else the index of a key below r, found at the first block of keys that
+    holds one; rich is then filled only up to that block.
+
+    The nonnegative entries of a given rich are counts already known, and
+    only the other keys are counted.  Blocks go in order of decreasing max
+    |entry| (steep lines fail first), before the family is sorted."""
+    if rich is None:
+        rich = np.full(len(keys), -1, dtype=np.int64)
+    todo = np.flatnonzero(rich < 0)
+    todo = todo[np.argsort(-np.abs(keys[todo]).max(axis=1), kind="stable")]
     size = max(1, _CHUNK_PAIRS // len(box.x_set))
-    for b0 in range(0, len(keys), size):
-        idx = order[b0 : b0 + size]
-        counts = _key_richnesses(basis, keys[idx], box)
-        if counts.min() < r:
-            return None
-        rich[idx] = counts
+    for b0 in range(0, len(todo), size):
+        idx = todo[b0 : b0 + size]
+        rich[idx] = _key_richnesses(basis, keys[idx], box)
+        low = np.flatnonzero(rich[idx] < r)
+        if len(low):
+            return rich, idx[low[0]]
+    return rich, None
+
+
+def _known_counts(keys, probe, counts):
+    """The rich argument of _all_raw_rich for the distinct key rows keys:
+    counts[k] where the row equals the distinct probe row k, -1 elsewhere."""
+    rich = np.full(len(keys), -1, dtype=np.int64)
+    both = np.concatenate([probe, keys])
+    order, heads = _sorted_runs(both.T)
+    # a run of two is a probe row, at its head by the stable sort, and a key row
+    heads = heads[np.diff(heads, append=len(both)) == 2]
+    rich[order[heads + 1] - len(probe)] = counts[order[heads]]
     return rich
+
+
+def _below_r(params, key, richness):
+    """Why an attempt was rejected: its line below r and the configuration."""
+    line = CanonicalLine(params.basis, tuple(key.tolist()))
+    return (
+        f"line {lines_to_text([line]).strip()} has richness {richness} < r={params.r} "
+        f"at c1={params.c1}, basis {params.basis.description}, n={params.n}, "
+        f"alpha={params.alpha}"
+    )
+
+
+def _gated_family(geom, box, r):
+    """One attempt of auto_tune_c1 on disjoint translates: (family, rich,
+    None) with rich the richness of each family line in the family's order
+    when every line is r-rich, else (None, None, (key, richness)) for the key
+    row of a line found below r.
+
+    The probe, _corner_keys, is gated first; the cell's pairs are grouped
+    only when it passes, and the full gate then counts only the keys the
+    probe did not, so each family key is counted once."""
+    basis = geom.basis
+    translates = translate_vectors(geom)
+    keys = probe = _corner_keys(geom, translates)
+    rich, low = _all_raw_rich(basis, probe, box, r)
+    if low is None:
+        keys, *rest = _raw_family(geom, translates)
+        rich, low = _all_raw_rich(basis, keys, box, r, _known_counts(keys, probe, rich))
+    if low is not None:
+        return None, None, (keys[low], rich[low])
+    family, order = _ordered_family(basis, keys, *rest)
+    return family, rich[order], None
 
 
 def auto_tune_c1(params, max_halvings=20):
     """Halve the cell constant from its starting value until every family
     line is r-rich and the translates are exactly disjoint; fail loudly after
-    max_halvings."""
+    max_halvings, naming the last line found below r and the configuration.
+
+    Each attempt gates the lines through one cell corner before it builds
+    the family (_gated_family).  Those lines are family lines, so one below
+    r rejects the attempt as the full gate would, and a probe that passes
+    leaves the verdict to the full gate: the accepted c1, the halvings, the
+    family and every richness are the full gate's alone."""
     basis = params.basis
     box = build_pointset(basis, params.n, params.alpha)
     c1 = params.c1
@@ -558,13 +651,11 @@ def auto_tune_c1(params, max_halvings=20):
         if not verify_disjoint_translates(geom):
             last_reason = f"translates overlap at c1={c1}"
         else:
-            keys, *rest = _raw_family(geom)
-            rich = _all_raw_rich(basis, keys, box, params.r)
-            if rich is not None:
-                family, order = _ordered_family(basis, keys, *rest)
-                report = verify_claim2(family, box, params.r, rich[order])
+            family, rich, low = _gated_family(geom, box, params.r)
+            if low is None:
+                report = verify_claim2(family, box, params.r, rich)
                 return TunedConstruction(trial, geom, family, report, step)
-            last_reason = f"a family line has richness below r at c1={c1}"
+            last_reason = _below_r(trial, *low)
         c1 = c1 / 2
     raise AutoTuneError(
         f"no c1 in {max_halvings} halvings gives a fully r-rich disjoint "

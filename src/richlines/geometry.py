@@ -292,21 +292,49 @@ def key_bound(basis, mx, my):
 def group_pairs(basis, xs, ys):
     """Group the point pairs i < j by the line they span.
 
-    xs, ys: the x and y coordinate vectors of n distinct points.  The raw
-    key of a pair is the flat integer triple (a, b, c) = (y_j - y_i,
+    xs, ys: the x and y coordinate vectors of n distinct points.  Returns
+    (keys, counts, first): the distinct primitive keys (as _pair_kernel
+    gives them) as rows in lexicographic order, the number of pairs on each
+    line, and the (i, j) of the first such pair in row-major order.
+
+    Pairs are keyed in chunks by _pair_kernel; the keys are stored as the
+    columns of one array in the dtype _exact_dtype picks for key_bound's
+    entry bound and grouped by one stable lexicographic sort.  Desk-scale
+    boxes and cells give int8 or int16 entries, which NumPy sorts by radix
+    sort; past int64 the same code runs on exact Python ints in object
+    dtype.
+    """
+    n = len(xs)
+    keys_of, entry = _pair_kernel(basis, xs, ys)
+    anchors = np.arange(n, dtype=np.int64)
+    # index of pair (i, i + 1) in row-major order
+    start = anchors * (n - 1) - anchors * (anchors - 1) // 2
+    total = n * (n - 1) // 2
+    cols = np.empty((3 * basis.degree, total), dtype=entry)
+    for p0 in range(0, total, _CHUNK_PAIRS):
+        rows = keys_of(*_pairs_at(start, np.arange(p0, min(p0 + _CHUNK_PAIRS, total))))
+        cols[:, p0 : p0 + len(rows)] = rows.T
+    # a stable sort puts each key's first pair at the head of its run
+    order, heads = _sorted_runs(cols)
+    counts = np.diff(heads, append=total)
+    first = order[heads]
+    keys = cols.T[first]
+    del order, cols
+    return keys, counts, np.stack(_pairs_at(start, first), axis=1)
+
+
+def _pair_kernel(basis, xs, ys):
+    """(keys_of, entry) for the points with coordinate vectors xs, ys:
+    keys_of maps pair index arrays (i, j) to the primitive key rows of the
+    pairs (i[k], j[k]), and entry is the dtype _exact_dtype picks for
+    key_bound's entry bound, which holds every entry of those rows.
+
+    The raw key of a pair is the flat integer triple (a, b, c) = (y_j - y_i,
     x_i - x_j, y_i x_j - x_i y_j); its primitive key is the raw key times
     adj(M_p), M_p the multiplication-by-pivot matrix, content-reduced with
-    its first nonzero entry made positive, as _primitive_key gives it.
-    Returns (keys, counts, first): the distinct primitive keys as rows in
-    lexicographic order, the number of pairs on each line, and the (i, j)
-    of the first such pair in row-major order.
-
-    Pairs are keyed in chunks, computed in the dtype _exact_dtype picks for
-    key_bound's work bound; the keys are stored as the columns of one array
-    in the dtype it picks for the entry bound and grouped by one stable
-    lexicographic sort.  Desk-scale boxes and cells give int8 or int16
-    entries, which NumPy sorts by radix sort; past int64 the same code runs
-    on exact Python ints in object dtype.
+    its first nonzero entry made positive, as _primitive_key gives it.  The
+    rows are computed in the dtype _exact_dtype picks for key_bound's work
+    bound.
     """
     d = basis.degree
     n = len(xs)
@@ -316,13 +344,8 @@ def group_pairs(basis, xs, ys):
     x = np.array(xs, dtype=work).reshape(n, d)
     y = np.array(ys, dtype=work).reshape(n, d)
     sc = np.array(basis.structure_constants, dtype=work).reshape(d * d, d)
-    anchors = np.arange(n, dtype=np.int64)
-    # index of pair (i, i + 1) in row-major order
-    start = anchors * (n - 1) - anchors * (anchors - 1) // 2
-    total = n * (n - 1) // 2
-    cols = np.empty((3 * d, total), dtype=entry)
-    for p0 in range(0, total, _CHUNK_PAIRS):
-        i, j = _pairs_at(start, np.arange(p0, min(p0 + _CHUNK_PAIRS, total)))
+
+    def keys_of(i, j):
         xi, xj, yi, yj = x[i], x[j], y[i], y[j]
         c = (
             yi[:, :, None] * xj[:, None, :] - xi[:, :, None] * yj[:, None, :]
@@ -334,14 +357,9 @@ def group_pairs(basis, xs, ys):
         rows //= np.gcd.reduce(rows, axis=1)[:, None]
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
         rows[lead < 0] *= -1
-        cols[:, p0 : p0 + len(rows)] = rows.T
-    # a stable sort puts each key's first pair at the head of its run
-    order, heads = _sorted_runs(cols)
-    counts = np.diff(heads, append=total)
-    first = order[heads]
-    keys = cols.T[first]
-    del order, cols
-    return keys, counts, np.stack(_pairs_at(start, first), axis=1)
+        return rows
+
+    return keys_of, entry
 
 
 def _sorted_runs(cols):

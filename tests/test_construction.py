@@ -1,6 +1,7 @@
 """The translate pipeline: point box, cell, lattice, family, verifiers."""
 
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -174,7 +175,7 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
             assert witness == best[line]
 
 
-def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
+def test_family_shift_exact_past_int64(sqrt2):
     """Moved keys take the dtype _exact_dtype picks for the bound of
     shift_keys, object exactly past int64, and match the per-translate
     reference loop on a small translate and on both sides of int64."""
@@ -191,7 +192,6 @@ def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
     for big in (10, 10**17, 10**19):
         far = (Element(sqrt2, (big, 1)), Element(sqrt2, (7, big)))
         translates = [(zero, zero), far]
-        monkeypatch.setattr(construction, "translate_vectors", lambda g: translates)
         best = {}
         for t_idx, (tx, ty) in enumerate(translates):
             pts = [Point(p.x + tx, p.y + ty) for p in cell]
@@ -200,7 +200,7 @@ def test_family_shift_exact_past_int64(sqrt2, monkeypatch):
             )
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
-        keys, witnesses = construction._raw_family(geom)[:2]
+        keys, witnesses = construction._raw_family(geom, translates)[:2]
         bound = max(coeff, const + 2 * max(product_bounds(sqrt2, coeff, big)))
         assert keys.dtype == _exact_dtype(bound)
         assert keys.dtype == {10: np.int16, 10**17: np.int64, 10**19: object}[big]
@@ -348,6 +348,153 @@ def test_auto_tune_failure_modes(integers):
     # a config where every halving leaves some line under-rich
     with pytest.raises(AutoTuneError):
         auto_tune_c1(ConstructionParams(integers, 1500, THIRD, 3, Fraction(1), True))
+
+
+def test_auto_tune_error_names_failing_line(cbrt2):
+    """The AutoTuneError of the cube-root-of-2 cell quotes a line below r as
+    lines_to_text writes it, its exact richness and the configuration."""
+    params = ConstructionParams(cbrt2, 18225, HALF, 5, Fraction(1), True)
+    with pytest.raises(AutoTuneError) as info:
+        auto_tune_c1(params)
+    match = re.search(r"line (.+) has richness (\d+) < r=5 at (.+)\)$", str(info.value))
+    (line,) = lines_from_text(match[1], cbrt2)
+    richness = int(match[2])
+    assert richness < 5
+    assert line_richnesses([line], build_pointset(cbrt2, 18225, HALF)) == [richness]
+    assert match[3] == "c1=1, basis power basis of x^3 - 2, n=18225, alpha=1/2"
+
+
+def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
+    """On the cube-root-of-2 cell (729 cell points, 265,356 pairs) the lines
+    through the cell's corner already hold one below r, so auto-tuning
+    rejects its one nondegenerate attempt without grouping the cell's
+    pairs."""
+    calls = []
+    group_pairs = construction.group_pairs
+
+    def counting_group_pairs(*args):
+        calls.append(args)
+        return group_pairs(*args)
+
+    monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
+    params = ConstructionParams(cbrt2, 18225, HALF, 5, Fraction(1), True)
+    assert len(build_cell_geometry(params).cell_points()) == 729
+    with pytest.raises(AutoTuneError):
+        auto_tune_c1(params)
+    assert calls == []
+
+
+def _full_gate(basis, geom, box, r):
+    """The tuning gate without the corner probe: the whole family and every
+    key's richness, and whether every key is r-rich."""
+    keys, *rest = construction._raw_family(geom, translate_vectors(geom))
+    rich = construction._key_richnesses(basis, keys, box)
+    family, order = construction._ordered_family(basis, keys, *rest)
+    return family, rich[order].tolist(), bool(rich.min() >= r)
+
+
+def _auto_tune_reference(params, max_halvings=20):
+    """auto_tune_c1 gating every family key of each attempt: the accepted
+    c1, the halvings, the family and its richnesses."""
+    box = build_pointset(params.basis, params.n, params.alpha)
+    c1 = params.c1
+    for step in range(max_halvings + 1):
+        trial = params.with_c1(c1)
+        try:
+            geom = build_cell_geometry(trial)
+        except RTooLargeError:
+            if step == 0:
+                raise
+            raise AutoTuneError("degenerate") from None
+        if verify_disjoint_translates(geom):
+            family, rich, ok = _full_gate(params.basis, geom, box, params.r)
+            if ok:
+                return trial.c1, step, family, rich
+        c1 = c1 / 2
+    raise AutoTuneError("no c1")
+
+
+def _auto_tune(params):
+    tuned = auto_tune_c1(params)
+    return tuned.params.c1, tuned.halvings, tuned.family, tuned.report.richnesses
+
+
+def _tune_outcome(tune, params):
+    try:
+        c1, step, family, rich = tune(params)
+    except (AutoTuneError, RTooLargeError) as err:
+        return type(err)
+    return c1, step, family.keys.tolist(), family.witnesses.tolist(), rich
+
+
+def test_probe_gate_matches_full_gate():
+    """auto_tune_c1 with its corner probe equals the full-gate loop, on
+    seeded random (basis, n, alpha, r) configs of every arithmetic basis:
+    the same accepted c1, halvings, keys, witnesses and richnesses, or the
+    same exception.  The smallest nondegenerate x^4 - x - 1 cell has 6561
+    points, too many for the reference to group here, so that basis also
+    takes a gate-level comparison, as does every other: random subsets of
+    small boxes as cells and translates, where a rejected attempt must
+    quote a family line below r with its exact richness."""
+    rng = random.Random(12)
+    quota = {1: (8, 8), 2: (4, 4), 3: (2, 1), 4: (2, 0)}  # configs, nondegenerate
+    outcomes = set()
+    for basis in ARITH_BASES:
+        d = basis.degree
+        total, wide = quota[d]
+        while total:
+            alpha = rng.choice(construction.ALPHA_GRID)
+            r = rng.randint(2, 6)
+            n = rng.randint(4, int(((15 if d == 1 else 6) ** d * r) ** (1 / alpha)))
+            try:
+                params = ConstructionParams(basis, n, alpha, r, Fraction(1), True)
+                geom = build_cell_geometry(params)
+                cell = len(geom.cell_x) * len(geom.cell_y)
+            except RTooLargeError:
+                cell = 0
+            except InvalidParameterError:
+                continue
+            if len(build_pointset(basis, n, alpha)) > 7000 or cell > 800:
+                continue
+            if cell and not wide:
+                continue
+            total, wide = total - 1, wide - bool(cell)
+            got = _tune_outcome(_auto_tune, params)
+            assert got == _tune_outcome(_auto_tune_reference, params)
+            outcomes.add(got if isinstance(got, type) else "accepted")
+    assert outcomes == {"accepted", AutoTuneError, RTooLargeError}
+    verdicts = set()
+    for basis in ARITH_BASES:
+        d = basis.degree
+        unit = list(GapSet(basis, 2 if d == 1 else 1))
+        shifts = list(GapSet(basis, 1))
+        side = GapSet(basis, 3 if d == 1 else 2)
+        box = construction.PointBox(side, side)
+        for _ in range(4):
+            cell_x, cell_y = (rng.sample(unit, rng.randint(3, 5)) for _ in range(2))
+            geom = SimpleNamespace(
+                basis=basis,
+                cell_x=cell_x,
+                cell_y=cell_y,
+                cell_points=lambda xs=cell_x, ys=cell_y: [Point(x, y) for x in xs for y in ys],
+                trans_x=rng.sample(shifts, rng.randint(1, 3)),
+                trans_y=rng.sample(shifts, rng.randint(1, 2)),
+            )
+            r = rng.randint(2, 3)
+            family, rich, ok = _full_gate(basis, geom, box, r)
+            tuned, tuned_rich, low = construction._gated_family(geom, box, r)
+            if ok:
+                assert low is None
+                assert tuned.keys.tolist() == family.keys.tolist()
+                assert tuned.witnesses.tolist() == family.witnesses.tolist()
+                assert tuned_rich.tolist() == rich
+            else:
+                key, richness = low
+                assert tuned is None and richness < r
+                assert tuple(key.tolist()) in set(key_tuples(family.keys))
+                assert construction._count_on_line_int(basis, tuple(key.tolist()), box) == richness
+            verdicts.add((d, ok))
+    assert verdicts == {(d, ok) for d in (1, 2, 3, 4) for ok in (True, False)}
 
 
 def test_claim1_statistic(integers, sqrt2):

@@ -73,13 +73,23 @@ def largest_bound(fits):
 def test_backends_agree():
     """group_pairs and the pure-Python reference agree exactly: keys, pair
     counts and first pairs, on seeded random points of every basis with
-    small and with larger coordinates, and on 0 and 1 point."""
+    small and with larger coordinates, and on 0 and 1 point.  The pair
+    kernel alone, on the anchor pairs (0, j) that the tuning probe keys,
+    gives _primitive_key of each pair."""
     rng = random.Random(3)
     for basis in ARITH_BASES:
         d = basis.degree
         for n, bound in ((40, 3), (30, 10 ** (6 // d))):
             xs, ys = random_coords(rng, basis, n, bound)
             assert grouped(basis, xs, ys) == reference(basis, xs, ys)
+            keys_of, entry = geo._pair_kernel(basis, xs, ys)
+            j = np.arange(1, n)
+            anchor = keys_of(np.zeros_like(j), j).astype(entry)
+            points = [Point(Element(basis, x), Element(basis, y)) for x, y in zip(xs, ys)]
+            raw = [sum((e.coords for e in geo.raw_line_coeffs(points[0], q)), ()) for q in points[1:]]
+            assert [tuple(row) for row in anchor.tolist()] == [
+                geo._primitive_key(basis, triple) for triple in raw
+            ]
     # with one point at the origin only the structure constants, up to 1000
     # in Z[sqrt(1000)], set the work bound
     for basis in ARITH_BASES + (build_quadratic_basis(1000),):
