@@ -62,8 +62,8 @@ ALPHA_GRID = (
     Fraction(1, 2),
 )
 
-# The most points one exact pass holds in memory: the cell a family is
-# built from, and the box the brute-force oracle scans all pairs of.
+# The most points one exact pass takes: the cell a family is built from,
+# whose pairs are grouped in memory, and the box the oracle sweeps.
 POINT_CAP = 50_000
 
 
@@ -580,8 +580,10 @@ def _all_raw_rich(basis, keys, box, r, rich=None):
 
 
 def _known_counts(keys, probe, counts):
-    """The rich argument of _all_raw_rich for the distinct key rows keys:
-    counts[k] where the row equals the distinct probe row k, -1 elsewhere."""
+    """For the distinct key rows keys: counts[k] where the row equals the
+    distinct probe row k, -1 elsewhere.  It is the rich argument of
+    _all_raw_rich, and the oracle's test of the family against the rich
+    lines."""
     rich = np.full(len(keys), -1, dtype=np.int64)
     both = np.concatenate([probe, keys])
     order, heads = _sorted_runs(both.T)

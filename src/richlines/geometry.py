@@ -9,6 +9,13 @@ kernel through to output.  A CanonicalLine is just its basis and key; the
 coefficients with the pivot equal to unity are built from the key on
 demand, as integer (numerator, denominator) pairs for ordering and text
 output and as Fraction-based RationalElements only when coeffs() is called.
+
+Two exact kernels find lines.  group_pairs keys every point pair of an
+arbitrary point list; the construction builds its family with it.
+rich_line_keys sweeps the directions of a box X x Y instead: it groups the
+box's points by intercept, one direction at a time, and keys only the lines
+with at least r points.  The oracle uses the sweep, so its check of the
+family shares no grouping step with the family's own kernel.
 """
 
 from fractions import Fraction
@@ -350,16 +357,24 @@ def _pair_kernel(basis, xs, ys):
         c = (
             yi[:, :, None] * xj[:, None, :] - xi[:, :, None] * yj[:, None, :]
         ).reshape(-1, d * d) @ sc
-        blocks = (yj - yi, xi - xj, c)
-        pivot = np.where(blocks[0].any(axis=1)[:, None], blocks[0], blocks[1])
-        solved, _ = _cofactor_solve(basis, list(pivot.T), *(list(m.T) for m in blocks))
-        rows = np.stack(sum(solved, []), axis=1)
-        rows //= np.gcd.reduce(rows, axis=1)[:, None]
-        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-        rows[lead < 0] *= -1
-        return rows
+        return _primitive_rows(basis, (yj - yi, xi - xj, c))
 
     return keys_of, entry
+
+
+def _primitive_rows(basis, blocks):
+    """The cofactor step of _pair_kernel: the rows of the coordinate blocks
+    (a, b, ...), stacked side by side, times adj(M_p) for M_p the
+    multiplication-by-pivot matrix (pivot a, or b where a = 0),
+    content-reduced with their first nonzero entry made positive.  No row may
+    have a = b = 0; the result has the blocks' dtype."""
+    pivot = np.where(blocks[0].any(axis=1)[:, None], blocks[0], blocks[1])
+    solved, _ = _cofactor_solve(basis, list(pivot.T), *(list(m.T) for m in blocks))
+    rows = np.stack(sum(solved, []), axis=1)
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows[lead < 0] *= -1
+    return rows
 
 
 def _sorted_runs(cols):
@@ -456,6 +471,97 @@ def rich_lines_bruteforce(points, r):
         CanonicalLine(basis, key): _richness_from_pairs(cnt)
         for key, cnt in zip(key_tuples(keys[keep]), counts[keep].tolist())
     }
+
+
+def rich_line_keys(basis, xs, ys, r):
+    """The lines with at least r points in the box P = X x Y, by direction
+    sweep: (keys, richness), the primitive keys of those lines as rows in
+    canonical order and the number of points of P on each, as int64.
+
+    xs, ys: the distinct coordinate rows of the axes X and Y.  The normals
+    (a, b) = (dy, -dx) for dx in X - X and dy in Y - Y, not both zero, are
+    the pair differences of P.  They are made primitive by _pair_kernel's
+    cofactor step, so that (a, b) and every field multiple of it give one
+    row, and deduplicated.  Then, for a batch of about _CHUNK_PAIRS
+    (direction, point) entries at a time, every point's intercept
+    c = -(a x + b y) is packed into one word, offset by a bound cm on its
+    coordinates and in base 2 cm + 1, and each direction's words are
+    sorted: a run of k >= r equal words is a line of richness k, and its
+    (a, b, c), content-reduced, is the line's primitive key.  Memory is one
+    batch plus the directions and the output.  Every array takes the dtype
+    _exact_dtype picks for a computed bound, object past int64.
+    """
+    if r < 2:
+        raise InvalidParameterError("r must be at least 2")
+    d = basis.degree
+    mx = max((abs(int(v)) for row in xs for v in row), default=0)
+    my = max((abs(int(v)) for row in ys for v in row), default=0)
+    work, entry = map(_exact_dtype, key_bound(basis, mx, my))
+    x = np.array(xs, dtype=work).reshape(-1, d)
+    y = np.array(ys, dtype=work).reshape(-1, d)
+    dx, dy = _differences(x), _differences(y)
+    ab = np.concatenate([np.tile(dy, (len(dx), 1)), -np.repeat(dx, len(dy), axis=0)], axis=1)
+    ab = ab[ab.any(axis=1)]
+    ab = _primitive_rows(basis, (ab[:, :d], ab[:, d:])).astype(entry)
+    order, heads = _sorted_runs(ab.T)
+    ab = ab[order[heads]]
+
+    # |c_k| <= cm; a word is sum_k (c_k + cm) base^k, its x part (from a x)
+    # plus its y part (from b y), and equal words are equal intercepts
+    ma, mb = (int(np.abs(ab[:, k * d : (k + 1) * d]).max(initial=0)) for k in (0, 1))
+    cm = max(map(sum, zip(product_bounds(basis, ma, mx), product_bounds(basis, mb, my))))
+    base = 2 * cm + 1
+    dtype = _exact_dtype(max(base**d, max(ma, mb, 1) * max(product_bounds(basis, 1, 1)), mx, my))
+    x, y = x.astype(dtype), y.astype(dtype)
+    # a @ sc, reshaped to (d, d), is the multiplication-by-a matrix acting on row vectors
+    sc = np.array(basis.structure_constants, dtype=dtype).reshape(d, d * d)
+    powers = np.array([base**k for k in range(d)], dtype=dtype)
+    points = len(x) * len(y)
+    step = max(1, _CHUNK_PAIRS // max(points, 1))
+    keys = [np.empty((0, 3 * d), dtype=np.result_type(entry, dtype))]
+    richness = [np.empty(0, dtype=np.int64)]
+    for b0 in range(0, len(ab), step):
+        block = ab[b0 : b0 + step]
+        mul_a, mul_b = (
+            (block[:, k * d : (k + 1) * d].astype(dtype) @ sc).reshape(-1, d, d) for k in (0, 1)
+        )
+        wx = (cm - x @ mul_a) @ powers
+        wy = -(y @ mul_b) @ powers
+        words = (wx[:, :, None] + wy[:, None, :]).reshape(len(block), points)
+        words.sort(axis=1)
+        head = np.ones(words.shape, dtype=bool)
+        head[:, 1:] = words[:, 1:] != words[:, :-1]
+        heads = np.flatnonzero(head)
+        size = np.diff(heads, append=words.size)
+        heads, size = heads[size >= r], size[size >= r]
+        word = words.reshape(-1)[heads]
+        c = []
+        for _ in range(d):
+            c.append(word % base - cm)
+            word = word // base
+        keys.append(np.column_stack([block[heads // points], *c]))
+        richness.append(size)
+    keys = np.concatenate(keys)
+    keys //= np.gcd.reduce(keys, axis=1)[:, None]
+    richness = np.concatenate(richness)
+    order = canonical_order(basis, keys)
+    return keys[order], richness[order]
+
+
+def _differences(rows):
+    """The distinct rows u - v for u, v in rows (an integer array whose
+    dtype holds twice its largest entry), for a block of rows u at a time:
+    each block's differences are merged into the distinct rows so far by
+    one stable sort."""
+    n, d = rows.shape
+    out = rows[:0]
+    step = max(1, _CHUNK_PAIRS // max(n, 1))
+    for b0 in range(0, n, step):
+        diff = (rows[b0 : b0 + step, None, :] - rows[None, :, :]).reshape(-1, d)
+        both = np.concatenate([out, diff])
+        order, heads = _sorted_runs(both.T)
+        out = both[order[heads]]
+    return out
 
 
 def count_incidences(points, lines):

@@ -19,13 +19,14 @@ from . import gapset, geometry, numberfield
 from .construction import (
     POINT_CAP,
     ConstructionParams,
+    _known_counts,
     build_construction,
     build_pointset,
     claim1_statistic,
     claim3_claim4_statistics,
 )
 from .errors import ConfigError
-from .geometry import rich_lines_bruteforce
+from .geometry import rich_line_keys, rich_lines_bruteforce
 from .numberfield import _is_int, basis_from_spec
 
 CSV_COLUMNS = (
@@ -267,8 +268,13 @@ class OracleReport:
 
 
 def oracle(config):
-    """Brute-force cross-check: the family must be a subset of the exact
-    r-rich lines of P."""
+    """Exact cross-check: the family must be a subset of the r-rich lines
+    of P.
+
+    The r-rich lines come from rich_line_keys, a direction sweep over the
+    box's axes that shares no grouping step with the family's pair kernel.
+    Both sides are distinct primitive key rows, so one stable sort of their
+    union finds each family key among the rich keys (_known_counts)."""
     basis, params = _single_config(config)
     box = build_pointset(basis, params.n, params.alpha)
     if box.size > POINT_CAP:
@@ -277,11 +283,13 @@ def oracle(config):
             f"{POINT_CAP}; use a smaller n for oracle runs"
         )
     _, tuned = build_construction(params)
-    rich = rich_lines_bruteforce(list(box), params.r)
-    subset = all(line in rich for line in tuned.family)
-    coverage = len(tuned.family) / len(rich) if rich else 1.0
+    keys, richness = rich_line_keys(
+        basis, [x.coords for x in box.x_set], [y.coords for y in box.y_set], params.r
+    )
+    subset = bool((_known_counts(tuned.family.keys, keys, richness) >= 0).all())
+    coverage = len(tuned.family) / len(keys) if len(keys) else 1.0
     return OracleReport(
-        params.r, len(box), len(rich), len(tuned.family), subset, coverage
+        params.r, len(box), len(keys), len(tuned.family), subset, coverage
     )
 
 
@@ -362,6 +370,24 @@ def selftest(seed=0, samples=200):
     ]
     rich = rich_lines_bruteforce(pts, 3)
     results.append(("grid-3x3-oracle", len(rich) == 8))
+
+    def sweep_agrees(basis, xs, ys):
+        keys, richness = rich_line_keys(basis, xs, ys, 3)
+        points = [
+            geometry.Point(numberfield.Element(basis, x), numberfield.Element(basis, y))
+            for x in xs
+            for y in ys
+        ]
+        rich = rich_lines_bruteforce(points, 3)
+        return [(line.key, k) for line, k in rich.items()] == list(
+            zip(geometry.key_tuples(keys), richness.tolist())
+        )
+
+    ok = sweep_agrees(grid_basis, [(v,) for v in range(3)], [(v,) for v in range(3)])
+    for basis in bases:
+        box = build_pointset(basis, 729, Fraction(1, 2))
+        ok &= sweep_agrees(basis, [x.coords for x in box.x_set], [y.coords for y in box.y_set])
+    results.append(("oracle-sweep", ok))
     results.append(("beck-3x3", geometry.beck_statistic(pts) == (3, 20)))
     results.append(("pair-identity", geometry.pair_grouping_identity(pts)))
     return results

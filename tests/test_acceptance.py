@@ -34,7 +34,9 @@ from richlines.geometry import (
     Point,
     beck_statistic,
     collinear,
+    key_tuples,
     line_through,
+    rich_line_keys,
     rich_lines_bruteforce,
 )
 from richlines.harness import parse_config, sweep, sweep_csv
@@ -257,14 +259,20 @@ def test_criterion_4_full_richness_matrix(claim2_matrix):
 
 
 def test_criterion_5_family_subset_of_oracle(claim2_matrix):
+    """The family, built by the pair kernel, against the r-rich lines of the
+    box found independently by the direction sweep."""
     results, _ = claim2_matrix
     checked = 0
     all_subset = True
     for cell, res in results.items():
         if res["status"] != "ok" or res["p"] > 50_000:
             continue
-        rich = rich_lines_bruteforce(list(res["box"]), res["r"])
-        if not all(line in rich for line in res["family"]):
+        box = res["box"]
+        keys, _ = rich_line_keys(
+            res["basis"], [x.coords for x in box.x_set], [y.coords for y in box.y_set], res["r"]
+        )
+        rich = set(key_tuples(keys))
+        if not all(key in rich for key in key_tuples(res["family"].keys)):
             all_subset = False
         checked += 1
     ok = all_subset and checked > 0

@@ -16,6 +16,7 @@ from richlines.construction import (
     build_pointset,
     line_richnesses,
 )
+from richlines.gapset import GapSet
 from richlines.geometry import (
     CanonicalLine,
     Point,
@@ -98,6 +99,54 @@ def test_backends_agree():
             keys, counts, first = geo.group_pairs(basis, xs, xs)
             assert (keys.shape, counts.shape, first.shape) == ((0, 3 * d), (0,), (0, 2))
             assert grouped(basis, xs, xs) == reference(basis, xs, xs)
+
+
+def swept(basis, xs, ys, r):
+    keys, richness = geo.rich_line_keys(basis, xs, ys, r)
+    return list(geo.key_tuples(keys)), richness.tolist()
+
+
+def swept_reference(basis, xs, ys, r):
+    """The lines of the pair reference with at least C(r, 2) pairs, their
+    richness from the pair count, in canonical order."""
+    raw = geo._raw_pair_counts_loop(
+        basis, [x for x in xs for _ in ys], [y for _ in xs for y in ys]
+    )
+    keys = [key for key, (count, _, _) in raw.items() if count >= comb(r, 2)]
+    rows = np.array(keys, dtype=object).reshape(-1, 3 * basis.degree)
+    keys = [keys[k] for k in geo.canonical_order(basis, rows)]
+    return keys, [geo._richness_from_pairs(raw[key][0]) for key in keys]
+
+
+def test_rich_line_keys_match_pair_reference():
+    """The direction sweep and the pure-Python pair reference agree
+    exactly, keys and richness in canonical order, on seeded random boxes of
+    every basis: each axis a box of random radius and scale, or a random
+    subset of one past 9 points, and r in {2, 3, 4}.  Scaled boxes whose
+    intercepts or packed intercepts pass int64 run in object dtype, and an r
+    above every line gives a (0, 3d) key array."""
+    rng = random.Random(12)
+    for basis in ARITH_BASES:
+        for _ in range(6):
+            axes = []
+            for _ in range(2):
+                coords = [e.coords for e in GapSet(basis, rng.randint(1, 3), rng.randint(1, 3))]
+                axes.append(coords if len(coords) <= 9 else rng.sample(coords, rng.randint(2, 9)))
+            r = rng.choice((2, 3, 4))
+            assert swept(basis, *axes, r) == swept_reference(basis, *axes, r)
+    # intercepts past int64 in Z, and packed words past int64 in Z[sqrt2]
+    for basis, radius, scale, top in (
+        (ARITH_BASES[0], 2, 2**62, 2**63),
+        (ARITH_BASES[1], 1, 2**31, 0),
+    ):
+        xs, ys = ([e.coords for e in GapSet(basis, radius, s)] for s in (scale, 3 * scale))
+        keys, _ = geo.rich_line_keys(basis, xs, ys, 3)
+        assert keys.dtype == object and np.abs(keys).max() > top
+        assert swept(basis, xs, ys, 3) == swept_reference(basis, xs, ys, 3)
+    quartic = ARITH_BASES[5]
+    xs = ys = [e.coords for e in GapSet(quartic, 1)][:3]
+    keys, richness = geo.rich_line_keys(quartic, xs, ys, 4)
+    assert keys.shape == (0, 12) and richness.shape == (0,)
 
 
 def test_keys_are_primitive():

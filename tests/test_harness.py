@@ -179,7 +179,7 @@ def test_oracle_cap():
 
 def test_selftest_passes():
     results = selftest(seed=0, samples=50)
-    assert len(results) == 6
+    assert len(results) == 7
     assert all(ok for _, ok in results)
 
 
@@ -245,7 +245,7 @@ def test_cli_oracle_and_selftest(tmp_path, capsys):
     assert "subset=yes" in capsys.readouterr().out
     assert json.loads((tmp_path / "oracle.json").read_text())["subset"] is True
     assert cli.main(["selftest"]) == 0
-    assert capsys.readouterr().out.count("PASS") == 6
+    assert capsys.readouterr().out.count("PASS") == 7
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
