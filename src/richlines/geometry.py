@@ -14,8 +14,14 @@ Two exact kernels find lines.  group_pairs keys every point pair of an
 arbitrary point list; the construction builds its family with it.
 rich_line_keys sweeps the directions of a box X x Y instead: it groups the
 box's points by intercept, one direction at a time, and keys only the lines
-with at least r points.  The oracle uses the sweep, so its check of the
-family shares no grouping step with the family's own kernel.
+with at least r points.  It sweeps only the directions whose run of raw
+normals (dy, -dx), over the axis differences, has at least 2(r - 1) rows:
+a line with k points of P gives k - 1 distinct lex-positive differences
+from its smallest point and their k - 1 negatives, each one raw row of its
+direction.  Its rows come in sweep order, by direction and then by
+intercept; callers that compare or print them sort with canonical_order.
+The oracle uses the sweep, so its check of the family shares no grouping
+step with the family's own kernel.
 """
 
 from fractions import Fraction
@@ -475,21 +481,37 @@ def rich_lines_bruteforce(points, r):
 
 def rich_line_keys(basis, xs, ys, r):
     """The lines with at least r points in the box P = X x Y, by direction
-    sweep: (keys, richness), the primitive keys of those lines as rows in
-    canonical order and the number of points of P on each, as int64.
+    sweep: (keys, richness), the primitive keys of those lines as rows and
+    the number of points of P on each, as int64.  The rows come in sweep
+    order, by direction and then by packed intercept, which is
+    deterministic but not canonical: callers that compare or print rows
+    sort them with canonical_order.
 
-    xs, ys: the distinct coordinate rows of the axes X and Y.  The normals
+    xs, ys: the distinct coordinate rows of the axes X and Y.  The raw rows
     (a, b) = (dy, -dx) for dx in X - X and dy in Y - Y, not both zero, are
-    the pair differences of P.  They are made primitive by _pair_kernel's
-    cofactor step, so that (a, b) and every field multiple of it give one
-    row, and deduplicated.  Then, for a batch of about _CHUNK_PAIRS
-    (direction, point) entries at a time, every point's intercept
-    c = -(a x + b y) is packed into one word, offset by a bound cm on its
-    coordinates and in base 2 cm + 1, and each direction's words are
-    sorted: a run of k >= r equal words is a line of richness k, and its
-    (a, b, c), content-reduced, is the line's primitive key.  Memory is one
-    batch plus the directions and the output.  Every array takes the dtype
-    _exact_dtype picks for a computed bound, object past int64.
+    the normals of the pair differences of P.  They are made primitive by
+    _pair_kernel's cofactor step, so that (a, b) and every field multiple
+    of it give one direction, and grouped into one run of raw rows per
+    direction.  A direction is swept only if its run has at least 2(r - 1)
+    raw rows.  Proof: let a line of direction w hold k points of P, and let
+    p_1 be the lexicographically smallest of them as a vector in Z^{2d}.
+    The k - 1 differences p_i - p_1 are distinct, nonzero, lex-positive,
+    parallel to w and in (X - X) x (Y - Y); their negatives are k - 1 more
+    such differences, all lex-negative, so the two sets are disjoint.  The
+    raw rows are the product of the distinct axis differences, so each of
+    these 2(k - 1) differences is exactly one raw row of w's run.  Hence a
+    run of fewer than 2(r - 1) raw rows holds no line with r points.  This
+    holds for any axes and every basis; at r = 2 it prunes nothing, and on
+    an integer grid it is tight.
+
+    Then, for a batch of about _CHUNK_PAIRS (direction, point) entries at a
+    time, every point's intercept c = -(a x + b y) is packed into one word,
+    offset by a bound cm on its coordinates and in base 2 cm + 1, and each
+    direction's words are sorted: a run of k >= r equal words is a line of
+    richness k, and its (a, b, c) is the line's primitive key ((a, b) has
+    content 1, so (a, b, c) does too).  Memory is one batch plus the kept
+    directions and the output.  Every array takes the dtype _exact_dtype
+    picks for a computed bound, object past int64.
     """
     if r < 2:
         raise InvalidParameterError("r must be at least 2")
@@ -504,7 +526,8 @@ def rich_line_keys(basis, xs, ys, r):
     ab = ab[ab.any(axis=1)]
     ab = _primitive_rows(basis, (ab[:, :d], ab[:, d:])).astype(entry)
     order, heads = _sorted_runs(ab.T)
-    ab = ab[order[heads]]
+    # only a run of at least 2(r - 1) raw rows can hold a line with r points
+    ab = ab[order[heads[np.diff(heads, append=len(ab)) >= 2 * (r - 1)]]]
 
     # |c_k| <= cm; a word is sum_k (c_k + cm) base^k, its x part (from a x)
     # plus its y part (from b y), and equal words are equal intercepts
@@ -541,11 +564,7 @@ def rich_line_keys(basis, xs, ys, r):
             word = word // base
         keys.append(np.column_stack([block[heads // points], *c]))
         richness.append(size)
-    keys = np.concatenate(keys)
-    keys //= np.gcd.reduce(keys, axis=1)[:, None]
-    richness = np.concatenate(richness)
-    order = canonical_order(basis, keys)
-    return keys[order], richness[order]
+    return np.concatenate(keys), np.concatenate(richness)
 
 
 def _differences(rows):

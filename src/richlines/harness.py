@@ -371,22 +371,24 @@ def selftest(seed=0, samples=200):
     rich = rich_lines_bruteforce(pts, 3)
     results.append(("grid-3x3-oracle", len(rich) == 8))
 
-    def sweep_agrees(basis, xs, ys):
-        keys, richness = rich_line_keys(basis, xs, ys, 3)
+    def sweep_agrees(basis, xs, ys, r):
+        keys, richness = rich_line_keys(basis, xs, ys, r)
+        order = geometry.canonical_order(basis, keys)
         points = [
             geometry.Point(numberfield.Element(basis, x), numberfield.Element(basis, y))
             for x in xs
             for y in ys
         ]
-        rich = rich_lines_bruteforce(points, 3)
+        rich = rich_lines_bruteforce(points, r)
         return [(line.key, k) for line, k in rich.items()] == list(
-            zip(geometry.key_tuples(keys), richness.tolist())
+            zip(geometry.key_tuples(keys[order]), richness[order].tolist())
         )
 
-    ok = sweep_agrees(grid_basis, [(v,) for v in range(3)], [(v,) for v in range(3)])
+    ok = sweep_agrees(grid_basis, [(v,) for v in range(3)], [(v,) for v in range(3)], 3)
     for basis in bases:
         box = build_pointset(basis, 729, Fraction(1, 2))
-        ok &= sweep_agrees(basis, [x.coords for x in box.x_set], [y.coords for y in box.y_set])
+        axes = [x.coords for x in box.x_set], [y.coords for y in box.y_set]
+        ok &= sweep_agrees(basis, *axes, 3) and sweep_agrees(basis, *axes, 4)
     results.append(("oracle-sweep", ok))
     results.append(("beck-3x3", geometry.beck_statistic(pts) == (3, 20)))
     results.append(("pair-identity", geometry.pair_grouping_identity(pts)))

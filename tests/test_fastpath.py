@@ -102,8 +102,13 @@ def test_backends_agree():
 
 
 def swept(basis, xs, ys, r):
+    """The sweep's rows, which come in sweep order, put in canonical order;
+    no row may repeat."""
     keys, richness = geo.rich_line_keys(basis, xs, ys, r)
-    return list(geo.key_tuples(keys)), richness.tolist()
+    order = geo.canonical_order(basis, keys)
+    rows = list(geo.key_tuples(keys[order]))
+    assert len(set(rows)) == len(rows)
+    return rows, richness[order].tolist()
 
 
 def swept_reference(basis, xs, ys, r):
@@ -120,9 +125,12 @@ def swept_reference(basis, xs, ys, r):
 
 def test_rich_line_keys_match_pair_reference():
     """The direction sweep and the pure-Python pair reference agree
-    exactly, keys and richness in canonical order, on seeded random boxes of
-    every basis: each axis a box of random radius and scale, or a random
-    subset of one past 9 points, and r in {2, 3, 4}.  Scaled boxes whose
+    exactly, keys and richness, once the sweep's rows are put in canonical
+    order, on seeded random boxes of every basis: each axis a box of random
+    radius and scale, or a random subset of one past 9 points, and r in
+    {2, ..., 6}, so that the direction bound prunes on most boxes.  On the
+    3x3 and 5x5 integer grids at r = 3 and r = 5 the diagonals' runs hold
+    exactly 2(r - 1) raw rows, the bound's edge.  Scaled boxes whose
     intercepts or packed intercepts pass int64 run in object dtype, and an r
     above every line gives a (0, 3d) key array."""
     rng = random.Random(12)
@@ -132,8 +140,12 @@ def test_rich_line_keys_match_pair_reference():
             for _ in range(2):
                 coords = [e.coords for e in GapSet(basis, rng.randint(1, 3), rng.randint(1, 3))]
                 axes.append(coords if len(coords) <= 9 else rng.sample(coords, rng.randint(2, 9)))
-            r = rng.choice((2, 3, 4))
+            r = rng.randint(2, 6)
             assert swept(basis, *axes, r) == swept_reference(basis, *axes, r)
+    for n in (3, 5):
+        grid = (ARITH_BASES[0], [(v,) for v in range(n)], [(v,) for v in range(n)])
+        for r in (3, 5):
+            assert swept(*grid, r) == swept_reference(*grid, r)
     # intercepts past int64 in Z, and packed words past int64 in Z[sqrt2]
     for basis, radius, scale, top in (
         (ARITH_BASES[0], 2, 2**62, 2**63),
