@@ -8,11 +8,14 @@ by two points of a translated cell.  With a small enough cell constant C1,
 every collected line is r-rich in P; the verifiers check that and the rate
 statistics by exact counting.  The family is an integer array of primitive
 keys from translation to output, in the narrowest integer type that holds
-them (object past int64): one sort deduplicates it, another puts it in
-canonical order, and CanonicalLines are built only for lines that are
-output.  One batched counter, _key_richnesses, counts every richness, and an
-auto-tuned build counts each family key once: the tuning gate's counts
-become the claim-2 report.
+them (object past int64): one broadcast moves the cell's keys to every
+translate, one sort deduplicates them, another puts them in canonical
+order, and CanonicalLines are built only for lines that are output.  One
+batched counter, _key_richnesses, counts every richness on the box axes'
+coordinate arrays, and an auto-tuned build counts each family key once: the
+tuning gate's counts become the claim-2 report.  The report's multiplier
+replay is one array computation too, so claim-2 verification builds no
+Point, Element or CanonicalLine except the failing line it reports.
 
 Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
@@ -48,7 +51,6 @@ from .geometry import (
     group_pairs,
     key_tuples,
     lines_to_text,
-    on_line,
     product_bounds,
     shift_keys,
 )
@@ -329,17 +331,17 @@ def _raw_family(geom, translates):
 
 
 def _spread(basis, keys, translates):
-    """Key rows of distinct lines moved to every translate by shift_keys,
-    deduplicated: the distinct moved rows, and the position of each in the
-    moved keys stacked in (translate, key) order.
+    """Key rows of distinct lines moved to every translate by one
+    shift_keys broadcast over the translates' coordinate rows, deduplicated:
+    the distinct moved rows, and the position of each in the moved keys
+    stacked in (translate, key) order.
 
     A stable sort makes the first translate that reaches a line the head of
     its run.  One translate needs no sort: a shift is a bijection on lines,
     so its moved keys are already distinct.
     """
-    moved = np.concatenate(
-        [shift_keys(basis, keys, tx.coords, ty.coords) for tx, ty in translates]
-    )
+    tx, ty = ([t[k].coords for t in translates] for k in (0, 1))
+    moved = shift_keys(basis, keys, tx, ty)
     if len(translates) == 1:
         rows = np.arange(len(keys))
     else:
@@ -424,7 +426,7 @@ def _key_richnesses(basis, keys, box):
         (vertical, (0, 1, 2), box.y_set, box.x_set),
     ):
         rows = np.flatnonzero(rows)
-        cols = np.array([e.coords for e in columns], dtype=np.int64).reshape(-1, d)
+        cols = columns.coords()
         size = max(1, _CHUNK_PAIRS // len(cols))
         for b0 in range(0, len(rows), size):
             idx = rows[b0 : b0 + size]
@@ -481,13 +483,16 @@ class RichnessReport:
 
 
 def verify_claim2(family, box, r, richnesses=None):
-    """Exact per-line richness of the family in the box, counted here unless
-    `richnesses` gives them in the family's key order.
+    """Exact per-line richness of the family in the box, counted here by
+    _key_richnesses unless `richnesses` gives them in the family's key
+    order; the first line below r is the report's failing line.
 
-    Also replays the multiplier mechanism on a sample of lines: for each t in
-    A_{3^d r}(Lambda) the point (a + t(a-a'), b + t(b-b')) built from the
-    witness pair must lie on the line; the fraction of those points landing
-    inside the box is reported (it reaches 1 only for small cell constants).
+    Also replays the multiplier mechanism on a sample of lines
+    (_mechanism_check): for each t in A_{3^d r}(Lambda) the point
+    (a + t(a-a'), b + t(b-b')) built from the witness pair must lie on the
+    line; the fraction of those points landing inside the box is reported
+    (it reaches 1 only for small cell constants).  Both steps run on integer
+    arrays.
     """
     if richnesses is None:
         richnesses = _key_richnesses(family.basis, family.keys, box)
@@ -509,24 +514,61 @@ _MECHANISM_SAMPLE = 8  # lines whose multiplier mechanism verify_claim2 replays
 
 
 def _mechanism_check(family, box, r):
+    """Replay the multiplier mechanism on the first _MECHANISM_SAMPLE family
+    lines: (whether every replayed point lies on its line, the fraction of
+    them that lie in the box).
+
+    A line's witnesses p, q are its cell points i, j moved by its translate.
+    For each t in A_{3^d r}(Lambda) the point p + t(p - q) lies on the line
+    through p and q, which is a*x + b*y + c = 0 for the line's key (a, b, c);
+    it lies in the box when each coordinate of x and y is a multiple of its
+    axis' scale of absolute value at most radius * scale.  Every sample and
+    multiplier is one entry of one array computation, with products taken
+    through the structure constants, in the dtype _exact_dtype picks for
+    _mechanism_bound (object past int64).
+    """
     basis = family.basis
     d = basis.degree
-    multipliers = list(gap_set(basis, Fraction(3**d * r)))
-    total = 0
-    inside = 0
-    all_on = True
-    for index, line in zip(range(_MECHANISM_SAMPLE), family):
-        p, q = family.witness_points(index)
-        dx = p.x - q.x
-        dy = p.y - q.y
-        for t in multipliers:
-            pt = Point(p.x + t * dx, p.y + t * dy)
-            if not on_line(pt, line):
-                all_on = False
-            total += 1
-            if box.contains(pt):
-                inside += 1
-    return all_on, (inside / total if total else 1.0)
+    t_idx, i, j = family.witnesses[:_MECHANISM_SAMPLE].T.tolist()
+    cell, trans = family.cell_points, family.translates
+    shift = [trans[k][0].coords + trans[k][1].coords for k in t_idx]
+    p, q = (
+        np.array([cell[k].x.coords + cell[k].y.coords for k in idx], dtype=object) + shift
+        for idx in (i, j)
+    )
+    keys = family.keys[: len(t_idx)]
+    t = gap_set(basis, Fraction(3**d * r)).coords()
+    dtype = _exact_dtype(_mechanism_bound(basis, p, q, keys, t, box))
+    p, q, keys, t = (m.astype(dtype) for m in (p, q, keys, t))
+    sc = np.array(basis.structure_constants, dtype=dtype).reshape(d, d * d)
+
+    def times(a):  # u @ times(a)[s] gives the coordinates of u * a[s]
+        return (a @ sc).reshape(-1, d, d)
+
+    # (samples, multipliers, d) coordinates of the replayed points' x and y
+    x, y = (p[:, None, k : k + d] + t @ times(p[:, k : k + d] - q[:, k : k + d]) for k in (0, d))
+    on = x @ times(keys[:, :d]) + y @ times(keys[:, d : 2 * d]) + keys[:, None, 2 * d :]
+    inside = np.ones(x.shape[:2], dtype=bool)
+    for v, axis in ((x, box.x_set), (y, box.y_set)):
+        inside &= ((v % axis.scale == 0) & (np.abs(v) <= axis.radius * axis.scale)).all(axis=2)
+    return not on.any(), int(inside.sum()) / inside.size
+
+
+def _mechanism_bound(basis, p, q, keys, t, box):
+    """A bound on every intermediate of _mechanism_check: with w the largest
+    witness coordinate and m the largest multiplier's, the replayed points'
+    coordinates are at most z = w + max product_bounds(m, 2w), and a*x + b*y
+    + c is at most 2 max product_bounds(k, z) + k for keys at most k."""
+    w, k, m = (int(np.abs(v).max(initial=0)) for v in (np.concatenate([p, q]), keys, t))
+    z = w + max(product_bounds(basis, m, 2 * w))
+    return max(
+        m,
+        2 * w,
+        z,
+        2 * max(product_bounds(basis, k, z)) + k,
+        max(product_bounds(basis, max(k, 2 * w), 1)),
+        *((s.radius + 1) * s.scale for s in (box.x_set, box.y_set)),
+    )
 
 
 def claim1_statistic(tuned):
@@ -556,6 +598,12 @@ class TunedConstruction:
     halvings: int
 
 
+# (key, column) pairs per block of the tuning gate, which stops at the first
+# block that holds a key below r: smaller than the counter's _CHUNK_PAIRS,
+# since a rejected attempt counts up to one block past its first such key
+_GATE_PAIRS = 1 << 14
+
+
 def _all_raw_rich(basis, keys, box, r, rich=None):
     """Fast tuning gate: (rich, low) with rich the richness of the raw
     family keys in the raw order, and low None when every key is r-rich or
@@ -569,7 +617,7 @@ def _all_raw_rich(basis, keys, box, r, rich=None):
         rich = np.full(len(keys), -1, dtype=np.int64)
     todo = np.flatnonzero(rich < 0)
     todo = todo[np.argsort(-np.abs(keys[todo]).max(axis=1), kind="stable")]
-    size = max(1, _CHUNK_PAIRS // len(box.x_set))
+    size = max(1, _GATE_PAIRS // len(box.x_set))
     for b0 in range(0, len(todo), size):
         idx = todo[b0 : b0 + size]
         rich[idx] = _key_richnesses(basis, keys[idx], box)

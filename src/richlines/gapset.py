@@ -10,7 +10,10 @@ floor root iroot(u^q n^p // v^q, d q), and the radius is that root // 3.
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidParameterError
+from .geometry import _exact_dtype
 from .numberfield import Element
 
 
@@ -95,6 +98,14 @@ class GapSet:
         s = self.scale
         for coords in itertools.product(rng, repeat=self.basis.degree):
             yield Element(self.basis, tuple(s * c for c in coords))
+
+    def coords(self):
+        """The (size, d) array of element coordinates in iteration order, in
+        the dtype _exact_dtype picks for radius * scale."""
+        d = self.basis.degree
+        axis = [self.scale * c for c in range(-self.radius, self.radius + 1)]
+        axis = np.array(axis, dtype=_exact_dtype(self.radius * self.scale))
+        return axis[np.indices((len(axis),) * d).reshape(d, -1).T]
 
     def contains(self, e):
         if e.basis != self.basis:

@@ -245,9 +245,10 @@ def _raw_pair_counts_loop(basis, xs, ys):
     return raw
 
 
-# Pairs, key rows or (key, box column) pairs per chunk; bounds the
-# temporaries of group_pairs, key_tuples and the richness counter.
-_CHUNK_PAIRS = 1 << 14
+# Pairs, key rows, (direction, point) or (key, box column) pairs per chunk;
+# bounds the temporaries of group_pairs, key_tuples, rich_line_keys and the
+# richness counter.
+_CHUNK_PAIRS = 1 << 16
 
 
 def product_bounds(basis, u, v):
@@ -397,29 +398,31 @@ def _sorted_runs(cols):
 
 
 def shift_keys(basis, keys, tx, ty):
-    """The key rows (a, b, c) of lines moved by the translate (tx, ty):
-    (a, b, c - a*tx - b*ty), as one array.
+    """The key rows (a, b, c) of lines moved by each translate (tx[t], ty[t]):
+    (a, b, c - a*tx[t] - b*ty[t]), stacked in (translate, key) order as one
+    array.  tx and ty are the translates' coordinate rows.
 
     The coordinates of a*tx + b*ty are integer combinations of those of a
     and b, and a and b do not change, so a primitive key stays primitive.  The
     array takes the dtype _exact_dtype picks for the largest entry that
-    product_bounds allow.
+    product_bounds allow at the largest translate coordinate.
     """
     d = basis.degree
-    shift = max(abs(v) for v in tx + ty)
+    tx, ty = (np.array(t, dtype=object).reshape(-1, d) for t in (tx, ty))
+    shift = int(max(np.abs(tx).max(initial=0), np.abs(ty).max(initial=0)))
     coeff = int(np.abs(keys[:, : 2 * d]).max(initial=1))
     const = int(np.abs(keys[:, 2 * d :]).max(initial=0))
     dtype = _exact_dtype(max(coeff, const + 2 * max(product_bounds(basis, coeff, shift))))
     keys = keys.astype(dtype)
-    # u @ tx_m gives the coordinates of u * tx for coordinate rows u; its
-    # entries are at most product_bounds(basis, 1, shift)
+    # u @ tx_m[t] gives the coordinates of u * tx[t] for coordinate rows u;
+    # its entries are at most product_bounds(basis, 1, shift)
     sc = np.array(basis.structure_constants, dtype=object)
     tx_m, ty_m = (
-        np.tensordot(sc, np.array(t, dtype=object), axes=([1], [0])).astype(dtype)
-        for t in (tx, ty)
+        np.moveaxis(np.tensordot(sc, t, axes=([1], [1])), -1, 0).astype(dtype) for t in (tx, ty)
     )
-    keys[:, 2 * d :] -= keys[:, :d] @ tx_m + keys[:, d : 2 * d] @ ty_m
-    return keys
+    moved = np.repeat(keys[None], len(tx), axis=0)
+    moved[:, :, 2 * d :] -= keys[:, :d] @ tx_m + keys[:, d : 2 * d] @ ty_m
+    return moved.reshape(-1, 3 * d)
 
 
 def key_tuples(keys):

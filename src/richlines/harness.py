@@ -283,9 +283,7 @@ def oracle(config):
             f"{POINT_CAP}; use a smaller n for oracle runs"
         )
     _, tuned = build_construction(params)
-    keys, richness = rich_line_keys(
-        basis, [x.coords for x in box.x_set], [y.coords for y in box.y_set], params.r
-    )
+    keys, richness = rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), params.r)
     subset = bool((_known_counts(tuned.family.keys, keys, richness) >= 0).all())
     coverage = len(tuned.family) / len(keys) if len(keys) else 1.0
     return OracleReport(
@@ -387,7 +385,7 @@ def selftest(seed=0, samples=200):
     ok = sweep_agrees(grid_basis, [(v,) for v in range(3)], [(v,) for v in range(3)], 3)
     for basis in bases:
         box = build_pointset(basis, 729, Fraction(1, 2))
-        axes = [x.coords for x in box.x_set], [y.coords for y in box.y_set]
+        axes = box.x_set.coords(), box.y_set.coords()
         ok &= sweep_agrees(basis, *axes, 3) and sweep_agrees(basis, *axes, 4)
     results.append(("oracle-sweep", ok))
     results.append(("beck-3x3", geometry.beck_statistic(pts) == (3, 20)))

@@ -202,7 +202,8 @@ class RationalElement:
     __slots__ = ("basis", "coords")
 
     def __init__(self, basis, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        # a Fraction is immutable and already in lowest terms: keep it
+        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
         if len(coords) != basis.degree:
             raise InvalidParameterError(
                 f"expected {basis.degree} coordinates, got {len(coords)}"

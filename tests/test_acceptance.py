@@ -268,9 +268,7 @@ def test_criterion_5_family_subset_of_oracle(claim2_matrix):
         if res["status"] != "ok" or res["p"] > 50_000:
             continue
         box = res["box"]
-        keys, _ = rich_line_keys(
-            res["basis"], [x.coords for x in box.x_set], [y.coords for y in box.y_set], res["r"]
-        )
+        keys, _ = rich_line_keys(res["basis"], box.x_set.coords(), box.y_set.coords(), res["r"])
         rich = set(key_tuples(keys))
         if not all(key in rich for key in key_tuples(res["family"].keys)):
             all_subset = False

@@ -28,7 +28,7 @@ from richlines.construction import (
     _round_cube_root,
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
-from richlines.gapset import GapSet
+from richlines.gapset import GapSet, gap_set
 from richlines.numberfield import Element
 from richlines.geometry import (
     CanonicalLine,
@@ -177,8 +177,9 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
 
 def test_family_shift_exact_past_int64(sqrt2):
     """Moved keys take the dtype _exact_dtype picks for the bound of
-    shift_keys, object exactly past int64, and match the per-translate
-    reference loop on a small translate and on both sides of int64."""
+    shift_keys, object exactly past int64, and the broadcast over every
+    translate matches the per-translate reference loop on four translates
+    at a time: small ones, and on each side of int64."""
     cell = [
         Point(Element(sqrt2, (i, j)), Element(sqrt2, (j, i + 1)))
         for i in range(3)
@@ -190,8 +191,12 @@ def test_family_shift_exact_past_int64(sqrt2):
     coeff = int(np.abs(cell_keys[:, :4]).max())
     const = int(np.abs(cell_keys[:, 4:]).max())
     for big in (10, 10**17, 10**19):
-        far = (Element(sqrt2, (big, 1)), Element(sqrt2, (7, big)))
-        translates = [(zero, zero), far]
+        translates = [
+            (zero, zero),
+            (Element(sqrt2, (big, 1)), Element(sqrt2, (7, big))),
+            (Element(sqrt2, (-big, 3)), Element(sqrt2, (2, big - 1))),
+            (Element(sqrt2, (5, -big)), Element(sqrt2, (-big, -2))),
+        ]
         best = {}
         for t_idx, (tx, ty) in enumerate(translates):
             pts = [Point(p.x + tx, p.y + ty) for p in cell]
@@ -208,7 +213,7 @@ def test_family_shift_exact_past_int64(sqrt2):
         assert dict(zip(key_tuples(keys), map(tuple, witnesses.tolist()))) == best
     # a zero translate keeps a and b exact when they outgrow c
     steep = np.array([[300, 0, 1, 0, 0, 0]], dtype=np.int16)
-    assert shift_keys(sqrt2, steep, (0, 0), (0, 0)).tolist() == steep.tolist()
+    assert shift_keys(sqrt2, steep, [(0, 0)], [(0, 0)]).tolist() == steep.tolist()
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):
@@ -250,8 +255,7 @@ def _richness_block_bound(basis, key, box):
         pivot, other, columns, target = b, a, box.x_set, box.y_set
     else:
         pivot, other, columns, target = a, b, box.y_set, box.x_set
-    cols = np.array([e.coords for e in columns], dtype=np.int64)
-    return construction._block_bound(basis, pivot, other, c, cols, target)
+    return construction._block_bound(basis, pivot, other, c, columns.coords(), target)
 
 
 def test_batched_richness_matches_per_line_reference():
@@ -564,6 +568,107 @@ def test_szt_range_validation(integers):
         szt_incidence_construction(integers, 10, 1000)  # n^2 < m
     with pytest.raises(InvalidParameterError):
         szt_incidence_construction(integers, 1000, 10)  # n > m^2
+
+
+def _mechanism_reference(family, box, r):
+    """The multiplier replay one Point at a time, with Element arithmetic,
+    on_line and box membership: the reference of _mechanism_check."""
+    multipliers = list(gap_set(family.basis, Fraction(3**family.basis.degree * r)))
+    total = inside = 0
+    all_on = True
+    for index, line in zip(range(construction._MECHANISM_SAMPLE), family):
+        p, q = family.witness_points(index)
+        dx, dy = p.x - q.x, p.y - q.y
+        for t in multipliers:
+            point = Point(p.x + t * dx, p.y + t * dy)
+            all_on &= on_line(point, line)
+            total += 1
+            inside += box.contains(point)
+    return all_on, (inside / total if total else 1.0)
+
+
+def _random_family(basis, rng, size, translates):
+    """The family of a random cell of `size` distinct points, moved by the
+    given translates."""
+    cell = {}
+    while len(cell) < size:
+        x, y = ([rng.randint(-2, 2) for _ in range(basis.degree)] for _ in range(2))
+        cell[tuple(x), tuple(y)] = Point(Element(basis, x), Element(basis, y))
+    geom = SimpleNamespace(basis=basis, cell_points=lambda: list(cell.values()))
+    return construction._ordered_family(basis, *construction._raw_family(geom, translates))[0]
+
+
+def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch):
+    """The array replay of the multiplier mechanism gives exactly the
+    reference's (mechanism_on_line, mechanism_in_p_fraction): on seeded
+    random families of every basis over a box with a scaled axis, on two
+    built families, on translates past int64, where it runs in object dtype,
+    and on a family whose first key is corrupted, where it leaves the line."""
+    rng = random.Random(15)
+    fractions = set()
+    for basis in ARITH_BASES:
+        shifts = list(GapSet(basis, 1, scale=3))
+        box = construction.PointBox(GapSet(basis, 12, scale=2), GapSet(basis, 20))
+        for _ in range(3):
+            translates = [(rng.choice(shifts), rng.choice(shifts)) for _ in range(3)]
+            family = _random_family(basis, rng, 6, translates)
+            for r in (2, 3, 9):
+                got = construction._mechanism_check(family, box, r)
+                assert got == _mechanism_reference(family, box, r)
+                assert got[0]
+                fractions.add(got[1])
+    assert any(0 < f < 1 for f in fractions)
+    for params in (
+        ConstructionParams(integers, 2304, HALF, 3, Fraction(1)),
+        ConstructionParams(sqrt2, 6561, HALF, 3, Fraction(1), True),
+    ):
+        box, tuned = build_construction(params)
+        report = tuned.report
+        expected = _mechanism_reference(tuned.family, box, params.r)
+        assert (report.mechanism_on_line, report.mechanism_in_p_fraction) == expected
+
+    bounds = []
+    mechanism_bound = construction._mechanism_bound
+    monkeypatch.setattr(
+        construction,
+        "_mechanism_bound",
+        lambda *args: bounds.append(mechanism_bound(*args)) or bounds[-1],
+    )
+    big = 10**19
+    translates = [
+        (Element(sqrt2, (big, 1)), Element(sqrt2, (7, -big))),
+        (Element(sqrt2, (-big, big)), Element(sqrt2, (big, 3))),
+    ]
+    family = _random_family(sqrt2, rng, 6, translates)
+    assert family.keys.dtype == object
+    box = construction.PointBox(GapSet(sqrt2, 10**20, scale=2), GapSet(sqrt2, 10**20))
+    got = construction._mechanism_check(family, box, 3)
+    assert got == _mechanism_reference(family, box, 3)
+    assert got[0] and 0 < got[1] < 1
+    assert _exact_dtype(bounds[-1]) == object
+
+    # a first key with its constant moved: its witnesses leave the line
+    zero = Element(integers, (0,))
+    for family, box in (
+        (family, box),
+        (_random_family(integers, rng, 6, [(zero, zero)]), build_pointset(integers, 100, HALF)),
+    ):
+        family.keys = family.keys.copy()
+        family.keys[0, -1] += 1
+        got = construction._mechanism_check(family, box, 3)
+        assert got == _mechanism_reference(family, box, 3)
+        assert got[0] is False
+    # The line y = 3x through (0, 0) and (2^32, 3 * 2^32), keyed
+    # (3 + 2^32, -1, 0): every replayed x is a multiple of 2^32, so
+    # a*x + b*y is 2^32 x, a nonzero multiple of 2^64 that int64 would wrap to 0
+    cell = [Point(Element(integers, (v,)), Element(integers, (3 * v,))) for v in (0, 2**32)]
+    family = LineFamily(
+        integers, np.array([[3 + 2**32, -1, 0]]), np.array([[0, 0, 1]]), cell, [(zero, zero)], 1
+    )
+    box = build_pointset(integers, 100, HALF)
+    got = construction._mechanism_check(family, box, 3)
+    assert got == _mechanism_reference(family, box, 3)
+    assert got[0] is False
 
 
 def test_mechanism_points_on_line(sqrt2):

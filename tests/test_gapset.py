@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import richlines as rl
@@ -21,6 +22,8 @@ from richlines.gapset import (
 )
 from richlines.numberfield import Element
 
+from conftest import ARITH_BASES, DTYPE_THRESHOLDS
+
 
 def test_gap_radius_examples():
     assert gap_radius(9, 1) == 3
@@ -30,6 +33,25 @@ def test_gap_radius_examples():
         gap_radius(0, 1)
     with pytest.raises(InvalidParameterError):
         gap_radius(-3, 2)
+
+
+def test_coords_match_iteration():
+    """GapSet.coords() holds the coordinates of the iterated Elements, in
+    order, in the dtype _exact_dtype picks for radius * scale: one step
+    either side of each threshold, and for a zero radius with a scale past
+    every threshold."""
+    for basis in ARITH_BASES:
+        d = basis.degree
+        for radius, scale in ((0, 1), (0, 2**70), (1, 1), (2, 3)):
+            box = GapSet(basis, radius, scale)
+            coords = box.coords()
+            assert coords.shape == (box.size, d) and coords.dtype == np.int8
+            assert coords.tolist() == [list(e.coords) for e in box]
+        for limit, below, above in DTYPE_THRESHOLDS:
+            for scale, dtype in ((limit, below), (limit + 1, above)):
+                box = GapSet(basis, 1, scale)
+                assert box.coords().dtype == dtype
+                assert box.coords().tolist() == [list(e.coords) for e in box]
 
 
 def test_generate_integers(integers):

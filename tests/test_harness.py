@@ -329,8 +329,8 @@ def test_pipeline_builds_no_fractions(monkeypatch):
     """A run and an auto-tuned build on a freshly built basis construct no
     RationalElement, and a run groups its cell's pairs once: Fraction
     coefficients are built only for lines that are output.  A run builds
-    CanonicalLines only for its 8-line mechanism sample and its failing
-    line; the family stays a key array."""
+    one CanonicalLine, its failing line: the mechanism replay and the family
+    stay key arrays."""
     calls = {"rational": 0, "group_pairs": 0, "line": 0}
     init = numberfield.RationalElement.__init__
     line_init = geometry.CanonicalLine.__init__
@@ -353,7 +353,7 @@ def test_pipeline_builds_no_fractions(monkeypatch):
     monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
     report = run(parse_config(SWEEP_CFG), r=3)
     assert report.num_lines == 21400 and report.frac_r_rich < 1
-    assert calls == {"rational": 0, "group_pairs": 1, "line": 9}
+    assert calls == {"rational": 0, "group_pairs": 1, "line": 1}
 
     sqrt2 = numberfield.build_quadratic_basis(2)
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)

@@ -233,6 +233,11 @@ def test_rational_element_normalization(sqrt2):
     assert not a.is_integral()
     with pytest.raises(InvalidParameterError):
         a.to_element()
+    # a Fraction coordinate is kept, not built again; an int becomes one
+    half = Fraction(1, 2)
+    b = RationalElement(sqrt2, (half, 3))
+    assert b.coords[0] is half and b.coords[1] == Fraction(3)
+    assert type(b.coords[1]) is Fraction
 
 
 # ---------------------------------------------------------------------------
