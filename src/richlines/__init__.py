@@ -10,16 +10,13 @@ from .errors import (
     RTooLargeError,
     ZeroDivisorError,
 )
-from .gapset import GapSet, gap_radius, gap_set, generate, product_bound, sum_bound
+from .gapset import GapSet, gap_radius, gap_set, product_bound, sum_bound
 from .geometry import (
     CanonicalLine,
     Point,
-    beck_statistic,
     collinear,
-    count_incidences,
     line_through,
     on_line,
-    rich_lines_bruteforce,
 )
 from .numberfield import (
     Element,

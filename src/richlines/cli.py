@@ -46,7 +46,7 @@ def _dump_artifacts(args, config, report, out_dir):
     box, tuned = build_construction(params)
     if args.dump_points:
         with open(os.path.join(out_dir, "points.txt"), "w") as fh:
-            fh.write(points_to_text(box))
+            fh.write(points_to_text(box.coords()))
     if args.dump_lines:
         with open(os.path.join(out_dir, "lines.txt"), "w") as fh:
             fh.write(lines_to_text(tuned.family))

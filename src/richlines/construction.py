@@ -6,16 +6,21 @@ much smaller cell P' = A_{C1 n^a / r} x A_{C1 n^(1-a) / r}, translates it by
 the lattice A_r(s Lambda) x A_r(s' Lambda), and collects every line spanned
 by two points of a translated cell.  With a small enough cell constant C1,
 every collected line is r-rich in P; the verifiers check that and the rate
-statistics by exact counting.  The family is an integer array of primitive
-keys from translation to output, in the narrowest integer type that holds
-them (object past int64): one broadcast moves the cell's keys to every
-translate, one sort deduplicates them, another puts them in canonical
+statistics by exact counting.
+
+Points are integer coordinate rows throughout: PointBox.coords() gives the
+box, the cell PointBox(cell_x, cell_y) and the translates PointBox(trans_x,
+trans_y) as (size, 2d) arrays, x then y.  The family is an integer array of
+primitive keys from translation to output, in the narrowest integer type
+that holds them (object past int64): one broadcast moves the cell's keys to
+every translate, one sort deduplicates them, another puts them in canonical
 order, and CanonicalLines are built only for lines that are output.  One
 batched counter, _key_richnesses, counts every richness on the box axes'
 coordinate arrays, and an auto-tuned build counts each family key once: the
 tuning gate's counts become the claim-2 report.  The report's multiplier
-replay is one array computation too, so claim-2 verification builds no
-Point, Element or CanonicalLine except the failing line it reports.
+replay is one array computation too.  A run builds no Point or Element and
+one CanonicalLine, the failing line it reports; LineFamily.witness_points
+builds Points on demand.
 
 Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
@@ -54,7 +59,7 @@ from .geometry import (
     product_bounds,
     shift_keys,
 )
-from .numberfield import Element, NiceBasis, _cofactor_solve, _mul_matrix, integer_inverse
+from .numberfield import Element, NiceBasis, _cofactor_solve, _mul_matrix
 
 ALPHA_GRID = (
     Fraction(1, 5),
@@ -109,7 +114,8 @@ class ConstructionParams:
 
 class PointBox:
     """The Cartesian product of two GAP boxes, as a deterministic point
-    sequence with O(1) membership."""
+    sequence with O(1) membership.  The pipeline reads its coordinate rows,
+    coords(); iteration yields Points."""
 
     def __init__(self, x_set, y_set):
         self.x_set = x_set
@@ -128,6 +134,12 @@ class PointBox:
         for x in self.x_set:
             for y in ys:
                 yield Point(x, y)
+
+    def coords(self):
+        """The (size, 2d) array of point coordinates, x then y, in iteration
+        order (x-major), in the wider dtype of the two axes' coords()."""
+        x, y = self.x_set.coords(), self.y_set.coords()
+        return np.concatenate([np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1))], axis=1)
 
     def contains(self, p):
         return self.x_set.contains(p.x) and self.y_set.contains(p.y)
@@ -163,11 +175,6 @@ class CellGeometry:
     def basis(self):
         return self.params.basis
 
-    def cell_points(self):
-        xs = list(self.cell_x)
-        ys = list(self.cell_y)
-        return [Point(x, y) for x in xs for y in ys]
-
 
 def build_cell_geometry(params):
     """Cell P', step sizes s, s', and the translate lattice boxes.
@@ -200,12 +207,12 @@ def build_cell_geometry(params):
     # Observation: A_r(s Lambda) is contained in A_{C1 n^alpha}(Lambda).
     outer_x = gap_set_power(basis, c1, n, alpha)
     outer_y = gap_set_power(basis, c1, n, 1 - alpha)
-    for e in trans_x:
-        if not outer_x.contains(e):
-            raise AssertionError(f"translate coordinate {e!r} escapes its outer box")
-    for e in trans_y:
-        if not outer_y.contains(e):
-            raise AssertionError(f"translate coordinate {e!r} escapes its outer box")
+    for trans, outer in ((trans_x, outer_x), (trans_y, outer_y)):
+        rows = trans.coords()
+        escaped = np.flatnonzero(~outer.contains_rows(rows))
+        if len(escaped):
+            row = tuple(rows[escaped[0]].tolist())
+            raise AssertionError(f"translate coordinate {row} escapes its outer box")
     sufficient = _sufficient_disjointness_inequality(params, s, s_prime)
     return CellGeometry(
         params, cell_x, cell_y, s, s_prime, trans_x, trans_y, sufficient
@@ -231,10 +238,9 @@ def _sufficient_disjointness_inequality(params, s, s_prime):
 
 def translate_vectors(geom):
     """All shift vectors (x, y), x in A_r(s Lambda), y in A_r(s' Lambda),
-    in deterministic lexicographic order."""
-    xs = list(geom.trans_x)
-    ys = list(geom.trans_y)
-    return [(x, y) for x in xs for y in ys]
+    as the (translates, 2d) coordinate rows of PointBox(trans_x, trans_y),
+    in its x-major order."""
+    return PointBox(geom.trans_x, geom.trans_y).coords()
 
 
 def verify_disjoint_translates(geom):
@@ -258,20 +264,17 @@ def verify_disjoint_translates(geom):
 
 
 def _cross_check_nearest(geom, check, verdict):
+    """The cell's rows and their copies moved by step along the first
+    coordinate of the check's axis must share a row exactly when verdict
+    is False: both sets are distinct rows, so one sort of their union
+    finds a shared row."""
     step, _, axis = check
-    basis = geom.basis
-    d = basis.degree
-    cell_points = geom.cell_points()
-    shift = [0] * d
-    shift[0] = step
-    shift = Element(basis, shift)
-    zero = Element(basis, [0] * d)
-    t1 = (shift, zero) if axis == 0 else (zero, shift)
-    base = {(p.x.coords, p.y.coords) for p in cell_points}
-    shifted = {
-        ((p.x + t1[0]).coords, (p.y + t1[1]).coords) for p in cell_points
-    }
-    overlap_free = not (base & shifted)
+    cell = PointBox(geom.cell_x, geom.cell_y).coords()
+    cell = cell.astype(np.result_type(cell, _exact_dtype(int(np.abs(cell).max()) + step)))
+    moved = cell.copy()
+    moved[:, axis * geom.basis.degree] += step
+    both = np.concatenate([cell, moved])
+    overlap_free = len(_sorted_runs(both.T)[1]) == len(both)
     if overlap_free != verdict:
         raise AssertionError(
             "disjointness inequality disagrees with the exhaustive check"
@@ -284,7 +287,8 @@ class LineFamily:
     canonical order (in the narrowest integer type that holds every entry,
     or object past int64), with an (n, 3) int64 array of witnesses
     (translate index, i, j): the cell points i and j moved by that
-    translate.
+    translate.  The cell and the translates are (points, 2d) coordinate
+    rows, x then y.
 
     Iterating yields CanonicalLines, which build their coefficients only
     when asked; witness_points builds one line's witness Points.
@@ -293,8 +297,8 @@ class LineFamily:
     basis: NiceBasis
     keys: np.ndarray
     witnesses: np.ndarray
-    cell_points: list
-    translates: list
+    cell: np.ndarray
+    translates: np.ndarray
     cell_lines: int  # lines spanned by the untranslated cell
 
     def __len__(self):
@@ -306,28 +310,29 @@ class LineFamily:
     def witness_points(self, index):
         """The two translated cell Points that witness line `index`."""
         t_idx, i, j = self.witnesses[index].tolist()
-        tx, ty = self.translates[t_idx]
-        p, q = self.cell_points[i], self.cell_points[j]
-        return Point(p.x + tx, p.y + ty), Point(q.x + tx, q.y + ty)
+        d = self.basis.degree
+        rows = self.cell[[i, j]].astype(object) + self.translates[t_idx].astype(object)
+        return tuple(
+            Point(Element(self.basis, row[:d]), Element(self.basis, row[d:]))
+            for row in rows.tolist()
+        )
 
 
-def _raw_family(geom, translates):
-    """The line family of geom before ordering: its distinct primitive keys,
-    an (n, 3) array of their smallest witnesses (translate index, i, j), the
-    cell points, the translates and the number of lines the cell spans.
+def _raw_family(basis, cell, translates):
+    """The line family of a cell and its translates, both given as
+    coordinate rows, before ordering: its distinct primitive keys, an (n, 3)
+    array of their smallest witnesses (translate index, i, j), the cell, the
+    translates and the number of lines the cell spans.
 
     The cell's pairs are grouped once and each cell key is moved to every
     translate by _spread; a moved key keeps the cell's first pair on its
     line as its first witness.
     """
-    basis = geom.basis
-    cell_pts = geom.cell_points()
-    keys, _, first = group_pairs(
-        basis, [p.x.coords for p in cell_pts], [p.y.coords for p in cell_pts]
-    )
+    d = basis.degree
+    keys, _, first = group_pairs(basis, cell[:, :d], cell[:, d:])
     moved, rows = _spread(basis, keys, translates)
     witnesses = np.column_stack([rows // len(keys), first[rows % len(keys)]])
-    return moved, witnesses, cell_pts, translates, len(keys)
+    return moved, witnesses, cell, translates, len(keys)
 
 
 def _spread(basis, keys, translates):
@@ -340,8 +345,8 @@ def _spread(basis, keys, translates):
     its run.  One translate needs no sort: a shift is a bijection on lines,
     so its moved keys are already distinct.
     """
-    tx, ty = ([t[k].coords for t in translates] for k in (0, 1))
-    moved = shift_keys(basis, keys, tx, ty)
+    d = basis.degree
+    moved = shift_keys(basis, keys, translates[:, :d], translates[:, d:])
     if len(translates) == 1:
         rows = np.arange(len(keys))
     else:
@@ -350,20 +355,18 @@ def _spread(basis, keys, translates):
     return moved[rows], rows
 
 
-def _corner_keys(geom, translates):
+def _corner_keys(basis, cell, translates):
     """The probe of the tuning gate: the distinct key rows of the lines
-    through the cell's corner (point 0 of cell_points, every coordinate at
+    through the cell's corner (row 0 of the cell, every coordinate at
     -radius) and each other cell point, moved to every translate.
 
     These are the lines of the cell's first n - 1 pairs in row-major order,
     (0, j), keyed by the kernel of group_pairs.  Each passes through two
     points of one translated cell, so each is a family line.
     """
-    basis = geom.basis
-    xs = [x.coords for x in geom.cell_x]
-    ys = [y.coords for y in geom.cell_y]
-    keys_of, entry = _pair_kernel(basis, [x for x in xs for _ in ys], ys * len(xs))
-    j = np.arange(1, len(xs) * len(ys))
+    d = basis.degree
+    keys_of, entry = _pair_kernel(basis, cell[:, :d], cell[:, d:])
+    j = np.arange(1, len(cell))
     anchor = keys_of(np.zeros_like(j), j).astype(entry)
     order, heads = _sorted_runs(anchor.T)
     return _spread(basis, anchor[order[heads]], translates)[0]
@@ -380,32 +383,12 @@ def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
     deduplicated by primitive key, with deterministic provenance: each line
     keeps its lexicographically-smallest (translate, pair) witness."""
-    return _ordered_family(geom.basis, *_raw_family(geom, translate_vectors(geom)))[0]
+    cell = PointBox(geom.cell_x, geom.cell_y).coords()
+    return _ordered_family(geom.basis, *_raw_family(geom.basis, cell, translate_vectors(geom)))[0]
 
 
 # ---------------------------------------------------------------------------
 # Richness counting against the box point set.
-
-
-def _count_on_line_int(basis, key, box):
-    """Richness of the line with integer key (a, b, c) in the box: the
-    pure-Python reference of _key_richnesses.  Along each column u of the
-    other axis, the pivot's coordinate -(c + other*u) / pivot is tested for
-    membership in its axis' box."""
-    d = basis.degree
-    a, b, c = key[:d], key[d : 2 * d], key[2 * d :]
-    if any(b):
-        pivot, other, columns, target = b, a, box.x_set, box.y_set
-    else:
-        pivot, other, columns, target = a, b, box.y_set, box.x_set
-    q, delta = integer_inverse(basis, tuple(pivot))
-    mul = basis.mul_coords
-    count = 0
-    for u in columns:
-        w = mul(tuple(-(s + t) for s, t in zip(c, mul(other, u.coords))), q)
-        if all(v % delta == 0 for v in w):
-            count += target.contains(Element(basis, [v // delta for v in w]))
-    return count
 
 
 def _key_richnesses(basis, keys, box):
@@ -462,12 +445,6 @@ def _block_bound(basis, pivot, other, c, cols, target):
         d * a * (cc + d * o * s * x),
         max(target.radius, 1) * target.scale * d * p * s * a,
     )
-
-
-def line_richnesses(lines, box):
-    """Exact richness of each line in the box."""
-    keys = np.array([line.key for line in lines], dtype=object)
-    return _key_richnesses(box.basis, keys, box).tolist()
 
 
 @dataclass
@@ -529,13 +506,9 @@ def _mechanism_check(family, box, r):
     """
     basis = family.basis
     d = basis.degree
-    t_idx, i, j = family.witnesses[:_MECHANISM_SAMPLE].T.tolist()
-    cell, trans = family.cell_points, family.translates
-    shift = [trans[k][0].coords + trans[k][1].coords for k in t_idx]
-    p, q = (
-        np.array([cell[k].x.coords + cell[k].y.coords for k in idx], dtype=object) + shift
-        for idx in (i, j)
-    )
+    t_idx, i, j = family.witnesses[:_MECHANISM_SAMPLE].T
+    shift = family.translates[t_idx].astype(object)
+    p, q = (family.cell[idx].astype(object) + shift for idx in (i, j))
     keys = family.keys[: len(t_idx)]
     t = gap_set(basis, Fraction(3**d * r)).coords()
     dtype = _exact_dtype(_mechanism_bound(basis, p, q, keys, t, box))
@@ -548,9 +521,7 @@ def _mechanism_check(family, box, r):
     # (samples, multipliers, d) coordinates of the replayed points' x and y
     x, y = (p[:, None, k : k + d] + t @ times(p[:, k : k + d] - q[:, k : k + d]) for k in (0, d))
     on = x @ times(keys[:, :d]) + y @ times(keys[:, d : 2 * d]) + keys[:, None, 2 * d :]
-    inside = np.ones(x.shape[:2], dtype=bool)
-    for v, axis in ((x, box.x_set), (y, box.y_set)):
-        inside &= ((v % axis.scale == 0) & (np.abs(v) <= axis.radius * axis.scale)).all(axis=2)
+    inside = box.x_set.contains_rows(x) & box.y_set.contains_rows(y)
     return not on.any(), int(inside.sum()) / inside.size
 
 
@@ -651,21 +622,19 @@ def _below_r(params, key, richness):
     )
 
 
-def _gated_family(geom, box, r):
-    """One attempt of auto_tune_c1 on disjoint translates: (family, rich,
-    None) with rich the richness of each family line in the family's order
-    when every line is r-rich, else (None, None, (key, richness)) for the key
-    row of a line found below r.
+def _gated_family(basis, cell, translates, box, r):
+    """One attempt of auto_tune_c1 on disjoint translates, for the cell and
+    translate rows: (family, rich, None) with rich the richness of each
+    family line in the family's order when every line is r-rich, else
+    (None, None, (key, richness)) for the key row of a line found below r.
 
     The probe, _corner_keys, is gated first; the cell's pairs are grouped
     only when it passes, and the full gate then counts only the keys the
     probe did not, so each family key is counted once."""
-    basis = geom.basis
-    translates = translate_vectors(geom)
-    keys = probe = _corner_keys(geom, translates)
+    keys = probe = _corner_keys(basis, cell, translates)
     rich, low = _all_raw_rich(basis, probe, box, r)
     if low is None:
-        keys, *rest = _raw_family(geom, translates)
+        keys, *rest = _raw_family(basis, cell, translates)
         rich, low = _all_raw_rich(basis, keys, box, r, _known_counts(keys, probe, rich))
     if low is not None:
         return None, None, (keys[low], rich[low])
@@ -701,7 +670,8 @@ def auto_tune_c1(params, max_halvings=20):
         if not verify_disjoint_translates(geom):
             last_reason = f"translates overlap at c1={c1}"
         else:
-            family, rich, low = _gated_family(geom, box, params.r)
+            cell = PointBox(geom.cell_x, geom.cell_y).coords()
+            family, rich, low = _gated_family(basis, cell, translate_vectors(geom), box, params.r)
             if low is None:
                 report = verify_claim2(family, box, params.r, rich)
                 return TunedConstruction(trial, geom, family, report, step)

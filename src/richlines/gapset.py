@@ -107,6 +107,14 @@ class GapSet:
         axis = np.array(axis, dtype=_exact_dtype(self.radius * self.scale))
         return axis[np.indices((len(axis),) * d).reshape(d, -1).T]
 
+    def contains_rows(self, coords):
+        """Membership of each coordinate row, the last axis of the integer
+        array coords: a multiple of scale of absolute value at most
+        radius * scale in every coordinate."""
+        s = self.scale
+        coords = coords.astype(np.result_type(coords, _exact_dtype((self.radius + 1) * s)))
+        return ((coords % s == 0) & (np.abs(coords) <= self.radius * s)).all(axis=-1)
+
     def contains(self, e):
         if e.basis != self.basis:
             return False
@@ -135,16 +143,6 @@ def gap_set_power(basis, coeff, n, alpha, scale=1):
     """A_m(scale * Lambda) for the bound m = coeff * n^alpha, exactly."""
     r = floor_scaled_root(coeff, n, alpha, basis.degree) // 3
     return GapSet(basis, r, scale)
-
-
-def generate(basis, m, scale=1):
-    """Spec-level entry point: the iterable box A_m(scale * Lambda)."""
-    return gap_set(basis, m, scale)
-
-
-def contains(basis, m, scale, e):
-    """Membership of e in A_m(scale * Lambda)."""
-    return gap_set(basis, m, scale).contains(e)
 
 
 def sum_bound(m, m_prime, d):

@@ -10,29 +10,33 @@ coefficients with the pivot equal to unity are built from the key on
 demand, as integer (numerator, denominator) pairs for ordering and text
 output and as Fraction-based RationalElements only when coeffs() is called.
 
-Two exact kernels find lines.  group_pairs keys every point pair of an
-arbitrary point list; the construction builds its family with it.
-rich_line_keys sweeps the directions of a box X x Y instead: it groups the
-box's points by intercept, one direction at a time, and keys only the lines
-with at least r points.  It sweeps only the directions whose run of raw
-normals (dy, -dx), over the axis differences, has at least 2(r - 1) rows:
-a line with k points of P gives k - 1 distinct lex-positive differences
-from its smallest point and their k - 1 negatives, each one raw row of its
-direction.  Its rows come in sweep order, by direction and then by
-intercept; callers that compare or print them sort with canonical_order.
-The oracle uses the sweep, so its check of the family shares no grouping
-step with the family's own kernel.
+Points enter the kernels as integer coordinate rows, never as Point
+objects: Point, line_through, collinear and on_line are the scalar API for
+single points and lines.  Two exact kernels find lines.  group_pairs keys
+every pair of an arbitrary list of points, given by their x and y rows; the
+construction builds its family with it.  rich_line_keys sweeps the
+directions of a box X x Y instead: it groups the box's points by intercept,
+one direction at a time, and keys only the lines with at least r points.
+It sweeps only the directions whose run of raw normals (dy, -dx), over the
+axis differences, has at least 2(r - 1) rows: a line with k points of P
+gives k - 1 distinct lex-positive differences from its smallest point and
+their k - 1 negatives, each one raw row of its direction.  Its rows come
+in sweep order, by direction and then by intercept; callers that compare
+or print them sort with canonical_order.  The oracle uses the sweep, so its
+check of the family shares no grouping step with the family's own kernel.
+
+points_to_text and lines_to_text write the point and line dumps, from
+coordinate rows and from CanonicalLines.
 """
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import DegeneratePairError, InvalidParameterError
 from .numberfield import (
     BasisMismatchError,
-    Element,
     RationalElement,
     _adjugate,
     _cofactor_solve,
@@ -193,15 +197,6 @@ def _richness_from_pairs(pair_count):
     return k
 
 
-def _check_distinct(points):
-    seen = set()
-    for p in points:
-        key = (p.x.coords, p.y.coords)
-        if key in seen:
-            raise InvalidParameterError(f"duplicate point {p!r}")
-        seen.add(key)
-
-
 def _reduce_flat(flat):
     """Content-reduce a flat integer triple and fix the overall sign."""
     g = gcd(*flat) or 1
@@ -221,28 +216,6 @@ def _primitive_key(basis, flat):
         raise DegeneratePairError("degenerate line: A and B both zero")
     solved, _ = _cofactor_solve(basis, pivot, flat[:d], flat[d : 2 * d], flat[2 * d :])
     return _reduce_flat(sum(solved, []))
-
-
-def _raw_pair_counts_loop(basis, xs, ys):
-    """Pure-Python reference of group_pairs: {primitive key: [pair count,
-    i, j]} with (i, j) the first pair, in row-major order, on the line."""
-    mul = basis.mul_coords
-    raw = {}
-    n = len(xs)
-    for i in range(n):
-        px, py = xs[i], ys[i]
-        for j in range(i + 1, n):
-            qx, qy = xs[j], ys[j]
-            a = tuple(u - v for u, v in zip(qy, py))
-            b = tuple(u - v for u, v in zip(px, qx))
-            c = tuple(u - v for u, v in zip(mul(py, qx), mul(px, qy)))
-            key = _primitive_key(basis, a + b + c)
-            entry = raw.get(key)
-            if entry is None:
-                raw[key] = [1, i, j]
-            else:
-                entry[0] += 1
-    return raw
 
 
 # Pairs, key rows, (direction, point) or (key, box column) pairs per chunk;
@@ -351,13 +324,8 @@ def _pair_kernel(basis, xs, ys):
     bound.
     """
     d = basis.degree
-    n = len(xs)
-    mx = max((abs(int(v)) for row in xs for v in row), default=0)
-    my = max((abs(int(v)) for row in ys for v in row), default=0)
-    work, entry = map(_exact_dtype, key_bound(basis, mx, my))
-    x = np.array(xs, dtype=work).reshape(n, d)
-    y = np.array(ys, dtype=work).reshape(n, d)
-    sc = np.array(basis.structure_constants, dtype=work).reshape(d * d, d)
+    x, y, entry = _work_rows(basis, xs, ys)[:3]
+    sc = np.array(basis.structure_constants, dtype=x.dtype).reshape(d * d, d)
 
     def keys_of(i, j):
         xi, xj, yi, yj = x[i], x[j], y[i], y[j]
@@ -367,6 +335,21 @@ def _pair_kernel(basis, xs, ys):
         return _primitive_rows(basis, (yj - yi, xi - xj, c))
 
     return keys_of, entry
+
+
+def _work_rows(basis, xs, ys):
+    """(x, y, entry, mx, my): the coordinate rows xs and ys (arrays, or
+    sequences of rows) as (n, d) arrays in the dtype _exact_dtype picks for
+    key_bound's work bound, the dtype it picks for the entry bound, and the
+    largest |coordinate| mx of x and my of y, one array max each."""
+    d = basis.degree
+    x, y = (
+        (v if isinstance(v, np.ndarray) else np.array(v, dtype=object)).reshape(-1, d)
+        for v in (xs, ys)
+    )
+    mx, my = (int(np.abs(v).max(initial=0)) for v in (x, y))
+    work, entry = map(_exact_dtype, key_bound(basis, mx, my))
+    return x.astype(work), y.astype(work), entry, mx, my
 
 
 def _primitive_rows(basis, blocks):
@@ -438,50 +421,6 @@ def _pairs_at(start, p):
     return i, p - start[i] + i + 1
 
 
-def _pair_counts(points):
-    """(primitive keys, pair counts) of the lines spanned by the points."""
-    keys, counts, _ = group_pairs(
-        points[0].basis, [p.x.coords for p in points], [p.y.coords for p in points]
-    )
-    return keys, counts
-
-
-def line_pair_counts(points):
-    """Map each spanned line to its number of unordered point pairs."""
-    points = list(points)
-    if len(points) < 2:
-        return {}
-    _check_distinct(points)
-    basis = points[0].basis
-    keys, counts = _pair_counts(points)
-    return {
-        CanonicalLine(basis, key): cnt
-        for key, cnt in zip(key_tuples(keys), counts.tolist())
-    }
-
-
-def rich_lines_bruteforce(points, r):
-    """All lines containing at least r points of P, with exact richness.
-
-    The O(n^2) pair-grouping oracle: deterministic output, keys sorted by
-    canonical triple.
-    """
-    if r < 2:
-        raise InvalidParameterError("r must be at least 2")
-    points = list(points)
-    if len(points) < 2:
-        return {}
-    _check_distinct(points)
-    basis = points[0].basis
-    keys, counts = _pair_counts(points)
-    keep = np.flatnonzero(counts >= comb(r, 2))
-    keep = keep[canonical_order(basis, keys[keep])]
-    return {
-        CanonicalLine(basis, key): _richness_from_pairs(cnt)
-        for key, cnt in zip(key_tuples(keys[keep]), counts[keep].tolist())
-    }
-
-
 def rich_line_keys(basis, xs, ys, r):
     """The lines with at least r points in the box P = X x Y, by direction
     sweep: (keys, richness), the primitive keys of those lines as rows and
@@ -519,11 +458,7 @@ def rich_line_keys(basis, xs, ys, r):
     if r < 2:
         raise InvalidParameterError("r must be at least 2")
     d = basis.degree
-    mx = max((abs(int(v)) for row in xs for v in row), default=0)
-    my = max((abs(int(v)) for row in ys for v in row), default=0)
-    work, entry = map(_exact_dtype, key_bound(basis, mx, my))
-    x = np.array(xs, dtype=work).reshape(-1, d)
-    y = np.array(ys, dtype=work).reshape(-1, d)
+    x, y, entry, mx, my = _work_rows(basis, xs, ys)
     dx, dy = _differences(x), _differences(y)
     ab = np.concatenate([np.tile(dy, (len(dx), 1)), -np.repeat(dx, len(dy), axis=0)], axis=1)
     ab = ab[ab.any(axis=1)]
@@ -586,60 +521,15 @@ def _differences(rows):
     return out
 
 
-def count_incidences(points, lines):
-    """Exact number of (point, line) incidences."""
-    total = 0
-    for line in lines:
-        for p in points:
-            if on_line(p, line):
-                total += 1
-    return total
-
-
-def beck_statistic(points):
-    """(max collinear points, number of distinct 2-rich lines), exactly."""
-    points = list(points)
-    if len(points) < 2:
-        raise InvalidParameterError("need at least 2 points")
-    _check_distinct(points)
-    _, counts = _pair_counts(points)
-    return _richness_from_pairs(int(counts.max())), len(counts)
-
-
-def pair_grouping_identity(points):
-    """sum over lines of C(richness, 2) == C(|P|, 2); exact sanity identity."""
-    points = list(points)
-    counts = line_pair_counts(points)
-    lhs = sum(comb(_richness_from_pairs(c), 2) for c in counts.values())
-    return lhs == comb(len(points), 2)
-
-
 # ---------------------------------------------------------------------------
 # Line-oriented text interchange: one point per row as 2d integers, one line
 # per row as 3d rationals "num/den".
 
 
-def points_to_text(points):
-    rows = []
-    for p in points:
-        rows.append(" ".join(str(c) for c in (*p.x.coords, *p.y.coords)))
-    return "\n".join(rows) + ("\n" if rows else "")
-
-
-def points_from_text(text, basis):
-    d = basis.degree
-    points = []
-    for row in text.splitlines():
-        row = row.strip()
-        if not row:
-            continue
-        vals = [int(v) for v in row.split()]
-        if len(vals) != 2 * d:
-            raise InvalidParameterError(
-                f"point row needs {2 * d} integers, got {len(vals)}"
-            )
-        points.append(Point(Element(basis, vals[:d]), Element(basis, vals[d:])))
-    return points
+def points_to_text(rows):
+    """One point per line: the 2d integers of each coordinate row (x, then
+    y), as PointBox.coords() gives them."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in np.asarray(rows).tolist())
 
 
 def lines_to_text(lines):
@@ -649,21 +539,3 @@ def lines_to_text(lines):
     num, den = _coeff_pairs(lines[0].basis, np.array([line.key for line in lines], dtype=object))
     rows = (" ".join(map("{}/{}".format, n, m)) for n, m in zip(num.tolist(), den.tolist()))
     return "\n".join(rows) + "\n"
-
-
-def lines_from_text(text, basis):
-    d = basis.degree
-    lines = []
-    for row in text.splitlines():
-        row = row.strip()
-        if not row:
-            continue
-        vals = [Fraction(v) for v in row.split()]
-        if len(vals) != 3 * d:
-            raise InvalidParameterError(
-                f"line row needs {3 * d} rationals, got {len(vals)}"
-            )
-        den = lcm(*(f.denominator for f in vals))
-        key = _primitive_key(basis, tuple(int(f * den) for f in vals))
-        lines.append(CanonicalLine(basis, key))
-    return lines

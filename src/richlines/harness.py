@@ -12,13 +12,15 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
-from . import gapset, geometry, numberfield
+from . import gapset, numberfield
 from .construction import (
     POINT_CAP,
     ConstructionParams,
+    PointBox,
     _known_counts,
     build_construction,
     build_pointset,
@@ -26,7 +28,7 @@ from .construction import (
     claim3_claim4_statistics,
 )
 from .errors import ConfigError
-from .geometry import rich_line_keys, rich_lines_bruteforce
+from .geometry import _richness_from_pairs, canonical_order, group_pairs, rich_line_keys
 from .numberfield import _is_int, basis_from_spec
 
 CSV_COLUMNS = (
@@ -358,38 +360,41 @@ def selftest(seed=0, samples=200):
                 ok = False
     results.append(("gap-closure", ok))
 
-    grid_basis = bases[0]
-    pts = [
-        geometry.Point(
-            numberfield.Element(grid_basis, [x]), numberfield.Element(grid_basis, [y])
-        )
-        for x in range(3)
-        for y in range(3)
-    ]
-    rich = rich_lines_bruteforce(pts, 3)
-    results.append(("grid-3x3-oracle", len(rich) == 8))
+    def pair_lines(box):
+        """The keys and pair counts of the lines through two points of the
+        box, by group_pairs over the box's coordinate rows."""
+        d = box.basis.degree
+        points = box.coords()
+        return group_pairs(box.basis, points[:, :d], points[:, d:])[:2]
 
-    def sweep_agrees(basis, xs, ys, r):
-        keys, richness = rich_line_keys(basis, xs, ys, r)
-        order = geometry.canonical_order(basis, keys)
-        points = [
-            geometry.Point(numberfield.Element(basis, x), numberfield.Element(basis, y))
-            for x in xs
-            for y in ys
-        ]
-        rich = rich_lines_bruteforce(points, r)
-        return [(line.key, k) for line, k in rich.items()] == list(
-            zip(geometry.key_tuples(keys[order]), richness[order].tolist())
-        )
+    def sweep_agrees(box, *rs):
+        """The sweep's lines with at least r points equal the lines with at
+        least C(r, 2) pairs, keys and richness, in canonical order."""
+        basis = box.basis
+        pair_keys, counts = pair_lines(box)
+        ok = True
+        for r in rs:
+            keys, richness = rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), r)
+            order = canonical_order(basis, keys)
+            keep = np.flatnonzero(counts >= comb(r, 2))
+            keep = keep[canonical_order(basis, pair_keys[keep])]
+            ok &= keys[order].tolist() == pair_keys[keep].tolist()
+            ok &= richness[order].tolist() == list(map(_richness_from_pairs, counts[keep].tolist()))
+        return ok
 
-    ok = sweep_agrees(grid_basis, [(v,) for v in range(3)], [(v,) for v in range(3)], 3)
+    # the 3 x 3 integer grid {-1, 0, 1}^2: 8 lines with 3 points, 20 lines
+    side = gapset.GapSet(bases[0], 1)
+    grid = PointBox(side, side)
+    keys, _ = rich_line_keys(grid.basis, side.coords(), side.coords(), 3)
+    results.append(("grid-3x3-oracle", len(keys) == 8))
+    ok = sweep_agrees(grid, 3)
     for basis in bases:
-        box = build_pointset(basis, 729, Fraction(1, 2))
-        axes = box.x_set.coords(), box.y_set.coords()
-        ok &= sweep_agrees(basis, *axes, 3) and sweep_agrees(basis, *axes, 4)
+        ok &= sweep_agrees(build_pointset(basis, 729, Fraction(1, 2)), 3, 4)
     results.append(("oracle-sweep", ok))
-    results.append(("beck-3x3", geometry.beck_statistic(pts) == (3, 20)))
-    results.append(("pair-identity", geometry.pair_grouping_identity(pts)))
+    richness = list(map(_richness_from_pairs, pair_lines(grid)[1].tolist()))
+    results.append(("beck-3x3", (max(richness), len(richness)) == (3, 20)))
+    identity = sum(comb(k, 2) for k in richness) == comb(grid.size, 2)
+    results.append(("pair-identity", identity))
     return results
 
 

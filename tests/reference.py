@@ -1,0 +1,86 @@
+"""Pure-Python references that the tests check the array kernels against.
+
+Each one computes its answer one point, pair or line at a time with exact
+Python integers, sharing no array code with the kernel it checks:
+
+- raw_pair_counts_loop: geometry.group_pairs;
+- count_on_line_int: construction._key_richnesses;
+- count_incidences: the richness of a line by on_line over every point;
+- points_from_text and lines_from_text: the inverses of points_to_text and
+  lines_to_text, for their round-trip tests.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from richlines.geometry import CanonicalLine, Point, _primitive_key, on_line
+from richlines.numberfield import Element, integer_inverse
+
+
+def raw_pair_counts_loop(basis, xs, ys):
+    """{primitive key: [pair count, i, j]} with (i, j) the first pair, in
+    row-major order, on the line."""
+    mul = basis.mul_coords
+    raw = {}
+    n = len(xs)
+    for i in range(n):
+        px, py = xs[i], ys[i]
+        for j in range(i + 1, n):
+            qx, qy = xs[j], ys[j]
+            a = tuple(u - v for u, v in zip(qy, py))
+            b = tuple(u - v for u, v in zip(px, qx))
+            c = tuple(u - v for u, v in zip(mul(py, qx), mul(px, qy)))
+            key = _primitive_key(basis, a + b + c)
+            entry = raw.get(key)
+            if entry is None:
+                raw[key] = [1, i, j]
+            else:
+                entry[0] += 1
+    return raw
+
+
+def count_on_line_int(basis, key, box):
+    """Richness of the line with integer key (a, b, c) in the box.  Along
+    each column u of the other axis, the pivot's coordinate -(c + other*u) /
+    pivot is tested for membership in its axis' box."""
+    d = basis.degree
+    a, b, c = key[:d], key[d : 2 * d], key[2 * d :]
+    if any(b):
+        pivot, other, columns, target = b, a, box.x_set, box.y_set
+    else:
+        pivot, other, columns, target = a, b, box.y_set, box.x_set
+    q, delta = integer_inverse(basis, tuple(pivot))
+    mul = basis.mul_coords
+    count = 0
+    for u in columns:
+        w = mul(tuple(-(s + t) for s, t in zip(c, mul(other, u.coords))), q)
+        if all(v % delta == 0 for v in w):
+            count += target.contains(Element(basis, [v // delta for v in w]))
+    return count
+
+
+def count_incidences(points, lines):
+    """Exact number of (point, line) incidences."""
+    return sum(on_line(p, line) for line in lines for p in points)
+
+
+def points_from_text(text, basis):
+    """The Points of points_to_text's rows of 2d integers."""
+    d = basis.degree
+    rows = [[int(v) for v in row.split()] for row in text.splitlines()]
+    return [Point(Element(basis, v[:d]), Element(basis, v[d:])) for v in rows]
+
+
+def lines_from_text(text, basis):
+    """The CanonicalLines of lines_to_text's rows of 3d rationals."""
+    lines = []
+    for row in text.splitlines():
+        vals = [Fraction(v) for v in row.split()]
+        den = lcm(*(f.denominator for f in vals))
+        lines.append(CanonicalLine(basis, _primitive_key(basis, tuple(int(f * den) for f in vals))))
+    return lines
+
+
+def point_rows(points):
+    """The coordinate rows (x then y) of a list of Points."""
+    return [p.x.coords + p.y.coords for p in points]

@@ -31,13 +31,14 @@ from richlines.construction import (
 from richlines.errors import RTooLargeError
 from richlines.gapset import gap_set, product_bound, sum_bound
 from richlines.geometry import (
+    CanonicalLine,
     Point,
-    beck_statistic,
+    _richness_from_pairs,
     collinear,
+    group_pairs,
     key_tuples,
     line_through,
     rich_line_keys,
-    rich_lines_bruteforce,
 )
 from richlines.harness import parse_config, sweep, sweep_csv
 from richlines.numberfield import Element, divide
@@ -206,12 +207,11 @@ def test_criterion_2_closure_bounds():
 
 def test_criterion_3_oracle_agreement():
     basis = ARITH_BASES["integers"]
-    pts = [
-        Point(Element(basis, [x]), Element(basis, [y]))
-        for x in range(3)
-        for y in range(3)
-    ]
-    rich = rich_lines_bruteforce(pts, 3)
+    axis = [(v,) for v in range(3)]
+    pts = [Point(Element(basis, x), Element(basis, y)) for x in axis for y in axis]
+    # the oracle: the direction sweep's lines with 3 points of the grid
+    keys, richness = rich_line_keys(basis, axis, axis, 3)
+    rich = {CanonicalLine(basis, k): n for k, n in zip(key_tuples(keys), richness.tolist())}
     # independent all-triples scan: every 3-rich line shows up as a triple
     triple_lines = {
         line_through(p, q)
@@ -223,16 +223,20 @@ def test_criterion_3_oracle_agreement():
     for p, q in combinations(pts, 2):
         pair_lines[line_through(p, q)] = pair_lines.get(line_through(p, q), 0) + 1
     max_k = max(k for k in range(2, 10) if any(c == comb(k, 2) for c in pair_lines.values()))
+    # the Beck pair (max collinear, lines) from the pair kernel's counts
+    _, counts, _ = group_pairs(basis, [p.x.coords for p in pts], [p.y.coords for p in pts])
+    beck = (_richness_from_pairs(int(counts.max())), len(counts))
     ok = (
         len(rich) == 8
         and set(rich) == triple_lines
-        and beck_statistic(pts) == (3, 20)
+        and set(rich.values()) == {3}
+        and beck == (3, 20)
         and (max_k, len(pair_lines)) == (3, 20)
     )
     print(
         f"criterion 3: {'PASS' if ok else 'FAIL'} "
         f"(3x3 grid: {len(rich)} rich lines vs {len(triple_lines)} by triple "
-        f"scan, beck={beck_statistic(pts)} vs pair grouping ({max_k}, {len(pair_lines)}))"
+        f"scan, beck={beck} vs pair grouping ({max_k}, {len(pair_lines)}))"
     )
     assert ok
 

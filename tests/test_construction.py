@@ -1,9 +1,9 @@
 """The translate pipeline: point box, cell, lattice, family, verifiers."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from richlines.construction import (
     AutoTuneError,
     ConstructionParams,
     LineFamily,
+    PointBox,
+    _key_richnesses,
     auto_tune_c1,
     build_cell_geometry,
     build_construction,
@@ -20,7 +22,6 @@ from richlines.construction import (
     claim1_statistic,
     claim3_claim4_statistics,
     generate_line_family,
-    line_richnesses,
     szt_incidence_construction,
     translate_vectors,
     verify_claim2,
@@ -34,19 +35,18 @@ from richlines.geometry import (
     CanonicalLine,
     Point,
     _exact_dtype,
-    _raw_pair_counts_loop,
+    canonical_order,
     group_pairs,
     key_tuples,
-    line_pair_counts,
     line_through,
-    lines_from_text,
     on_line,
     product_bounds,
-    rich_lines_bruteforce,
+    rich_line_keys,
     shift_keys,
 )
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
+from reference import count_on_line_int, lines_from_text, raw_pair_counts_loop
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -93,20 +93,62 @@ def test_cell_degenerate_raises(integers):
 
 def test_translate_vectors_count(integers, sqrt2):
     geom = build_cell_geometry(ConstructionParams(integers, 8100, HALF, 9))
-    xs = sorted({x.coords[0] for x, _ in translate_vectors(geom)})
+    xs = sorted(set(translate_vectors(geom)[:, 0].tolist()))
     assert len(xs) == 7 and all(v % geom.s == 0 for v in xs)
     assert len(translate_vectors(geom)) == 49  # (2*floor(9/3)+1)^2 = 49
     # r = 2 has multiplier radius 0: the single zero translate
     geom2 = build_cell_geometry(ConstructionParams(integers, 8100, HALF, 2))
-    assert len(translate_vectors(geom2)) == 1
-    assert all(e.is_zero() for pair in translate_vectors(geom2) for e in pair)
+    assert translate_vectors(geom2).tolist() == [[0, 0]]
 
 
-def test_translates_stay_in_outer_box(sqrt2):
+def test_translate_vectors_order(integers, sqrt2):
+    """The translate rows are the shifts (x, y) in the order of
+    itertools.product(trans_x, trans_y), x-major."""
+    for params in (
+        ConstructionParams(integers, 8100, HALF, 9),
+        ConstructionParams(sqrt2, 6561, HALF, 9),
+    ):
+        geom = build_cell_geometry(params)
+        rows = translate_vectors(geom)
+        product = itertools.product(geom.trans_x, geom.trans_y)
+        assert rows.tolist() == [list(x.coords + y.coords) for x, y in product]
+        assert len(rows) == len(geom.trans_x) * len(geom.trans_y) > 1
+
+
+def test_point_box_coords():
+    """PointBox.coords() rows are the box's Points in iteration order, x
+    then y, for every arithmetic basis, with unequal and scaled axes, and in
+    object dtype on a scale past int64."""
+    for basis in ARITH_BASES:
+        d = basis.degree
+        for x_set, y_set in (
+            (GapSet(basis, 1), GapSet(basis, 2 if d <= 2 else 1, scale=3)),
+            (GapSet(basis, 0), GapSet(basis, 1, scale=2**62)),
+        ):
+            box = PointBox(x_set, y_set)
+            rows = box.coords()
+            assert rows.shape == (box.size, 2 * d)
+            assert rows.tolist() == [list(p.x.coords + p.y.coords) for p in box]
+        box = PointBox(GapSet(basis, 1, scale=2**70), GapSet(basis, 1))
+        assert box.coords().dtype == object
+        assert box.coords().tolist() == [list(p.x.coords + p.y.coords) for p in box]
+
+
+def test_translates_stay_in_outer_box(sqrt2, monkeypatch):
     # build_cell_geometry runs the exhaustive observation (i) check itself;
     # it must come back without the internal assertion firing
-    geom = build_cell_geometry(ConstructionParams(sqrt2, 6561, HALF, 3))
+    params = ConstructionParams(sqrt2, 6561, HALF, 3)
+    geom = build_cell_geometry(params)
     assert geom.s >= 1 and geom.s_prime >= geom.s
+    # and fire when the multiplier box is far wider than A_r
+    gap_set = construction.gap_set
+    monkeypatch.setattr(
+        construction,
+        "gap_set",
+        lambda basis, m, scale=1: GapSet(basis, 10 * gap_set(basis, m).radius + 10, scale),
+    )
+    with pytest.raises(AssertionError, match="escapes its outer box"):
+        build_cell_geometry(params)
 
 
 def test_disjoint_translates(integers):
@@ -120,6 +162,16 @@ def test_overlapping_translates_detected(integers):
     geom.s = geom.cell_x.radius
     geom.s_prime = geom.cell_y.radius
     geom.trans_x = GapSet(integers, geom.trans_x.radius, scale=geom.s)
+    geom.trans_y = GapSet(integers, geom.trans_y.radius, scale=geom.s_prime)
+    assert not verify_disjoint_translates(geom)
+    # with a single x shift only the y copies can meet, and the exhaustive
+    # cross-check moves the cell along y (its y radius, 26, is more than
+    # twice its x radius, 1, so a move along x would not meet it)
+    geom = build_cell_geometry(ConstructionParams(integers, 8100, THIRD, 5))
+    assert (geom.cell_x.radius, geom.cell_y.radius) == (1, 26)
+    geom.trans_x = GapSet(integers, 0, scale=geom.s)
+    assert verify_disjoint_translates(geom)
+    geom.s_prime = geom.cell_y.radius
     geom.trans_y = GapSet(integers, geom.trans_y.radius, scale=geom.s_prime)
     assert not verify_disjoint_translates(geom)
 
@@ -136,19 +188,20 @@ def test_family_dedups_across_translates(integers):
     geom = build_cell_geometry(ConstructionParams(integers, 2304, HALF, 3, HALF))
     family = generate_line_family(geom)
     per_translate_total = 0
-    cell = geom.cell_points()
-    for tx, ty in translate_vectors(geom):
-        shifted = [type(p)(p.x + tx, p.y + ty) for p in cell]
-        per_translate_total += len(line_pair_counts(shifted))
+    cell = list(PointBox(geom.cell_x, geom.cell_y))
+    for tx, ty in itertools.product(geom.trans_x, geom.trans_y):
+        shifted = [Point(p.x + tx, p.y + ty) for p in cell]
+        xs, ys = [p.x.coords for p in shifted], [p.y.coords for p in shifted]
+        per_translate_total += len(raw_pair_counts_loop(integers, xs, ys))
     assert len(family) < per_translate_total
 
 
 def _family_by_pair_scan(geom):
     """Reference family: line_through over every pair of every translated
     cell, keeping the smallest (translate index, i, j) witness per line."""
-    cell = geom.cell_points()
+    cell = list(PointBox(geom.cell_x, geom.cell_y))
     best = {}
-    for t_idx, (tx, ty) in enumerate(translate_vectors(geom)):
+    for t_idx, (tx, ty) in enumerate(itertools.product(geom.trans_x, geom.trans_y)):
         pts = [Point(p.x + tx, p.y + ty) for p in cell]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -185,9 +238,9 @@ def test_family_shift_exact_past_int64(sqrt2):
         for i in range(3)
         for j in range(3)
     ]
-    geom = SimpleNamespace(basis=sqrt2, cell_points=lambda: cell)
+    cell_rows = _rows((p.x, p.y) for p in cell)
     zero = Element(sqrt2, (0, 0))
-    cell_keys = group_pairs(sqrt2, [p.x.coords for p in cell], [p.y.coords for p in cell])[0]
+    cell_keys = group_pairs(sqrt2, cell_rows[:, :2], cell_rows[:, 2:])[0]
     coeff = int(np.abs(cell_keys[:, :4]).max())
     const = int(np.abs(cell_keys[:, 4:]).max())
     for big in (10, 10**17, 10**19):
@@ -200,12 +253,12 @@ def test_family_shift_exact_past_int64(sqrt2):
         best = {}
         for t_idx, (tx, ty) in enumerate(translates):
             pts = [Point(p.x + tx, p.y + ty) for p in cell]
-            raw = _raw_pair_counts_loop(
+            raw = raw_pair_counts_loop(
                 sqrt2, [p.x.coords for p in pts], [p.y.coords for p in pts]
             )
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
-        keys, witnesses = construction._raw_family(geom, translates)[:2]
+        keys, witnesses = construction._raw_family(sqrt2, cell_rows, _rows(translates))[:2]
         bound = max(coeff, const + 2 * max(product_bounds(sqrt2, coeff, big)))
         assert keys.dtype == _exact_dtype(bound)
         assert keys.dtype == {10: np.int16, 10**17: np.int64, 10**19: object}[big]
@@ -217,10 +270,10 @@ def test_family_shift_exact_past_int64(sqrt2):
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):
-    """Batched and per-line richness equal the oracle's on a small box of
-    every basis.  The smallest x^4 - x - 1 box with two nonzero radii has
-    6561 points, too many for the oracle here, so that basis takes its
-    81-point box, the single vertical line x = 0."""
+    """Batched and per-line richness equal the direction-sweep oracle's on a
+    small box of every basis.  The x^4 - x - 1 basis takes its 81-point box
+    at alpha = 1/4, whose x axis is the single point 0: its one line is the
+    vertical line x = 0."""
     sqrt5, gauss, cbrt2, quartic = ARITH_BASES[2:]
     cases = (
         (integers, 2304, HALF, 3),
@@ -232,19 +285,20 @@ def test_line_richness_matches_bruteforce(integers, sqrt2):
     )
     for basis, n, alpha, r in cases:
         box = build_pointset(basis, n, alpha)
-        rich = rich_lines_bruteforce(list(box), r)
-        lines = list(rich)
-        assert lines
-        assert line_richnesses(lines, box) == [rich[l] for l in lines]
-        for line in lines[:50]:
-            assert construction._count_on_line_int(basis, line.key, box) == rich[line]
+        keys, rich = rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), r)
+        order = canonical_order(basis, keys)
+        keys, rich = keys[order], rich[order].tolist()
+        assert rich
+        assert _key_richnesses(basis, keys, box).tolist() == rich
+        for key, richness in zip(key_tuples(keys[:50]), rich):
+            assert count_on_line_int(basis, key, box) == richness
     # X + (2^62 - 3)/(2^62 + 1) Y = 0: a*x overflows int64 inside the box
     box = build_pointset(integers, 100, HALF)
     (line,) = lines_from_text(f"1/1 {2**62 - 3}/{2**62 + 1} 0/1\n", integers)
     exact = sum(on_line(p, line) for p in box)
     assert exact == 1
-    assert line_richnesses([line], box) == [exact]
-    assert construction._count_on_line_int(integers, line.key, box) == exact
+    assert _key_richnesses(integers, [line.key], box).tolist() == [exact]
+    assert count_on_line_int(integers, line.key, box) == exact
 
 
 def _richness_block_bound(basis, key, box):
@@ -259,7 +313,7 @@ def _richness_block_bound(basis, key, box):
 
 
 def test_batched_richness_matches_per_line_reference():
-    """The batched counter equals _count_on_line_int on seeded random keys of
+    """The batched counter equals count_on_line_int on seeded random keys of
     every arithmetic basis, over a box whose x axis is scaled: lines through
     two box points (vertical ones included), random keys (most miss the
     box), and three lines through box points multiplied up to one step
@@ -284,7 +338,7 @@ def test_batched_richness_matches_per_line_reference():
             key = tuple(rng.randint(-9, 9) for _ in range(3 * d))
             if any(key[: 2 * d]):
                 keys.append(key)
-        expected = [construction._count_on_line_int(basis, key, box) for key in keys]
+        expected = [count_on_line_int(basis, key, box) for key in keys]
         assert construction._key_richnesses(basis, keys, box).tolist() == expected
         assert 0 in expected and max(expected) > 2
         vertical = [k for k, r in zip(keys, expected) if r and not any(k[d : 2 * d])]
@@ -295,7 +349,7 @@ def test_batched_richness_matches_per_line_reference():
         corner = Point(Element(basis, [2] + [0] * (d - 1)), Element(basis, [ry] * d))
         through_origin = line_through(origin, corner).key
         for key in (richest, vertical[0], through_origin):
-            rich = construction._count_on_line_int(basis, key, box)
+            rich = count_on_line_int(basis, key, box)
             for limit, below, above in DTYPE_THRESHOLDS:
                 lo, hi = 0, 2**63  # the largest multiple whose block bound is at most limit
                 while hi - lo > 1:
@@ -307,7 +361,7 @@ def test_batched_richness_matches_per_line_reference():
                 for t, dtype in ((lo, below), (lo + 1, above)):
                     scaled = tuple(t * v for v in key)
                     assert _exact_dtype(_richness_block_bound(basis, scaled, box)) == dtype
-                    assert construction._count_on_line_int(basis, scaled, box) == rich
+                    assert count_on_line_int(basis, scaled, box) == rich
                     assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
             assert lo  # the int64 threshold
     # 2^59 (15 X + 2 Y) = 0 meets the box only at the origin, but at x = +-2
@@ -315,7 +369,7 @@ def test_batched_richness_matches_per_line_reference():
     integers = ARITH_BASES[0]
     box = construction.PointBox(GapSet(integers, 3), GapSet(integers, 3))
     key = (15 * 2**59, 2 * 2**59, 0)
-    assert construction._count_on_line_int(integers, key, box) == 1
+    assert count_on_line_int(integers, key, box) == 1
     assert construction._key_richnesses(integers, [key], box).tolist() == [1]
 
 
@@ -342,7 +396,7 @@ def test_verify_claim2_oversized_cell_fails(integers):
     box, tuned = build_construction(params)
     assert tuned.report.frac_r_rich < 1.0
     assert tuned.report.failing_line is not None
-    assert line_richnesses([tuned.report.failing_line], box)[0] < 3
+    assert count_on_line_int(integers, tuned.report.failing_line.key, box) < 3
 
 
 def test_auto_tune_failure_modes(integers):
@@ -364,7 +418,7 @@ def test_auto_tune_error_names_failing_line(cbrt2):
     (line,) = lines_from_text(match[1], cbrt2)
     richness = int(match[2])
     assert richness < 5
-    assert line_richnesses([line], build_pointset(cbrt2, 18225, HALF)) == [richness]
+    assert count_on_line_int(cbrt2, line.key, build_pointset(cbrt2, 18225, HALF)) == richness
     assert match[3] == "c1=1, basis power basis of x^3 - 2, n=18225, alpha=1/2"
 
 
@@ -382,16 +436,17 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
 
     monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
     params = ConstructionParams(cbrt2, 18225, HALF, 5, Fraction(1), True)
-    assert len(build_cell_geometry(params).cell_points()) == 729
+    geom = build_cell_geometry(params)
+    assert len(geom.cell_x) * len(geom.cell_y) == 729
     with pytest.raises(AutoTuneError):
         auto_tune_c1(params)
     assert calls == []
 
 
-def _full_gate(basis, geom, box, r):
+def _full_gate(basis, cell, translates, box, r):
     """The tuning gate without the corner probe: the whole family and every
     key's richness, and whether every key is r-rich."""
-    keys, *rest = construction._raw_family(geom, translate_vectors(geom))
+    keys, *rest = construction._raw_family(basis, cell, translates)
     rich = construction._key_richnesses(basis, keys, box)
     family, order = construction._ordered_family(basis, keys, *rest)
     return family, rich[order].tolist(), bool(rich.min() >= r)
@@ -411,7 +466,8 @@ def _auto_tune_reference(params, max_halvings=20):
                 raise
             raise AutoTuneError("degenerate") from None
         if verify_disjoint_translates(geom):
-            family, rich, ok = _full_gate(params.basis, geom, box, params.r)
+            cell, translates = PointBox(geom.cell_x, geom.cell_y).coords(), translate_vectors(geom)
+            family, rich, ok = _full_gate(params.basis, cell, translates, box, params.r)
             if ok:
                 return trial.c1, step, family, rich
         c1 = c1 / 2
@@ -476,17 +532,13 @@ def test_probe_gate_matches_full_gate():
         box = construction.PointBox(side, side)
         for _ in range(4):
             cell_x, cell_y = (rng.sample(unit, rng.randint(3, 5)) for _ in range(2))
-            geom = SimpleNamespace(
-                basis=basis,
-                cell_x=cell_x,
-                cell_y=cell_y,
-                cell_points=lambda xs=cell_x, ys=cell_y: [Point(x, y) for x in xs for y in ys],
-                trans_x=rng.sample(shifts, rng.randint(1, 3)),
-                trans_y=rng.sample(shifts, rng.randint(1, 2)),
-            )
+            trans_x = rng.sample(shifts, rng.randint(1, 3))
+            trans_y = rng.sample(shifts, rng.randint(1, 2))
+            cell = _rows(itertools.product(cell_x, cell_y))
+            translates = _rows(itertools.product(trans_x, trans_y))
             r = rng.randint(2, 3)
-            family, rich, ok = _full_gate(basis, geom, box, r)
-            tuned, tuned_rich, low = construction._gated_family(geom, box, r)
+            family, rich, ok = _full_gate(basis, cell, translates, box, r)
+            tuned, tuned_rich, low = construction._gated_family(basis, cell, translates, box, r)
             if ok:
                 assert low is None
                 assert tuned.keys.tolist() == family.keys.tolist()
@@ -496,7 +548,7 @@ def test_probe_gate_matches_full_gate():
                 key, richness = low
                 assert tuned is None and richness < r
                 assert tuple(key.tolist()) in set(key_tuples(family.keys))
-                assert construction._count_on_line_int(basis, tuple(key.tolist()), box) == richness
+                assert count_on_line_int(basis, tuple(key.tolist()), box) == richness
             verdicts.add((d, ok))
     assert verdicts == {(d, ok) for d in (1, 2, 3, 4) for ok in (True, False)}
 
@@ -509,10 +561,12 @@ def test_claim1_statistic(integers, sqrt2):
         ConstructionParams(sqrt2, 6561, HALF, 3),
     ):
         box, tuned = build_construction(params)
-        cell = tuned.geometry.cell_points()
+        geom, d = tuned.geometry, params.basis.degree
+        cell = PointBox(geom.cell_x, geom.cell_y).coords()
         n_lines, ratio = claim1_statistic(tuned)
-        keys = group_pairs(params.basis, [p.x.coords for p in cell], [p.y.coords for p in cell])[0]
-        assert n_lines == len(keys) == len(line_pair_counts(cell))
+        keys = group_pairs(params.basis, cell[:, :d], cell[:, d:])[0]
+        raw = raw_pair_counts_loop(params.basis, cell[:, :d].tolist(), cell[:, d:].tolist())
+        assert n_lines == len(keys) == len(raw)
         assert ratio == n_lines * params.r**4 / len(box) ** 2
         # a healthy chunk of distinct lines (the integer cell is 13 x 13)
         assert n_lines > 100
@@ -559,7 +613,8 @@ def test_szt_construction(integers):
     res = szt_incidence_construction(integers, 2304, 2304)
     assert res.r == 13
     assert len(res.points) == 1089
-    assert res.incidences == sum(line_richnesses(list(res.family), res.points))
+    keys = key_tuples(res.family.keys)
+    assert res.incidences == sum(count_on_line_int(integers, key, res.points) for key in keys)
     assert res.ratio_nominal > 0
 
 
@@ -587,15 +642,21 @@ def _mechanism_reference(family, box, r):
     return all_on, (inside / total if total else 1.0)
 
 
+def _rows(pairs):
+    """The coordinate rows (x then y) of (x, y) Element pairs, in object
+    dtype, so that rows past int64 stay exact."""
+    return np.array([x.coords + y.coords for x, y in pairs], dtype=object)
+
+
 def _random_family(basis, rng, size, translates):
     """The family of a random cell of `size` distinct points, moved by the
-    given translates."""
+    given (x, y) Element pairs."""
     cell = {}
     while len(cell) < size:
         x, y = ([rng.randint(-2, 2) for _ in range(basis.degree)] for _ in range(2))
-        cell[tuple(x), tuple(y)] = Point(Element(basis, x), Element(basis, y))
-    geom = SimpleNamespace(basis=basis, cell_points=lambda: list(cell.values()))
-    return construction._ordered_family(basis, *construction._raw_family(geom, translates))[0]
+        cell[tuple(x), tuple(y)] = x + y
+    raw = construction._raw_family(basis, np.array(list(cell.values())), _rows(translates))
+    return construction._ordered_family(basis, *raw)[0]
 
 
 def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch):
@@ -661,10 +722,9 @@ def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch
     # The line y = 3x through (0, 0) and (2^32, 3 * 2^32), keyed
     # (3 + 2^32, -1, 0): every replayed x is a multiple of 2^32, so
     # a*x + b*y is 2^32 x, a nonzero multiple of 2^64 that int64 would wrap to 0
-    cell = [Point(Element(integers, (v,)), Element(integers, (3 * v,))) for v in (0, 2**32)]
-    family = LineFamily(
-        integers, np.array([[3 + 2**32, -1, 0]]), np.array([[0, 0, 1]]), cell, [(zero, zero)], 1
-    )
+    cell = np.array([[v, 3 * v] for v in (0, 2**32)])
+    keys, witnesses = np.array([[3 + 2**32, -1, 0]]), np.array([[0, 0, 1]])
+    family = LineFamily(integers, keys, witnesses, cell, np.zeros((1, 2), dtype=np.int64), 1)
     box = build_pointset(integers, 100, HALF)
     got = construction._mechanism_check(family, box, 3)
     assert got == _mechanism_reference(family, box, 3)

@@ -12,22 +12,16 @@ import numpy as np
 from richlines import geometry as geo
 from richlines.construction import (
     ConstructionParams,
+    _key_richnesses,
     build_construction,
     build_pointset,
-    line_richnesses,
 )
 from richlines.gapset import GapSet
-from richlines.geometry import (
-    CanonicalLine,
-    Point,
-    count_incidences,
-    line_through,
-    lines_to_text,
-    rich_lines_bruteforce,
-)
+from richlines.geometry import CanonicalLine, Point, line_through, lines_to_text
 from richlines.numberfield import Element, NiceBasis, build_quadratic_basis
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
+from reference import count_incidences, raw_pair_counts_loop
 
 
 def grouped(basis, xs, ys):
@@ -40,7 +34,7 @@ def grouped(basis, xs, ys):
 
 
 def reference(basis, xs, ys):
-    raw = geo._raw_pair_counts_loop(basis, xs, ys)
+    raw = raw_pair_counts_loop(basis, xs, ys)
     keys = sorted(raw)
     return keys, [raw[k][0] for k in keys], [tuple(raw[k][1:]) for k in keys]
 
@@ -114,7 +108,7 @@ def swept(basis, xs, ys, r):
 def swept_reference(basis, xs, ys, r):
     """The lines of the pair reference with at least C(r, 2) pairs, their
     richness from the pair count, in canonical order."""
-    raw = geo._raw_pair_counts_loop(
+    raw = raw_pair_counts_loop(
         basis, [x for x in xs for _ in ys], [y for _ in xs for y in ys]
     )
     keys = [key for key, (count, _, _) in raw.items() if count >= comb(r, 2)]
@@ -221,26 +215,29 @@ def test_unit_multiple_raw_keys_merge():
 
 
 def test_richness_sums_to_incidences(integers, sqrt2):
-    """The richness of each line equals its exact incidence count with the
-    box by on_line: on (the first lines of) a small construction's family,
-    on the oracle's rich lines of a small box of every basis, and on the
-    lines through 8 random points of the 6561-point x^4 - x - 1 box."""
+    """The richness that _key_richnesses counts for each line equals its
+    exact incidence count with the box by on_line: on the first lines of a
+    small construction's family, on the first lines, in canonical order, of
+    the oracle's rich lines of a small box of every basis, and on the lines
+    through 8 random points of the 6561-point x^4 - x - 1 box."""
     cases = []
     for basis in (integers, sqrt2):
         params = ConstructionParams(basis, 400, Fraction(1, 2), 2)
         box, tuned = build_construction(params)
-        cases.append((box, list(tuned.family)[:150]))
+        cases.append((box, tuned.family.keys[:150]))
     sizes = (2304, 81, 81, 81, 1000)
     for basis, n in zip(ARITH_BASES, sizes):
         box = build_pointset(basis, n, Fraction(1, 2))
-        cases.append((box, list(rich_lines_bruteforce(list(box), 3))[:150]))
+        keys, _ = geo.rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), 3)
+        cases.append((box, keys[geo.canonical_order(basis, keys)][:150]))
     box = build_pointset(ARITH_BASES[5], 10000, Fraction(1, 2))
     assert len(box) == 6561
-    sample = random.Random(9).sample(list(box), 8)
-    cases.append((box, list(rich_lines_bruteforce(sample, 2))))
-    for box, lines in cases:
+    sample = np.array(random.Random(9).sample(box.coords().tolist(), 8))
+    cases.append((box, geo.group_pairs(box.basis, sample[:, :4], sample[:, 4:])[0]))
+    for box, keys in cases:
         points = list(box)
-        rich = line_richnesses(lines, box)
+        lines = [CanonicalLine(box.basis, key) for key in geo.key_tuples(keys)]
+        rich = _key_richnesses(box.basis, keys, box).tolist()
         assert rich == [count_incidences(points, [line]) for line in lines]
         assert max(rich) > 2
 
@@ -343,7 +340,8 @@ def test_overflow_guard():
     """Coordinates one step either side of each _exact_dtype threshold of
     key_bound's entry bound, and of its work bound's int64 limit, agree with
     the reference and give keys of the dtype the entry bound picks; past
-    int64 the keys are exact Python ints in object dtype."""
+    int64 the keys are exact Python ints in object dtype.  Coordinate arrays
+    with every entry negative take their bound from the largest |entry|."""
     rng = random.Random(6)
     for basis in ARITH_BASES:
         d = basis.degree
@@ -370,3 +368,9 @@ def test_overflow_guard():
             assert geo.group_pairs(basis, xs, ys)[0].dtype == dtype
             assert grouped(basis, xs, ys) == reference(basis, xs, ys)
         assert geo._exact_dtype(entry(tops[3] + 1)) == object
+        # every coordinate negative, as arrays: the bound is the largest
+        # |coordinate|, 2 * top + 1 here, not the largest coordinate
+        top = tops[1]
+        xs, ys = (np.array(v) - (top + 1) for v in random_coords(rng, basis, 25, top))
+        assert geo.group_pairs(basis, xs, ys)[0].dtype == geo._exact_dtype(entry(2 * top + 1))
+        assert grouped(basis, xs, ys) == reference(basis, xs.tolist(), ys.tolist())

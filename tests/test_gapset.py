@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import richlines as rl
-from richlines import gapset
 from richlines.errors import InvalidParameterError
 from richlines.gapset import (
     GapSet,
@@ -54,6 +53,39 @@ def test_coords_match_iteration():
                 assert box.coords().tolist() == [list(e.coords) for e in box]
 
 
+def test_contains_rows_matches_contains():
+    """GapSet.contains_rows agrees with contains on seeded random rows of
+    multiples of the scale at and past the radius, and of non-multiples: at
+    scale 1, at scales near and past int64 (object rows), and on int8 rows
+    against a box whose radius * scale needs a wider dtype."""
+    rng = random.Random(17)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        for radius, scale, dtype in (
+            (2, 1, np.int8),
+            (1, 3, np.int8),
+            (1, 1000, np.int8),
+            (100, 2, np.int8),
+            (2, 2**61, np.int64),
+            (1, 2**70, object),
+        ):
+            box = GapSet(basis, radius, scale)
+            inside = [k * scale for k in range(-radius, radius + 1)]
+            outside = [(radius + 1) * scale, -(radius + 1) * scale, 1, -1, scale + 1]
+            if dtype is not object:
+                top = np.iinfo(dtype).max
+                inside, outside = ([v for v in vs if abs(v) <= top] for vs in (inside, outside))
+            rows = []
+            for _ in range(60):
+                row = [rng.choice(inside) for _ in range(d)]
+                if rng.random() < 0.5:
+                    row[rng.randrange(d)] = rng.choice(outside)
+                rows.append(row)
+            got = box.contains_rows(np.array(rows, dtype=dtype)).tolist()
+            assert got == [box.contains(Element(basis, row)) for row in rows]
+            assert True in got and False in got
+
+
 def test_generate_integers(integers):
     s = gap_set(integers, 9)
     vals = sorted(e.coords[0] for e in s)
@@ -74,11 +106,11 @@ def test_generate_scaled(integers):
 
 
 def test_contains(integers):
-    assert gapset.contains(integers, 9, 1, Element(integers, (3,)))
-    assert not gapset.contains(integers, 9, 1, Element(integers, (4,)))
-    assert gapset.contains(integers, 9, 5, Element(integers, (10,)))
-    assert not gapset.contains(integers, 9, 5, Element(integers, (7,)))
-    assert gapset.contains(integers, 9, 5, Element(integers, (0,)))
+    assert gap_set(integers, 9).contains(Element(integers, (3,)))
+    assert not gap_set(integers, 9).contains(Element(integers, (4,)))
+    assert gap_set(integers, 9, scale=5).contains(Element(integers, (10,)))
+    assert not gap_set(integers, 9, scale=5).contains(Element(integers, (7,)))
+    assert gap_set(integers, 9, scale=5).contains(Element(integers, (0,)))
 
 
 def test_generated_elements_satisfy_contains(sqrt2):

@@ -1,34 +1,64 @@
-"""Exact incidence predicates, canonical lines, and the brute-force oracle."""
+"""Exact incidence predicates, canonical lines, the pair grouping and the
+direction-sweep oracle on small point sets."""
 
 import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from richlines import geometry as geo
 from richlines.errors import DegeneratePairError, InvalidParameterError
 from richlines.geometry import (
     CanonicalLine,
-    beck_statistic,
     collinear,
-    count_incidences,
-    line_pair_counts,
     line_through,
-    lines_from_text,
     lines_to_text,
     on_line,
-    pair_grouping_identity,
-    points_from_text,
     points_to_text,
-    rich_lines_bruteforce,
+    rich_line_keys,
 )
 
 from conftest import ARITH_BASES, int_point, make_point
+from reference import (
+    count_incidences,
+    lines_from_text,
+    point_rows,
+    points_from_text,
+    raw_pair_counts_loop,
+)
 
 
 def grid(basis, nx, ny):
     return [int_point(basis, x, y) for x in range(nx) for y in range(ny)]
+
+
+def grid_axes(nx, ny):
+    """The x and y axes of the integer grid {0..nx-1} x {0..ny-1}."""
+    return [(x,) for x in range(nx)], [(y,) for y in range(ny)]
+
+
+def pair_lines(points):
+    """{CanonicalLine: pair count} of the lines through two of the points,
+    from group_pairs' keys and counts."""
+    basis = points[0].basis
+    xs, ys = [p.x.coords for p in points], [p.y.coords for p in points]
+    keys, counts, _ = geo.group_pairs(basis, xs, ys)
+    return {
+        CanonicalLine(basis, key): count
+        for key, count in zip(geo.key_tuples(keys), counts.tolist())
+    }
+
+
+def rich_pair_lines(points, r):
+    """{CanonicalLine: richness} of the lines with at least r of the points:
+    the lines with at least C(r, 2) pairs, k points from C(k, 2) pairs."""
+    return {
+        line: geo._richness_from_pairs(count)
+        for line, count in pair_lines(points).items()
+        if count >= comb(r, 2)
+    }
 
 
 def random_points(rng, basis, count, bound=30):
@@ -124,68 +154,72 @@ def test_canonical_normalization_sqrt2(sqrt2):
 
 
 def test_grid_3x3_rich_lines(integers):
-    rich = rich_lines_bruteforce(grid(integers, 3, 3), 3)
-    assert len(rich) == 8
-    assert all(k == 3 for k in rich.values())
+    keys, richness = rich_line_keys(integers, *grid_axes(3, 3), 3)
+    assert len(keys) == 8
+    assert richness.tolist() == [3] * 8
 
 
 def test_r_larger_than_pointset(integers):
-    assert rich_lines_bruteforce(grid(integers, 2, 2), 5) == {}
+    keys, richness = rich_line_keys(integers, *grid_axes(2, 2), 5)
+    assert keys.shape == (0, 3) and richness.shape == (0,)
 
 
 def test_four_collinear(integers):
     pts = [int_point(integers, i, 2 * i) for i in range(4)]
-    rich = rich_lines_bruteforce(pts, 2)
-    assert len(rich) == 1
-    assert list(rich.values()) == [4]
-
-
-def test_duplicate_points_rejected(integers):
-    pts = [int_point(integers, 0, 0), int_point(integers, 0, 0)]
-    with pytest.raises(InvalidParameterError):
-        rich_lines_bruteforce(pts, 2)
+    assert list(rich_pair_lines(pts, 2).values()) == [4]
 
 
 def test_rich_lines_r_validation(integers):
     with pytest.raises(InvalidParameterError):
-        rich_lines_bruteforce(grid(integers, 2, 2), 1)
+        rich_line_keys(integers, *grid_axes(2, 2), 1)
 
 
 def test_count_incidences_grid(integers):
     pts = grid(integers, 3, 3)
-    rich = rich_lines_bruteforce(pts, 3)
-    assert count_incidences(pts, rich.keys()) == 24
+    keys, _ = rich_line_keys(integers, *grid_axes(3, 3), 3)
+    lines = [CanonicalLine(integers, key) for key in geo.key_tuples(keys)]
+    assert count_incidences(pts, lines) == 24
     assert count_incidences(pts, []) == 0
 
 
 def test_count_incidences_matches_richness_sum(sqrt2):
     rng = random.Random(31)
     pts = random_points(rng, sqrt2, 40, bound=4)
-    rich = rich_lines_bruteforce(pts, 3)
-    assert count_incidences(pts, rich.keys()) == sum(rich.values())
+    rich = rich_pair_lines(pts, 3)
+    assert rich
+    assert count_incidences(pts, rich) == sum(rich.values())
 
 
 def test_beck_statistic(integers):
-    assert beck_statistic(grid(integers, 3, 3)) == (3, 20)
+    """(max collinear points, number of lines) from group_pairs' counts."""
+
+    def beck(points):
+        counts = pair_lines(points).values()
+        return geo._richness_from_pairs(max(counts)), len(counts)
+
+    assert beck(grid(integers, 3, 3)) == (3, 20)
     collin = [int_point(integers, i, i) for i in range(7)]
-    assert beck_statistic(collin) == (7, 1)
+    assert beck(collin) == (7, 1)
     tri = [int_point(integers, 0, 0), int_point(integers, 1, 0), int_point(integers, 0, 1)]
-    assert beck_statistic(tri) == (2, 3)
+    assert beck(tri) == (2, 3)
 
 
 def test_pair_grouping_identity_random(integers, sqrt2):
+    """sum over lines of C(richness, 2) == C(|P|, 2), each pair count a
+    triangular number."""
     rng = random.Random(41)
     for basis in (integers, sqrt2):
         pts = random_points(rng, basis, 35)
-        assert pair_grouping_identity(pts)
+        richness = map(geo._richness_from_pairs, pair_lines(pts).values())
+        assert sum(comb(k, 2) for k in richness) == comb(len(pts), 2)
 
 
 def test_generic_path_matches_fast_path(integers):
-    """The int64 kernel's lines and counts must equal both the pure-Python
+    """The array kernel's lines and counts must equal both the pure-Python
     reference keys and grouping every pair by line_through."""
     rng = random.Random(51)
     pts = random_points(rng, integers, 60)
-    raw = geo._raw_pair_counts_loop(
+    raw = raw_pair_counts_loop(
         integers, [p.x.coords for p in pts], [p.y.coords for p in pts]
     )
     reference = {
@@ -196,7 +230,7 @@ def test_generic_path_matches_fast_path(integers):
         for j in range(i + 1, len(pts)):
             line = line_through(pts[i], pts[j])
             generic[line] = generic.get(line, 0) + 1
-    assert line_pair_counts(pts) == reference == generic
+    assert pair_lines(pts) == reference == generic
 
 
 def test_dedup_key_equivalence(sqrt2):
@@ -221,11 +255,15 @@ def test_dedup_key_equivalence(sqrt2):
 
 
 def test_rich_lines_sorted_deterministically(integers):
+    """canonical_order sorts the keys of the lines with 3 points as
+    CanonicalLine.sort_key orders their lines."""
     rng = random.Random(71)
     pts = random_points(rng, integers, 50)
-    rich = rich_lines_bruteforce(pts, 3)
-    keys = list(rich)
-    assert keys == sorted(keys, key=CanonicalLine.sort_key)
+    keys = np.array([line.key for line in rich_pair_lines(pts, 3)])
+    assert len(keys) > 1
+    keys = keys[geo.canonical_order(integers, keys)]
+    lines = [CanonicalLine(integers, key) for key in geo.key_tuples(keys)]
+    assert lines == sorted(lines, key=CanonicalLine.sort_key)
 
 
 def test_raw_vec_equals_raw_loop(integers, sqrt2, cbrt2):
@@ -237,7 +275,7 @@ def test_raw_vec_equals_raw_loop(integers, sqrt2, cbrt2):
         xs = [p.x.coords for p in pts]
         ys = [p.y.coords for p in pts]
         keys, counts, first = geo.group_pairs(basis, xs, ys)
-        raw = geo._raw_pair_counts_loop(basis, xs, ys)
+        raw = raw_pair_counts_loop(basis, xs, ys)
         assert {
             tuple(k): [c, i, j]
             for k, c, (i, j) in zip(keys.tolist(), counts.tolist(), first.tolist())
@@ -249,8 +287,7 @@ def test_raw_vec_equals_raw_loop(integers, sqrt2, cbrt2):
 def test_merged_counts_sum_to_all_pairs(cbrt2):
     rng = random.Random(91)
     pts = random_points(rng, cbrt2, 25, bound=3)
-    merged = line_pair_counts(pts)
-    assert sum(merged.values()) == comb(len(pts), 2)
+    assert sum(pair_lines(pts).values()) == comb(len(pts), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +297,10 @@ def test_merged_counts_sum_to_all_pairs(cbrt2):
 def test_points_round_trip(sqrt2):
     rng = random.Random(101)
     pts = random_points(rng, sqrt2, 20)
-    text = points_to_text(pts)
-    back = points_from_text(text, sqrt2)
-    assert back == pts
+    text = points_to_text(point_rows(pts))
+    assert points_from_text(text, sqrt2) == pts
+    assert points_to_text(np.array(point_rows(pts))) == text
+    assert points_to_text([]) == ""
 
 
 def test_lines_round_trip():
@@ -271,12 +309,7 @@ def test_lines_round_trip():
     rng = random.Random(102)
     for basis in ARITH_BASES:
         pts = random_points(rng, basis, 20, bound=30 // basis.degree)
-        lines = list(rich_lines_bruteforce(pts, 2))
+        lines = list(pair_lines(pts))
         assert len(lines) > 100
         back = lines_from_text(lines_to_text(lines), basis)
         assert back == lines
-
-
-def test_points_from_text_validates(integers):
-    with pytest.raises(InvalidParameterError):
-        points_from_text("1 2 3\n", integers)

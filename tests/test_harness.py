@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from richlines import cli, construction, geometry, harness, numberfield
+from richlines import cli, construction, gapset, geometry, harness, numberfield
 from richlines.errors import ConfigError
 from richlines.harness import (
     CSV_COLUMNS,
@@ -286,7 +286,6 @@ def test_benchmark_hook_targets_exist():
     one would silently zero a benchmark counter."""
     targets = {
         construction: ("translate_vectors", "build_construction", "verify_claim2", "auto_tune_c1"),
-        geometry: ("rich_lines_bruteforce",),
         numberfield: ("build_power_basis", "integer_inverse"),
         harness: ("sweep",),
     }
@@ -364,6 +363,47 @@ def test_pipeline_builds_no_fractions(monkeypatch):
     # the counter sees the coefficients that output builds
     next(iter(tuned.family)).coeffs()
     assert calls["rational"] == 3
+
+
+def test_pipeline_builds_no_points(monkeypatch, tmp_path):
+    """A run and construct --dump-points --dump-lines build no Point, and no
+    Element outside NiceBasis construction: the box, the cell, the
+    translates and the point dump are coordinate rows."""
+    calls = {"point": 0, "element": 0}
+    building = []
+    basis_init = numberfield.NiceBasis.__init__
+    element_init = numberfield.Element.__init__
+    point_init = geometry.Point.__init__
+
+    def counting_basis_init(self, *args, **kwargs):
+        building.append(self)
+        try:
+            basis_init(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    def counting_element_init(self, *args):
+        calls["element"] += not building
+        element_init(self, *args)
+
+    def counting_point_init(self, *args):
+        calls["point"] += 1
+        point_init(self, *args)
+
+    monkeypatch.setattr(numberfield.NiceBasis, "__init__", counting_basis_init)
+    monkeypatch.setattr(numberfield.Element, "__init__", counting_element_init)
+    monkeypatch.setattr(geometry.Point, "__init__", counting_point_init)
+    report = run(parse_config(SWEEP_CFG), r=3)
+    assert report.num_lines == 21400
+    argv = ["construct", "--config", write_cfg(tmp_path, cfg()), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--dump-points", "--dump-lines"]) == 0
+    assert len((tmp_path / "points.txt").read_text().splitlines()) == 1089
+    assert len((tmp_path / "lines.txt").read_text().splitlines()) == 944
+    assert calls == {"point": 0, "element": 0}
+    # the counters do see the scalar API
+    side = gapset.GapSet(numberfield.build_integers_basis(), 1)
+    assert len(list(construction.PointBox(side, side))) == 9
+    assert calls == {"point": 9, "element": 6}
 
 
 def test_tuned_build_counts_each_key_once(monkeypatch):
