@@ -12,14 +12,17 @@ import os
 import sys
 
 from . import harness
-from .errors import RichlinesError
+from .errors import ConfigError, RichlinesError
 from .geometry import lines_to_text, points_to_text
 from .numberfield import basis_from_spec
 
 
 def _load_config(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read config {path!r}: {err}") from err
     return harness.parse_config(raw)
 
 

@@ -16,11 +16,11 @@ that holds them (object past int64): one broadcast moves the cell's keys to
 every translate, one sort deduplicates them, another puts them in canonical
 order, and CanonicalLines are built only for lines that are output.  One
 batched counter, _key_richnesses, counts every richness on the box axes'
-coordinate arrays, and an auto-tuned build counts each family key once: the
-tuning gate's counts become the claim-2 report.  The report's multiplier
-replay is one array computation too.  A run builds no Point or Element and
-one CanonicalLine, the failing line it reports; LineFamily.witness_points
-builds Points on demand.
+coordinate arrays.  A build only builds, and keeps the tuning gate's counts;
+verify_claim2 counts the lines of a fixed-c1 build, so each family key is
+counted once, and replays the multiplier mechanism in one array computation.
+A run builds no Point or Element and one CanonicalLine, the failing line it
+reports; LineFamily.witness_points builds Points on demand.
 
 Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
@@ -454,7 +454,7 @@ class RichnessReport:
     min_richness: int
     frac_r_rich: float
     failing_line: CanonicalLine | None
-    richnesses: list
+    richnesses: np.ndarray  # int64, in family order
     mechanism_on_line: bool
     mechanism_in_p_fraction: float
 
@@ -475,7 +475,7 @@ def verify_claim2(family, box, r, richnesses=None):
         richnesses = _key_richnesses(family.basis, family.keys, box)
     rich = np.asarray(richnesses, dtype=np.int64)
     if not len(rich):
-        return RichnessReport(r, 0, 0, 1.0, None, [], True, 1.0)
+        return RichnessReport(r, 0, 0, 1.0, None, rich, True, 1.0)
     low = np.flatnonzero(rich < r)
     failing = None
     if len(low):
@@ -483,7 +483,7 @@ def verify_claim2(family, box, r, richnesses=None):
     mech_on, mech_in = _mechanism_check(family, box, r)
     frac = (len(rich) - len(low)) / len(rich)
     return RichnessReport(
-        r, len(rich), int(rich.min()), frac, failing, rich.tolist(), mech_on, mech_in
+        r, len(rich), int(rich.min()), frac, failing, rich, mech_on, mech_in
     )
 
 
@@ -545,17 +545,13 @@ def _mechanism_bound(basis, p, q, keys, t, box):
 def claim1_statistic(tuned):
     """|L_(0,0)| * r^4 / |P|^2: the single-cell line count of a built
     construction at its claimed rate, using the realized point-set size."""
-    params = tuned.params
     n_lines = tuned.family.cell_lines
-    realized_p = len(build_pointset(params.basis, params.n, params.alpha))
-    return n_lines, n_lines * params.r**4 / realized_p**2
+    return n_lines, n_lines * tuned.params.r**4 / len(tuned.box) ** 2
 
 
-def claim3_claim4_statistics(box, family, r, richnesses=None):
-    """(incidences * r^2 / |P|^2, |L| * r^3 / |P|^2) with exact counts."""
-    if richnesses is None:
-        richnesses = _key_richnesses(family.basis, family.keys, box).tolist()
-    incidences = sum(richnesses)
+def claim3_claim4_statistics(box, family, r, richnesses):
+    """(incidences, incidences * r^2 / |P|^2, |L| * r^3 / |P|^2), exactly."""
+    incidences = int(np.sum(richnesses, dtype=np.int64))
     p = len(box)
     return incidences, incidences * r**2 / p**2, len(family) * r**3 / p**2
 
@@ -564,8 +560,9 @@ def claim3_claim4_statistics(box, family, r, richnesses=None):
 class TunedConstruction:
     params: ConstructionParams  # with the final c1
     geometry: CellGeometry
+    box: PointBox
     family: LineFamily
-    report: RichnessReport
+    richness: np.ndarray | None  # the tuning gate's int64 counts; None at fixed c1
     halvings: int
 
 
@@ -673,8 +670,7 @@ def auto_tune_c1(params, max_halvings=20):
             cell = PointBox(geom.cell_x, geom.cell_y).coords()
             family, rich, low = _gated_family(basis, cell, translate_vectors(geom), box, params.r)
             if low is None:
-                report = verify_claim2(family, box, params.r, rich)
-                return TunedConstruction(trial, geom, family, report, step)
+                return TunedConstruction(trial, geom, box, family, rich, step)
             last_reason = _below_r(trial, *low)
         c1 = c1 / 2
     raise AutoTuneError(
@@ -684,15 +680,14 @@ def auto_tune_c1(params, max_halvings=20):
 
 
 def build_construction(params):
-    """Build (pointset, geometry, family) honoring params.auto_tune."""
-    box = build_pointset(params.basis, params.n, params.alpha)
+    """(box, TunedConstruction) for params: auto-tuned when params.auto_tune,
+    else built at params.c1 with no line counted.  Nothing is verified."""
     if params.auto_tune:
         tuned = auto_tune_c1(params)
-        return box, tuned
+        return tuned.box, tuned
+    box = build_pointset(params.basis, params.n, params.alpha)
     geom = build_cell_geometry(params)
-    family = generate_line_family(geom)
-    report = verify_claim2(family, box, params.r)
-    return box, TunedConstruction(params, geom, family, report, 0)
+    return box, TunedConstruction(params, geom, box, generate_line_family(geom), None, 0)
 
 
 # ---------------------------------------------------------------------------

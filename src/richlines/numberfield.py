@@ -470,7 +470,7 @@ def basis_from_spec(spec):
             raise InvalidParameterError("quadratic basis spec needs 'k'")
         return build_quadratic_basis(spec["k"])
     if kind == "power":
-        if "minpoly" not in spec:
-            raise InvalidParameterError("power basis spec needs 'minpoly'")
+        if not isinstance(spec.get("minpoly"), list):
+            raise InvalidPolynomialError("power basis spec needs a 'minpoly' list")
         return build_power_basis(spec["minpoly"])
     raise InvalidParameterError(f"unknown basis type {kind!r}")

@@ -27,6 +27,7 @@ from richlines.construction import (
     auto_tune_c1,
     build_pointset,
     szt_incidence_construction,
+    verify_claim2,
 )
 from richlines.errors import RTooLargeError
 from richlines.gapset import gap_set, product_bound, sum_bound
@@ -139,7 +140,7 @@ def claim2_matrix():
             "status": "ok",
             "n": n,
             "p": len(box),
-            "frac": tuned.report.frac_r_rich,
+            "frac": verify_claim2(tuned.family, box, r, tuned.richness).frac_r_rich,
             "basis": basis,
             "alpha": alpha,
             "r": r,

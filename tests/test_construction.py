@@ -379,24 +379,26 @@ def test_verify_claim2_tuned(integers):
     assert tuned.params.c1 == HALF
     assert tuned.halvings == 1
     assert len(tuned.family) == 944
-    assert tuned.report.frac_r_rich == 1.0
-    assert tuned.report.min_richness == 5
-    assert tuned.report.mechanism_on_line
-    # the failing line is the first one below r, and only lines below r fail
     box = build_pointset(integers, 2304, HALF)
+    report = verify_claim2(tuned.family, box, 3, tuned.richness)
+    assert report.frac_r_rich == 1.0
+    assert report.min_richness == 5
+    assert report.mechanism_on_line
+    # the failing line is the first one below r, and only lines below r fail
     assert verify_claim2(tuned.family, box, 5).failing_line is None
     report = verify_claim2(tuned.family, box, 6)
     lines = list(tuned.family)
-    assert report.failing_line == lines[report.richnesses.index(5)]
+    assert report.failing_line == lines[report.richnesses.tolist().index(5)]
 
 
 def test_verify_claim2_oversized_cell_fails(integers):
     # c1 = 1 is deliberately too large here; a witness must be reported
     params = ConstructionParams(integers, 2304, HALF, 3, Fraction(1))
     box, tuned = build_construction(params)
-    assert tuned.report.frac_r_rich < 1.0
-    assert tuned.report.failing_line is not None
-    assert count_on_line_int(integers, tuned.report.failing_line.key, box) < 3
+    report = verify_claim2(tuned.family, box, 3, tuned.richness)
+    assert report.frac_r_rich < 1.0
+    assert report.failing_line is not None
+    assert count_on_line_int(integers, report.failing_line.key, box) < 3
 
 
 def test_auto_tune_failure_modes(integers):
@@ -476,7 +478,8 @@ def _auto_tune_reference(params, max_halvings=20):
 
 def _auto_tune(params):
     tuned = auto_tune_c1(params)
-    return tuned.params.c1, tuned.halvings, tuned.family, tuned.report.richnesses
+    report = verify_claim2(tuned.family, tuned.box, params.r, tuned.richness)
+    return tuned.params.c1, tuned.halvings, tuned.family, report.richnesses.tolist()
 
 
 def _tune_outcome(tune, params):
@@ -575,15 +578,19 @@ def test_claim1_statistic(integers, sqrt2):
 def test_claim3_claim4_empty(integers):
     box = build_pointset(integers, 81, HALF)
     empty = LineFamily(integers, [], [], [], [], 0)
-    inc, r3, r4 = claim3_claim4_statistics(box, empty, 3)
+    report = verify_claim2(empty, box, 3)
+    inc, r3, r4 = claim3_claim4_statistics(box, empty, 3, report.richnesses)
     assert (inc, r3, r4) == (0, 0.0, 0.0)
 
 
 def test_claim_rates_on_tuned_run(integers):
     params = ConstructionParams(integers, 2304, HALF, 3, Fraction(1), True)
     box, tuned = build_construction(params)
-    inc, rate3, rate4 = claim3_claim4_statistics(box, tuned.family, 3)
-    assert inc == sum(tuned.report.richnesses)
+    report = verify_claim2(tuned.family, box, 3, tuned.richness)
+    inc, rate3, rate4 = claim3_claim4_statistics(box, tuned.family, 3, report.richnesses)
+    # a Python int, which json.dump takes, equal to a recount of every line
+    assert type(inc) is int
+    assert inc == int(_key_richnesses(integers, tuned.family.keys, box).sum())
     assert rate3 > 0 and rate4 > 0
 
 
@@ -684,7 +691,7 @@ def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch
         ConstructionParams(sqrt2, 6561, HALF, 3, Fraction(1), True),
     ):
         box, tuned = build_construction(params)
-        report = tuned.report
+        report = verify_claim2(tuned.family, box, params.r, tuned.richness)
         expected = _mechanism_reference(tuned.family, box, params.r)
         assert (report.mechanism_on_line, report.mechanism_in_p_fraction) == expected
 
@@ -734,5 +741,6 @@ def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch
 def test_mechanism_points_on_line(sqrt2):
     params = ConstructionParams(sqrt2, 6561, HALF, 3, Fraction(1), True)
     box, tuned = build_construction(params)
-    assert tuned.report.mechanism_on_line
-    assert 0 <= tuned.report.mechanism_in_p_fraction <= 1
+    report = verify_claim2(tuned.family, box, 3, tuned.richness)
+    assert report.mechanism_on_line
+    assert 0 <= report.mechanism_in_p_fraction <= 1

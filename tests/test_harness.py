@@ -268,6 +268,16 @@ def test_cli_error_exit_code(tmp_path, capsys):
         malformed = write_cfg(tmp_path, cfg(**{field: value}), "malformed.json")
         assert cli.main(["construct", "--config", malformed]) == 2
         assert "error:" in capsys.readouterr().err
+    # a missing or unparsable config file, and a minpoly that is not a list
+    unparsable = tmp_path / "unparsable.json"
+    unparsable.write_text("{not json")
+    for path in (str(tmp_path / "missing.json"), str(unparsable)):
+        assert cli.main(["verify", "--config", path]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+    for minpoly in (5, None):
+        malformed = write_cfg(tmp_path, cfg(basis={"type": "power", "minpoly": minpoly}))
+        assert cli.main(["oracle", "--config", malformed]) == 2
+        assert "'minpoly' list" in capsys.readouterr().err
     huge = write_cfg(tmp_path, cfg(n=2**200), "huge.json")
     assert cli.main(["oracle", "--config", huge]) == 2
     assert "exceeds the oracle cap" in capsys.readouterr().err
@@ -302,13 +312,47 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_family_lines_match_reference(tmp_path, monkeypatch, capsys):
+    """The benchmark traces construction.family_lines as the family sizes
+    that build_construction returns, summed over a workload's operations:
+    run, the construct dump's rebuild and the oracle each build once.  The
+    sums over the construct and oracle workloads equal the recorded
+    reference, and each operation exits as recorded."""
+    built = []
+    build_construction = construction.build_construction
+
+    def counting(params):
+        result = build_construction(params)
+        built.append(len(result[1].family))
+        return result
+
+    # harness imports it at load time, cli's dump at call time
+    monkeypatch.setattr(construction, "build_construction", counting)
+    monkeypatch.setattr(harness, "build_construction", counting)
+    workloads = _workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    for name in ("construct", "oracle"):
+        built.clear()
+        for op in workloads.WORKLOADS[name]:
+            path = write_cfg(tmp_path, {**op.config, "seed": 0}, name=f"{op.id}.json")
+            argv = [op.command, "--config", path, "--out", str(tmp_path / op.id), *op.extra_argv]
+            assert cli.main(argv) == reference["ops"][op.id]["exit"], op.id
+        capsys.readouterr()
+        assert sum(built) == reference["family_lines"][name], name
+
+
 def test_outputs_match_benchmark_reference(tmp_path, capsys):
     """points.txt, lines.txt and sweep.csv are byte-identical to the
     benchmark's recorded reference: the three construct cells that exit 0
     (dumping points and lines) and the criterion-6 sweep."""
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     reference = json.loads((PERFBENCH / "reference.json").read_text())["ops"]
     ops = [op for op in workloads.CONSTRUCT if reference[op.id]["exit"] == 0]
     assert len(ops) == 3
@@ -406,20 +450,103 @@ def test_pipeline_builds_no_points(monkeypatch, tmp_path):
     assert calls == {"point": 9, "element": 6}
 
 
-def test_tuned_build_counts_each_key_once(monkeypatch):
-    """The accepted attempt of an auto-tuned build sends each family key to
-    the richness counter once: the gate's counts become the report's."""
-    counted = []
+def _count_keys(monkeypatch):
+    """Record the key rows sent to the richness counter, and, for each build
+    that harness makes and each verify_claim2 call, how many keys had been
+    sent and how many builds had returned by then."""
+    counted, builds, verified = [], [], []
     key_richnesses = construction._key_richnesses
+    build_construction = construction.build_construction
+    verify_claim2 = construction.verify_claim2
 
     def counting(basis, keys, box):
         counted.extend(geometry.key_tuples(keys))
         return key_richnesses(basis, keys, box)
 
+    def building(params):
+        box, tuned = build_construction(params)
+        builds.append((tuned, len(counted)))
+        return box, tuned
+
+    def verifying(*args):
+        verified.append(len(builds))
+        return verify_claim2(*args)
+
     monkeypatch.setattr(construction, "_key_richnesses", counting)
+    monkeypatch.setattr(construction, "verify_claim2", verifying)
+    monkeypatch.setattr(harness, "verify_claim2", verifying, raising=False)
+    monkeypatch.setattr(harness, "build_construction", building)
+    return counted, builds, verified
+
+
+QUAD_AUTO = {"basis": {"type": "quadratic", "k": 2}, "n": 6561, "alpha": "1/2", "r": 3}
+
+
+def test_tuned_build_counts_each_key_once(monkeypatch):
+    """The accepted attempt of an auto-tuned build sends each family key to
+    the richness counter once, and verify_claim2 takes the gate's counts
+    without counting again."""
+    counted, _, _ = _count_keys(monkeypatch)
     sqrt2 = numberfield.build_quadratic_basis(2)
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
     box, tuned = construction.build_construction(params)
     assert tuned.halvings == 0 and len(tuned.family) == 1520
+    keys = sorted(geometry.key_tuples(tuned.family.keys))
+    assert sorted(counted) == keys
+    report = construction.verify_claim2(tuned.family, box, 3, tuned.richness)
+    assert len(counted) == len(keys)
+    recount = construction._key_richnesses(sqrt2, tuned.family.keys, box)
+    assert report.richnesses.tolist() == recount.tolist()
+
+
+def test_run_auto_counts_each_key_once(monkeypatch):
+    """harness.run on an auto config: the build's tuning gate sends each
+    family key to the counter once, and verify_claim2 runs once, after the
+    build, on the gate's counts."""
+    counted, builds, verified = _count_keys(monkeypatch)
+    report = run(parse_config(QUAD_AUTO))
+    [(tuned, at_build)] = builds
+    assert report.num_lines == len(tuned.family) == 1520
+    assert at_build == len(counted)
     assert sorted(counted) == sorted(geometry.key_tuples(tuned.family.keys))
-    assert tuned.report.richnesses == key_richnesses(sqrt2, tuned.family.keys, box).tolist()
+    assert verified == [1]
+
+
+def test_run_fixed_c1_counts_each_key_once(monkeypatch):
+    """harness.run on a fixed-c1 config: the build counts no key, and
+    verify_claim2 runs once, after the build, sending each family key to
+    the counter once."""
+    counted, builds, verified = _count_keys(monkeypatch)
+    report = run(parse_config(cfg(c1="1/2")))
+    [(tuned, at_build)] = builds
+    assert at_build == 0
+    assert report.num_lines == len(tuned.family) == 944 and tuned.richness is None
+    assert sorted(counted) == sorted(geometry.key_tuples(tuned.family.keys))
+    assert verified == [1]
+
+
+def test_oracle_verifies_nothing(monkeypatch):
+    """harness.oracle reads only the family: it counts no key and never
+    calls verify_claim2."""
+    counted, _, verified = _count_keys(monkeypatch)
+    rep = oracle(parse_config(cfg(n=1100, c1="1/2")))
+    assert rep.subset and rep.family_lines == 104
+    assert counted == [] and verified == []
+
+
+def test_run_builds_one_box(monkeypatch):
+    """harness.run builds its point box once, on an auto and on a fixed-c1
+    config: the build, the verification and claim 1 share it."""
+    calls = []
+    build_pointset = construction.build_pointset
+
+    def counting(*args):
+        calls.append(args)
+        return build_pointset(*args)
+
+    monkeypatch.setattr(construction, "build_pointset", counting)
+    monkeypatch.setattr(harness, "build_pointset", counting)
+    for config in (QUAD_AUTO, cfg(c1="1/2")):
+        calls.clear()
+        run(parse_config(config))
+        assert len(calls) == 1
