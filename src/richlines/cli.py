@@ -7,6 +7,7 @@ config.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -191,9 +192,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built on its first call: one per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except RichlinesError as err:

@@ -16,7 +16,11 @@ that holds them (object past int64): one broadcast moves the cell's keys to
 every translate, one sort deduplicates them, another puts them in canonical
 order, and CanonicalLines are built only for lines that are output.  One
 batched counter, _key_richnesses, counts every richness on the box axes'
-coordinate arrays.  A build only builds, and keeps the tuning gate's counts;
+coordinate arrays.  Per exact direction (a, b) it takes the cheaper of two
+exact paths, judged from counts known before counting: one histogram of
+the box points' packed intercepts (|P| words and bins), where each box
+point lies on exactly one line of the direction, or keys x box columns.  A
+build only builds, and keeps the tuning gate's counts;
 verify_claim2 counts the lines of a fixed-c1 build, so each family key is
 counted once, and replays the multiplier mechanism in one array computation.
 A run builds no Point or Element and one CanonicalLine, the failing line it
@@ -50,6 +54,7 @@ from .geometry import (
     CanonicalLine,
     Point,
     _exact_dtype,
+    _InterceptWords,
     _pair_kernel,
     _sorted_runs,
     canonical_order,
@@ -393,26 +398,115 @@ def generate_line_family(geom):
 
 def _key_richnesses(basis, keys, box):
     """Exact richness of each key row (a, b, c) in the box, as an int64
-    array.  Each line is solved for its pivot's axis (y, or x when b = 0)
-    along every column u of the other axis, in blocks of about _CHUNK_PAIRS
-    (key, column) pairs: the solution is -v / det for v = adj(M)(c + other*u)
-    and M the pivot's multiplication matrix, so it lies in the box exactly
-    when every coordinate of v is divisible by scale*det and at most
-    radius*scale*|det|.  A block runs in the dtype _exact_dtype picks for
-    _block_bound, object (exact Python ints) past int64."""
+    array.  The keys are grouped by their exact (a, b) blocks, and each
+    direction w of F_w keys is counted one of two ways, chosen from counts
+    known before counting:
+
+    - by histogram (_by_histogram) when |P| + bins_w < F_w cols_w and bins_w
+      fits one batch (at most _CHUNK_PAIRS), where bins_w is the range of
+      the direction's packed intercept words (_InterceptWords) and cols_w
+      the size of the axis the columns path walks, X, or Y for a vertical
+      line: one word per box point and one bin per word replace F_w cols_w
+      (key, column) entries;
+    - otherwise by columns (_by_columns): keys x box columns, each line
+      solved for its pivot's axis.
+
+    The histogram is exact because each box point (x, y) lies on exactly one
+    line of direction (a, b), the one with intercept -(a x + b y), and the
+    packing is one-to-one on a range that holds every such intercept: the
+    count at a line's word is the number of box points on it.  Both paths
+    are exact, so the choice changes no count."""
     d = basis.degree
     keys = np.reshape(keys, (len(keys), 3 * d))
     out = np.zeros(len(keys), dtype=np.int64)
     vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
-    for rows, blocks, columns, target in (
-        (~vertical, (1, 0, 2), box.x_set, box.y_set),
-        (vertical, (0, 1, 2), box.y_set, box.x_set),
+    rest = _by_histogram(basis, keys, vertical, box, out)
+    _by_columns(basis, keys, vertical, rest, box, out)
+    return out
+
+
+def _by_histogram(basis, keys, vertical, box, out):
+    """Count into out the keys whose direction takes the histogram, and
+    return the rows of the other keys.
+
+    Every box point (x, y) lies on exactly one line of direction (a, b),
+    the one with intercept c = -(a x + b y), and every such intercept lies
+    in the dense range of the direction's packed words (_InterceptWords).
+    So the np.bincount of the words of every box point's intercept holds,
+    at each word, the number of box points on that line, and a key's
+    richness is the count at the word of its own c, or 0 when c lies
+    outside the range.  No word is sorted and nothing is divided.  The
+    directions go in batches whose words and bins total about _CHUNK_PAIRS,
+    each direction's bins at its own offset in the batch's histogram."""
+    d = basis.degree
+    points = box.size
+    # F cols > |P| is needed: more keys in one direction than the axis that
+    # the columns path does not walk has points
+    if len(keys) <= min(box.x_set.size, box.y_set.size):
+        return np.arange(len(keys))
+    order, heads = _sorted_runs(keys[:, : 2 * d].T)
+    size = np.diff(heads, append=len(keys))
+    # F cols, the columns path's entries
+    work = size * np.where(vertical[order[heads]], box.y_set.size, box.x_set.size)
+    group = np.flatnonzero(work > points)
+    if not len(group):
+        return np.arange(len(keys))
+    mx, my = (s.radius * s.scale for s in (box.x_set, box.y_set))
+    words = _InterceptWords(basis, keys[order[heads[group]], : 2 * d], mx, my)
+    bins = np.minimum(words.bins, _CHUNK_PAIRS + 1).astype(np.int64)
+    # the directions that take the histogram, as rows of words
+    dense = np.flatnonzero((bins <= _CHUNK_PAIRS) & (points + bins < work[group]))
+    if not len(dense):
+        return np.arange(len(keys))
+    group, bins, count = group[dense], bins[dense], size[group[dense]]
+    # each direction's first bin, and the position of its first key when
+    # the keys are taken direction by direction
+    offset, first = np.cumsum(bins) - bins, np.cumsum(count) - count
+    x, y = (s.coords().astype(words.dtype) for s in (box.x_set, box.y_set))
+    ends = np.cumsum(points + bins)
+    rest = np.ones(len(keys), dtype=bool)
+    b0 = 0
+    while b0 < len(group):
+        limit = ends[b0] - points - bins[b0] + _CHUNK_PAIRS
+        b1 = max(b0 + 1, int(np.searchsorted(ends, limit, side="right")))
+        lo, hi = offset[b0], offset[b1 - 1] + bins[b1 - 1]
+        # the words lie below hi - lo <= _CHUNK_PAIRS, also where words.dtype
+        # is object, and are freed before the batch's keys are gathered
+        packed = words.of_points(dense[b0:b1], x, y, offset[b0:b1] - lo).reshape(-1)
+        hist = np.bincount(packed.astype(np.int64, copy=False), minlength=hi - lo)
+        del packed
+        # the batch's keys, direction by direction
+        n = count[b0:b1]
+        w = np.repeat(np.arange(b0, b1), n)
+        at = np.repeat(heads[group[b0:b1]] - first[b0:b1] + first[b0], n)
+        idx = order[at + np.arange(len(at))]
+        inside, word = words.of_intercepts(dense[w], keys[idx, 2 * d :])
+        out[idx] = hist[word.astype(np.int64, copy=False) + (offset[w] - lo)] * inside
+        rest[idx] = False
+        b0 = b1
+    return np.flatnonzero(rest)
+
+
+def _by_columns(basis, keys, vertical, rows, box, out):
+    """Count into out the keys of the given rows by columns.  Each line is
+    solved for its pivot's axis (y, or x when b = 0) along every column u
+    of the other axis, in blocks of about _CHUNK_PAIRS (key, column) pairs:
+    the solution is -v / det for v = adj(M)(c + other*u) and M the pivot's
+    multiplication matrix, so it lies in the box exactly when every
+    coordinate of v is divisible by scale*det and at most
+    radius*scale*|det|.  A block runs in the dtype _exact_dtype picks for
+    _block_bound, object (exact Python ints) past int64."""
+    d = basis.degree
+    for part, blocks, columns, target in (
+        (rows[~vertical[rows]], (1, 0, 2), box.x_set, box.y_set),
+        (rows[vertical[rows]], (0, 1, 2), box.y_set, box.x_set),
     ):
-        rows = np.flatnonzero(rows)
+        if not len(part):
+            continue
         cols = columns.coords()
         size = max(1, _CHUNK_PAIRS // len(cols))
-        for b0 in range(0, len(rows), size):
-            idx = rows[b0 : b0 + size]
+        for b0 in range(0, len(part), size):
+            idx = part[b0 : b0 + size]
             pivot, other, c = (keys[idx, k * d : (k + 1) * d] for k in blocks)
             dtype = _exact_dtype(_block_bound(basis, pivot, other, c, cols, target))
             # key coordinates as (keys, 1) arrays, column coordinates as (1, columns)
@@ -426,7 +520,6 @@ def _key_richnesses(basis, keys, box):
             step = target.scale * det
             hit = [(vk % step == 0) & (np.abs(vk) <= target.radius * np.abs(step)) for vk in v]
             out[idx] = np.all(hit, axis=0).sum(axis=1)
-    return out
 
 
 def _block_bound(basis, pivot, other, c, cols, target):

@@ -84,6 +84,7 @@ class GapSet:
         self.basis = basis
         self.radius = int(radius)
         self.scale = int(scale)
+        self._coords = None
 
     @property
     def size(self):
@@ -101,11 +102,15 @@ class GapSet:
 
     def coords(self):
         """The (size, d) array of element coordinates in iteration order, in
-        the dtype _exact_dtype picks for radius * scale."""
-        d = self.basis.degree
-        axis = [self.scale * c for c in range(-self.radius, self.radius + 1)]
-        axis = np.array(axis, dtype=_exact_dtype(self.radius * self.scale))
-        return axis[np.indices((len(axis),) * d).reshape(d, -1).T]
+        the dtype _exact_dtype picks for radius * scale.  It is built on the
+        first call and read-only."""
+        if self._coords is None:
+            d = self.basis.degree
+            axis = [self.scale * c for c in range(-self.radius, self.radius + 1)]
+            axis = np.array(axis, dtype=_exact_dtype(self.radius * self.scale))
+            self._coords = axis[np.indices((len(axis),) * d).reshape(d, -1).T]
+            self._coords.flags.writeable = False
+        return self._coords
 
     def contains_rows(self, coords):
         """Membership of each coordinate row, the last axis of the integer

@@ -235,6 +235,12 @@ def product_bounds(basis, u, v):
     ]
 
 
+# each integer dtype _exact_dtype picks from, and its largest value
+_INT_TOPS = tuple(
+    (np.dtype(t), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
 def _exact_dtype(bound):
     """The narrowest of int8, int16, int32 and int64 that holds every
     integer v with |v| <= bound, or object (exact Python ints) past int64.
@@ -242,9 +248,9 @@ def _exact_dtype(bound):
     Every Python int that meets an array of this dtype must also lie within
     the bound: NumPy raises on a Python int outside the dtype, and array
     arithmetic that leaves it wraps silently."""
-    for t in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(t).max:
-            return np.dtype(t)
+    for t, top in _INT_TOPS:
+        if bound <= top:
+            return t
     return np.dtype(object)
 
 
@@ -421,6 +427,88 @@ def _pairs_at(start, p):
     return i, p - start[i] + i + 1
 
 
+class _InterceptWords:
+    """The packed intercepts of the lines with the direction rows ab, each
+    (a, b) of 2d entries, through the points of a box X x Y whose largest
+    |coordinate| is mx on X and my on Y.
+
+    Every coordinate of a x + b y over the box is at most cm_w = (max |a|
+    mx + max |b| my) s for row w, with s the largest product_bounds(1, 1)
+    entry.  A line of row w with intercept c, |c_k| <= cm_w, has the word
+    sum_k (c_k + cm_w) base_w^k in base_w = 2 cm_w + 1: the words of row w
+    lie in [0, bins_w), bins_w = base_w^d, and two such intercepts have
+    equal words exactly when they are equal.  The word is linear in c, so
+    the word of the line through a box point (x, y), c = -(a x + b y), is
+    zero_w - x . pa_w - y . pb_w, where zero_w is the word of c = 0 and
+    x . pa_w = sum_k (a x)_k base_w^k; each partial sum is at most
+    (bins_w - 1) / 2.
+
+    bins is exact, in int64, or object past int64.  The other arrays take
+    the dtype _exact_dtype picks for the largest bins, entry of pa or pb,
+    and coordinate (object past int64).
+    """
+
+    def __init__(self, basis, ab, mx, my):
+        d = basis.degree
+        s = max(product_bounds(basis, 1, 1))
+        ma, mb = (int(np.abs(ab[:, k * d : (k + 1) * d]).max(initial=0)) for k in (0, 1))
+        top = (2 * (ma * mx + mb * my) * s + 1) ** d
+        # pa and pb are at most max(ma, mb) s top
+        wide = _exact_dtype(max(max(ma, mb, 1) * s * top, mx, my))
+        ab = ab.astype(np.promote_types(wide, np.int64))
+        m = np.abs(ab)
+        cm = (m[:, :d].max(axis=1, initial=0) * mx + m[:, d:].max(axis=1, initial=0) * my) * s
+        base = 2 * cm + 1
+        self.bins = base**d
+        powers = base[:, None] ** np.arange(d)
+        # a @ sc, reshaped to (d, d), is the multiplication-by-a matrix acting on row vectors
+        sc = np.array(basis.structure_constants, dtype=ab.dtype).reshape(d, d * d)
+        pa, pb = (
+            ((ab[:, k * d : (k + 1) * d] @ sc).reshape(-1, d, d) @ powers[:, :, None])[:, :, 0]
+            for k in (0, 1)
+        )
+        pmax = int(np.abs(np.concatenate([pa, pb])).max(initial=0))
+        self.dtype = _exact_dtype(max(int(self.bins.max(initial=1)), pmax, mx, my))
+        self.cm, self.powers, self.pa, self.pb = (
+            m.astype(self.dtype) for m in (cm, powers, pa, pb)
+        )
+        self.zero = (cm * powers.sum(axis=1)).astype(self.dtype)
+
+    def of_points(self, rows, x, y, offset=0):
+        """The (rows, |X| |Y|) words, each plus its row's offset, of the lines
+        through the box points, x-major, for the rows (a slice or index
+        array) of ab and the coordinate rows x of X and y of Y in self.dtype.
+        An int64 offset array makes the words int64."""
+        wx = (self.zero[rows] + offset)[:, None] - self.pa[rows] @ x.T
+        wy = self.pb[rows] @ y.T
+        return (wx[:, :, None] - wy[:, None, :]).reshape(len(wx), -1)
+
+    def of_intercepts(self, rows, c):
+        """(inside, words) for the intercept rows c of the directions rows:
+        whether every coordinate of each lies within its bound cm, and the
+        word of each, which is a word of its direction's range also where c
+        does not lie within the bound (it is then the word of c clipped to
+        the bound)."""
+        cm = self.cm[rows][:, None]
+        inside = ((c >= -cm) & (c <= cm)).all(axis=1)
+        c = np.clip(c, -cm, cm).astype(self.dtype)
+        words, powers = self.zero[rows].copy(), self.powers[rows]
+        for k in range(c.shape[1]):
+            words += c[:, k] * powers[:, k]
+        return inside, words
+
+    def intercepts(self, rows, words):
+        """The d coordinate columns of the intercepts of the words of the
+        directions rows."""
+        cm = self.cm[rows]
+        base = 2 * cm + 1
+        c = []
+        for _ in range(self.powers.shape[1]):
+            c.append(words % base - cm)
+            words = words // base
+        return c
+
+
 def rich_line_keys(basis, xs, ys, r):
     """The lines with at least r points in the box P = X x Y, by direction
     sweep: (keys, richness), the primitive keys of those lines as rows and
@@ -447,11 +535,12 @@ def rich_line_keys(basis, xs, ys, r):
     an integer grid it is tight.
 
     Then, for a batch of about _CHUNK_PAIRS (direction, point) entries at a
-    time, every point's intercept c = -(a x + b y) is packed into one word,
-    offset by a bound cm on its coordinates and in base 2 cm + 1, and each
-    direction's words are sorted: a run of k >= r equal words is a line of
-    richness k, and its (a, b, c) is the line's primitive key ((a, b) has
-    content 1, so (a, b, c) does too).  Memory is one batch plus the kept
+    time, every point's intercept c = -(a x + b y) is packed into one word
+    by _InterceptWords, offset by its direction's bound cm on the
+    intercept's coordinates and in base 2 cm + 1, and each direction's
+    words are sorted: a run of k >= r equal words is a line of richness k,
+    and its (a, b, c) is the line's primitive key ((a, b) has content 1, so
+    (a, b, c) does too).  Memory is one batch plus the kept
     directions and the output.  Every array takes the dtype _exact_dtype
     picks for a computed bound, object past int64.
     """
@@ -467,40 +556,24 @@ def rich_line_keys(basis, xs, ys, r):
     # only a run of at least 2(r - 1) raw rows can hold a line with r points
     ab = ab[order[heads[np.diff(heads, append=len(ab)) >= 2 * (r - 1)]]]
 
-    # |c_k| <= cm; a word is sum_k (c_k + cm) base^k, its x part (from a x)
-    # plus its y part (from b y), and equal words are equal intercepts
-    ma, mb = (int(np.abs(ab[:, k * d : (k + 1) * d]).max(initial=0)) for k in (0, 1))
-    cm = max(map(sum, zip(product_bounds(basis, ma, mx), product_bounds(basis, mb, my))))
-    base = 2 * cm + 1
-    dtype = _exact_dtype(max(base**d, max(ma, mb, 1) * max(product_bounds(basis, 1, 1)), mx, my))
-    x, y = x.astype(dtype), y.astype(dtype)
-    # a @ sc, reshaped to (d, d), is the multiplication-by-a matrix acting on row vectors
-    sc = np.array(basis.structure_constants, dtype=dtype).reshape(d, d * d)
-    powers = np.array([base**k for k in range(d)], dtype=dtype)
+    words = _InterceptWords(basis, ab, mx, my)
+    x, y = x.astype(words.dtype), y.astype(words.dtype)
     points = len(x) * len(y)
     step = max(1, _CHUNK_PAIRS // max(points, 1))
-    keys = [np.empty((0, 3 * d), dtype=np.result_type(entry, dtype))]
+    keys = [np.empty((0, 3 * d), dtype=np.result_type(entry, words.dtype))]
     richness = [np.empty(0, dtype=np.int64)]
     for b0 in range(0, len(ab), step):
-        block = ab[b0 : b0 + step]
-        mul_a, mul_b = (
-            (block[:, k * d : (k + 1) * d].astype(dtype) @ sc).reshape(-1, d, d) for k in (0, 1)
-        )
-        wx = (cm - x @ mul_a) @ powers
-        wy = -(y @ mul_b) @ powers
-        words = (wx[:, :, None] + wy[:, None, :]).reshape(len(block), points)
-        words.sort(axis=1)
-        head = np.ones(words.shape, dtype=bool)
-        head[:, 1:] = words[:, 1:] != words[:, :-1]
+        block = slice(b0, b0 + step)
+        packed = words.of_points(block, x, y)
+        packed.sort(axis=1)
+        head = np.ones(packed.shape, dtype=bool)
+        head[:, 1:] = packed[:, 1:] != packed[:, :-1]
         heads = np.flatnonzero(head)
-        size = np.diff(heads, append=words.size)
+        size = np.diff(heads, append=packed.size)
         heads, size = heads[size >= r], size[size >= r]
-        word = words.reshape(-1)[heads]
-        c = []
-        for _ in range(d):
-            c.append(word % base - cm)
-            word = word // base
-        keys.append(np.column_stack([block[heads // points], *c]))
+        rows = b0 + heads // points
+        c = words.intercepts(rows, packed.reshape(-1)[heads])
+        keys.append(np.column_stack([ab[rows], *c]))
         richness.append(size)
     return np.concatenate(keys), np.concatenate(richness)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from richlines import construction
+from richlines import construction, geometry
 from richlines.construction import (
     AutoTuneError,
     ConstructionParams,
@@ -371,6 +371,172 @@ def test_batched_richness_matches_per_line_reference():
     key = (15 * 2**59, 2 * 2**59, 0)
     assert count_on_line_int(integers, key, box) == 1
     assert construction._key_richnesses(integers, [key], box).tolist() == [1]
+
+
+def test_intercept_words_pack_box_intercepts():
+    """_InterceptWords, the packing that the oracle's sweep and the
+    counter's histogram share, on seeded random directions of every
+    arithmetic basis over a box with a scaled x axis, and on one direction
+    scaled by 2^62, whose words are past int64: the word of_points gives a
+    box point is the word of_intercepts gives its intercept c = -(a x +
+    b y), which lies within the bound; each lies in [0, bins), and
+    intercepts decodes it to c.  A coordinate one past the bound is not
+    inside."""
+    rng = random.Random(7)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        box = construction.PointBox(GapSet(basis, 1, 2), GapSet(basis, 1))
+        ab = [[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(4)]
+        ab.append([2**62] * d + [0] * d)
+        for rows in ([0, 1, 2, 3], [4]):
+            words = geometry._InterceptWords(basis, np.array([ab[k] for k in rows]), 2, 1)
+            assert (words.dtype == object) == (rows == [4])
+            x, y = (s.coords().astype(words.dtype) for s in (box.x_set, box.y_set))
+            packed = words.of_points(np.arange(len(rows)), x, y)
+            points = box.coords().tolist()
+            sample = rng.sample(range(len(box)), min(len(box), 50))
+            mul = basis.mul_coords
+            c, w, at = [], [], []
+            for k, row in enumerate(rows):
+                a, b = ab[row][:d], ab[row][d:]
+                for p in sample:
+                    point = points[p]
+                    c.append([-u - v for u, v in zip(mul(a, point[:d]), mul(b, point[d:]))])
+                    w.append(packed[k, p])
+                    at.append(k)
+            at, c = np.array(at), np.array(c, dtype=object)
+            inside, got = words.of_intercepts(at, c)
+            assert inside.all() and got.tolist() == w
+            assert all(0 <= v < words.bins[k] for k, v in zip(at, w))
+            assert np.column_stack(words.intercepts(at, np.array(w))).tolist() == c.tolist()
+            c[:, -1] = words.cm[at].astype(object) + 1
+            assert not words.of_intercepts(at, c)[0].any()
+
+
+def _direction_keys(basis, ab, box, count, rng, cm):
+    """count distinct key rows (a, b, c) of the direction ab = (a, b): the
+    intercepts c = -(a x + b y) of box points, then random intercepts
+    within cm + 1, where cm bounds the direction's packed words, and two
+    past cm, one coordinate at cm + 1 and every coordinate at -3 cm - 1."""
+    d = basis.degree
+    mul = basis.mul_coords
+    a, b = ab[:d], ab[d:]
+    hits = {
+        tuple(-u - v for u, v in zip(mul(a, x.coords), mul(b, y.coords)))
+        for x in box.x_set
+        for y in box.y_set
+    }
+    out = [(cm + 1,) + (0,) * (d - 1), (-3 * cm - 1,) * d]
+    chosen = dict.fromkeys(out + rng.sample(sorted(hits), min(len(hits), count - 2)))
+    while len(chosen) < count:
+        chosen[tuple(rng.randint(-cm - 1, cm + 1) for _ in range(d))] = None
+    return [tuple(ab) + c for c in chosen]
+
+
+def _path_keys(basis, box, rng, cap):
+    """Seeded key rows for _key_richnesses on the box, and the rows that
+    the rule must send to the columns path, for the histogram path's bound
+    cap on bins: the directions (u, u), (u, -u), (u, 0) and (3u, 3u), u
+    the first basis vector, each with the least number of keys F at which
+    |P| + bins < F cols holds, one fewer for (u, -u), or 20 keys where bins
+    is past cap; then random keys, each alone in its direction."""
+    d = basis.degree
+    u = (1,) + (0,) * (d - 1)
+    neg, zero, three = tuple(-v for v in u), (0,) * d, tuple(3 * v for v in u)
+    mx, my = (s.radius * s.scale for s in (box.x_set, box.y_set))
+    keys, sparse = [], []
+    for ab, less in ((u + u, 0), (u + neg, 1), (u + zero, 0), (three + three, 0)):
+        words = geometry._InterceptWords(basis, np.array([ab]), mx, my)
+        bins, cm = int(words.bins[0]), int(words.cm[0])
+        cols = len(box.x_set) if any(ab[d:]) else len(box.y_set)
+        count = (len(box) + bins) // cols + 1 - less if bins <= cap else 20
+        rows = _direction_keys(basis, ab, box, count, rng, cm)
+        if not (bins <= cap and len(box) + bins < len(rows) * cols):
+            sparse.extend(rows)
+        keys.extend(rows)
+    taken = {key[: 2 * d] for key in keys}
+    while len(sparse) < len(keys) // 10 + 40:
+        key = tuple(rng.randint(-9, 9) for _ in range(3 * d))
+        if any(key[: 2 * d]) and key[: 2 * d] not in taken:
+            taken.add(key[: 2 * d])
+            keys.append(key)
+            sparse.append(key)
+    rng.shuffle(keys)
+    sparse = set(sparse)
+    return keys, {k for k, key in enumerate(keys) if key in sparse}
+
+
+def _dense_bins(basis, keys, sparse, box):
+    """The bins of each direction of the keys outside sparse."""
+    d = basis.degree
+    mx, my = (s.radius * s.scale for s in (box.x_set, box.y_set))
+    ab = sorted({keys[k][: 2 * d] for k in range(len(keys)) if k not in sparse})
+    return geometry._InterceptWords(basis, np.array(ab), mx, my).bins.tolist()
+
+
+def test_counter_paths_match_reference(monkeypatch):
+    """_key_richnesses equals count_on_line_int on seeded random key sets of
+    every arithmetic basis, in which the directions of many keys take the
+    histogram path and the others the columns path in one call, and each
+    key takes the path that the rule picks.  The keys cover lines through
+    box points, vertical lines, non-primitive keys (3u, 3u, c), keys that
+    miss the box and intercepts past the dense range of the words.  Each
+    histogram direction has exactly the least number of keys at which the
+    rule takes it, and one direction one key fewer; where the axes differ
+    in size, the vertical direction's count lies below the threshold that
+    the other axis would give.  Each basis runs at the default batch size,
+    which puts every histogram direction in one batch, and at a batch size
+    that holds only the largest, so that one call makes several batches.
+    Every key scaled by 2^62, whose words are past int64, takes the columns
+    path, in a call of object keys whose other keys take the histogram."""
+    rng = random.Random(18)
+    columns, batches = [], []
+    by_columns = construction._by_columns
+    of_points = geometry._InterceptWords.of_points
+
+    def recording_columns(basis, keys, vertical, rows, box, out):
+        columns.append(set(rows.tolist()))
+        return by_columns(basis, keys, vertical, rows, box, out)
+
+    def recording_points(self, rows, *args):
+        batches.append(len(self.pa[rows]))
+        return of_points(self, rows, *args)
+
+    def check(basis, box, cap):
+        keys, sparse = _path_keys(basis, box, rng, cap)
+        columns.clear()
+        batches.clear()
+        got = construction._key_richnesses(basis, keys, box).tolist()
+        assert got == [count_on_line_int(basis, key, box) for key in keys]
+        assert columns == [sparse] and 0 < len(sparse) < len(keys)
+        assert max(got) > 1 and 0 in got
+        bins = _dense_bins(basis, keys, sparse, box)
+        assert sum(batches) == len(bins)
+        return keys, sparse, bins, got
+
+    monkeypatch.setattr(construction, "_by_columns", recording_columns)
+    monkeypatch.setattr(geometry._InterceptWords, "of_points", recording_points)
+    # (radius, scale) of X and of Y
+    shapes = {1: ((2, 2), (4, 1)), 2: ((1, 2), (2, 1)), 3: ((1, 1), (1, 1)), 4: ((1, 1), (1, 1))}
+    for basis in ARITH_BASES:
+        d = basis.degree
+        (rx, sx), (ry, sy) = shapes[d]
+        box = construction.PointBox(GapSet(basis, rx, sx), GapSet(basis, ry, sy))
+        keys, sparse, bins, got = check(basis, box, geometry._CHUNK_PAIRS)
+        assert len(batches) == 1 and len(bins) >= (3 if d <= 2 else 2 if d == 3 else 1)
+        if len(bins) > 1:
+            chunk = len(box) + max(bins)
+            monkeypatch.setattr(construction, "_CHUNK_PAIRS", chunk)
+            check(basis, box, chunk)
+            assert len(batches) > 1
+            monkeypatch.setattr(construction, "_CHUNK_PAIRS", geometry._CHUNK_PAIRS)
+        # a key scaled by 2^62 is the same line, so it has the same richness
+        dense = [k for k in range(len(keys)) if k not in sparse]
+        huge = [keys[k] for k in dense] + [tuple(2**62 * v for v in keys[k]) for k in dense]
+        columns.clear()
+        counts = [got[k] for k in dense]
+        assert construction._key_richnesses(basis, huge, box).tolist() == counts + counts
+        assert columns == [set(range(len(dense), len(huge)))]
 
 
 def test_verify_claim2_tuned(integers):

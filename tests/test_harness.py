@@ -550,3 +550,31 @@ def test_run_builds_one_box(monkeypatch):
         calls.clear()
         run(parse_config(config))
         assert len(calls) == 1
+
+
+def _histogram_share(monkeypatch, config, **kwargs):
+    """The keys harness.run sends to the richness counter, and how many of
+    them the histogram path counts."""
+    calls = []
+    by_histogram = construction._by_histogram
+
+    def recording(basis, keys, vertical, box, out):
+        rest = by_histogram(basis, keys, vertical, box, out)
+        calls.append((len(keys), len(keys) - len(rest)))
+        return rest
+
+    monkeypatch.setattr(construction, "_by_histogram", recording)
+    run(parse_config(config), **kwargs)
+    monkeypatch.undo()
+    return sum(keys for keys, _ in calls), sum(taken for _, taken in calls)
+
+
+def test_counter_rule_on_workload_cells(monkeypatch):
+    """The counter's per-direction rule: on the criterion-6 sweep cell at
+    r = 3 the histogram path counts most keys, and on the auto-tuned cells
+    quadratic n=6561 r=3 and integers n=1100 r=3 and r=5 it counts none."""
+    keys, taken = _histogram_share(monkeypatch, SWEEP_CFG, r=3)
+    assert keys == 21400 and taken > keys // 2
+    for config in (QUAD_AUTO, cfg(n=1100), cfg(n=1100, r=5)):
+        keys, taken = _histogram_share(monkeypatch, config)
+        assert keys > 0 and taken == 0
