@@ -15,7 +15,6 @@ import sys
 from . import harness
 from .errors import ConfigError, RichlinesError
 from .geometry import lines_to_text, points_to_text
-from .numberfield import basis_from_spec
 
 
 def _load_config(path):
@@ -38,9 +37,8 @@ def _dump_artifacts(args, config, report, out_dir):
         return
     from .construction import ConstructionParams, build_construction
 
-    basis = basis_from_spec(config.basis)
     params = ConstructionParams(
-        basis,
+        config.nice_basis,
         config.n,
         config.alpha,
         config.r,

@@ -26,7 +26,10 @@ or print them sort with canonical_order.  The oracle uses the sweep, so its
 check of the family shares no grouping step with the family's own kernel.
 
 points_to_text and lines_to_text write the point and line dumps, from
-coordinate rows and from CanonicalLines.
+coordinate rows and from a LineFamily's key array (or a list of
+CanonicalLines).  Both write their integers through one renderer, _render,
+which builds the text's bytes from the array in numpy; only entries past
+int64 go through str.
 """
 
 from fractions import Fraction
@@ -598,17 +601,81 @@ def _differences(rows):
 # Line-oriented text interchange: one point per row as 2d integers, one line
 # per row as 3d rationals "num/den".
 
+# Entries per block of _render: its largest temporaries, the byte buffer and
+# its mask at 22 bytes an entry for 20-digit entries, stay below glibc's
+# 128 KB mmap threshold.
+_RENDER_ENTRIES = 1 << 12
+
+# 10^k for k = 0..19, every power of ten a uint64 holds
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+
 
 def points_to_text(rows):
     """One point per line: the 2d integers of each coordinate row (x, then
     y), as PointBox.coords() gives them."""
-    return "".join(" ".join(map(str, row)) + "\n" for row in np.asarray(rows).tolist())
+    rows = np.asarray(rows)
+    if not rows.size:
+        return ""
+    return _render(rows, " " * (rows.shape[1] - 1) + "\n")
 
 
 def lines_to_text(lines):
-    lines = list(lines)
-    if not lines:
-        return ""
-    num, den = _coeff_pairs(lines[0].basis, np.array([line.key for line in lines], dtype=object))
-    rows = (" ".join(map("{}/{}".format, n, m)) for n, m in zip(num.tolist(), den.tolist()))
-    return "\n".join(rows) + "\n"
+    """One line per row: its 3d coefficient coordinates "num/den", reduced
+    with positive denominators, with the pivot (A, or B when A = 0) unity.
+
+    lines: a LineFamily, whose key array is written as it is, or an
+    iterable of CanonicalLines of one basis."""
+    keys = getattr(lines, "keys", None)
+    if isinstance(keys, np.ndarray):
+        basis = lines.basis
+    else:
+        lines = list(lines)
+        if not lines:
+            return ""
+        basis, keys = lines[0].basis, np.array([line.key for line in lines], dtype=object)
+    num, den = _coeff_pairs(basis, keys)
+    pairs = np.empty((len(num), 2 * num.shape[1]), dtype=num.dtype)
+    pairs[:, 0::2], pairs[:, 1::2] = num, den
+    return _render(pairs, "/ " * (num.shape[1] - 1) + "/\n")
+
+
+def _render(values, seps):
+    """The text of the integer matrix values: each entry in decimal followed
+    by its column's separator, the one character seps[column].
+
+    Integer dtypes are written a block of rows at a time: the digit count of
+    each |entry| by comparisons with powers of ten, its digits by repeated
+    % 10 into a byte buffer with one slot before them for the sign and one
+    after them for the separator, and the bytes a mask keeps, in order.
+    Other dtypes (object past int64) go through str."""
+    if values.dtype.kind not in "iu":
+        return "".join(f"{v}{s}" for row in values.tolist() for v, s in zip(row, seps))
+    cols = values.shape[1]
+    unsigned = np.dtype(f"u{values.dtype.itemsize}")
+    sep = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
+    step = max(1, _RENDER_ENTRIES // cols)
+    out = []
+    for r0 in range(0, len(values), step):
+        block = values[r0 : r0 + step]
+        neg = block < 0
+        # |entry| in the unsigned type of the same size, exact also for the
+        # most negative entry
+        mag = np.array(block, order="C").view(unsigned)
+        np.negative(mag, out=mag, where=neg)
+        width = len(str(mag.max()))
+        digits = np.ones(mag.shape, dtype=np.uint8)
+        for p in _POW10[1:width].astype(unsigned):
+            digits += mag >= p
+        buf = np.empty(mag.shape + (width + 2,), dtype=np.uint8)
+        buf[..., 0] = ord("-")
+        buf[..., width + 1] = sep
+        for k in range(width, 0, -1):
+            buf[..., k] = mag % 10
+            mag //= 10
+        buf[..., 1 : width + 1] += ord("0")
+        keep = np.empty(buf.shape, dtype=bool)
+        keep[..., 0] = neg
+        keep[..., 1 : width + 1] = np.arange(width, 0, -1) <= digits[..., None]
+        keep[..., width + 1] = True
+        out.append(buf[keep].tobytes())
+    return b"".join(out).decode("ascii")

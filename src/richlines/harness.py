@@ -11,6 +11,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -62,6 +63,12 @@ class Config:
     def auto_tune(self):
         return self.c1 is None
 
+    @cached_property
+    def nice_basis(self):
+        """The NiceBasis of the basis spec; parse_config sets it to the one
+        it builds to validate the spec, so an operation builds it once."""
+        return basis_from_spec(self.basis)
+
 
 def parse_config(raw):
     """Validate a config dict, with field-precise error messages."""
@@ -73,7 +80,7 @@ def parse_config(raw):
             raise ConfigError(f"unknown config field {key!r}")
     if "basis" not in raw:
         raise ConfigError("'basis' is required")
-    basis_from_spec(raw["basis"])  # validates eagerly
+    nice_basis = basis_from_spec(raw["basis"])  # validates eagerly
     if "n" not in raw or not isinstance(raw["n"], int) or raw["n"] < 2:
         raise ConfigError("'n' must be an integer >= 2")
     alpha = _parse_fraction(raw.get("alpha", "1/2"), "alpha")
@@ -107,7 +114,9 @@ def parse_config(raw):
     seed = raw.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError("'seed' must be an integer")
-    return Config(raw["basis"], raw["n"], alpha, r, r_list, n_list, c1, seed)
+    config = Config(raw["basis"], raw["n"], alpha, r, r_list, n_list, c1, seed)
+    config.nice_basis = nice_basis
+    return config
 
 
 @dataclass
@@ -163,7 +172,7 @@ def _single_config(config, r=None, n=None):
         raise ConfigError(
             "'r' is required outside a sweep; 'r_list' only sets sweep points"
         )
-    basis = basis_from_spec(config.basis)
+    basis = config.nice_basis
     params = ConstructionParams(
         basis,
         n if n is not None else config.n,

@@ -6,6 +6,8 @@ Python integers, sharing no array code with the kernel it checks:
 - raw_pair_counts_loop: geometry.group_pairs;
 - count_on_line_int: construction._key_richnesses;
 - count_incidences: the richness of a line by on_line over every point;
+- points_text_str and lines_text_fraction: geometry.points_to_text and
+  geometry.lines_to_text, one entry at a time through str and Fraction;
 - points_from_text and lines_from_text: the inverses of points_to_text and
   lines_to_text, for their round-trip tests.
 """
@@ -62,6 +64,30 @@ def count_on_line_int(basis, key, box):
 def count_incidences(points, lines):
     """Exact number of (point, line) incidences."""
     return sum(on_line(p, line) for line in lines for p in points)
+
+
+def points_text_str(rows):
+    """One point per line: the entries of each row through str, joined by
+    spaces."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def lines_text_fraction(lines):
+    """One line per row: each key entry over the line's lam as a reduced
+    Fraction "num/den".  The pivot block (A, or B when A = 0) of a
+    primitive key is lam * unity, so lam is the pivot's coordinate at the
+    first nonzero coordinate of unity over that coordinate."""
+    rows = []
+    for line in lines:
+        d = line.basis.degree
+        one = line.basis.one.coords
+        k = next(i for i, f in enumerate(one) if f)
+        key = line.key
+        pivot = key[:d] if any(key[:d]) else key[d : 2 * d]
+        lam = pivot[k] / one[k]
+        fracs = (Fraction(v) / lam for v in key)
+        rows.append(" ".join(f"{f.numerator}/{f.denominator}" for f in fracs) + "\n")
+    return "".join(rows)
 
 
 def points_from_text(text, basis):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from richlines import geometry as geo
+from richlines.construction import LineFamily, _ordered_family, _raw_family
 from richlines.errors import DegeneratePairError, InvalidParameterError
 from richlines.geometry import (
     CanonicalLine,
@@ -24,8 +25,10 @@ from conftest import ARITH_BASES, int_point, make_point
 from reference import (
     count_incidences,
     lines_from_text,
+    lines_text_fraction,
     point_rows,
     points_from_text,
+    points_text_str,
     raw_pair_counts_loop,
 )
 
@@ -313,3 +316,69 @@ def test_lines_round_trip():
         assert len(lines) > 100
         back = lines_from_text(lines_to_text(lines), basis)
         assert back == lines
+
+
+def edge_entries(low, high):
+    """low, high, 0, +-1 and +-(10^k - 1), +-10^k, +-(10^k + 1), those
+    within [low, high]."""
+    mags = {1} | {10**k + e for k in range(1, 40) for e in (-1, 0, 1)}
+    return [low, high, 0] + [s * m for m in sorted(mags) for s in (1, -1) if low <= s * m <= high]
+
+
+def test_points_to_text_matches_str_reference():
+    """points_to_text writes rows of every integer dtype, and object rows
+    past int64, as str does: edge entries mixed with random ones of every
+    length, on no rows, one row and row counts on both sides of the
+    renderer's block boundaries.  19-digit entries enter an int64 array
+    from exact Python ints, with no promotion of a Python int past int64."""
+    rng = random.Random(19)
+    assert points_to_text([]) == points_to_text(np.empty((0, 4), dtype=np.int64)) == ""
+    for dtype in (np.int8, np.int16, np.int32, np.int64, object):
+        if dtype is object:
+            low, high = -(10**30), 10**30
+        else:
+            low, high = (int(v) for v in (np.iinfo(dtype).min, np.iinfo(dtype).max))
+        edges = edge_entries(low, high)
+        for cols in (1, 2, 4, 6):
+            step = geo._RENDER_ENTRIES // cols
+            for n in (1, 2, step - 1, step, step + 1, 2 * step + 1):
+                vals = [
+                    rng.choice(edges) if rng.random() < 0.5
+                    else rng.randint(low, high) >> rng.randrange(high.bit_length())
+                    for _ in range(n * cols)
+                ]
+                if dtype is object:
+                    vals[rng.randrange(len(vals))] = rng.choice((-1, 1)) * 2**63
+                rows = np.array(vals, dtype=dtype).reshape(n, cols)
+                text = points_to_text(rows)
+                assert text == points_text_str(rows.tolist()), (dtype, cols, n)
+                assert len(text.splitlines()) == n
+
+
+def test_lines_to_text_matches_fraction_reference():
+    """lines_to_text writes the families of random cells and translates of
+    every basis as the Fraction reference does, given as a LineFamily and as
+    a list of its CanonicalLines: coefficients in every dtype _coeff_pairs
+    picks, keys past int64 included, and families larger than one block of
+    the renderer."""
+    rng = random.Random(20)
+    dtypes, longest = set(), 0
+    for basis in ARITH_BASES:
+        d = basis.degree
+        for bound in (2, 30, 3000, 10**6, 10**12):
+            points = {tuple(rng.randint(-bound, bound) for _ in range(2 * d)) for _ in range(30)}
+            cell = np.array(sorted(points), dtype=object)
+            translates = np.array(
+                [[rng.randint(-bound, bound) for _ in range(2 * d)] for _ in range(2)], dtype=object
+            )
+            family = _ordered_family(basis, *_raw_family(basis, cell, translates))[0]
+            dtypes.add(geo._coeff_pairs(basis, family.keys)[0].dtype)
+            longest = max(longest, len(family) * 6 * d)
+            text = lines_text_fraction(family)
+            assert lines_to_text(family) == text
+            assert lines_to_text(list(family)) == text
+        empty = LineFamily(basis, family.keys[:0], family.witnesses[:0], cell, translates, 0)
+        assert lines_to_text(empty) == ""
+    assert dtypes == {np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64, object)}
+    assert longest > 2 * geo._RENDER_ENTRIES
+    assert lines_to_text([]) == ""

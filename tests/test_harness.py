@@ -214,6 +214,52 @@ def test_cli_construct(tmp_path, capsys):
     assert len((tmp_path / "lines.txt").read_text().splitlines()) == 944
 
 
+def test_cli_dump_builds_no_canonical_line(tmp_path, monkeypatch):
+    """construct --dump-lines on the quadratic n=6561 cell writes its 1520
+    lines from the family's key array: lines_to_text builds no
+    CanonicalLine."""
+    inits, per_dump = [], []
+    init = geometry.CanonicalLine.__init__
+    lines_to_text = cli.lines_to_text
+
+    def counting_init(self, *args):
+        inits.append(1)
+        init(self, *args)
+
+    def measured(lines):
+        before = len(inits)
+        text = lines_to_text(lines)
+        per_dump.append(len(inits) - before)
+        return text
+
+    monkeypatch.setattr(geometry.CanonicalLine, "__init__", counting_init)
+    monkeypatch.setattr(cli, "lines_to_text", measured)
+    raw = cfg(basis={"type": "quadratic", "k": 2}, n=6561, r=3, c1="auto")
+    path = write_cfg(tmp_path, raw)
+    assert cli.main(["construct", "--config", path, "--out", str(tmp_path), "--dump-lines"]) == 0
+    assert per_dump == [0]
+    assert len((tmp_path / "lines.txt").read_text().splitlines()) == 1520
+
+
+def test_cli_operation_builds_basis_once(tmp_path, monkeypatch, capsys):
+    """Each CLI operation builds its NiceBasis once, when the config is
+    parsed: run, each sweep point, the oracle and the dump reuse it."""
+    builds = []
+    build_power_basis = numberfield.build_power_basis
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_power_basis(*args, **kwargs)
+
+    monkeypatch.setattr(numberfield, "build_power_basis", counting)
+    path = write_cfg(tmp_path, cfg(r_list=[3, 4, 5]))
+    out = ["--config", path, "--out", str(tmp_path)]
+    for argv in (["construct", "--dump-points", "--dump-lines"], ["verify"], ["oracle"], ["sweep"]):
+        builds.clear()
+        assert cli.main(argv + out) == 0, argv
+        assert len(builds) == 1, argv
+
+
 def test_cli_verify(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg())
     assert cli.main(["verify", "--config", path]) == 0
@@ -297,6 +343,7 @@ def test_benchmark_hook_targets_exist():
     targets = {
         construction: ("translate_vectors", "build_construction", "verify_claim2", "auto_tune_c1"),
         numberfield: ("build_power_basis", "integer_inverse"),
+        geometry: ("points_to_text", "lines_to_text"),
         harness: ("sweep",),
     }
     for module, names in targets.items():
