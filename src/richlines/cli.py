@@ -27,8 +27,12 @@ def _load_config(path):
 
 
 def _ensure_out(path):
+    """Make the output directory path, if given, before any work is done."""
     if path:
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot use output directory {path!r}: {err}") from err
     return path
 
 
@@ -56,8 +60,8 @@ def _dump_artifacts(args, config, report, out_dir):
 
 def cmd_construct(args):
     config = _load_config(args.config)
-    report = harness.run(config)
     out_dir = _ensure_out(args.out or ".")
+    report = harness.run(config)
     harness.write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())
     _dump_artifacts(args, config, report, out_dir)
     print(
@@ -70,6 +74,7 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     config = _load_config(args.config)
+    out_dir = _ensure_out(args.out)
     report = harness.run(config)
     checks = [
         ("claim2 all lines r-rich", report.frac_r_rich == 1.0),
@@ -84,17 +89,16 @@ def cmd_verify(args):
         f"rates: claim4={report.rate_claim4:.4f} claim3={report.rate_claim3:.4f} "
         f"claim1={report.rate_claim1:.4f}"
     )
-    if args.out:
-        out_dir = _ensure_out(args.out)
+    if out_dir:
         harness.write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())
     return 0 if all(ok for _, ok in checks) else 1
 
 
 def cmd_sweep(args):
     config = _load_config(args.config)
+    out_dir = _ensure_out(args.out or ".")
     reports, fit = harness.sweep(config, workers=args.workers)
     csv_text = harness.sweep_csv(reports, include_timings=args.timings)
-    out_dir = _ensure_out(args.out or ".")
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:
         fh.write(csv_text)
@@ -128,14 +132,14 @@ def _gnuplot_script(fit):
 
 def cmd_oracle(args):
     config = _load_config(args.config)
+    out_dir = _ensure_out(args.out)
     rep = harness.oracle(config)
     print(
         f"oracle: {rep.oracle_rich_lines} r-rich lines by brute force, "
         f"family has {rep.family_lines} "
         f"(subset={'yes' if rep.subset else 'NO'}, coverage={rep.coverage:.4f})"
     )
-    if args.out:
-        out_dir = _ensure_out(args.out)
+    if out_dir:
         harness.write_json(os.path.join(out_dir, "oracle.json"), dataclasses.asdict(rep))
     return 0 if rep.subset else 1
 

@@ -15,12 +15,10 @@ primitive keys from translation to output, in the narrowest integer type
 that holds them (object past int64): one broadcast moves the cell's keys to
 every translate, one sort deduplicates them, another puts them in canonical
 order, and CanonicalLines are built only for lines that are output.  One
-batched counter, _key_richnesses, counts every richness on the box axes'
-coordinate arrays.  Per exact direction (a, b) it takes the cheaper of two
-exact paths, judged from counts known before counting: one histogram of
-the box points' packed intercepts (|P| words and bins), where each box
-point lies on exactly one line of the direction, or keys x box columns.  A
-build only builds, and keeps the tuning gate's counts;
+batched counter, _key_richnesses, counts every richness, by one rule per
+degree: in degree 1 in closed form, O(1) per line (a residue class inside
+an interval), and in every higher degree by keys x box columns.  A build
+only builds, and keeps the tuning gate's counts;
 verify_claim2 counts the lines of a fixed-c1 build, so each family key is
 counted once, and replays the multiplier mechanism in one array computation.
 A run builds no Point or Element and one CanonicalLine, the failing line it
@@ -54,7 +52,6 @@ from .geometry import (
     CanonicalLine,
     Point,
     _exact_dtype,
-    _InterceptWords,
     _pair_kernel,
     _sorted_runs,
     canonical_order,
@@ -184,8 +181,8 @@ class CellGeometry:
 def build_cell_geometry(params):
     """Cell P', step sizes s, s', and the translate lattice boxes.
 
-    Verifies by exhaustive membership that every translate coordinate stays
-    inside A_{C1 n^alpha}(Lambda) (resp. the n^(1-alpha) box).
+    Verifies that every translate coordinate stays inside A_{C1
+    n^alpha}(Lambda) (resp. the n^(1-alpha) box).
     """
     basis = params.basis
     n, alpha, r, c1 = params.n, params.alpha, params.r, params.c1
@@ -212,11 +209,13 @@ def build_cell_geometry(params):
     # Observation: A_r(s Lambda) is contained in A_{C1 n^alpha}(Lambda).
     outer_x = gap_set_power(basis, c1, n, alpha)
     outer_y = gap_set_power(basis, c1, n, 1 - alpha)
+    # The outer box has scale 1, so it holds a translate coordinate exactly
+    # when no |entry| exceeds its radius.  The largest |entry| is radius *
+    # scale, first reached by the translates' first coordinate, every entry
+    # -radius * scale, which the error names.
     for trans, outer in ((trans_x, outer_x), (trans_y, outer_y)):
-        rows = trans.coords()
-        escaped = np.flatnonzero(~outer.contains_rows(rows))
-        if len(escaped):
-            row = tuple(rows[escaped[0]].tolist())
+        if trans.radius * trans.scale > outer.radius:
+            row = (-trans.radius * trans.scale,) * d
             raise AssertionError(f"translate coordinate {row} escapes its outer box")
     sufficient = _sufficient_disjointness_inequality(params, s, s_prime)
     return CellGeometry(
@@ -398,97 +397,85 @@ def generate_line_family(geom):
 
 def _key_richnesses(basis, keys, box):
     """Exact richness of each key row (a, b, c) in the box, as an int64
-    array.  The keys are grouped by their exact (a, b) blocks, and each
-    direction w of F_w keys is counted one of two ways, chosen from counts
-    known before counting:
-
-    - by histogram (_by_histogram) when |P| + bins_w < F_w cols_w and bins_w
-      fits one batch (at most _CHUNK_PAIRS), where bins_w is the range of
-      the direction's packed intercept words (_InterceptWords) and cols_w
-      the size of the axis the columns path walks, X, or Y for a vertical
-      line: one word per box point and one bin per word replace F_w cols_w
-      (key, column) entries;
-    - otherwise by columns (_by_columns): keys x box columns, each line
-      solved for its pivot's axis.
-
-    The histogram is exact because each box point (x, y) lies on exactly one
-    line of direction (a, b), the one with intercept -(a x + b y), and the
-    packing is one-to-one on a range that holds every such intercept: the
-    count at a line's word is the number of box points on it.  Both paths
-    are exact, so the choice changes no count."""
+    array: in closed form in degree 1 (_by_closed_form), and by columns
+    (_by_columns) in every higher degree."""
     d = basis.degree
     keys = np.reshape(keys, (len(keys), 3 * d))
     out = np.zeros(len(keys), dtype=np.int64)
-    vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
-    rest = _by_histogram(basis, keys, vertical, box, out)
-    _by_columns(basis, keys, vertical, rest, box, out)
+    if d == 1:
+        _by_closed_form(basis, keys, box, out)
+    else:
+        _by_columns(basis, keys, box, out)
     return out
 
 
-def _by_histogram(basis, keys, vertical, box, out):
-    """Count into out the keys whose direction takes the histogram, and
-    return the rows of the other keys.
+def _by_closed_form(basis, keys, box, out):
+    """Count into out the richness of each degree-1 key row (a, b, c), O(1)
+    per key.
 
-    Every box point (x, y) lies on exactly one line of direction (a, b),
-    the one with intercept c = -(a x + b y), and every such intercept lies
-    in the dense range of the direction's packed words (_InterceptWords).
-    So the np.bincount of the words of every box point's intercept holds,
-    at each word, the number of box points on that line, and a key's
-    richness is the count at the word of its own c, or 0 when c lies
-    outside the range.  No word is sorted and nothing is divided.  The
-    directions go in batches whose words and bins total about _CHUNK_PAIRS,
-    each direction's bins at its own offset in the batch's histogram."""
-    d = basis.degree
-    points = box.size
-    # F cols > |P| is needed: more keys in one direction than the axis that
-    # the columns path does not walk has points
-    if len(keys) <= min(box.x_set.size, box.y_set.size):
-        return np.arange(len(keys))
-    order, heads = _sorted_runs(keys[:, : 2 * d].T)
-    size = np.diff(heads, append=len(keys))
-    # F cols, the columns path's entries
-    work = size * np.where(vertical[order[heads]], box.y_set.size, box.x_set.size)
-    group = np.flatnonzero(work > points)
-    if not len(group):
-        return np.arange(len(keys))
-    mx, my = (s.radius * s.scale for s in (box.x_set, box.y_set))
-    words = _InterceptWords(basis, keys[order[heads[group]], : 2 * d], mx, my)
-    bins = np.minimum(words.bins, _CHUNK_PAIRS + 1).astype(np.int64)
-    # the directions that take the histogram, as rows of words
-    dense = np.flatnonzero((bins <= _CHUNK_PAIRS) & (points + bins < work[group]))
-    if not len(dense):
-        return np.arange(len(keys))
-    group, bins, count = group[dense], bins[dense], size[group[dense]]
-    # each direction's first bin, and the position of its first key when
-    # the keys are taken direction by direction
-    offset, first = np.cumsum(bins) - bins, np.cumsum(count) - count
-    x, y = (s.coords().astype(words.dtype) for s in (box.x_set, box.y_set))
-    ends = np.cumsum(points + bins)
-    rest = np.ones(len(keys), dtype=bool)
-    b0 = 0
-    while b0 < len(group):
-        limit = ends[b0] - points - bins[b0] + _CHUNK_PAIRS
-        b1 = max(b0 + 1, int(np.searchsorted(ends, limit, side="right")))
-        lo, hi = offset[b0], offset[b1 - 1] + bins[b1 - 1]
-        # the words lie below hi - lo <= _CHUNK_PAIRS, also where words.dtype
-        # is object, and are freed before the batch's keys are gathered
-        packed = words.of_points(dense[b0:b1], x, y, offset[b0:b1] - lo).reshape(-1)
-        hist = np.bincount(packed.astype(np.int64, copy=False), minlength=hi - lo)
-        del packed
-        # the batch's keys, direction by direction
-        n = count[b0:b1]
-        w = np.repeat(np.arange(b0, b1), n)
-        at = np.repeat(heads[group[b0:b1]] - first[b0:b1] + first[b0], n)
-        idx = order[at + np.arange(len(at))]
-        inside, word = words.of_intercepts(dense[w], keys[idx, 2 * d :])
-        out[idx] = hist[word.astype(np.int64, copy=False) + (offset[w] - lo)] * inside
-        rest[idx] = False
-        b0 = b1
-    return np.flatnonzero(rest)
+    With l the basis vector and l l = k l, the box points are (sx i, sy j)
+    for |i| <= Rx and |j| <= Ry, and one lies on the line when A i + B j + c
+    = 0 for A = k a sx and B = k b sy.  The box is symmetric, so i -> -i and
+    j -> -j take A and B to |A| and |B| without changing the count; let A,
+    B >= 0, and g = gcd(A, B).  No point lies on the line unless g divides
+    c.  A line with B = 0 then holds 2 Ry + 1 points if |c| / g <= Rx, and
+    one with A = 0 holds 2 Rx + 1 if |c| / g <= Ry.  Otherwise j is an
+    integer exactly when i = i0 mod m, for m = B / g and i0 = -(c / g) inv
+    mod m, with inv the inverse of A / g mod m; and |j| <= Ry exactly when
+    -(B Ry + c) / A <= i <= (B Ry - c) / A.  Floor divisions count the class
+    inside that interval cut to |i| <= Rx.
+
+    The keys are grouped by direction (a, b), and g, m and inv are computed
+    once per direction.  Every array takes the dtype _exact_dtype picks for
+    _closed_form_bound, object (exact Python ints) past int64."""
+    (rx, sx), (ry, sy) = ((s.radius, s.scale) for s in (box.x_set, box.y_set))
+    k = abs(basis.structure_constants[0][0][0])
+    dtype = _exact_dtype(_closed_form_bound(basis, keys, box))
+    order, heads = _sorted_runs(keys[:, :2].T)
+    ab = np.abs(keys[order[heads], :2].astype(dtype))
+    # the direction of each key, as a row of the directions' arrays
+    which = np.empty(len(keys), dtype=np.intp)
+    which[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=len(keys)))
+    del order
+    a, b = ab[:, 0] * (k * sx), ab[:, 1] * (k * sy)
+    g = np.gcd(a, b)
+    m = np.where(b == 0, 1, b // g)
+    inv = [pow(u, -1, v) for u, v in zip((a // g).tolist(), m.tolist())]
+    a, b, g, m, inv = (v[which] for v in (a, b, g, m, np.array(inv, dtype=dtype)))
+    c = keys[:, 2].astype(dtype)
+    q = c // g
+    i0 = (-q % m) * inv % m
+    safe = np.where(a == 0, 1, a)
+    lo = np.maximum(-((b * ry + c) // safe), -rx)
+    hi = np.minimum((b * ry - c) // safe, rx)
+    count = np.maximum((hi - i0) // m - (lo - 1 - i0) // m, 0)
+    vertical, flat = b == 0, a == 0
+    count[vertical] = (2 * ry + 1) * (np.abs(q[vertical]) <= rx)
+    count[flat] = (2 * rx + 1) * (np.abs(q[flat]) <= ry)
+    count *= q * g == c
+    out[:] = count
 
 
-def _by_columns(basis, keys, vertical, rows, box, out):
-    """Count into out the keys of the given rows by columns.  Each line is
+def _closed_form_bound(basis, keys, box):
+    """A bound on every intermediate of _by_closed_form: with A and B the
+    largest |k a sx| and |k b sy| and C the largest |c|, (-c / g mod m) inv
+    is below B^2, (c // g) g lies within C + A + B, and the interval ends,
+    cut or not, and their floor quotients by m lie within B (Ry + 1) + C + R
+    + 1 for R the larger radius, so their differences lie within twice
+    that."""
+    (rx, sx), (ry, sy) = ((s.radius, s.scale) for s in (box.x_set, box.y_set))
+    k = abs(basis.structure_constants[0][0][0])
+    ma, mb, mc = (int(np.abs(keys[:, i]).max(initial=0)) for i in range(3))
+    big_a, big_b = k * ma * sx, k * mb * sy
+    return max(
+        k * max(sx, sy),
+        big_b**2,
+        big_a + 2 * (big_b * (ry + 1) + mc + max(rx, ry) + 1),
+    )
+
+
+def _by_columns(basis, keys, box, out):
+    """Count into out the richness of each key row by columns.  Each line is
     solved for its pivot's axis (y, or x when b = 0) along every column u
     of the other axis, in blocks of about _CHUNK_PAIRS (key, column) pairs:
     the solution is -v / det for v = adj(M)(c + other*u) and M the pivot's
@@ -497,9 +484,10 @@ def _by_columns(basis, keys, vertical, rows, box, out):
     radius*scale*|det|.  A block runs in the dtype _exact_dtype picks for
     _block_bound, object (exact Python ints) past int64."""
     d = basis.degree
+    vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
     for part, blocks, columns, target in (
-        (rows[~vertical[rows]], (1, 0, 2), box.x_set, box.y_set),
-        (rows[vertical[rows]], (0, 1, 2), box.y_set, box.x_set),
+        (np.flatnonzero(~vertical), (1, 0, 2), box.x_set, box.y_set),
+        (np.flatnonzero(vertical), (0, 1, 2), box.y_set, box.x_set),
     ):
         if not len(part):
             continue
@@ -659,9 +647,11 @@ class TunedConstruction:
     halvings: int
 
 
-# (key, column) pairs per block of the tuning gate, which stops at the first
-# block that holds a key below r: smaller than the counter's _CHUNK_PAIRS,
-# since a rejected attempt counts up to one block past its first such key
+# The tuning gate counts _GATE_PAIRS / |X| keys per block and stops at the
+# first block that holds a key below r, so a rejected attempt counts up to
+# one block past its first such key.  In degree >= 2 a block is about
+# _GATE_PAIRS (key, column) pairs of the columns path, fewer than the
+# counter's _CHUNK_PAIRS; the degree-1 closed form counts each key in O(1).
 _GATE_PAIRS = 1 << 14
 
 

@@ -446,9 +446,8 @@ class _InterceptWords:
     x . pa_w = sum_k (a x)_k base_w^k; each partial sum is at most
     (bins_w - 1) / 2.
 
-    bins is exact, in int64, or object past int64.  The other arrays take
-    the dtype _exact_dtype picks for the largest bins, entry of pa or pb,
-    and coordinate (object past int64).
+    The arrays take the dtype _exact_dtype picks for the largest bins_w,
+    entry of pa or pb, and coordinate (object past int64).
     """
 
     def __init__(self, basis, ab, mx, my):
@@ -462,7 +461,6 @@ class _InterceptWords:
         m = np.abs(ab)
         cm = (m[:, :d].max(axis=1, initial=0) * mx + m[:, d:].max(axis=1, initial=0) * my) * s
         base = 2 * cm + 1
-        self.bins = base**d
         powers = base[:, None] ** np.arange(d)
         # a @ sc, reshaped to (d, d), is the multiplication-by-a matrix acting on row vectors
         sc = np.array(basis.structure_constants, dtype=ab.dtype).reshape(d, d * d)
@@ -471,34 +469,18 @@ class _InterceptWords:
             for k in (0, 1)
         )
         pmax = int(np.abs(np.concatenate([pa, pb])).max(initial=0))
-        self.dtype = _exact_dtype(max(int(self.bins.max(initial=1)), pmax, mx, my))
-        self.cm, self.powers, self.pa, self.pb = (
-            m.astype(self.dtype) for m in (cm, powers, pa, pb)
-        )
+        self.degree = d
+        self.dtype = _exact_dtype(max(int(base.max(initial=1)) ** d, pmax, mx, my))
+        self.cm, self.pa, self.pb = (m.astype(self.dtype) for m in (cm, pa, pb))
         self.zero = (cm * powers.sum(axis=1)).astype(self.dtype)
 
-    def of_points(self, rows, x, y, offset=0):
-        """The (rows, |X| |Y|) words, each plus its row's offset, of the lines
-        through the box points, x-major, for the rows (a slice or index
-        array) of ab and the coordinate rows x of X and y of Y in self.dtype.
-        An int64 offset array makes the words int64."""
-        wx = (self.zero[rows] + offset)[:, None] - self.pa[rows] @ x.T
+    def of_points(self, rows, x, y):
+        """The (rows, |X| |Y|) words of the lines through the box points,
+        x-major, for the rows (a slice or index array) of ab and the
+        coordinate rows x of X and y of Y in self.dtype."""
+        wx = self.zero[rows][:, None] - self.pa[rows] @ x.T
         wy = self.pb[rows] @ y.T
         return (wx[:, :, None] - wy[:, None, :]).reshape(len(wx), -1)
-
-    def of_intercepts(self, rows, c):
-        """(inside, words) for the intercept rows c of the directions rows:
-        whether every coordinate of each lies within its bound cm, and the
-        word of each, which is a word of its direction's range also where c
-        does not lie within the bound (it is then the word of c clipped to
-        the bound)."""
-        cm = self.cm[rows][:, None]
-        inside = ((c >= -cm) & (c <= cm)).all(axis=1)
-        c = np.clip(c, -cm, cm).astype(self.dtype)
-        words, powers = self.zero[rows].copy(), self.powers[rows]
-        for k in range(c.shape[1]):
-            words += c[:, k] * powers[:, k]
-        return inside, words
 
     def intercepts(self, rows, words):
         """The d coordinate columns of the intercepts of the words of the
@@ -506,7 +488,7 @@ class _InterceptWords:
         cm = self.cm[rows]
         base = 2 * cm + 1
         c = []
-        for _ in range(self.powers.shape[1]):
+        for _ in range(self.degree):
             c.append(words % base - cm)
             words = words // base
         return c

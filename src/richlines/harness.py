@@ -234,10 +234,14 @@ class FitResult:
     x: str
 
 
+def _check_fit_points(count):
+    if count < 3:
+        raise ConfigError("log-log fit needs at least 3 sweep points")
+
+
 def fit_loglog(xs, ys, x="r"):
     """OLS of log(y) against log(x); needs at least 3 sweep points."""
-    if len(xs) < 3:
-        raise ConfigError("log-log fit needs at least 3 sweep points")
+    _check_fit_points(len(xs))
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -252,13 +256,16 @@ def sweep(config, workers=1):
     The points run one after another in this process.  `workers` is
     deprecated and ignored; it stays only while the perfbench sweep
     operations pass `--workers` (ROADMAP open item 1 removes both).
+    A sweep of fewer than 3 points fails before any point runs.
     """
     if config.r_list is not None:
-        x, reports = "r", [run(config, r=r) for r in config.r_list]
+        x, points = "r", [{"r": r} for r in config.r_list]
     elif config.n_list is not None:
-        x, reports = "p_realized", [run(config, n=n) for n in config.n_list]
+        x, points = "p_realized", [{"n": n} for n in config.n_list]
     else:
         raise ConfigError("sweep needs 'r_list' or 'n_list'")
+    _check_fit_points(len(points))
+    reports = [run(config, **point) for point in points]
     xs = [getattr(rep, x) for rep in reports]
     return reports, fit_loglog(xs, [rep.num_lines for rep in reports], x)
 

@@ -1,6 +1,7 @@
 """The translate pipeline: point box, cell, lattice, family, verifiers."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,7 +31,7 @@ from richlines.construction import (
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
 from richlines.gapset import GapSet, gap_set
-from richlines.numberfield import Element
+from richlines.numberfield import Element, NiceBasis
 from richlines.geometry import (
     CanonicalLine,
     Point,
@@ -301,9 +302,13 @@ def test_line_richness_matches_bruteforce(integers, sqrt2):
     assert count_on_line_int(integers, line.key, box) == exact
 
 
-def _richness_block_bound(basis, key, box):
-    """construction._block_bound for a block holding the one key."""
+def _richness_bound(basis, key, box):
+    """The bound whose _exact_dtype the counter takes for the one key:
+    construction._closed_form_bound in degree 1, else _block_bound for a
+    block holding the key."""
     d = basis.degree
+    if d == 1:
+        return construction._closed_form_bound(basis, np.array([key], dtype=object), box)
     a, b, c = (np.array([key[k : k + d]], dtype=object) for k in (0, d, 2 * d))
     if any(key[d : 2 * d]):
         pivot, other, columns, target = b, a, box.x_set, box.y_set
@@ -317,8 +322,9 @@ def test_batched_richness_matches_per_line_reference():
     every arithmetic basis, over a box whose x axis is scaled: lines through
     two box points (vertical ones included), random keys (most miss the
     box), and three lines through box points multiplied up to one step
-    either side of each _exact_dtype threshold of _block_bound: int8, int16,
-    int32, and int64, past which the block runs in object dtype."""
+    either side of each _exact_dtype threshold of the counter's bound
+    (_closed_form_bound in degree 1, else _block_bound): int8, int16, int32,
+    and int64, past which the counter runs in object dtype."""
     rng = random.Random(21)
     for basis in ARITH_BASES:
         d = basis.degree
@@ -351,41 +357,36 @@ def test_batched_richness_matches_per_line_reference():
         for key in (richest, vertical[0], through_origin):
             rich = count_on_line_int(basis, key, box)
             for limit, below, above in DTYPE_THRESHOLDS:
-                lo, hi = 0, 2**63  # the largest multiple whose block bound is at most limit
+                lo, hi = 0, 2**63  # the largest multiple whose bound is at most limit
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    fits = _richness_block_bound(basis, [mid * v for v in key], box) <= limit
+                    fits = _richness_bound(basis, [mid * v for v in key], box) <= limit
                     lo, hi = (mid, hi) if fits else (lo, mid)
                 if not lo:  # the key itself is past this threshold
                     continue
                 for t, dtype in ((lo, below), (lo + 1, above)):
                     scaled = tuple(t * v for v in key)
-                    assert _exact_dtype(_richness_block_bound(basis, scaled, box)) == dtype
+                    assert _exact_dtype(_richness_bound(basis, scaled, box)) == dtype
                     assert count_on_line_int(basis, scaled, box) == rich
                     assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
             assert lo  # the int64 threshold
-    # 2^59 (15 X + 2 Y) = 0 meets the box only at the origin, but at x = +-2
-    # int64 products a*x wrap past 2^64 onto multiples of b inside the radius
-    integers = ARITH_BASES[0]
-    box = construction.PointBox(GapSet(integers, 3), GapSet(integers, 3))
-    key = (15 * 2**59, 2 * 2**59, 0)
-    assert count_on_line_int(integers, key, box) == 1
-    assert construction._key_richnesses(integers, [key], box).tolist() == [1]
 
 
 def test_intercept_words_pack_box_intercepts():
-    """_InterceptWords, the packing that the oracle's sweep and the
-    counter's histogram share, on seeded random directions of every
-    arithmetic basis over a box with a scaled x axis, and on one direction
-    scaled by 2^62, whose words are past int64: the word of_points gives a
-    box point is the word of_intercepts gives its intercept c = -(a x +
-    b y), which lies within the bound; each lies in [0, bins), and
-    intercepts decodes it to c.  A coordinate one past the bound is not
-    inside."""
+    """_InterceptWords, the packing of the oracle's sweep, on seeded random
+    directions of every arithmetic basis over a box with a scaled x axis,
+    and on one direction scaled by 2^62, whose words are past int64: the
+    word of_points gives a box point decodes through intercepts to the
+    point's intercept c = -(a x + b y), sign included; each word lies in
+    [0, (2 cm + 1)^d); and two points share a word exactly when they share
+    an intercept."""
     rng = random.Random(7)
     for basis in ARITH_BASES:
         d = basis.degree
+        mul = basis.mul_coords
         box = construction.PointBox(GapSet(basis, 1, 2), GapSet(basis, 1))
+        points = box.coords().tolist()
+        sample = rng.sample(range(len(box)), min(len(box), 200))
         ab = [[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(4)]
         ab.append([2**62] * d + [0] * d)
         for rows in ([0, 1, 2, 3], [4]):
@@ -393,150 +394,162 @@ def test_intercept_words_pack_box_intercepts():
             assert (words.dtype == object) == (rows == [4])
             x, y = (s.coords().astype(words.dtype) for s in (box.x_set, box.y_set))
             packed = words.of_points(np.arange(len(rows)), x, y)
-            points = box.coords().tolist()
-            sample = rng.sample(range(len(box)), min(len(box), 50))
-            mul = basis.mul_coords
-            c, w, at = [], [], []
             for k, row in enumerate(rows):
                 a, b = ab[row][:d], ab[row][d:]
-                for p in sample:
-                    point = points[p]
-                    c.append([-u - v for u, v in zip(mul(a, point[:d]), mul(b, point[d:]))])
-                    w.append(packed[k, p])
-                    at.append(k)
-            at, c = np.array(at), np.array(c, dtype=object)
-            inside, got = words.of_intercepts(at, c)
-            assert inside.all() and got.tolist() == w
-            assert all(0 <= v < words.bins[k] for k, v in zip(at, w))
-            assert np.column_stack(words.intercepts(at, np.array(w))).tolist() == c.tolist()
-            c[:, -1] = words.cm[at].astype(object) + 1
-            assert not words.of_intercepts(at, c)[0].any()
+                c = [
+                    tuple(-u - v for u, v in zip(mul(a, points[p][:d]), mul(b, points[p][d:])))
+                    for p in sample
+                ]
+                w = packed[k, sample]
+                decoded = words.intercepts(np.full(len(sample), k), w)
+                assert list(zip(*(col.tolist() for col in decoded))) == c
+                bins = (2 * int(words.cm[k]) + 1) ** d
+                assert all(0 <= v < bins for v in w.tolist())
+                assert len(set(zip(w.tolist(), c))) == len(set(w.tolist())) == len(set(c))
 
 
-def _direction_keys(basis, ab, box, count, rng, cm):
-    """count distinct key rows (a, b, c) of the direction ab = (a, b): the
-    intercepts c = -(a x + b y) of box points, then random intercepts
-    within cm + 1, where cm bounds the direction's packed words, and two
-    past cm, one coordinate at cm + 1 and every coordinate at -3 cm - 1."""
+def _path_keys(basis, box, rng):
+    """Seeded key rows for _key_richnesses on the box: 30 keys of each of the
+    directions (u, u), (u, -u), (u, 0), (0, u) and (3u, 3u), u the first
+    basis vector, half of them the intercepts of box points and half random
+    intercepts, most of which miss the box; then random keys."""
     d = basis.degree
     mul = basis.mul_coords
-    a, b = ab[:d], ab[d:]
-    hits = {
-        tuple(-u - v for u, v in zip(mul(a, x.coords), mul(b, y.coords)))
-        for x in box.x_set
-        for y in box.y_set
-    }
-    out = [(cm + 1,) + (0,) * (d - 1), (-3 * cm - 1,) * d]
-    chosen = dict.fromkeys(out + rng.sample(sorted(hits), min(len(hits), count - 2)))
-    while len(chosen) < count:
-        chosen[tuple(rng.randint(-cm - 1, cm + 1) for _ in range(d))] = None
-    return [tuple(ab) + c for c in chosen]
-
-
-def _path_keys(basis, box, rng, cap):
-    """Seeded key rows for _key_richnesses on the box, and the rows that
-    the rule must send to the columns path, for the histogram path's bound
-    cap on bins: the directions (u, u), (u, -u), (u, 0) and (3u, 3u), u
-    the first basis vector, each with the least number of keys F at which
-    |P| + bins < F cols holds, one fewer for (u, -u), or 20 keys where bins
-    is past cap; then random keys, each alone in its direction."""
-    d = basis.degree
     u = (1,) + (0,) * (d - 1)
     neg, zero, three = tuple(-v for v in u), (0,) * d, tuple(3 * v for v in u)
-    mx, my = (s.radius * s.scale for s in (box.x_set, box.y_set))
-    keys, sparse = [], []
-    for ab, less in ((u + u, 0), (u + neg, 1), (u + zero, 0), (three + three, 0)):
-        words = geometry._InterceptWords(basis, np.array([ab]), mx, my)
-        bins, cm = int(words.bins[0]), int(words.cm[0])
-        cols = len(box.x_set) if any(ab[d:]) else len(box.y_set)
-        count = (len(box) + bins) // cols + 1 - less if bins <= cap else 20
-        rows = _direction_keys(basis, ab, box, count, rng, cm)
-        if not (bins <= cap and len(box) + bins < len(rows) * cols):
-            sparse.extend(rows)
-        keys.extend(rows)
-    taken = {key[: 2 * d] for key in keys}
-    while len(sparse) < len(keys) // 10 + 40:
+    points = box.coords().tolist()
+    keys = []
+    for ab in (u + u, u + neg, u + zero, zero + u, three + three):
+        a, b = ab[:d], ab[d:]
+        for p in rng.sample(points, 15):
+            keys.append(ab + tuple(-s - t for s, t in zip(mul(a, p[:d]), mul(b, p[d:]))))
+        keys.extend(ab + tuple(rng.randint(-12, 12) for _ in range(d)) for _ in range(15))
+    while len(keys) < 190:
         key = tuple(rng.randint(-9, 9) for _ in range(3 * d))
-        if any(key[: 2 * d]) and key[: 2 * d] not in taken:
-            taken.add(key[: 2 * d])
+        if any(key[: 2 * d]):
             keys.append(key)
-            sparse.append(key)
     rng.shuffle(keys)
-    sparse = set(sparse)
-    return keys, {k for k, key in enumerate(keys) if key in sparse}
-
-
-def _dense_bins(basis, keys, sparse, box):
-    """The bins of each direction of the keys outside sparse."""
-    d = basis.degree
-    mx, my = (s.radius * s.scale for s in (box.x_set, box.y_set))
-    ab = sorted({keys[k][: 2 * d] for k in range(len(keys)) if k not in sparse})
-    return geometry._InterceptWords(basis, np.array(ab), mx, my).bins.tolist()
+    return keys
 
 
 def test_counter_paths_match_reference(monkeypatch):
     """_key_richnesses equals count_on_line_int on seeded random key sets of
-    every arithmetic basis, in which the directions of many keys take the
-    histogram path and the others the columns path in one call, and each
-    key takes the path that the rule picks.  The keys cover lines through
-    box points, vertical lines, non-primitive keys (3u, 3u, c), keys that
-    miss the box and intercepts past the dense range of the words.  Each
-    histogram direction has exactly the least number of keys at which the
-    rule takes it, and one direction one key fewer; where the axes differ
-    in size, the vertical direction's count lies below the threshold that
-    the other axis would give.  Each basis runs at the default batch size,
-    which puts every histogram direction in one batch, and at a batch size
-    that holds only the largest, so that one call makes several batches.
-    Every key scaled by 2^62, whose words are past int64, takes the columns
-    path, in a call of object keys whose other keys take the histogram."""
+    every arithmetic basis, degree 4 included, over boxes with scaled and
+    unequal axes, and takes its path by degree alone: in degree 1 it never
+    calls _by_columns, and in every higher degree it sends every key there
+    in one call.  The keys (_path_keys) cover lines through box points,
+    vertical and horizontal lines, non-primitive keys (3u, 3u, c), keys
+    that miss the box and many keys of one direction; every key scaled by
+    2^62 is the same line, counted in object dtype."""
     rng = random.Random(18)
-    columns, batches = [], []
+    calls = []
     by_columns = construction._by_columns
-    of_points = geometry._InterceptWords.of_points
 
-    def recording_columns(basis, keys, vertical, rows, box, out):
-        columns.append(set(rows.tolist()))
-        return by_columns(basis, keys, vertical, rows, box, out)
+    def recording(basis, keys, box, out):
+        calls.append(len(keys))
+        return by_columns(basis, keys, box, out)
 
-    def recording_points(self, rows, *args):
-        batches.append(len(self.pa[rows]))
-        return of_points(self, rows, *args)
-
-    def check(basis, box, cap):
-        keys, sparse = _path_keys(basis, box, rng, cap)
-        columns.clear()
-        batches.clear()
-        got = construction._key_richnesses(basis, keys, box).tolist()
-        assert got == [count_on_line_int(basis, key, box) for key in keys]
-        assert columns == [sparse] and 0 < len(sparse) < len(keys)
-        assert max(got) > 1 and 0 in got
-        bins = _dense_bins(basis, keys, sparse, box)
-        assert sum(batches) == len(bins)
-        return keys, sparse, bins, got
-
-    monkeypatch.setattr(construction, "_by_columns", recording_columns)
-    monkeypatch.setattr(geometry._InterceptWords, "of_points", recording_points)
+    monkeypatch.setattr(construction, "_by_columns", recording)
     # (radius, scale) of X and of Y
     shapes = {1: ((2, 2), (4, 1)), 2: ((1, 2), (2, 1)), 3: ((1, 1), (1, 1)), 4: ((1, 1), (1, 1))}
     for basis in ARITH_BASES:
         d = basis.degree
         (rx, sx), (ry, sy) = shapes[d]
         box = construction.PointBox(GapSet(basis, rx, sx), GapSet(basis, ry, sy))
-        keys, sparse, bins, got = check(basis, box, geometry._CHUNK_PAIRS)
-        assert len(batches) == 1 and len(bins) >= (3 if d <= 2 else 2 if d == 3 else 1)
-        if len(bins) > 1:
-            chunk = len(box) + max(bins)
-            monkeypatch.setattr(construction, "_CHUNK_PAIRS", chunk)
-            check(basis, box, chunk)
-            assert len(batches) > 1
-            monkeypatch.setattr(construction, "_CHUNK_PAIRS", geometry._CHUNK_PAIRS)
-        # a key scaled by 2^62 is the same line, so it has the same richness
-        dense = [k for k in range(len(keys)) if k not in sparse]
-        huge = [keys[k] for k in dense] + [tuple(2**62 * v for v in keys[k]) for k in dense]
-        columns.clear()
-        counts = [got[k] for k in dense]
-        assert construction._key_richnesses(basis, huge, box).tolist() == counts + counts
-        assert columns == [set(range(len(dense), len(huge)))]
+        keys = _path_keys(basis, box, rng)
+        expected = [count_on_line_int(basis, key, box) for key in keys]
+        assert max(expected) > 1 and 0 in expected
+        for batch in (keys, [tuple(2**62 * v for v in key) for key in keys]):
+            calls.clear()
+            assert construction._key_richnesses(basis, batch, box).tolist() == expected
+            assert calls == ([] if d == 1 else [len(keys)])
+
+
+def _closed_form_keys(box, rng):
+    """Seeded degree-1 key rows for the box: lines through two box points
+    and random keys with small entries, including vertical, horizontal and
+    negative-b ones and the non-primitive (3u, 3u, c)."""
+    points = box.coords().tolist()
+    mul = box.basis.mul_coords
+    keys = []
+    for _ in range(80):
+        (x1, y1), (x2, y2) = rng.sample(points, 2)
+        (c,), (d,) = mul([y1], [x2]), mul([x1], [y2])
+        keys.append((y2 - y1, x1 - x2, c - d))
+    for _ in range(80):
+        key = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-40, 40))
+        if any(key[:2]):
+            keys.append(key)
+    for _ in range(10):
+        u = rng.randint(-3, 3) or 1
+        keys.append((3 * u, 3 * u, rng.randint(-30, 30)))
+    return keys
+
+
+def test_closed_form_matches_reference():
+    """The degree-1 counter, in closed form, equals count_on_line_int on
+    seeded random keys over boxes with scales sx, sy in {1, 2, 3} and
+    unequal radii, over the integers and over the degree-1 bases with l l =
+    2 l and l l = -3 l.  The keys cover vertical, horizontal and negative-b
+    lines, non-primitive keys (3u, 3u, c), keys where g = gcd(A, B) does not
+    divide c, keys that miss the box, and keys with B / g = 1, for A = k a sx
+    and B = k b sy with l l = k l.  Keys scaled one step either side of each
+    _exact_dtype threshold of _closed_form_bound, int8 through object, keep
+    their count; so does 2^59 (15, 2, 0), whose int64 products a x wrap past
+    2^64."""
+    integers = ARITH_BASES[0]
+    cases = [(integers, scales) for scales in itertools.product((1, 2, 3), repeat=2)]
+    cases += [(NiceBasis([[[k]]], [k]), scales) for k, scales in ((2, (2, 3)), (-3, (1, 2)))]
+    rng = random.Random(1)
+    seen = set()
+    sides = set()
+    for basis, (sx, sy) in cases:
+        k = basis.structure_constants[0][0][0]
+        rx, ry = rng.sample(range(1, 6), 2)
+        box = construction.PointBox(GapSet(basis, rx, sx), GapSet(basis, ry, sy))
+        keys = _closed_form_keys(box, rng)
+        expected = [count_on_line_int(basis, key, box) for key in keys]
+        assert construction._key_richnesses(basis, keys, box).tolist() == expected
+        assert max(expected) > 2
+        for (a, b, c), rich in zip(keys, expected):
+            g = math.gcd(k * a * sx, k * b * sy)
+            seen.update(
+                name
+                for name, holds in (
+                    ("vertical", b == 0 and rich),
+                    ("horizontal", a == 0 and rich),
+                    ("negative b", b < 0 and a and rich > 1),
+                    ("non-primitive", math.gcd(a, b, c) > 1 and rich > 1),
+                    ("g does not divide c", g > 1 and c % g),
+                    ("misses the box", not rich),
+                    ("B / g = 1", a and abs(k * b * sy) == g and rich),
+                )
+                if holds
+            )
+        # the same lines, scaled to each side of each dtype threshold
+        for key in (max(zip(expected, keys))[1], keys[expected.index(0)]):
+            rich = count_on_line_int(basis, key, box)
+            for limit, below, above in DTYPE_THRESHOLDS:
+                lo, hi = 0, 2**63  # the largest multiple whose bound is at most limit
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    fits = _richness_bound(basis, [mid * v for v in key], box) <= limit
+                    lo, hi = (mid, hi) if fits else (lo, mid)
+                for t, dtype in ((lo, below), (lo + 1, above)):
+                    if not t:  # the key itself is past this threshold
+                        continue
+                    scaled = tuple(t * v for v in key)
+                    assert _exact_dtype(_richness_bound(basis, scaled, box)) == dtype
+                    sides.add(dtype)
+                    assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
+    assert len(seen) == 7, seen
+    assert sides == {t for _, below, above in DTYPE_THRESHOLDS for t in (below, above)}
+    # 2^59 (15 X + 2 Y) = 0 meets the box only at the origin, but at x = +-2
+    # int64 products a*x wrap past 2^64 onto multiples of b inside the radius
+    box = construction.PointBox(GapSet(integers, 3), GapSet(integers, 3))
+    key = (15 * 2**59, 2 * 2**59, 0)
+    assert count_on_line_int(integers, key, box) == 1
+    assert construction._key_richnesses(integers, [key], box).tolist() == [1]
 
 
 def test_verify_claim2_tuned(integers):

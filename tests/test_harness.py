@@ -146,6 +146,16 @@ def test_sweep_csv_deterministic_across_workers():
     assert csv1.splitlines()[0] == CSV_COLUMNS
 
 
+def test_short_sweep_runs_nothing(monkeypatch):
+    """A sweep of fewer than 3 points fails before it runs any of them."""
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
+    for short in (cfg(r=None, r_list=[3, 4]), cfg(r=3, n_list=[600, 1100], c1="1/2")):
+        with pytest.raises(ConfigError, match="at least 3 sweep points"):
+            sweep(parse_config(short))
+    assert calls == []
+
+
 def test_sweep_n_list():
     with pytest.raises(ConfigError):
         sweep(parse_config(cfg()))
@@ -294,7 +304,7 @@ def test_cli_oracle_and_selftest(tmp_path, capsys):
     assert capsys.readouterr().out.count("PASS") == 7
 
 
-def test_cli_error_exit_code(tmp_path, capsys):
+def test_cli_error_exit_code(tmp_path, capsys, monkeypatch):
     bad = write_cfg(tmp_path, {"basis": {"type": "integers"}, "n": 1, "r": 3})
     assert cli.main(["construct", "--config", bad]) == 2
     assert "error:" in capsys.readouterr().err
@@ -329,6 +339,18 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "exceeds the oracle cap" in capsys.readouterr().err
     assert cli.main(["construct", "--config", huge]) == 2
     assert "exceeds the cap 50000" in capsys.readouterr().err
+    # an --out that is an existing file: an error line naming it, before any run
+    runs = []
+    for name in ("run", "sweep", "oracle"):
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    good = write_cfg(tmp_path, cfg(), "good.json")
+    for command in ("construct", "verify", "sweep", "oracle"):
+        assert cli.main([command, "--config", good, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot use output directory") and str(taken) in err
+    assert runs == []
 
 
 def test_cli_selftest_has_no_out(capsys):
@@ -599,29 +621,37 @@ def test_run_builds_one_box(monkeypatch):
         assert len(calls) == 1
 
 
-def _histogram_share(monkeypatch, config, **kwargs):
+def _columns_share(monkeypatch, config, **kwargs):
     """The keys harness.run sends to the richness counter, and how many of
-    them the histogram path counts."""
-    calls = []
-    by_histogram = construction._by_histogram
+    them the columns path counts."""
+    sent, columns = [], []
+    key_richnesses = construction._key_richnesses
+    by_columns = construction._by_columns
 
-    def recording(basis, keys, vertical, box, out):
-        rest = by_histogram(basis, keys, vertical, box, out)
-        calls.append((len(keys), len(keys) - len(rest)))
-        return rest
+    def counting(basis, keys, box):
+        sent.append(len(keys))
+        return key_richnesses(basis, keys, box)
 
-    monkeypatch.setattr(construction, "_by_histogram", recording)
+    def recording(basis, keys, box, out):
+        columns.append(len(keys))
+        return by_columns(basis, keys, box, out)
+
+    monkeypatch.setattr(construction, "_key_richnesses", counting)
+    monkeypatch.setattr(construction, "_by_columns", recording)
     run(parse_config(config), **kwargs)
     monkeypatch.undo()
-    return sum(keys for keys, _ in calls), sum(taken for _, taken in calls)
+    return sum(sent), sum(columns)
 
 
 def test_counter_rule_on_workload_cells(monkeypatch):
-    """The counter's per-direction rule: on the criterion-6 sweep cell at
-    r = 3 the histogram path counts most keys, and on the auto-tuned cells
-    quadratic n=6561 r=3 and integers n=1100 r=3 and r=5 it counts none."""
-    keys, taken = _histogram_share(monkeypatch, SWEEP_CFG, r=3)
-    assert keys == 21400 and taken > keys // 2
-    for config in (QUAD_AUTO, cfg(n=1100), cfg(n=1100, r=5)):
-        keys, taken = _histogram_share(monkeypatch, config)
-        assert keys > 0 and taken == 0
+    """The counter's per-degree rule on the workload cells: the degree-1
+    criterion-6 sweep cell at r = 3 and the auto-tuned integers cells n=1100
+    r=3 and r=5 count no key by columns, and the auto-tuned quadratic cell
+    n=6561 r=3 counts every key by columns."""
+    keys, columns = _columns_share(monkeypatch, SWEEP_CFG, r=3)
+    assert keys == 21400 and columns == 0
+    for config in (cfg(n=1100), cfg(n=1100, r=5)):
+        keys, columns = _columns_share(monkeypatch, config)
+        assert keys > 0 and columns == 0
+    keys, columns = _columns_share(monkeypatch, QUAD_AUTO)
+    assert keys > 0 and columns == keys
