@@ -77,8 +77,8 @@ POINT_CAP = 50_000
 
 
 class AutoTuneError(RichlinesError, RuntimeError):
-    """No halving of the cell constant produced a fully r-rich, disjoint
-    construction."""
+    """No halving of the cell constant made every line r-rich (the only
+    test: translates are disjoint by construction, step > 2 (step // 3))."""
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,20 @@ class CellGeometry:
 def build_cell_geometry(params):
     """Cell P', step sizes s, s', and the translate lattice boxes.
 
+    One root per axis: the step s = floor((C1 n^alpha / r)^(1/d)) (resp.
+    s'), and the radius of A_{C1 n^alpha / r}(Lambda) is s // 3.  Shifts
+    are multiples of s > 2 (s // 3), so the translates are disjoint by
+    construction, and a nondegenerate cell has s >= 3.
+
     Verifies that every translate coordinate stays inside A_{C1
     n^alpha}(Lambda) (resp. the n^(1-alpha) box).
     """
     basis = params.basis
     n, alpha, r, c1 = params.n, params.alpha, params.r, params.c1
     d = basis.degree
-    cell_x = gap_set_power(basis, c1 / r, n, alpha)
-    cell_y = gap_set_power(basis, c1 / r, n, 1 - alpha)
+    s = floor_scaled_root(c1 / r, n, alpha, d)
+    s_prime = floor_scaled_root(c1 / r, n, 1 - alpha, d)
+    cell_x, cell_y = GapSet(basis, s // 3), GapSet(basis, s_prime // 3)
     if cell_x.radius < 1 or cell_y.radius < 1:
         raise RTooLargeError(
             f"cell degenerate for r={r}, c1={c1}, n={n}, alpha={alpha}: "
@@ -200,10 +206,6 @@ def build_cell_geometry(params):
             f"cell of {cell_size} points exceeds the cap {POINT_CAP} for n={n}, "
             f"alpha={alpha}, r={r}, c1={c1}: use a smaller n or c1"
         )
-    s = floor_scaled_root(c1 / r, n, alpha, d)
-    s_prime = floor_scaled_root(c1 / r, n, 1 - alpha, d)
-    if s < 1:
-        raise RTooLargeError(f"translate step collapsed for r={r}, c1={c1}")
     trans_x = gap_set(basis, Fraction(r), scale=s)
     trans_y = gap_set(basis, Fraction(r), scale=s_prime)
     # Observation: A_r(s Lambda) is contained in A_{C1 n^alpha}(Lambda).
@@ -218,26 +220,21 @@ def build_cell_geometry(params):
             row = (-trans.radius * trans.scale,) * d
             raise AssertionError(f"translate coordinate {row} escapes its outer box")
     sufficient = _sufficient_disjointness_inequality(params, s, s_prime)
-    return CellGeometry(
-        params, cell_x, cell_y, s, s_prime, trans_x, trans_y, sufficient
-    )
+    return CellGeometry(params, cell_x, cell_y, s, s_prime, trans_x, trans_y, sufficient)
 
 
 def _sufficient_disjointness_inequality(params, s, s_prime):
     """s >= (2/3) m^(1/d) + 1 for both axes, with m the exact cell bound.
 
-    Sufficient but not necessary for disjoint translates; reported as a
-    diagnostic alongside the exact check.
+    A diagnostic reported with each run: the translates are disjoint by
+    construction whether or not it holds.
     """
     d = params.basis.degree
     m_coeff = params.c1 / params.r
-    ok_x = s >= 1 and scaled_power_le(
-        m_coeff, params.n, params.alpha, Fraction(3 * (s - 1), 2) ** d
+    return all(
+        scaled_power_le(m_coeff, params.n, a, Fraction(3 * (step - 1), 2) ** d)
+        for step, a in ((s, params.alpha), (s_prime, 1 - params.alpha))
     )
-    ok_y = s_prime >= 1 and scaled_power_le(
-        m_coeff, params.n, 1 - params.alpha, Fraction(3 * (s_prime - 1), 2) ** d
-    )
-    return ok_x and ok_y
 
 
 def translate_vectors(geom):
@@ -254,7 +251,8 @@ def verify_disjoint_translates(geom):
     copies of a box of coordinate radius rho are pairwise disjoint exactly
     when step > 2*rho on every axis with more than one translate.  The two
     nearest translates are additionally cross-checked by exhaustive
-    membership.
+    membership.  Every geometry build_cell_geometry returns passes (rho =
+    step // 3), so this checks one whose steps or boxes changed afterwards.
     """
     checks = []
     if geom.trans_x.radius >= 1:
@@ -703,10 +701,10 @@ def _below_r(params, key, richness):
 
 
 def _gated_family(basis, cell, translates, box, r):
-    """One attempt of auto_tune_c1 on disjoint translates, for the cell and
-    translate rows: (family, rich, None) with rich the richness of each
-    family line in the family's order when every line is r-rich, else
-    (None, None, (key, richness)) for the key row of a line found below r.
+    """One attempt of auto_tune_c1, for the cell and translate rows:
+    (family, rich, None) with rich the richness of each family line in the
+    family's order when every line is r-rich, else (None, None, (key,
+    richness)) for the key row of a line found below r.
 
     The probe, _corner_keys, is gated first; the cell's pairs are grouped
     only when it passes, and the full gate then counts only the keys the
@@ -722,10 +720,14 @@ def _gated_family(basis, cell, translates, box, r):
     return family, rich[order], None
 
 
-def auto_tune_c1(params, max_halvings=20):
+_MAX_HALVINGS = 20  # the most halvings of the cell constant auto_tune_c1 tries
+
+
+def auto_tune_c1(params):
     """Halve the cell constant from its starting value until every family
-    line is r-rich and the translates are exactly disjoint; fail loudly after
-    max_halvings, naming the last line found below r and the configuration.
+    line is r-rich; fail loudly after _MAX_HALVINGS, naming the last line
+    found below r and the configuration.  Translates are disjoint by
+    construction (step > 2 (step // 3)), so r-richness is the only test.
 
     Each attempt gates the lines through one cell corner before it builds
     the family (_gated_family).  Those lines are family lines, so one below
@@ -735,8 +737,7 @@ def auto_tune_c1(params, max_halvings=20):
     basis = params.basis
     box = build_pointset(basis, params.n, params.alpha)
     c1 = params.c1
-    last_reason = "no admissible cell"
-    for step in range(max_halvings + 1):
+    for step in range(_MAX_HALVINGS + 1):
         trial = params.with_c1(c1)
         try:
             geom = build_cell_geometry(trial)
@@ -747,17 +748,14 @@ def auto_tune_c1(params, max_halvings=20):
                 f"cell degenerated after {step} halvings without reaching a "
                 f"fully r-rich family (last failure: {last_reason})"
             ) from err
-        if not verify_disjoint_translates(geom):
-            last_reason = f"translates overlap at c1={c1}"
-        else:
-            cell = PointBox(geom.cell_x, geom.cell_y).coords()
-            family, rich, low = _gated_family(basis, cell, translate_vectors(geom), box, params.r)
-            if low is None:
-                return TunedConstruction(trial, geom, box, family, rich, step)
-            last_reason = _below_r(trial, *low)
+        cell = PointBox(geom.cell_x, geom.cell_y).coords()
+        family, rich, low = _gated_family(basis, cell, translate_vectors(geom), box, params.r)
+        if low is None:
+            return TunedConstruction(trial, geom, box, family, rich, step)
+        last_reason = _below_r(trial, *low)
         c1 = c1 / 2
     raise AutoTuneError(
-        f"no c1 in {max_halvings} halvings gives a fully r-rich disjoint "
+        f"no c1 in {_MAX_HALVINGS} halvings gives a fully r-rich "
         f"construction ({last_reason})"
     )
 

@@ -2,11 +2,14 @@
 
 Experiments are fully deterministic: the seed is recorded for provenance and
 feeds only the self-test property sampling.  CSV output follows a fixed
-column schema so sweep results diff cleanly across runs and worker counts;
+column schema, quoted per RFC 4180 where a field needs it (a quadratic
+basis description holds a comma), so sweep results diff cleanly across runs;
 measured timings go to the JSON report (and to the CSV only behind an
 explicit flag, to keep default CSV output byte-reproducible).
 """
 
+import csv
+import io
 import json
 import random
 import time
@@ -163,7 +166,12 @@ class ExperimentReport:
         row = self.to_json_dict()
         row["basis"] = self.basis_description
         row["runtime_ms"] = int(self.runtime_ms.get("total", 0)) if include_timings else 0
-        return ",".join(str(row[name]) for name in CSV_COLUMNS.split(","))
+        # minimal quoting: only a field with a comma, quote or line end is quoted
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(
+            str(row[name]) for name in CSV_COLUMNS.split(",")
+        )
+        return line.getvalue()[:-1]
 
 
 def _single_config(config, r=None, n=None):
@@ -234,14 +242,17 @@ class FitResult:
     x: str
 
 
-def _check_fit_points(count):
-    if count < 3:
-        raise ConfigError("log-log fit needs at least 3 sweep points")
+def _check_fit_points(xs, x):
+    """A line is fitted only through at least 3 distinct x values."""
+    if len(set(xs)) < 3:
+        raise ConfigError(
+            f"log-log fit needs at least 3 sweep points with distinct {x}, got {list(xs)}"
+        )
 
 
 def fit_loglog(xs, ys, x="r"):
-    """OLS of log(y) against log(x); needs at least 3 sweep points."""
-    _check_fit_points(len(xs))
+    """OLS of log(y) against log(x); needs at least 3 distinct x values."""
+    _check_fit_points(xs, x)
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -256,17 +267,20 @@ def sweep(config, workers=1):
     The points run one after another in this process.  `workers` is
     deprecated and ignored; it stays only while the perfbench sweep
     operations pass `--workers` (ROADMAP open item 1 removes both).
-    A sweep of fewer than 3 points fails before any point runs.
+    A sweep whose points give fewer than 3 distinct x values fails before
+    any point runs; an n-sweep's x values, the realized box sizes, come
+    from build_pointset, which builds no coordinates.
     """
     if config.r_list is not None:
         x, points = "r", [{"r": r} for r in config.r_list]
+        xs = config.r_list
     elif config.n_list is not None:
         x, points = "p_realized", [{"n": n} for n in config.n_list]
+        xs = [build_pointset(config.nice_basis, n, config.alpha).size for n in config.n_list]
     else:
         raise ConfigError("sweep needs 'r_list' or 'n_list'")
-    _check_fit_points(len(points))
+    _check_fit_points(xs, x)
     reports = [run(config, **point) for point in points]
-    xs = [getattr(rep, x) for rep in reports]
     return reports, fit_loglog(xs, [rep.num_lines for rep in reports], x)
 
 

@@ -30,7 +30,7 @@ from richlines.construction import (
     _round_cube_root,
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
-from richlines.gapset import GapSet, gap_set
+from richlines.gapset import GapSet, gap_set, gap_set_power
 from richlines.numberfield import Element, NiceBasis
 from richlines.geometry import (
     CanonicalLine,
@@ -175,6 +175,32 @@ def test_overlapping_translates_detected(integers):
     geom.s_prime = geom.cell_y.radius
     geom.trans_y = GapSet(integers, geom.trans_y.radius, scale=geom.s_prime)
     assert not verify_disjoint_translates(geom)
+
+
+def test_cell_radius_is_a_third_of_the_step():
+    """On seeded random (basis, n <= 10^7, alpha, r <= 60, c1 = 2^-k) of
+    every arithmetic basis, every geometry build_cell_geometry returns has
+    cell radii s // 3 and s' // 3, the radii of A_{C1 n^alpha / r}(Lambda)
+    and of its n^(1-alpha) twin, and disjoint translates:
+    verify_disjoint_translates passes, and the exhaustive cross-check agrees
+    on both axes, also where an axis has a single translate."""
+    rng = random.Random(22)
+    for basis in ARITH_BASES:
+        found = 0
+        while found < 70:
+            n = int(10 ** rng.uniform(1, 7))
+            alpha = rng.choice(construction.ALPHA_GRID)
+            r, c1 = rng.randint(2, 60), Fraction(1, 2 ** rng.randint(0, 6))
+            try:
+                geom = build_cell_geometry(ConstructionParams(basis, n, alpha, r, c1))
+            except (InvalidParameterError, RTooLargeError):
+                continue
+            found += 1
+            assert verify_disjoint_translates(geom)
+            axes = ((geom.cell_x, geom.s, alpha), (geom.cell_y, geom.s_prime, 1 - alpha))
+            for axis, (cell, step, exponent) in enumerate(axes):
+                assert cell.radius == step // 3 == gap_set_power(basis, c1 / r, n, exponent).radius
+                construction._cross_check_nearest(geom, (step, cell.radius, axis), True)
 
 
 def test_family_witnesses_on_their_lines(sqrt2):
@@ -633,12 +659,13 @@ def _full_gate(basis, cell, translates, box, r):
     return family, rich[order].tolist(), bool(rich.min() >= r)
 
 
-def _auto_tune_reference(params, max_halvings=20):
-    """auto_tune_c1 gating every family key of each attempt: the accepted
-    c1, the halvings, the family and its richnesses."""
+def _auto_tune_reference(params):
+    """auto_tune_c1 gating every family key of each attempt, and checking
+    that its translates are disjoint: the accepted c1, the halvings, the
+    family and its richnesses."""
     box = build_pointset(params.basis, params.n, params.alpha)
     c1 = params.c1
-    for step in range(max_halvings + 1):
+    for step in range(construction._MAX_HALVINGS + 1):
         trial = params.with_c1(c1)
         try:
             geom = build_cell_geometry(trial)

@@ -1,8 +1,10 @@
 """Config parsing, the run/sweep/oracle drivers, and the CLI."""
 
+import csv
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -147,13 +149,43 @@ def test_sweep_csv_deterministic_across_workers():
 
 
 def test_short_sweep_runs_nothing(monkeypatch):
-    """A sweep of fewer than 3 points fails before it runs any of them."""
+    """A sweep whose points give fewer than 3 distinct x values fails before
+    it runs any of them: too few points, a repeated r, or n values that all
+    realize the same |P| = 1089."""
     calls = []
     monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
-    for short in (cfg(r=None, r_list=[3, 4]), cfg(r=3, n_list=[600, 1100], c1="1/2")):
+    for short in (
+        cfg(r=None, r_list=[3, 4]),
+        cfg(r=3, n_list=[600, 1100], c1="1/2"),
+        cfg(r=None, r_list=[3, 3, 3]),
+        cfg(r=None, r_list=[3, 3, 4]),
+        cfg(r=3, n_list=[2304, 2305, 2306], c1="1/2"),
+    ):
         with pytest.raises(ConfigError, match="at least 3 sweep points"):
             sweep(parse_config(short))
     assert calls == []
+
+
+def test_sweep_csv_reads_back_on_every_basis_kind():
+    """sweep.csv reads back through csv.reader as 15 fields per row on an
+    integer, a quadratic and a power basis, the first the basis description
+    (a quadratic one holds a comma and is quoted), and the r column holds
+    each sweep point's r."""
+    for basis, n, r_list in (
+        ({"type": "integers"}, 2304, [3, 4, 5]),
+        ({"type": "quadratic", "k": 2}, 6561, [3, 4, 5]),
+        ({"type": "power", "minpoly": [-2, 0, 0]}, 11664, [2, 3, 4]),
+    ):
+        config = parse_config(
+            {"basis": basis, "n": n, "alpha": "1/2", "r_list": r_list, "c1": "1/1"}
+        )
+        text = sweep_csv(sweep(config)[0])
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == CSV_COLUMNS.split(",")
+        assert [len(row) for row in rows] == [15] * 4
+        assert [row[0] for row in rows[1:]] == [config.nice_basis.description] * 3
+        assert [row[5] for row in rows[1:]] == [str(r) for r in r_list]
+        assert text.startswith(CSV_COLUMNS + "\n") and text.count("\n") == 4
 
 
 def test_sweep_n_list():
@@ -415,6 +447,31 @@ def test_benchmark_family_lines_match_reference(tmp_path, monkeypatch, capsys):
             assert cli.main(argv) == reference["ops"][op.id]["exit"], op.id
         capsys.readouterr()
         assert sum(built) == reference["family_lines"][name], name
+
+
+def test_auto_tune_needs_no_disjointness_check(monkeypatch):
+    """Translates are disjoint by construction, so auto-tuning never asks:
+    with verify_disjoint_translates raising, auto_tune_c1 tunes the three
+    construct cells of the benchmark that exit 0 to their recorded c1 and
+    family size."""
+
+    def refuse(*args):
+        raise AssertionError("auto_tune_c1 checked disjointness")
+
+    monkeypatch.setattr(construction, "verify_disjoint_translates", refuse)
+    monkeypatch.setattr(construction, "_cross_check_nearest", refuse)
+    workloads = _workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["ops"]
+    ops = [op for op in workloads.CONSTRUCT if reference[op.id]["exit"] == 0]
+    assert len(ops) == 3
+    for op in ops:
+        config = parse_config({**op.config, "seed": 0})
+        params = construction.ConstructionParams(
+            config.nice_basis, config.n, config.alpha, config.r, Fraction(1), True
+        )
+        tuned = construction.auto_tune_c1(params)
+        assert tuned.params.c1 == Fraction(reference[op.id]["c1"]), op.id
+        assert len(tuned.family) == reference[op.id]["num_lines"], op.id
 
 
 def test_outputs_match_benchmark_reference(tmp_path, capsys):
