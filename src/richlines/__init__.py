@@ -27,7 +27,6 @@ from .numberfield import (
     build_power_basis,
     build_quadratic_basis,
     divide,
-    embed,
 )
 from .construction import (
     ConstructionParams,
@@ -37,7 +36,6 @@ from .construction import (
     szt_incidence_construction,
     translate_vectors,
     verify_claim2,
-    verify_disjoint_translates,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ cell's pairs are grouped only when the probe passes, so the verdict, the
 accepted c1 and the family are the full gate's.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
 
@@ -45,7 +45,6 @@ from .gapset import (
     gap_set,
     gap_set_power,
     iroot,
-    scaled_power_le,
 )
 from .geometry import (
     _CHUNK_PAIRS,
@@ -77,8 +76,9 @@ POINT_CAP = 50_000
 
 
 class AutoTuneError(RichlinesError, RuntimeError):
-    """No halving of the cell constant made every line r-rich (the only
-    test: translates are disjoint by construction, step > 2 (step // 3))."""
+    """No halving of the cell constant made every family line r-rich.
+    Richness is the only test: translates are disjoint by construction
+    (step > 2 (step // 3)), so no attempt checks them."""
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,6 @@ class CellGeometry:
     s_prime: int
     trans_x: GapSet
     trans_y: GapSet
-    disjoint_sufficient: bool = field(default=False)
 
     @property
     def basis(self):
@@ -184,7 +183,8 @@ def build_cell_geometry(params):
     One root per axis: the step s = floor((C1 n^alpha / r)^(1/d)) (resp.
     s'), and the radius of A_{C1 n^alpha / r}(Lambda) is s // 3.  Shifts
     are multiples of s > 2 (s // 3), so the translates are disjoint by
-    construction, and a nondegenerate cell has s >= 3.
+    construction and nothing checks them, and a nondegenerate cell has
+    s >= 3.
 
     Verifies that every translate coordinate stays inside A_{C1
     n^alpha}(Lambda) (resp. the n^(1-alpha) box).
@@ -219,22 +219,7 @@ def build_cell_geometry(params):
         if trans.radius * trans.scale > outer.radius:
             row = (-trans.radius * trans.scale,) * d
             raise AssertionError(f"translate coordinate {row} escapes its outer box")
-    sufficient = _sufficient_disjointness_inequality(params, s, s_prime)
-    return CellGeometry(params, cell_x, cell_y, s, s_prime, trans_x, trans_y, sufficient)
-
-
-def _sufficient_disjointness_inequality(params, s, s_prime):
-    """s >= (2/3) m^(1/d) + 1 for both axes, with m the exact cell bound.
-
-    A diagnostic reported with each run: the translates are disjoint by
-    construction whether or not it holds.
-    """
-    d = params.basis.degree
-    m_coeff = params.c1 / params.r
-    return all(
-        scaled_power_le(m_coeff, params.n, a, Fraction(3 * (step - 1), 2) ** d)
-        for step, a in ((s, params.alpha), (s_prime, 1 - params.alpha))
-    )
+    return CellGeometry(params, cell_x, cell_y, s, s_prime, trans_x, trans_y)
 
 
 def translate_vectors(geom):
@@ -242,45 +227,6 @@ def translate_vectors(geom):
     as the (translates, 2d) coordinate rows of PointBox(trans_x, trans_y),
     in its x-major order."""
     return PointBox(geom.trans_x, geom.trans_y).coords()
-
-
-def verify_disjoint_translates(geom):
-    """Exact pairwise disjointness of the translated cell copies.
-
-    Translate shifts differ by at least the step size in some coordinate, so
-    copies of a box of coordinate radius rho are pairwise disjoint exactly
-    when step > 2*rho on every axis with more than one translate.  The two
-    nearest translates are additionally cross-checked by exhaustive
-    membership.  Every geometry build_cell_geometry returns passes (rho =
-    step // 3), so this checks one whose steps or boxes changed afterwards.
-    """
-    checks = []
-    if geom.trans_x.radius >= 1:
-        checks.append((geom.s, geom.cell_x.radius, 0))
-    if geom.trans_y.radius >= 1:
-        checks.append((geom.s_prime, geom.cell_y.radius, 1))
-    verdict = all(step > 2 * rho for step, rho, _ in checks)
-    if checks:
-        _cross_check_nearest(geom, checks[0], verdict)
-    return verdict
-
-
-def _cross_check_nearest(geom, check, verdict):
-    """The cell's rows and their copies moved by step along the first
-    coordinate of the check's axis must share a row exactly when verdict
-    is False: both sets are distinct rows, so one sort of their union
-    finds a shared row."""
-    step, _, axis = check
-    cell = PointBox(geom.cell_x, geom.cell_y).coords()
-    cell = cell.astype(np.result_type(cell, _exact_dtype(int(np.abs(cell).max()) + step)))
-    moved = cell.copy()
-    moved[:, axis * geom.basis.degree] += step
-    both = np.concatenate([cell, moved])
-    overlap_free = len(_sorted_runs(both.T)[1]) == len(both)
-    if overlap_free != verdict:
-        raise AssertionError(
-            "disjointness inequality disagrees with the exhaustive check"
-        )
 
 
 @dataclass

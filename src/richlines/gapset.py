@@ -55,20 +55,6 @@ def gap_radius(m, d):
     return floor_scaled_root(m, 1, 0, d) // 3
 
 
-def scaled_power_le(coeff, n, alpha, x):
-    """Exact test coeff * n^alpha <= x for rational coeff, x and alpha = p/q."""
-    coeff = Fraction(coeff)
-    alpha = Fraction(alpha)
-    x = Fraction(x)
-    if x < 0:
-        return False
-    p, q = alpha.numerator, alpha.denominator
-    # coeff^q * n^p <= x^q   (all terms positive)
-    return coeff.numerator**q * n**p * x.denominator**q <= (
-        x.numerator**q * coeff.denominator**q
-    )
-
-
 class GapSet:
     """The box A_m(s * Lambda): coordinates s*a with |a| <= radius.
 

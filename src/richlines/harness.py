@@ -146,7 +146,6 @@ class ExperimentReport:
     cell_lines: int
     mechanism_on_line: bool
     mechanism_in_p_fraction: float
-    disjoint_sufficient: bool
     seed: int
     runtime_ms: dict = field(default_factory=dict)
 
@@ -224,7 +223,6 @@ def run(config, r=None, n=None):
         cell_lines=cell_lines,
         mechanism_on_line=report.mechanism_on_line,
         mechanism_in_p_fraction=report.mechanism_in_p_fraction,
-        disjoint_sufficient=tuned.geometry.disjoint_sufficient,
         seed=config.seed,
         runtime_ms={
             "build": round((t1 - t0) * 1000, 3),

@@ -2,8 +2,8 @@
 
 A basis Lambda = {l_1, ..., l_d} is "nice" when every product l_i * l_j is an
 integer combination sum_k c[i][j][k] * l_k.  The d^3 integers c[i][j][k] fully
-determine the ring, so all arithmetic here is exact (Python ints / Fractions);
-floating point appears only in the diagnostic complex embedding.
+determine the ring, so all arithmetic here is exact (Python ints, Fractions,
+and integer or object numpy arrays); nothing here uses floating point.
 """
 
 from fractions import Fraction
@@ -18,18 +18,16 @@ from .errors import (
     ZeroDivisorError,
 )
 
-EMBED_TOL = 1e-6
-
 
 class NiceBasis:
     """Degree-d ring presentation by structure constants.
 
     structure_constants[i][j][k] is the coefficient of l_k in l_i * l_j.
-    The embedding gives approximate complex values for the basis vectors and
-    is diagnostic only: nothing exactness-critical reads it.
+    The constructor checks their shape, commutativity and associativity,
+    exactly; the ring is given by the constants alone.
     """
 
-    def __init__(self, structure_constants, embedding, description=""):
+    def __init__(self, structure_constants, *, description=""):
         sc = tuple(
             tuple(tuple(int(c) for c in row) for row in plane)
             for plane in structure_constants
@@ -43,13 +41,9 @@ class NiceBasis:
         self.degree = d
         self.structure_constants = sc
         self.c_lambda = max(abs(c) for plane in sc for row in plane for c in row)
-        self.embedding = tuple(complex(z) for z in embedding)
-        if len(self.embedding) != d:
-            raise InvalidParameterError("embedding must have one value per basis vector")
         self.description = description
         self._check_commutative()
         self._check_associative()
-        self._check_embedding()
         self._unity = None
 
     def _check_commutative(self):
@@ -78,20 +72,6 @@ class NiceBasis:
                         raise InvalidParameterError(
                             f"structure constants not associative at ({i},{j},{k})"
                         )
-
-    def _check_embedding(self):
-        d = self.degree
-        emb = self.embedding
-        tol = EMBED_TOL * (1 + self.c_lambda)
-        for i in range(d):
-            for j in range(d):
-                approx = sum(
-                    self.structure_constants[i][j][k] * emb[k] for k in range(d)
-                )
-                if abs(emb[i] * emb[j] - approx) >= tol:
-                    raise InvalidParameterError(
-                        f"embedding violates the product identity at ({i},{j})"
-                    )
 
     def mul_coords(self, a, b):
         """Coordinates of the product of two coordinate vectors (exact ints)."""
@@ -370,13 +350,6 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def embed(a):
-    """Approximate complex value of an element; diagnostic only."""
-    return sum(
-        (float(c) * z for c, z in zip(a.coords, a.basis.embedding)), 0j
-    )
-
-
 def build_power_basis(minpoly, description=None):
     """Nice basis {1, t, ..., t^(d-1)} for a root t of a monic polynomial.
 
@@ -405,36 +378,23 @@ def build_power_basis(minpoly, description=None):
                 nxt[i] -= lead * p[i]
         cur = nxt
     sc = [[powers[i + j] for j in range(d)] for i in range(d)]
-    theta = _locate_root(p)
-    embedding = [theta ** k for k in range(d)]
     if description is None:
         description = f"power basis of {_poly_str(p)}"
-    return NiceBasis(sc, embedding, description)
-
-
-def _locate_root(p):
-    """One numeric root of the monic polynomial: the largest-modulus real root
-    when a real root exists, otherwise any root."""
-    d = len(p)
-    coeffs = [1.0] + [float(p[d - 1 - i]) for i in range(d)]
-    roots = np.roots(coeffs)
-    real = [z for z in roots if abs(z.imag) < 1e-9 * (1 + abs(z))]
-    if real:
-        # ties on modulus (e.g. +/- sqrt(k)) resolve to the positive root;
-        # np.roots can split a tie by one ulp, so compare with slack
-        top = max(abs(z.real) for z in real)
-        near = [z for z in real if abs(z.real) >= top * (1 - 1e-9)]
-        return complex(max(z.real for z in near))
-    return complex(roots[0])
+    return NiceBasis(sc, description=description)
 
 
 def _poly_str(p):
+    """The monic x^d + p_{d-1} x^(d-1) + ... + p_0 as text: "x^3 + 2*x - 1"."""
+
+    def power(i):
+        return "x" if i == 1 else f"x^{i}"
+
     d = len(p)
-    parts = [f"x^{d}"]
+    parts = [power(d)]
     for i in range(d - 1, -1, -1):
         c = p[i]
         if c:
-            term = f"{abs(c)}" if i == 0 else (f"{abs(c)}*x^{i}" if abs(c) != 1 else f"x^{i}")
+            term = f"{abs(c)}" if i == 0 else (f"{abs(c)}*{power(i)}" if abs(c) != 1 else power(i))
             parts.append(("+ " if c > 0 else "- ") + term)
     return " ".join(parts)
 

@@ -6,6 +6,8 @@ Python integers, sharing no array code with the kernel it checks:
 - raw_pair_counts_loop: geometry.group_pairs;
 - count_on_line_int: construction._key_richnesses;
 - count_incidences: the richness of a line by on_line over every point;
+- nearest_translates_meet: whether two neighbouring translated cells of a
+  construction.CellGeometry share a point, by sets of rows;
 - points_text_str and lines_text_fraction: geometry.points_to_text and
   geometry.lines_to_text, one entry at a time through str and Fraction;
 - points_from_text and lines_from_text: the inverses of points_to_text and
@@ -64,6 +66,19 @@ def count_on_line_int(basis, key, box):
 def count_incidences(points, lines):
     """Exact number of (point, line) incidences."""
     return sum(on_line(p, line) for line in lines for p in points)
+
+
+def nearest_translates_meet(geom, axis):
+    """Whether the cell meets its copy moved one step along the first
+    coordinate of an axis (0: x, moved by s; 1: y, moved by s'), compared as
+    sets of coordinate rows, x then y."""
+    xs = [e.coords for e in geom.cell_x]
+    ys = [e.coords for e in geom.cell_y]
+    cell = {x + y for x in xs for y in ys}
+    k = axis * geom.basis.degree
+    step = (geom.s, geom.s_prime)[axis]
+    moved = {row[:k] + (row[k] + step,) + row[k + 1 :] for row in cell}
+    return not cell.isdisjoint(moved)
 
 
 def points_text_str(rows):

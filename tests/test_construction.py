@@ -26,7 +26,6 @@ from richlines.construction import (
     szt_incidence_construction,
     translate_vectors,
     verify_claim2,
-    verify_disjoint_translates,
     _round_cube_root,
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
@@ -47,7 +46,12 @@ from richlines.geometry import (
 )
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
-from reference import count_on_line_int, lines_from_text, raw_pair_counts_loop
+from reference import (
+    count_on_line_int,
+    lines_from_text,
+    nearest_translates_meet,
+    raw_pair_counts_loop,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -152,38 +156,30 @@ def test_translates_stay_in_outer_box(sqrt2, monkeypatch):
         build_cell_geometry(params)
 
 
-def test_disjoint_translates(integers):
-    geom = build_cell_geometry(ConstructionParams(integers, 8100, HALF, 5))
-    assert verify_disjoint_translates(geom)
-
-
-def test_overlapping_translates_detected(integers):
-    geom = build_cell_geometry(ConstructionParams(integers, 8100, HALF, 5))
-    # sabotage the step size down to the cell diameter / 2: copies now touch
-    geom.s = geom.cell_x.radius
-    geom.s_prime = geom.cell_y.radius
-    geom.trans_x = GapSet(integers, geom.trans_x.radius, scale=geom.s)
-    geom.trans_y = GapSet(integers, geom.trans_y.radius, scale=geom.s_prime)
-    assert not verify_disjoint_translates(geom)
-    # with a single x shift only the y copies can meet, and the exhaustive
-    # cross-check moves the cell along y (its y radius, 26, is more than
-    # twice its x radius, 1, so a move along x would not meet it)
-    geom = build_cell_geometry(ConstructionParams(integers, 8100, THIRD, 5))
-    assert (geom.cell_x.radius, geom.cell_y.radius) == (1, 26)
-    geom.trans_x = GapSet(integers, 0, scale=geom.s)
-    assert verify_disjoint_translates(geom)
-    geom.s_prime = geom.cell_y.radius
-    geom.trans_y = GapSet(integers, geom.trans_y.radius, scale=geom.s_prime)
-    assert not verify_disjoint_translates(geom)
+def test_overlapping_translates_detected(integers, sqrt2):
+    """The set reference finds neighbouring translates that meet: steps
+    sabotaged down to the cell radius meet on both axes, a step of 2 radius
+    meets, and 2 radius + 1, the least disjoint step, does not."""
+    for basis in (integers, sqrt2):
+        geom = build_cell_geometry(ConstructionParams(basis, 8100, HALF, 5))
+        assert not nearest_translates_meet(geom, 0)
+        assert not nearest_translates_meet(geom, 1)
+        geom.s, geom.s_prime = geom.cell_x.radius, geom.cell_y.radius
+        assert nearest_translates_meet(geom, 0)
+        assert nearest_translates_meet(geom, 1)
+        geom.s_prime = 2 * geom.cell_y.radius
+        assert nearest_translates_meet(geom, 1)
+        geom.s_prime += 1
+        assert not nearest_translates_meet(geom, 1)
 
 
 def test_cell_radius_is_a_third_of_the_step():
     """On seeded random (basis, n <= 10^7, alpha, r <= 60, c1 = 2^-k) of
     every arithmetic basis, every geometry build_cell_geometry returns has
     cell radii s // 3 and s' // 3, the radii of A_{C1 n^alpha / r}(Lambda)
-    and of its n^(1-alpha) twin, and disjoint translates:
-    verify_disjoint_translates passes, and the exhaustive cross-check agrees
-    on both axes, also where an axis has a single translate."""
+    and of its n^(1-alpha) twin, and disjoint translates: step > 2 radius
+    on both axes, and on cells of at most 4,096 points the set reference
+    finds the cell disjoint from its neighbouring copy on both axes."""
     rng = random.Random(22)
     for basis in ARITH_BASES:
         found = 0
@@ -196,11 +192,13 @@ def test_cell_radius_is_a_third_of_the_step():
             except (InvalidParameterError, RTooLargeError):
                 continue
             found += 1
-            assert verify_disjoint_translates(geom)
+            small = geom.cell_x.size * geom.cell_y.size <= 4096
             axes = ((geom.cell_x, geom.s, alpha), (geom.cell_y, geom.s_prime, 1 - alpha))
             for axis, (cell, step, exponent) in enumerate(axes):
                 assert cell.radius == step // 3 == gap_set_power(basis, c1 / r, n, exponent).radius
-                construction._cross_check_nearest(geom, (step, cell.radius, axis), True)
+                assert step > 2 * cell.radius
+                if small:
+                    assert not nearest_translates_meet(geom, axis)
 
 
 def test_family_witnesses_on_their_lines(sqrt2):
@@ -525,7 +523,7 @@ def test_closed_form_matches_reference():
     2^64."""
     integers = ARITH_BASES[0]
     cases = [(integers, scales) for scales in itertools.product((1, 2, 3), repeat=2)]
-    cases += [(NiceBasis([[[k]]], [k]), scales) for k, scales in ((2, (2, 3)), (-3, (1, 2)))]
+    cases += [(NiceBasis([[[k]]]), scales) for k, scales in ((2, (2, 3)), (-3, (1, 2)))]
     rng = random.Random(1)
     seen = set()
     sides = set()
@@ -661,8 +659,8 @@ def _full_gate(basis, cell, translates, box, r):
 
 def _auto_tune_reference(params):
     """auto_tune_c1 gating every family key of each attempt, and checking
-    that its translates are disjoint: the accepted c1, the halvings, the
-    family and its richnesses."""
+    by the set reference that its translates are disjoint: the accepted c1,
+    the halvings, the family and its richnesses."""
     box = build_pointset(params.basis, params.n, params.alpha)
     c1 = params.c1
     for step in range(construction._MAX_HALVINGS + 1):
@@ -673,7 +671,7 @@ def _auto_tune_reference(params):
             if step == 0:
                 raise
             raise AutoTuneError("degenerate") from None
-        if verify_disjoint_translates(geom):
+        if not any(nearest_translates_meet(geom, axis) for axis in (0, 1)):
             cell, translates = PointBox(geom.cell_x, geom.cell_y).coords(), translate_vectors(geom)
             family, rich, ok = _full_gate(params.basis, cell, translates, box, params.r)
             if ok:

@@ -250,8 +250,8 @@ def test_text_and_order_match_fraction_reference():
     order is the order of those (numerator, denominator) pairs."""
     # Z[sqrt2] on the basis (sqrt2, 1), whose unity is the second vector,
     # and Z on the basis (-1), whose unity has a negative coordinate
-    swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [2**0.5, 1])
-    negated = NiceBasis([[[-1]]], [-1])
+    swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]])
+    negated = NiceBasis([[[-1]]])
     rng = random.Random(8)
     for basis in ARITH_BASES + (swapped, negated):
         d = basis.degree

@@ -16,7 +16,6 @@ from richlines.gapset import (
     gap_set_power,
     iroot,
     product_bound,
-    scaled_power_le,
     sum_bound,
 )
 from richlines.numberfield import Element
@@ -228,12 +227,6 @@ def test_floor_scaled_root_random_and_huge(integers):
         # (3t)^d <= n^a < (3t + 3)^d, raised to the power q of a = p/q
         p, q, t, d = a.numerator, a.denominator, gap.radius, integers.degree
         assert (3 * t) ** (d * q) <= n**p < (3 * t + 3) ** (d * q)
-
-
-def test_scaled_power_le():
-    assert scaled_power_le(Fraction(1), 100, Fraction(1, 2), 10)
-    assert not scaled_power_le(Fraction(1), 101, Fraction(1, 2), 10)
-    assert scaled_power_le(Fraction(1, 3), 27, Fraction(1, 3), 1)
 
 
 def test_gapset_validation(integers):

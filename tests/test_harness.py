@@ -6,6 +6,9 @@ import importlib.util
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -385,6 +388,17 @@ def test_cli_error_exit_code(tmp_path, capsys, monkeypatch):
     assert runs == []
 
 
+def test_python_m_richlines_runs_the_cli():
+    """`python -m richlines` from a checkout runs the same CLI."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(
+        [sys.executable, "-m", "richlines", "selftest"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_selftest_has_no_out(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["selftest", "--out", "d"])
@@ -447,31 +461,6 @@ def test_benchmark_family_lines_match_reference(tmp_path, monkeypatch, capsys):
             assert cli.main(argv) == reference["ops"][op.id]["exit"], op.id
         capsys.readouterr()
         assert sum(built) == reference["family_lines"][name], name
-
-
-def test_auto_tune_needs_no_disjointness_check(monkeypatch):
-    """Translates are disjoint by construction, so auto-tuning never asks:
-    with verify_disjoint_translates raising, auto_tune_c1 tunes the three
-    construct cells of the benchmark that exit 0 to their recorded c1 and
-    family size."""
-
-    def refuse(*args):
-        raise AssertionError("auto_tune_c1 checked disjointness")
-
-    monkeypatch.setattr(construction, "verify_disjoint_translates", refuse)
-    monkeypatch.setattr(construction, "_cross_check_nearest", refuse)
-    workloads = _workloads()
-    reference = json.loads((PERFBENCH / "reference.json").read_text())["ops"]
-    ops = [op for op in workloads.CONSTRUCT if reference[op.id]["exit"] == 0]
-    assert len(ops) == 3
-    for op in ops:
-        config = parse_config({**op.config, "seed": 0})
-        params = construction.ConstructionParams(
-            config.nice_basis, config.n, config.alpha, config.r, Fraction(1), True
-        )
-        tuned = construction.auto_tune_c1(params)
-        assert tuned.params.c1 == Fraction(reference[op.id]["c1"]), op.id
-        assert len(tuned.family) == reference[op.id]["num_lines"], op.id
 
 
 def test_outputs_match_benchmark_reference(tmp_path, capsys):

@@ -20,7 +20,6 @@ from richlines.numberfield import (
     basis_from_spec,
     basis_vector,
     divide,
-    embed,
     integer_inverse,
     zero,
 )
@@ -69,6 +68,46 @@ def test_quadratic_rejects_degenerate_k():
     for k in (0, 1, 4, 9, 2.5, "3", True):
         with pytest.raises(InvalidParameterError):
             rl.build_quadratic_basis(k)
+
+
+def test_power_basis_descriptions():
+    """A linear term is written x, or k*x, never x^1."""
+    for minpoly, text in (
+        ([1, 1, 0], "x^3 + x + 1"),
+        ([-1, -1, 0, 0], "x^4 - x - 1"),
+        ([3, -2, 0], "x^3 - 2*x + 3"),
+        ([-2, 0, 0], "x^3 - 2"),
+    ):
+        assert rl.build_power_basis(minpoly).description == f"power basis of {text}"
+
+
+def test_nice_basis_refusals():
+    """The constructor's checks: a positive degree, d x d x d constants,
+    commutativity and associativity; the description is keyword-only."""
+    for sc, message in (
+        ([], "degree must be positive"),
+        ([[[1, 0], [0, 1]], [[0, 1]]], "d x d x d"),
+        ([[[1, 0], [0, 1]], [[0, 0], [0, 1]]], "not commutative"),
+        ([[[0, 1], [1, 0]], [[1, 0], [0, 0]]], "not associative"),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            NiceBasis(sc)
+    with pytest.raises(TypeError):
+        NiceBasis([[[1]]], [1.0])
+    assert NiceBasis([[[1]]], description="Z").description == "Z"
+
+
+def test_exact_ring_with_a_huge_root():
+    """x^3 - 2*10^30 presents an exact ring: theta^3 = 2*10^30, and
+    divide inverts multiplication."""
+    basis = basis_from_spec({"type": "power", "minpoly": [-2 * 10**30, 0, 0]})
+    theta = basis_vector(basis, 1)
+    assert (theta * theta * theta).coords == (2 * 10**30, 0, 0)
+    rng = random.Random(30)
+    for _ in range(20):
+        a, b = rand_element(rng, basis, 10**6), rand_element(rng, basis, 10**6)
+        if not b.is_zero():
+            assert divide(a, b) * b == a.to_rational()
 
 
 def test_power_basis_rejects_bad_polynomials():
@@ -198,8 +237,8 @@ def test_inverse_divide_and_one_match_fraction_reference():
     Fractions on every arithmetic basis, on Z[sqrt2] over the basis
     (sqrt2, 1), whose unity is the second vector, and on Z over the basis
     (-1), whose unity has a negative coordinate."""
-    swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [2**0.5, 1])
-    negated = NiceBasis([[[-1]]], [-1])
+    swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]])
+    negated = NiceBasis([[[-1]]])
     rng = random.Random(12)
     for basis in ARITH_BASES + (swapped, negated):
         d = basis.degree
@@ -238,27 +277,6 @@ def test_rational_element_normalization(sqrt2):
     b = RationalElement(sqrt2, (half, 3))
     assert b.coords[0] is half and b.coords[1] == Fraction(3)
     assert type(b.coords[1]) is Fraction
-
-
-# ---------------------------------------------------------------------------
-# embedding (diagnostic only)
-
-
-def test_embed_values(integers, sqrt2):
-    assert embed(Element(integers, (7,))) == 7.0
-    assert abs(embed(Element(sqrt2, (1, 1))) - 2.41421356) < 1e-7
-    assert embed(zero(sqrt2)) == 0.0
-
-
-def test_embed_is_approximately_multiplicative(cbrt2):
-    rng = random.Random(11)
-    for _ in range(100):
-        a = rand_element(rng, cbrt2, bound=1000)
-        b = rand_element(rng, cbrt2, bound=1000)
-        lhs = embed(a * b)
-        rhs = embed(a) * embed(b)
-        tol = 1e-6 * (1 + abs(embed(a))) * (1 + abs(embed(b)))
-        assert abs(lhs - rhs) <= tol
 
 
 # ---------------------------------------------------------------------------
