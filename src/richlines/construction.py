@@ -13,11 +13,13 @@ box, the cell PointBox(cell_x, cell_y) and the translates PointBox(trans_x,
 trans_y) as (size, 2d) arrays, x then y.  The family is an integer array of
 primitive keys from translation to output, in the narrowest integer type
 that holds them (object past int64): one broadcast moves the cell's keys to
-every translate, one sort deduplicates them, another puts them in canonical
-order, and CanonicalLines are built only for lines that are output.  One
-batched counter, _key_richnesses, counts every richness, by one rule per
-degree: in degree 1 in closed form, O(1) per line (a residue class inside
-an interval), and in every higher degree by keys x box columns.  A build
+every translate and one sort deduplicates them.  The family stays in that
+raw order.  Only output sorts it: lines_to_text when it writes lines.txt,
+and canonical_least for the few lines a report names or replays.
+CanonicalLines are built only for lines that are output.  One batched
+counter, _key_richnesses, counts every richness, by one rule per degree:
+in degree 1 in closed form, O(1) per line (a residue class inside an
+interval), and in every higher degree by keys x box columns.  A build
 only builds, and keeps the tuning gate's counts;
 verify_claim2 counts the lines of a fixed-c1 build, so each family key is
 counted once, and replays the multiplier mechanism in one array computation.
@@ -53,7 +55,7 @@ from .geometry import (
     _exact_dtype,
     _pair_kernel,
     _sorted_runs,
-    canonical_order,
+    canonical_least,
     group_pairs,
     key_tuples,
     lines_to_text,
@@ -232,22 +234,27 @@ def translate_vectors(geom):
 @dataclass
 class LineFamily:
     """Globally deduplicated lines as an (n, 3d) array of primitive keys in
-    canonical order (in the narrowest integer type that holds every entry,
-    or object past int64), with an (n, 3) int64 array of witnesses
-    (translate index, i, j): the cell points i and j moved by that
-    translate.  The cell and the translates are (points, 2d) coordinate
-    rows, x then y.
+    raw order (in the narrowest integer type that holds every entry, or
+    object past int64): the order _spread leaves them in, not canonical.
 
-    Iterating yields CanonicalLines, which build their coefficients only
-    when asked; witness_points builds one line's witness Points.
+    A line's smallest witness is (translate index, i, j): the cell points i
+    and j moved by that translate.  It is stored as the line's origin, its
+    row in the cell's keys moved to every translate and stacked in
+    (translate, cell line) order, and the cell's first pair (i, j) on each
+    of its lines, first; witnesses derives the (n, 3) array.  The cell and
+    the translates are (points, 2d) coordinate rows, x then y.
+
+    Iterating yields CanonicalLines in raw order, which build their
+    coefficients only when asked; witness_points builds one line's witness
+    Points.
     """
 
     basis: NiceBasis
     keys: np.ndarray
-    witnesses: np.ndarray
+    origin: np.ndarray
+    first: np.ndarray
     cell: np.ndarray
     translates: np.ndarray
-    cell_lines: int  # lines spanned by the untranslated cell
 
     def __len__(self):
         return len(self.keys)
@@ -255,9 +262,25 @@ class LineFamily:
     def __iter__(self):
         return (CanonicalLine(self.basis, key) for key in key_tuples(self.keys))
 
+    @property
+    def cell_lines(self):
+        """The number of lines the untranslated cell spans."""
+        return len(self.first)
+
+    @property
+    def witnesses(self):
+        """The (n, 3) int64 array of each line's (translate index, i, j)."""
+        return self.witness_rows(slice(None))
+
+    def witness_rows(self, index):
+        """The (translate index, i, j) rows of the lines `index` (an index
+        array or slice)."""
+        t_idx, line = np.divmod(self.origin[index], len(self.first))
+        return np.column_stack([t_idx, self.first[line]])
+
     def witness_points(self, index):
         """The two translated cell Points that witness line `index`."""
-        t_idx, i, j = self.witnesses[index].tolist()
+        t_idx, i, j = self.witness_rows([index])[0].tolist()
         d = self.basis.degree
         rows = self.cell[[i, j]].astype(object) + self.translates[t_idx].astype(object)
         return tuple(
@@ -267,10 +290,8 @@ class LineFamily:
 
 
 def _raw_family(basis, cell, translates):
-    """The line family of a cell and its translates, both given as
-    coordinate rows, before ordering: its distinct primitive keys, an (n, 3)
-    array of their smallest witnesses (translate index, i, j), the cell, the
-    translates and the number of lines the cell spans.
+    """The LineFamily of a cell and its translates, both given as coordinate
+    rows, in raw order.
 
     The cell's pairs are grouped once and each cell key is moved to every
     translate by _spread; a moved key keeps the cell's first pair on its
@@ -278,9 +299,8 @@ def _raw_family(basis, cell, translates):
     """
     d = basis.degree
     keys, _, first = group_pairs(basis, cell[:, :d], cell[:, d:])
-    moved, rows = _spread(basis, keys, translates)
-    witnesses = np.column_stack([rows // len(keys), first[rows % len(keys)]])
-    return moved, witnesses, cell, translates, len(keys)
+    moved, origin = _spread(basis, keys, translates)
+    return LineFamily(basis, moved, origin, first, cell, translates)
 
 
 def _spread(basis, keys, translates):
@@ -320,19 +340,13 @@ def _corner_keys(basis, cell, translates):
     return _spread(basis, anchor[order[heads]], translates)[0]
 
 
-def _ordered_family(basis, keys, witnesses, *rest):
-    """The family in canonical order, and the positions of its keys in the
-    raw family."""
-    order = canonical_order(basis, keys)
-    return LineFamily(basis, keys[order], witnesses[order], *rest), order
-
-
 def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
-    deduplicated by primitive key, with deterministic provenance: each line
-    keeps its lexicographically-smallest (translate, pair) witness."""
+    deduplicated by primitive key, in raw order, with deterministic
+    provenance: each line keeps its lexicographically-smallest (translate,
+    pair) witness."""
     cell = PointBox(geom.cell_x, geom.cell_y).coords()
-    return _ordered_family(geom.basis, *_raw_family(geom.basis, cell, translate_vectors(geom)))[0]
+    return _raw_family(geom.basis, cell, translate_vectors(geom))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +493,7 @@ class RichnessReport:
     min_richness: int
     frac_r_rich: float
     failing_line: CanonicalLine | None
-    richnesses: np.ndarray  # int64, in family order
+    richnesses: np.ndarray  # int64, in the family's (raw) order
     mechanism_on_line: bool
     mechanism_in_p_fraction: float
 
@@ -487,7 +501,8 @@ class RichnessReport:
 def verify_claim2(family, box, r, richnesses=None):
     """Exact per-line richness of the family in the box, counted here by
     _key_richnesses unless `richnesses` gives them in the family's key
-    order; the first line below r is the report's failing line.
+    order; the failing line is the canonically least line below r, picked
+    by canonical_least among those lines alone.
 
     Also replays the multiplier mechanism on a sample of lines
     (_mechanism_check): for each t in A_{3^d r}(Lambda) the point
@@ -504,7 +519,8 @@ def verify_claim2(family, box, r, richnesses=None):
     low = np.flatnonzero(rich < r)
     failing = None
     if len(low):
-        failing = CanonicalLine(family.basis, tuple(family.keys[low[0]].tolist()))
+        (least,) = low[canonical_least(family.basis, family.keys[low], 1)]
+        failing = CanonicalLine(family.basis, tuple(family.keys[least].tolist()))
     mech_on, mech_in = _mechanism_check(family, box, r)
     frac = (len(rich) - len(low)) / len(rich)
     return RichnessReport(
@@ -516,9 +532,11 @@ _MECHANISM_SAMPLE = 8  # lines whose multiplier mechanism verify_claim2 replays
 
 
 def _mechanism_check(family, box, r):
-    """Replay the multiplier mechanism on the first _MECHANISM_SAMPLE family
-    lines: (whether every replayed point lies on its line, the fraction of
-    them that lie in the box).
+    """Replay the multiplier mechanism on the _MECHANISM_SAMPLE canonically
+    least family lines, picked by canonical_least: (whether every replayed
+    point lies on its line, the fraction of them that lie in the box).
+    Neither output depends on the order within the sample, and only the
+    sample's witness rows are derived.
 
     A line's witnesses p, q are its cell points i, j moved by its translate.
     For each t in A_{3^d r}(Lambda) the point p + t(p - q) lies on the line
@@ -531,10 +549,11 @@ def _mechanism_check(family, box, r):
     """
     basis = family.basis
     d = basis.degree
-    t_idx, i, j = family.witnesses[:_MECHANISM_SAMPLE].T
+    sample = canonical_least(basis, family.keys, _MECHANISM_SAMPLE)
+    t_idx, i, j = family.witness_rows(sample).T
     shift = family.translates[t_idx].astype(object)
     p, q = (family.cell[idx].astype(object) + shift for idx in (i, j))
-    keys = family.keys[: len(t_idx)]
+    keys = family.keys[sample]
     t = gap_set(basis, Fraction(3**d * r)).coords()
     dtype = _exact_dtype(_mechanism_bound(basis, p, q, keys, t, box))
     p, q, keys, t = (m.astype(dtype) for m in (p, q, keys, t))
@@ -607,7 +626,7 @@ def _all_raw_rich(basis, keys, box, r, rich=None):
 
     The nonnegative entries of a given rich are counts already known, and
     only the other keys are counted.  Blocks go in order of decreasing max
-    |entry| (steep lines fail first), before the family is sorted."""
+    |entry| (steep lines fail first)."""
     if rich is None:
         rich = np.full(len(keys), -1, dtype=np.int64)
     todo = np.flatnonzero(rich < 0)
@@ -658,12 +677,12 @@ def _gated_family(basis, cell, translates, box, r):
     keys = probe = _corner_keys(basis, cell, translates)
     rich, low = _all_raw_rich(basis, probe, box, r)
     if low is None:
-        keys, *rest = _raw_family(basis, cell, translates)
+        family = _raw_family(basis, cell, translates)
+        keys = family.keys
         rich, low = _all_raw_rich(basis, keys, box, r, _known_counts(keys, probe, rich))
     if low is not None:
         return None, None, (keys[low], rich[low])
-    family, order = _ordered_family(basis, keys, *rest)
-    return family, rich[order], None
+    return family, rich, None
 
 
 _MAX_HALVINGS = 20  # the most halvings of the cell constant auto_tune_c1 tries

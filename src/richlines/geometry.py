@@ -9,6 +9,10 @@ kernel through to output.  A CanonicalLine is just its basis and key; the
 coefficients with the pivot equal to unity are built from the key on
 demand, as integer (numerator, denominator) pairs for ordering and text
 output and as Fraction-based RationalElements only when coeffs() is called.
+Those pairs, entry by entry, define the canonical order of lines, and
+only output reads it: canonical_order gives the permutation of a whole key
+array, lines_to_text writes a LineFamily in that order, and canonical_least
+picks the few rows first in it without sorting the rest.
 
 Points enter the kernels as integer coordinate rows, never as Point
 objects: Point, line_through, collinear and on_line are the scalar API for
@@ -22,17 +26,18 @@ axis differences, has at least 2(r - 1) rows: a line with k points of P
 gives k - 1 distinct lex-positive differences from its smallest point and
 their k - 1 negatives, each one raw row of its direction.  Its rows come
 in sweep order, by direction and then by intercept; callers that compare
-or print them sort with canonical_order.  The oracle uses the sweep, so its
+them as lists sort with canonical_order.  The oracle uses the sweep, so its
 check of the family shares no grouping step with the family's own kernel.
 
 points_to_text and lines_to_text write the point and line dumps, from
-coordinate rows and from a LineFamily's key array (or a list of
-CanonicalLines).  Both write their integers through one renderer, _render,
-which builds the text's bytes from the array in numpy; only entries past
-int64 go through str.
+coordinate rows and from a LineFamily's key array, sorted as it is written
+(or a list of CanonicalLines, as given).  Both write their integers
+through one renderer, _render, which builds the text's bytes from the
+array in numpy; only entries past int64 go through str.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 
 import numpy as np
@@ -119,31 +124,73 @@ class CanonicalLine:
 
 def _coeff_pairs(basis, keys):
     """Each entry of the primitive key rows over its row's lam, as reduced
-    numerator and denominator arrays with positive denominators.
-
-    The pivot block of a primitive key is lam * unity for an integer lam:
-    pivot * l_1 = lam * l_1, and the first coordinate of pivot * l_1 is
-    sum_j pivot[j] c[j][0][0].  The arrays take the dtype _exact_dtype picks
-    for max(1, max |key|) * sum_j |c[j][0][0]|.
-    """
-    d = basis.degree
-    sc0 = [row[0][0] for row in basis.structure_constants]
-    dtype = _exact_dtype(int(np.abs(keys).max(initial=1)) * sum(map(abs, sc0)))
-    keys = keys.astype(dtype)
-    pivot = np.where(keys[:, :d].any(axis=1)[:, None], keys[:, :d], keys[:, d : 2 * d])
-    lam = (pivot @ np.array(sc0, dtype=dtype))[:, None]
+    numerator and denominator arrays with positive denominators, in the
+    dtype of _lam_rows."""
+    keys, lam = _lam_rows(basis, keys)
+    lam = lam[:, None]
     # the gcd carries lam's sign, so every denominator comes out positive
     g = np.gcd(keys, lam) * np.sign(lam)
     return keys // g, lam // g
+
+
+def _lam_rows(basis, keys):
+    """(keys, lam): the primitive key rows and each row's lam, in the dtype
+    _exact_dtype picks for max(1, max |key|) * sum_j |c[j][0][0]|.
+
+    The pivot block of a primitive key is lam * unity for an integer lam:
+    pivot * l_1 = lam * l_1, and the first coordinate of pivot * l_1 is
+    sum_j pivot[j] c[j][0][0]."""
+    d = basis.degree
+    sc0 = [row[0][0] for row in basis.structure_constants]
+    dtype = _exact_dtype(int(np.abs(keys).max(initial=1)) * sum(map(abs, sc0)))
+    keys = keys.astype(dtype, copy=False)
+    pivot = np.where(keys[:, :d].any(axis=1)[:, None], keys[:, :d], keys[:, d : 2 * d])
+    # a sum of column products: NumPy's integer matmul is much slower
+    lam = pivot[:, 0] * sc0[0]
+    for j in range(1, d):
+        lam += pivot[:, j] * sc0[j]
+    return keys, lam
 
 
 def canonical_order(basis, keys):
     """The permutation that puts primitive key rows in canonical order: by
     their coefficients' (numerator, denominator) pairs, compared entry by
     entry as CanonicalLine.sort_key() gives them."""
-    num, den = _coeff_pairs(basis, keys)
+    return _pair_order(*_coeff_pairs(basis, keys))
+
+
+def _pair_order(num, den):
+    """The canonical order of the rows of _coeff_pairs' arrays."""
     # np.lexsort sorts by its last column first
     return np.lexsort([m[:, k] for k in range(num.shape[1] - 1, -1, -1) for m in (den, num)])
+
+
+def canonical_least(basis, keys, k):
+    """The ascending indices of the k >= 0 key rows first in canonical
+    order (of every row when k >= len(keys)), without sorting the rest.
+
+    The canonical columns, the numerator and then the denominator of each
+    entry, are walked in order, and each is computed only for the rows
+    still tied with the k-th least: with need rows still to pick, the rows
+    below the column's need-th smallest value are taken, the rows above it
+    dropped, and the rows equal to it go on to the next column.  Values are
+    compared by np.partition, in the dtype _coeff_pairs computes them in
+    (object past int64).  Rows equal in every column are taken in row
+    order; distinct primitive keys never are."""
+    keys, lam = _lam_rows(basis, keys)
+    rows, need, least = np.arange(len(keys)), min(k, len(keys)), []
+    for c in range(2 * keys.shape[1]):
+        if not 0 < need < len(rows):
+            break
+        entry = keys[:, c // 2]
+        value = (lam if c % 2 else entry) // (np.gcd(entry, lam) * np.sign(lam))
+        cut = np.partition(value, need - 1)[need - 1]
+        least.append(rows[value < cut])
+        need -= len(least[-1])
+        # keys and lam keep only the tied rows
+        tie = value == cut
+        rows, keys, lam = rows[tie], keys[tie], lam[tie]
+    return np.sort(np.concatenate([*least, rows[:need]]))
 
 
 def collinear(p, q, t):
@@ -370,7 +417,8 @@ def _primitive_rows(basis, blocks):
     pivot = np.where(blocks[0].any(axis=1)[:, None], blocks[0], blocks[1])
     solved, _ = _cofactor_solve(basis, list(pivot.T), *(list(m.T) for m in blocks))
     rows = np.stack(sum(solved, []), axis=1)
-    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    # a column-by-column gcd chain: faster than np.gcd.reduce along rows
+    rows //= reduce(np.gcd, rows.T)[:, None]
     lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
     rows[lead < 0] *= -1
     return rows
@@ -605,17 +653,20 @@ def lines_to_text(lines):
     """One line per row: its 3d coefficient coordinates "num/den", reduced
     with positive denominators, with the pivot (A, or B when A = 0) unity.
 
-    lines: a LineFamily, whose key array is written as it is, or an
-    iterable of CanonicalLines of one basis."""
+    lines: a LineFamily, whose key array is written in canonical order (its
+    coefficient pairs are computed once, then sorted), or an iterable of
+    CanonicalLines of one basis, written in the order given."""
     keys = getattr(lines, "keys", None)
     if isinstance(keys, np.ndarray):
-        basis = lines.basis
+        num, den = _coeff_pairs(lines.basis, keys)
+        order = _pair_order(num, den)
+        num, den = num[order], den[order]
     else:
         lines = list(lines)
         if not lines:
             return ""
-        basis, keys = lines[0].basis, np.array([line.key for line in lines], dtype=object)
-    num, den = _coeff_pairs(basis, keys)
+        keys = np.array([line.key for line in lines], dtype=object)
+        num, den = _coeff_pairs(lines[0].basis, keys)
     pairs = np.empty((len(num), 2 * num.shape[1]), dtype=num.dtype)
     pairs[:, 0::2], pairs[:, 1::2] = num, den
     return _render(pairs, "/ " * (num.shape[1] - 1) + "/\n")

@@ -33,7 +33,7 @@ from .construction import (
     verify_claim2,
 )
 from .errors import ConfigError
-from .geometry import _richness_from_pairs, canonical_order, group_pairs, rich_line_keys
+from .geometry import _richness_from_pairs, group_pairs, key_tuples, rich_line_keys
 from .numberfield import _is_int, basis_from_spec
 
 CSV_COLUMNS = (
@@ -398,17 +398,17 @@ def selftest(seed=0, samples=200):
 
     def sweep_agrees(box, *rs):
         """The sweep's lines with at least r points equal the lines with at
-        least C(r, 2) pairs, keys and richness, in canonical order."""
-        basis = box.basis
+        least C(r, 2) pairs, keys and richness, as many rows on each side."""
         pair_keys, counts = pair_lines(box)
         ok = True
         for r in rs:
-            keys, richness = rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), r)
-            order = canonical_order(basis, keys)
-            keep = np.flatnonzero(counts >= comb(r, 2))
-            keep = keep[canonical_order(basis, pair_keys[keep])]
-            ok &= keys[order].tolist() == pair_keys[keep].tolist()
-            ok &= richness[order].tolist() == list(map(_richness_from_pairs, counts[keep].tolist()))
+            keys, richness = rich_line_keys(box.basis, box.x_set.coords(), box.y_set.coords(), r)
+            keep = counts >= comb(r, 2)
+            expected = map(_richness_from_pairs, counts[keep].tolist())
+            ok &= len(keys) == np.count_nonzero(keep)
+            ok &= dict(zip(key_tuples(keys), richness.tolist())) == dict(
+                zip(key_tuples(pair_keys[keep]), expected)
+            )
         return ok
 
     # the 3 x 3 integer grid {-1, 0, 1}^2: 8 lines with 3 points, 20 lines

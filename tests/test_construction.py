@@ -247,7 +247,9 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
         assert len(translate_vectors(geom)) == num_translates
         family = generate_line_family(geom)
         best = _family_by_pair_scan(geom)
-        assert list(family) == sorted(best, key=CanonicalLine.sort_key)
+        # the family is in raw order: compare the lines in canonical order
+        canonical = sorted(family, key=CanonicalLine.sort_key)
+        assert canonical == sorted(best, key=CanonicalLine.sort_key)
         for index, line in enumerate(family):
             witness = (family.witnesses[index][0], family.witness_points(index))
             assert witness == best[line]
@@ -283,7 +285,8 @@ def test_family_shift_exact_past_int64(sqrt2):
             )
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
-        keys, witnesses = construction._raw_family(sqrt2, cell_rows, _rows(translates))[:2]
+        family = construction._raw_family(sqrt2, cell_rows, _rows(translates))
+        keys, witnesses = family.keys, family.witnesses
         bound = max(coeff, const + 2 * max(product_bounds(sqrt2, coeff, big)))
         assert keys.dtype == _exact_dtype(bound)
         assert keys.dtype == {10: np.int16, 10**17: np.int64, 10**19: object}[big]
@@ -587,11 +590,26 @@ def test_verify_claim2_tuned(integers):
     assert report.frac_r_rich == 1.0
     assert report.min_richness == 5
     assert report.mechanism_on_line
-    # the failing line is the first one below r, and only lines below r fail
+    # the failing line is the least one below r by sort_key, and only lines
+    # below r fail
     assert verify_claim2(tuned.family, box, 5).failing_line is None
     report = verify_claim2(tuned.family, box, 6)
+    below = [line for line, k in zip(tuned.family, report.richnesses.tolist()) if k < 6]
+    assert len(below) > 1
+    assert report.failing_line == min(below, key=CanonicalLine.sort_key)
+    # given counts that put random lines below r, the least of those fails;
+    # the lines are not horizontal, since those lead both raw and canonical
+    # order
     lines = list(tuned.family)
-    assert report.failing_line == lines[report.richnesses.tolist().index(5)]
+    slanted = np.flatnonzero(tuned.family.keys[:, 0]).tolist()
+    rng = random.Random(7)
+    for _ in range(5):
+        marked = rng.sample(slanted, 20)
+        rich = np.full(len(lines), 3)
+        rich[marked] = 2
+        report = verify_claim2(tuned.family, box, 3, rich)
+        least = min((lines[k] for k in marked), key=CanonicalLine.sort_key)
+        assert report.failing_line == least
 
 
 def test_verify_claim2_oversized_cell_fails(integers):
@@ -651,10 +669,9 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
 def _full_gate(basis, cell, translates, box, r):
     """The tuning gate without the corner probe: the whole family and every
     key's richness, and whether every key is r-rich."""
-    keys, *rest = construction._raw_family(basis, cell, translates)
-    rich = construction._key_richnesses(basis, keys, box)
-    family, order = construction._ordered_family(basis, keys, *rest)
-    return family, rich[order].tolist(), bool(rich.min() >= r)
+    family = construction._raw_family(basis, cell, translates)
+    rich = construction._key_richnesses(basis, family.keys, box)
+    return family, rich.tolist(), bool(rich.min() >= r)
 
 
 def _auto_tune_reference(params):
@@ -836,13 +853,20 @@ def test_szt_range_validation(integers):
         szt_incidence_construction(integers, 1000, 10)  # n > m^2
 
 
+def _mechanism_sample(family):
+    """The (index, line) of the _MECHANISM_SAMPLE lines least by sort_key."""
+    ranked = sorted(enumerate(family), key=lambda entry: entry[1].sort_key())
+    return ranked[: construction._MECHANISM_SAMPLE]
+
+
 def _mechanism_reference(family, box, r):
     """The multiplier replay one Point at a time, with Element arithmetic,
-    on_line and box membership: the reference of _mechanism_check."""
+    on_line and box membership, on the lines least by sort_key: the
+    reference of _mechanism_check."""
     multipliers = list(gap_set(family.basis, Fraction(3**family.basis.degree * r)))
     total = inside = 0
     all_on = True
-    for index, line in zip(range(construction._MECHANISM_SAMPLE), family):
+    for index, line in _mechanism_sample(family):
         p, q = family.witness_points(index)
         dx, dy = p.x - q.x, p.y - q.y
         for t in multipliers:
@@ -866,8 +890,7 @@ def _random_family(basis, rng, size, translates):
     while len(cell) < size:
         x, y = ([rng.randint(-2, 2) for _ in range(basis.degree)] for _ in range(2))
         cell[tuple(x), tuple(y)] = x + y
-    raw = construction._raw_family(basis, np.array(list(cell.values())), _rows(translates))
-    return construction._ordered_family(basis, *raw)[0]
+    return construction._raw_family(basis, np.array(list(cell.values())), _rows(translates))
 
 
 def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch):
@@ -919,14 +942,17 @@ def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch
     assert got[0] and 0 < got[1] < 1
     assert _exact_dtype(bounds[-1]) == object
 
-    # a first key with its constant moved: its witnesses leave the line
+    # the least key with its constant moved: its witnesses leave the line,
+    # and it is still sampled
     zero = Element(integers, (0,))
     for family, box in (
         (family, box),
         (_random_family(integers, rng, 6, [(zero, zero)]), build_pointset(integers, 100, HALF)),
     ):
+        least = _mechanism_sample(family)[0][0]
         family.keys = family.keys.copy()
-        family.keys[0, -1] += 1
+        family.keys[least, -1] += 1
+        assert least in [index for index, _ in _mechanism_sample(family)]
         got = construction._mechanism_check(family, box, 3)
         assert got == _mechanism_reference(family, box, 3)
         assert got[0] is False
@@ -934,8 +960,8 @@ def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch
     # (3 + 2^32, -1, 0): every replayed x is a multiple of 2^32, so
     # a*x + b*y is 2^32 x, a nonzero multiple of 2^64 that int64 would wrap to 0
     cell = np.array([[v, 3 * v] for v in (0, 2**32)])
-    keys, witnesses = np.array([[3 + 2**32, -1, 0]]), np.array([[0, 0, 1]])
-    family = LineFamily(integers, keys, witnesses, cell, np.zeros((1, 2), dtype=np.int64), 1)
+    keys, origin, first = np.array([[3 + 2**32, -1, 0]]), np.array([0]), np.array([[0, 1]])
+    family = LineFamily(integers, keys, origin, first, cell, np.zeros((1, 2), dtype=np.int64))
     box = build_pointset(integers, 100, HALF)
     got = construction._mechanism_check(family, box, 3)
     assert got == _mechanism_reference(family, box, 3)

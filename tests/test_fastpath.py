@@ -297,6 +297,47 @@ def test_text_and_order_match_fraction_reference():
     assert lines_to_text([]) == ""
 
 
+def _distinct_shuffled(rng, rows):
+    """The distinct rows of a key array, in a random order."""
+    distinct = list(set(geo.key_tuples(rows)))
+    rng.shuffle(distinct)
+    return np.array(distinct, dtype=rows.dtype).reshape(-1, rows.shape[1])
+
+
+def test_canonical_least_matches_canonical_order():
+    """canonical_least(basis, keys, k) is the set of the first k rows of
+    canonical_order, in ascending row order, for k in {1, 8, n - 1, n,
+    n + 3}: on seeded random key arrays of every basis, the same keys moved
+    past int64 (object dtype), and families whose rows tie on the leading
+    columns: every line of one direction, and every line horizontal."""
+    rng = random.Random(25)
+    dtypes = set()
+    for basis in ARITH_BASES:
+        d = basis.degree
+        xs, ys = random_coords(rng, basis, 25, 6 // d)
+        keys = _distinct_shuffled(rng, geo.group_pairs(basis, xs, ys)[0])
+        big = [[rng.randint(-(10**19), 10**19) for _ in range(d)] for _ in range(2)]
+        moved = geo.shift_keys(basis, keys, [big[0]], [big[1]])
+        unit = [1] + [0] * (d - 1)
+        shifts = [[rng.randint(-40, 40) for _ in range(d)] for _ in range(60)]
+        families = [keys, moved]
+        # the line through two points, moved by 60 translates: one direction
+        for second_y in (unit, [0] * d):  # a slanted line, a horizontal one
+            line = geo.group_pairs(basis, [[0] * d, unit], [[0] * d, second_y])[0]
+            along = geo.shift_keys(basis, line, shifts, shifts[::-1])
+            families.append(_distinct_shuffled(rng, along))
+        assert not families[-1][:, :d].any()
+        for family in families:
+            dtypes.add(family.dtype)
+            n = len(family)
+            assert n > 9
+            order = geo.canonical_order(basis, family).tolist()
+            for k in (1, 8, n - 1, n, n + 3):
+                got = geo.canonical_least(basis, family, k).tolist()
+                assert got == sorted(order[:k])
+    assert np.dtype(object) in dtypes and len(dtypes) > 1
+
+
 def test_counts_cover_all_pairs():
     rng = random.Random(5)
     for basis in ARITH_BASES:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from richlines import geometry as geo
-from richlines.construction import LineFamily, _ordered_family, _raw_family
+from richlines.construction import LineFamily, _raw_family
 from richlines.errors import DegeneratePairError, InvalidParameterError
 from richlines.geometry import (
     CanonicalLine,
@@ -357,10 +357,11 @@ def test_points_to_text_matches_str_reference():
 
 def test_lines_to_text_matches_fraction_reference():
     """lines_to_text writes the families of random cells and translates of
-    every basis as the Fraction reference does, given as a LineFamily and as
-    a list of its CanonicalLines: coefficients in every dtype _coeff_pairs
-    picks, keys past int64 included, and families larger than one block of
-    the renderer."""
+    every basis as the Fraction reference does, given as a LineFamily, which
+    it writes in canonical order, and as the list of its CanonicalLines
+    sorted by sort_key, which it writes as given: coefficients in every
+    dtype _coeff_pairs picks, keys past int64 included, and families larger
+    than one block of the renderer."""
     rng = random.Random(20)
     dtypes, longest = set(), 0
     for basis in ARITH_BASES:
@@ -371,13 +372,16 @@ def test_lines_to_text_matches_fraction_reference():
             translates = np.array(
                 [[rng.randint(-bound, bound) for _ in range(2 * d)] for _ in range(2)], dtype=object
             )
-            family = _ordered_family(basis, *_raw_family(basis, cell, translates))[0]
+            family = _raw_family(basis, cell, translates)
             dtypes.add(geo._coeff_pairs(basis, family.keys)[0].dtype)
             longest = max(longest, len(family) * 6 * d)
-            text = lines_text_fraction(family)
+            lines = sorted(family, key=CanonicalLine.sort_key)
+            text = lines_text_fraction(lines)
             assert lines_to_text(family) == text
-            assert lines_to_text(list(family)) == text
-        empty = LineFamily(basis, family.keys[:0], family.witnesses[:0], cell, translates, 0)
+            assert lines_to_text(lines) == text
+        empty = LineFamily(
+            basis, family.keys[:0], family.origin[:0], family.first[:0], cell, translates
+        )
         assert lines_to_text(empty) == ""
     assert dtypes == {np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64, object)}
     assert longest > 2 * geo._RENDER_ENTRIES

@@ -286,6 +286,37 @@ def test_cli_dump_builds_no_canonical_line(tmp_path, monkeypatch):
     assert len((tmp_path / "lines.txt").read_text().splitlines()) == 1520
 
 
+def test_cli_sorts_only_the_lines_it_writes(tmp_path, monkeypatch):
+    """sweep (criterion 6's config), oracle and construct sort no family in
+    canonical order unless they write lines.txt: canonical_order and the
+    lexsort behind every canonical sort, _pair_order, raise if called.
+    construct --dump-lines sorts exactly once, for the one lines.txt."""
+
+    def refuse(*args):
+        raise AssertionError("a family was sorted in canonical order")
+
+    monkeypatch.setattr(geometry, "canonical_order", refuse)
+    monkeypatch.setattr(geometry, "_pair_order", refuse)
+    sweep_path = write_cfg(tmp_path, SWEEP_CFG, "sweep.json")
+    path = write_cfg(tmp_path, cfg(c1="auto"))
+    for argv in (
+        ["sweep", "--config", sweep_path],
+        ["oracle", "--config", path],
+        ["construct", "--config", path, "--dump-points"],
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    pair_order, sorts = geometry._pair_order, []
+    monkeypatch.setattr(geometry, "canonical_order", refuse)
+    monkeypatch.setattr(
+        geometry, "_pair_order", lambda *args: sorts.append(1) or pair_order(*args)
+    )
+    argv = ["construct", "--config", path, "--out", str(tmp_path), "--dump-lines"]
+    assert cli.main(argv) == 0
+    assert sorts == [1]
+    assert len((tmp_path / "lines.txt").read_text().splitlines()) == 944
+
+
 def test_cli_operation_builds_basis_once(tmp_path, monkeypatch, capsys):
     """Each CLI operation builds its NiceBasis once, when the config is
     parsed: run, each sweep point, the oracle and the dump reuse it."""
