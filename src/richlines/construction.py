@@ -62,7 +62,7 @@ from .geometry import (
     product_bounds,
     shift_keys,
 )
-from .numberfield import Element, NiceBasis, _cofactor_solve, _mul_matrix
+from .numberfield import Element, NiceBasis, _cofactor_solve, _mul_matrix, _mul_rows
 
 ALPHA_GRID = (
     Fraction(1, 5),
@@ -543,9 +543,9 @@ def _mechanism_check(family, box, r):
     through p and q, which is a*x + b*y + c = 0 for the line's key (a, b, c);
     it lies in the box when each coordinate of x and y is a multiple of its
     axis' scale of absolute value at most radius * scale.  Every sample and
-    multiplier is one entry of one array computation, with products taken
-    through the structure constants, in the dtype _exact_dtype picks for
-    _mechanism_bound (object past int64).
+    multiplier is one entry of one array computation, every product of two
+    coordinate arrays taken by numberfield._mul_rows, in the dtype
+    _exact_dtype picks for _mechanism_bound (object past int64).
     """
     basis = family.basis
     d = basis.degree
@@ -556,24 +556,20 @@ def _mechanism_check(family, box, r):
     keys = family.keys[sample]
     t = gap_set(basis, Fraction(3**d * r)).coords()
     dtype = _exact_dtype(_mechanism_bound(basis, p, q, keys, t, box))
-    p, q, keys, t = (m.astype(dtype) for m in (p, q, keys, t))
-    sc = np.array(basis.structure_constants, dtype=dtype).reshape(d, d * d)
-
-    def times(a):  # u @ times(a)[s] gives the coordinates of u * a[s]
-        return (a @ sc).reshape(-1, d, d)
-
+    p, pq, keys, t = (m.astype(dtype) for m in (p, p - q, keys, t))
     # (samples, multipliers, d) coordinates of the replayed points' x and y
-    x, y = (p[:, None, k : k + d] + t @ times(p[:, k : k + d] - q[:, k : k + d]) for k in (0, d))
-    on = x @ times(keys[:, :d]) + y @ times(keys[:, d : 2 * d]) + keys[:, None, 2 * d :]
+    x, y = (p[:, None, k : k + d] + _mul_rows(basis, t, pq[:, None, k : k + d]) for k in (0, d))
+    on = _mul_rows(basis, x, keys[:, None, :d]) + _mul_rows(basis, y, keys[:, None, d : 2 * d])
+    on += keys[:, None, 2 * d :]
     inside = box.x_set.contains_rows(x) & box.y_set.contains_rows(y)
     return not on.any(), int(inside.sum()) / inside.size
 
 
 def _mechanism_bound(basis, p, q, keys, t, box):
-    """A bound on every intermediate of _mechanism_check: with w the largest
-    witness coordinate and m the largest multiplier's, the replayed points'
-    coordinates are at most z = w + max product_bounds(m, 2w), and a*x + b*y
-    + c is at most 2 max product_bounds(k, z) + k for keys at most k."""
+    """A bound on c_lambda and every intermediate of _mechanism_check: with w
+    the largest witness coordinate and m the largest multiplier's, replayed
+    points' coordinates are at most z = w + max product_bounds(m, 2w), and
+    a*x + b*y + c at most 2 max product_bounds(k, z) + k for keys at most k."""
     w, k, m = (int(np.abs(v).max(initial=0)) for v in (np.concatenate([p, q]), keys, t))
     z = w + max(product_bounds(basis, m, 2 * w))
     return max(
@@ -581,7 +577,7 @@ def _mechanism_bound(basis, p, q, keys, t, box):
         2 * w,
         z,
         2 * max(product_bounds(basis, k, z)) + k,
-        max(product_bounds(basis, max(k, 2 * w), 1)),
+        basis.c_lambda,
         *((s.radius + 1) * s.scale for s in (box.x_set, box.y_set)),
     )
 

@@ -48,6 +48,7 @@ from .numberfield import (
     RationalElement,
     _adjugate,
     _cofactor_solve,
+    _mul_rows,
 )
 
 
@@ -145,7 +146,7 @@ def _lam_rows(basis, keys):
     dtype = _exact_dtype(int(np.abs(keys).max(initial=1)) * sum(map(abs, sc0)))
     keys = keys.astype(dtype, copy=False)
     pivot = np.where(keys[:, :d].any(axis=1)[:, None], keys[:, :d], keys[:, d : 2 * d])
-    # a sum of column products: NumPy's integer matmul is much slower
+    # own column sum: _mul_rows would form all d coordinates and need a dtype holding c_lambda
     lam = pivot[:, 0] * sc0[0]
     for j in range(1, d):
         lam += pivot[:, j] * sc0[j]
@@ -277,12 +278,8 @@ _CHUNK_PAIRS = 1 << 16
 def product_bounds(basis, u, v):
     """Per coordinate k, the largest |(x * y)_k| over coordinate vectors with
     |x_i| <= u and |y_j| <= v: u v sum_ij |c_ijk|."""
-    d = basis.degree
-    sc = basis.structure_constants
-    return [
-        u * v * sum(abs(sc[i][j][k]) for i in range(d) for j in range(d))
-        for k in range(d)
-    ]
+    rows = [row for plane in basis.structure_constants for row in plane]
+    return [u * v * sum(map(abs, column)) for column in zip(*rows)]
 
 
 # each integer dtype _exact_dtype picks from, and its largest value
@@ -373,21 +370,17 @@ def _pair_kernel(basis, xs, ys):
     key_bound's entry bound, which holds every entry of those rows.
 
     The raw key of a pair is the flat integer triple (a, b, c) = (y_j - y_i,
-    x_i - x_j, y_i x_j - x_i y_j); its primitive key is the raw key times
-    adj(M_p), M_p the multiplication-by-pivot matrix, content-reduced with
-    its first nonzero entry made positive, as _primitive_key gives it.  The
-    rows are computed in the dtype _exact_dtype picks for key_bound's work
-    bound.
+    x_i - x_j, y_i x_j - x_i y_j), c by _mul_rows; its primitive key is the
+    raw key times adj(M_p), M_p the multiplication-by-pivot matrix,
+    content-reduced with its first nonzero entry made positive, as
+    _primitive_key gives it.  The rows are computed in the dtype
+    _exact_dtype picks for key_bound's work bound, which covers c_lambda.
     """
-    d = basis.degree
     x, y, entry = _work_rows(basis, xs, ys)[:3]
-    sc = np.array(basis.structure_constants, dtype=x.dtype).reshape(d * d, d)
 
     def keys_of(i, j):
         xi, xj, yi, yj = x[i], x[j], y[i], y[j]
-        c = (
-            yi[:, :, None] * xj[:, None, :] - xi[:, :, None] * yj[:, None, :]
-        ).reshape(-1, d * d) @ sc
+        c = _mul_rows(basis, yi, xj) - _mul_rows(basis, xi, yj)
         return _primitive_rows(basis, (yj - yi, xi - xj, c))
 
     return keys_of, entry
@@ -442,26 +435,21 @@ def shift_keys(basis, keys, tx, ty):
     (a, b, c - a*tx[t] - b*ty[t]), stacked in (translate, key) order as one
     array.  tx and ty are the translates' coordinate rows.
 
-    The coordinates of a*tx + b*ty are integer combinations of those of a
-    and b, and a and b do not change, so a primitive key stays primitive.  The
-    array takes the dtype _exact_dtype picks for the largest entry that
-    product_bounds allow at the largest translate coordinate.
+    c moves by integer combinations of the coordinates of a and b, which
+    stay, so a primitive key stays primitive.  Keys and translates are cast
+    once to the dtype _exact_dtype picks for c_lambda and the largest entry
+    product_bounds allow; _mul_rows takes a*tx and b*ty over (translate, key).
     """
     d = basis.degree
     tx, ty = (np.array(t, dtype=object).reshape(-1, d) for t in (tx, ty))
     shift = int(max(np.abs(tx).max(initial=0), np.abs(ty).max(initial=0)))
     coeff = int(np.abs(keys[:, : 2 * d]).max(initial=1))
     const = int(np.abs(keys[:, 2 * d :]).max(initial=0))
-    dtype = _exact_dtype(max(coeff, const + 2 * max(product_bounds(basis, coeff, shift))))
-    keys = keys.astype(dtype)
-    # u @ tx_m[t] gives the coordinates of u * tx[t] for coordinate rows u;
-    # its entries are at most product_bounds(basis, 1, shift)
-    sc = np.array(basis.structure_constants, dtype=object)
-    tx_m, ty_m = (
-        np.moveaxis(np.tensordot(sc, t, axes=([1], [1])), -1, 0).astype(dtype) for t in (tx, ty)
-    )
+    bound = max(coeff, const + 2 * max(product_bounds(basis, coeff, shift)), basis.c_lambda)
+    keys, tx, ty = (m.astype(_exact_dtype(bound)) for m in (keys, tx, ty))
     moved = np.repeat(keys[None], len(tx), axis=0)
-    moved[:, :, 2 * d :] -= keys[:, :d] @ tx_m + keys[:, d : 2 * d] @ ty_m
+    a, b = keys[None, :, :d], keys[None, :, d : 2 * d]
+    moved[:, :, 2 * d :] -= _mul_rows(basis, a, tx[:, None]) + _mul_rows(basis, b, ty[:, None])
     return moved.reshape(-1, 3 * d)
 
 
@@ -492,7 +480,7 @@ class _InterceptWords:
     the word of the line through a box point (x, y), c = -(a x + b y), is
     zero_w - x . pa_w - y . pb_w, where zero_w is the word of c = 0 and
     x . pa_w = sum_k (a x)_k base_w^k; each partial sum is at most
-    (bins_w - 1) / 2.
+    (bins_w - 1) / 2.  pa_w[i] is the word of a l_i, taken by _mul_rows.
 
     The arrays take the dtype _exact_dtype picks for the largest bins_w,
     entry of pa or pb, and coordinate (object past int64).
@@ -503,23 +491,21 @@ class _InterceptWords:
         s = max(product_bounds(basis, 1, 1))
         ma, mb = (int(np.abs(ab[:, k * d : (k + 1) * d]).max(initial=0)) for k in (0, 1))
         top = (2 * (ma * mx + mb * my) * s + 1) ** d
-        # pa and pb are at most max(ma, mb) s top
+        # pa and pb are at most max(ma, mb) s top, and c_lambda is at most s
         wide = _exact_dtype(max(max(ma, mb, 1) * s * top, mx, my))
         ab = ab.astype(np.promote_types(wide, np.int64))
         m = np.abs(ab)
         cm = (m[:, :d].max(axis=1, initial=0) * mx + m[:, d:].max(axis=1, initial=0) * my) * s
         base = 2 * cm + 1
         powers = base[:, None] ** np.arange(d)
-        # a @ sc, reshaped to (d, d), is the multiplication-by-a matrix acting on row vectors
-        sc = np.array(basis.structure_constants, dtype=ab.dtype).reshape(d, d * d)
-        pa, pb = (
-            ((ab[:, k * d : (k + 1) * d] @ sc).reshape(-1, d, d) @ powers[:, :, None])[:, :, 0]
-            for k in (0, 1)
-        )
-        pmax = int(np.abs(np.concatenate([pa, pb])).max(initial=0))
+        unit = np.eye(d, dtype=ab.dtype)[:, None, None]
+        # l_i a_w and l_i b_w as [i, a or b, w, coordinate], then their words as [a or b, w, i]
+        prod = _mul_rows(basis, ab.reshape(-1, 2, d).transpose(1, 0, 2), unit)
+        words = sum(prod[..., k] * powers[:, k] for k in range(d)).transpose(1, 2, 0)
         self.degree = d
-        self.dtype = _exact_dtype(max(int(base.max(initial=1)) ** d, pmax, mx, my))
-        self.cm, self.pa, self.pb = (m.astype(self.dtype) for m in (cm, pa, pb))
+        bound = max(int(base.max(initial=1)) ** d, int(np.abs(words).max(initial=0)), mx, my)
+        self.dtype = _exact_dtype(bound)
+        self.cm, self.pa, self.pb = (m.astype(self.dtype, order="C") for m in (cm, *words))
         self.zero = (cm * powers.sum(axis=1)).astype(self.dtype)
 
     def of_points(self, rows, x, y):

@@ -265,18 +265,21 @@ def sweep(config, workers=1):
     The points run one after another in this process.  `workers` is
     deprecated and ignored; it stays only while the perfbench sweep
     operations pass `--workers` (ROADMAP open item 1 removes both).
-    A sweep whose points give fewer than 3 distinct x values fails before
-    any point runs; an n-sweep's x values, the realized box sizes, come
-    from build_pointset, which builds no coordinates.
+    Before any point runs, each point's ConstructionParams is built (r above
+    n^alpha raises InvalidParameterError) and fewer than 3 distinct x
+    values fail; an n-sweep's x values, the realized box sizes, come from
+    build_pointset, which builds no coordinates.  A degenerate cell
+    (RTooLargeError) still fails at its own point: checking it first would
+    build every point's cell geometry twice.
     """
     if config.r_list is not None:
         x, points = "r", [{"r": r} for r in config.r_list]
-        xs = config.r_list
     elif config.n_list is not None:
         x, points = "p_realized", [{"n": n} for n in config.n_list]
-        xs = [build_pointset(config.nice_basis, n, config.alpha).size for n in config.n_list]
     else:
         raise ConfigError("sweep needs 'r_list' or 'n_list'")
+    params = [_single_config(config, **point)[1] for point in points]
+    xs = [p.r if x == "r" else build_pointset(p.basis, p.n, p.alpha).size for p in params]
     _check_fit_points(xs, x)
     reports = [run(config, **point) for point in points]
     return reports, fit_loglog(xs, [rep.num_lines for rep in reports], x)

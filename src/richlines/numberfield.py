@@ -302,6 +302,21 @@ def _mul_matrix(basis, b):
     ]
 
 
+def _mul_rows(basis, u, v):
+    """The coordinates of u * v for integer arrays whose last axis holds d
+    coordinates, broadcast over the others: sum c[i][j][k] u_i v_j over the
+    nonzero c[i][j][k], in the operands' dtype, which must hold every partial
+    sum (within geometry.product_bounds) and every |c[i][j][k]| (c_lambda)."""
+    out = [0] * basis.degree
+    for i, plane in enumerate(basis.structure_constants):
+        for j, row in enumerate(plane):
+            f = u[..., i] * v[..., j]
+            for k, c in enumerate(row):
+                if c:
+                    out[k] += f if c == 1 else c * f
+    return np.stack(out, axis=-1)
+
+
 def _det(m, sign=-1):
     """Determinant (sign -1) or permanent (sign 1) of the square nested list
     m, by cofactor expansion along the first row."""

@@ -30,7 +30,7 @@ from richlines.construction import (
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
 from richlines.gapset import GapSet, gap_set, gap_set_power
-from richlines.numberfield import Element, NiceBasis
+from richlines.numberfield import Element, NiceBasis, _mul_rows, build_quadratic_basis
 from richlines.geometry import (
     CanonicalLine,
     Point,
@@ -966,6 +966,46 @@ def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch
     got = construction._mechanism_check(family, box, 3)
     assert got == _mechanism_reference(family, box, 3)
     assert got[0] is False
+
+
+def test_structure_constants_wider_than_int8_operands():
+    """Z[sqrt 1000] has c_lambda = 1000, which int8 does not hold, and the
+    operands below all fit int8: the keys of a small cell, axes of one row
+    and a family.  _mul_rows raises on them rather than wrap, and every
+    kernel that multiplies them widens to hold c_lambda: a zero translate
+    leaves the keys as they are, the direction sweep over a vertical and a
+    horizontal line of the box agrees with the pair reference, and the
+    mechanism replay with its Element reference."""
+    basis = build_quadratic_basis(1000)
+    assert basis.c_lambda == 1000
+    cell = np.array([[i, 0, j, 0] for i in range(2) for j in range(3)], dtype=np.int8)
+    keys = group_pairs(basis, cell[:, :2], cell[:, 2:])[0].astype(np.int8)
+    with pytest.raises(OverflowError):
+        _mul_rows(basis, keys[:, :2], keys[:, 2:4])
+    assert shift_keys(basis, keys, [(0, 0)], [(0, 0)]).tolist() == keys.tolist()
+
+    line = np.array([(0, 0), (1, 0), (2, 0), (0, 1), (-1, 1)], dtype=np.int8)
+    for xs, ys in ((line[:1], line), (line, line[3:4])):
+        points = [(x, y) for x in xs.tolist() for y in ys.tolist()]
+        raw = raw_pair_counts_loop(basis, *zip(*points))
+        for r in (2, 5, 6):
+            got, richness = rich_line_keys(basis, xs, ys, r)
+            expected = {
+                key: geometry._richness_from_pairs(count)
+                for key, (count, _, _) in raw.items()
+                if count >= math.comb(r, 2)
+            }
+            assert dict(zip(key_tuples(got), richness.tolist())) == expected
+            assert len(expected) == (r < 6)
+
+    zero = np.zeros((1, 4), dtype=np.int8)
+    family = construction._raw_family(basis, cell, zero)
+    family.keys = family.keys.astype(np.int8)
+    box = PointBox(GapSet(basis, 1), GapSet(basis, 1))
+    for r in (2, 3):
+        got = construction._mechanism_check(family, box, r)
+        assert got == _mechanism_reference(family, box, r)
+        assert got[0] and 0 < got[1] < 1
 
 
 def test_mechanism_points_on_line(sqrt2):

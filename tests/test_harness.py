@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from richlines import cli, construction, gapset, geometry, harness, numberfield
-from richlines.errors import ConfigError
+from richlines.errors import ConfigError, InvalidParameterError
 from richlines.harness import (
     CSV_COLUMNS,
     fit_loglog,
@@ -152,20 +152,26 @@ def test_sweep_csv_deterministic_across_workers():
 
 
 def test_short_sweep_runs_nothing(monkeypatch):
-    """A sweep whose points give fewer than 3 distinct x values fails before
-    it runs any of them: too few points, a repeated r, or n values that all
-    realize the same |P| = 1089."""
+    """A sweep fails before it runs any point when its points give fewer
+    than 3 distinct x values (too few points, a repeated r, or n values
+    that all realize the same |P| = 1089), and when any point's r exceeds
+    n^alpha: the last r of an r-sweep at n = 2304 (r <= 48), or a later n
+    of an n-sweep (r = 5 needs n >= 25)."""
     calls = []
     monkeypatch.setattr(harness, "run", lambda *args, **kwargs: calls.append(args))
-    for short in (
-        cfg(r=None, r_list=[3, 4]),
-        cfg(r=3, n_list=[600, 1100], c1="1/2"),
-        cfg(r=None, r_list=[3, 3, 3]),
-        cfg(r=None, r_list=[3, 3, 4]),
-        cfg(r=3, n_list=[2304, 2305, 2306], c1="1/2"),
+    short = (ConfigError, "at least 3 sweep points")
+    too_large = (InvalidParameterError, "exceeds n\\^alpha")
+    for config, (error, match) in (
+        (cfg(r=None, r_list=[3, 4]), short),
+        (cfg(r=3, n_list=[600, 1100], c1="1/2"), short),
+        (cfg(r=None, r_list=[3, 3, 3]), short),
+        (cfg(r=None, r_list=[3, 3, 4]), short),
+        (cfg(r=3, n_list=[2304, 2305, 2306], c1="1/2"), short),
+        (cfg(r=None, r_list=[3, 4, 5, 6, 100]), too_large),
+        (cfg(r=5, n_list=[2304, 1100, 24], c1="1/2"), too_large),
     ):
-        with pytest.raises(ConfigError, match="at least 3 sweep points"):
-            sweep(parse_config(short))
+        with pytest.raises(error, match=match):
+            sweep(parse_config(config))
     assert calls == []
 
 

@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 import richlines as rl
@@ -13,10 +14,12 @@ from richlines.errors import (
     InvalidPolynomialError,
     ZeroDivisorError,
 )
+from richlines.geometry import product_bounds
 from richlines.numberfield import (
     Element,
     NiceBasis,
     RationalElement,
+    _mul_rows,
     basis_from_spec,
     basis_vector,
     divide,
@@ -24,7 +27,7 @@ from richlines.numberfield import (
     zero,
 )
 
-from conftest import ARITH_BASES
+from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 
 
 def rand_element(rng, basis, bound=50):
@@ -282,6 +285,47 @@ def test_rational_element_normalization(sqrt2):
 # ---------------------------------------------------------------------------
 # randomized algebra properties (full-depth versions live in the acceptance
 # suite; these are quick regressions)
+
+
+def _random_rows(rng, shape, d, m, dtype):
+    """An array of the given shape and a last axis of d coordinates, with
+    seeded random entries in [-m, m], in dtype."""
+    entries = [rng.randint(-m, m) for _ in range(int(np.prod(shape)) * d)]
+    return np.array(entries, dtype=object).reshape(*shape, d).astype(dtype)
+
+
+def test_mul_rows_matches_mul_coords():
+    """_mul_rows equals NiceBasis.mul_coords element by element on seeded
+    random arrays of every basis, in the (u, v) shapes of each caller: the
+    pair kernel, shift_keys, the mechanism's two products and the intercept
+    words' product with the unit vectors.  Operands are int8 through int64,
+    as large as each dtype allows under product_bounds <= top, and object,
+    with products past int64; the result keeps the operands' dtype."""
+    rng = random.Random(27)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        s = max(product_bounds(basis, 1, 1))
+        for top, dtype in [t[:2] for t in DTYPE_THRESHOLDS] + [(2**90, object)]:
+            m = isqrt(top // s)
+            widest = 0
+            for shapes in (
+                ((5,), (5,)),
+                ((1, 4), (3, 1)),
+                ((6,), (2, 1)),
+                ((2, 6), (2, 1)),
+                ((2, 7), (d, 1, 1)),
+            ):
+                u, v = (_random_rows(rng, shape, d, m, dtype) for shape in shapes)
+                got = _mul_rows(basis, u, v)
+                bu, bv = np.broadcast_arrays(u, v)
+                assert got.dtype == np.dtype(dtype) and got.shape == bu.shape
+                expected = [
+                    basis.mul_coords(a, b)
+                    for a, b in zip(bu.reshape(-1, d).tolist(), bv.reshape(-1, d).tolist())
+                ]
+                assert list(map(tuple, got.reshape(-1, d).tolist())) == expected
+                widest = max(widest, *(abs(c) for row in expected for c in row))
+            assert (widest > 2**63) == (dtype is object)
 
 
 def test_ring_axioms_random(integers, sqrt2, cbrt2):
