@@ -55,6 +55,7 @@ from .geometry import (
     _exact_dtype,
     _pair_kernel,
     _sorted_runs,
+    _table_rows,
     canonical_least,
     group_pairs,
     key_tuples,
@@ -384,12 +385,22 @@ def _by_closed_form(basis, keys, box, out):
     inside that interval cut to |i| <= Rx.
 
     The keys are grouped by direction (a, b), and g, m and inv are computed
-    once per direction.  Every array takes the dtype _exact_dtype picks for
-    _closed_form_bound, object (exact Python ints) past int64."""
+    once per direction.  Keys already in lexicographic order, as a family
+    from _spread is, give their runs by adjacent (a, b) changes, checked by
+    one vectorized comparison; others, such as the gate's blocks, are
+    grouped by _sorted_runs.  Every array takes the dtype _exact_dtype picks
+    for _closed_form_bound, object (exact Python ints) past int64."""
     (rx, sx), (ry, sy) = ((s.radius, s.scale) for s in (box.x_set, box.y_set))
     k = abs(basis.structure_constants[0][0][0])
     dtype = _exact_dtype(_closed_form_bound(basis, keys, box))
-    order, heads = _sorted_runs(keys[:, :2].T)
+    a, b = keys[1:, 0], keys[1:, 1]
+    if ((a > keys[:-1, 0]) | ((a == keys[:-1, 0]) & (b >= keys[:-1, 1]))).all():
+        # a family from _spread: each run starts where (a, b) changes
+        order, head = np.arange(len(keys)), np.ones(len(keys), dtype=bool)
+        head[1:] = (a != keys[:-1, 0]) | (b != keys[:-1, 1])
+        heads = np.flatnonzero(head)
+    else:
+        order, heads = _sorted_runs(keys[:, :2].T)
     ab = np.abs(keys[order[heads], :2].astype(dtype))
     # the direction of each key, as a row of the directions' arrays
     which = np.empty(len(keys), dtype=np.intp)
@@ -638,16 +649,13 @@ def _all_raw_rich(basis, keys, box, r, rich=None):
 
 
 def _known_counts(keys, probe, counts):
-    """For the distinct key rows keys: counts[k] where the row equals the
-    distinct probe row k, -1 elsewhere.  It is the rich argument of
-    _all_raw_rich, and the oracle's test of the family against the rich
-    lines."""
+    """For the key rows keys: counts[k] where the row equals the distinct
+    probe row k, -1 elsewhere, found by _table_rows.  It is the rich
+    argument of _all_raw_rich in the tuning gate."""
+    index = _table_rows(probe, keys)
     rich = np.full(len(keys), -1, dtype=np.int64)
-    both = np.concatenate([probe, keys])
-    order, heads = _sorted_runs(both.T)
-    # a run of two is a probe row, at its head by the stable sort, and a key row
-    heads = heads[np.diff(heads, append=len(both)) == 2]
-    rich[order[heads + 1] - len(probe)] = counts[order[heads]]
+    known = index >= 0
+    rich[known] = counts[index[known]]
     return rich
 
 

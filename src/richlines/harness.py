@@ -25,7 +25,6 @@ from .construction import (
     POINT_CAP,
     ConstructionParams,
     PointBox,
-    _known_counts,
     build_construction,
     build_pointset,
     claim1_statistic,
@@ -33,7 +32,13 @@ from .construction import (
     verify_claim2,
 )
 from .errors import ConfigError
-from .geometry import _richness_from_pairs, group_pairs, key_tuples, rich_line_keys
+from .geometry import (
+    _richness_from_pairs,
+    count_rich_lines,
+    group_pairs,
+    key_tuples,
+    rich_line_keys,
+)
 from .numberfield import _is_int, basis_from_spec
 
 CSV_COLUMNS = (
@@ -305,10 +310,11 @@ def oracle(config):
     """Exact cross-check: the family must be a subset of the r-rich lines
     of P.
 
-    The r-rich lines come from rich_line_keys, a direction sweep over the
-    box's axes that shares no grouping step with the family's pair kernel.
-    Both sides are distinct primitive key rows, so one stable sort of their
-    union finds each family key among the rich keys (_known_counts)."""
+    count_rich_lines counts the r-rich lines by a direction sweep over the
+    box's axes, which shares no grouping step with the family's pair kernel,
+    and looks each family key up in the sweep's own runs: no key row is
+    built for a rich line, and the family's verdict comes from the sweep's
+    packed intercepts alone."""
     basis, params = _single_config(config)
     box = build_pointset(basis, params.n, params.alpha)
     if box.size > POINT_CAP:
@@ -317,12 +323,11 @@ def oracle(config):
             f"{POINT_CAP}; use a smaller n for oracle runs"
         )
     _, tuned = build_construction(params)
-    keys, richness = rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), params.r)
-    subset = bool((_known_counts(tuned.family.keys, keys, richness) >= 0).all())
-    coverage = len(tuned.family) / len(keys) if len(keys) else 1.0
-    return OracleReport(
-        params.r, len(box), len(keys), len(tuned.family), subset, coverage
+    lines, rich = count_rich_lines(
+        basis, box.x_set.coords(), box.y_set.coords(), params.r, tuned.family.keys
     )
+    coverage = len(tuned.family) / lines if lines else 1.0
+    return OracleReport(params.r, len(box), lines, len(tuned.family), bool(rich.all()), coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +406,22 @@ def selftest(seed=0, samples=200):
 
     def sweep_agrees(box, *rs):
         """The sweep's lines with at least r points equal the lines with at
-        least C(r, 2) pairs, keys and richness, as many rows on each side."""
+        least C(r, 2) pairs, keys and richness, as many rows on each side;
+        and count_rich_lines, the oracle's path, counts as many and finds
+        exactly those among every pair line."""
         pair_keys, counts = pair_lines(box)
+        axes = box.x_set.coords(), box.y_set.coords()
         ok = True
         for r in rs:
-            keys, richness = rich_line_keys(box.basis, box.x_set.coords(), box.y_set.coords(), r)
+            keys, richness = rich_line_keys(box.basis, *axes, r)
             keep = counts >= comb(r, 2)
             expected = map(_richness_from_pairs, counts[keep].tolist())
             ok &= len(keys) == np.count_nonzero(keep)
             ok &= dict(zip(key_tuples(keys), richness.tolist())) == dict(
                 zip(key_tuples(pair_keys[keep]), expected)
             )
+            lines, rich = count_rich_lines(box.basis, *axes, r, pair_keys)
+            ok &= lines == len(keys) and np.array_equal(rich, keep)
         return ok
 
     # the 3 x 3 integer grid {-1, 0, 1}^2: 8 lines with 3 points, 20 lines

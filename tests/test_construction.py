@@ -520,7 +520,9 @@ def test_closed_form_matches_reference():
     2 l and l l = -3 l.  The keys cover vertical, horizontal and negative-b
     lines, non-primitive keys (3u, 3u, c), keys where g = gcd(A, B) does not
     divide c, keys that miss the box, and keys with B / g = 1, for A = k a sx
-    and B = k b sy with l l = k l.  Keys scaled one step either side of each
+    and B = k b sy with l l = k l.  The same keys in lexicographic order,
+    whose direction runs are taken from adjacent changes, count the same.
+    Keys scaled one step either side of each
     _exact_dtype threshold of _closed_form_bound, int8 through object, keep
     their count; so does 2^59 (15, 2, 0), whose int64 products a x wrap past
     2^64."""
@@ -538,6 +540,10 @@ def test_closed_form_matches_reference():
         expected = [count_on_line_int(basis, key, box) for key in keys]
         assert construction._key_richnesses(basis, keys, box).tolist() == expected
         assert max(expected) > 2
+        # in lexicographic order, as a family from _spread comes
+        ordered = sorted(zip(keys, expected))
+        counts = construction._key_richnesses(basis, [key for key, _ in ordered], box)
+        assert counts.tolist() == [rich for _, rich in ordered]
         for (a, b, c), rich in zip(keys, expected):
             g = math.gcd(k * a * sx, k * b * sy)
             seen.update(

@@ -17,7 +17,7 @@ from richlines.construction import (
     build_pointset,
 )
 from richlines.gapset import GapSet
-from richlines.geometry import CanonicalLine, Point, line_through, lines_to_text
+from richlines.geometry import CanonicalLine, Point, line_through, lines_to_text, on_line
 from richlines.numberfield import Element, NiceBasis, build_quadratic_basis
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
@@ -124,7 +124,7 @@ def test_rich_line_keys_match_pair_reference():
     radius and scale, or a random subset of one past 9 points, and r in
     {2, ..., 6}, so that the direction bound prunes on most boxes.  On the
     3x3 and 5x5 integer grids at r = 3 and r = 5 the diagonals' runs hold
-    exactly 2(r - 1) raw rows, the bound's edge.  Scaled boxes whose
+    exactly r - 1 kept raw rows, the bound's edge.  Scaled boxes whose
     intercepts or packed intercepts pass int64 run in object dtype, and an r
     above every line gives a (0, 3d) key array."""
     rng = random.Random(12)
@@ -153,6 +153,101 @@ def test_rich_line_keys_match_pair_reference():
     xs = ys = [e.coords for e in GapSet(quartic, 1)][:3]
     keys, richness = geo.rich_line_keys(quartic, xs, ys, 4)
     assert keys.shape == (0, 12) and richness.shape == (0,)
+
+
+def counted(basis, xs, ys, r, keys):
+    """count_rich_lines' (lines, rich) for the key rows keys, passed once in
+    object dtype and once in the narrowest dtype that holds them; both must
+    agree."""
+    d = basis.degree
+    rows = np.array(keys, dtype=object).reshape(-1, 3 * d)
+    lines, rich = geo.count_rich_lines(basis, xs, ys, r, rows)
+    narrow = rows.astype(geo._exact_dtype(int(np.abs(rows).max(initial=0))))
+    assert geo.count_rich_lines(basis, xs, ys, r, narrow)[0] == lines
+    assert geo.count_rich_lines(basis, xs, ys, r, narrow)[1].tolist() == rich.tolist()
+    return lines, rich.tolist()
+
+
+def counted_reference(basis, xs, ys, *rs):
+    """For each r, (lines, keys, rich) by the pair reference: the number of
+    lines with at least C(r, 2) pairs, the keys of every line through two
+    points of the box, and whether each has at least r points."""
+    raw = raw_pair_counts_loop(
+        basis, [x for x in xs for _ in ys], [y for _ in xs for y in ys]
+    )
+    keys = list(raw)
+    for r in rs:
+        rich = [raw[key][0] >= comb(r, 2) for key in keys]
+        yield sum(rich), keys, rich
+
+
+def test_count_rich_lines_match_pair_reference():
+    """count_rich_lines agrees with the pure-Python pair reference on the
+    boxes of test_rich_line_keys_match_pair_reference, for every line
+    through two points of the box: the count of lines with at least r
+    points, and the verdict on each key, rich or below r, on seeded random
+    boxes of every basis and r in {2, ..., 6}.  Some keys below r have a
+    direction the sweep prunes, so no run is looked up for them.  On the
+    3x3 and 5x5 integer grids at r = 3 and r = 5 the diagonals' runs hold
+    exactly r - 1 kept raw rows, the halved bound's edge, and the diagonals
+    are found rich.  An r above every line, one-row axes and the boxes past
+    int64 (object dtype) are covered too.  In degree 2, a key whose
+    intercept exceeds its direction's bound cm, but whose packed word equals
+    a rich line's word, reads False.  rich_line_keys returns its keys in the
+    dtype of key_bound's entry bound."""
+    rng = random.Random(12)
+    pruned = 0
+    for basis in ARITH_BASES:
+        d = basis.degree
+        for _ in range(4):
+            axes = []
+            for _ in range(2):
+                coords = [e.coords for e in GapSet(basis, rng.randint(1, 3), rng.randint(1, 3))]
+                axes.append(coords if len(coords) <= 9 else rng.sample(coords, rng.randint(2, 9)))
+            mx, my = (max(abs(v) for row in axis for v in row) for axis in axes)
+            references = counted_reference(basis, *axes, *range(2, 7))
+            for r, (lines, keys, rich) in enumerate(references, 2):
+                assert counted(basis, *axes, r, keys) == (lines, rich)
+                swept_keys = geo.rich_line_keys(basis, *axes, r)[0]
+                assert swept_keys.dtype == geo._exact_dtype(geo.key_bound(basis, mx, my)[1])
+                kept = set(geo.key_tuples(next(geo._sweep(basis, *axes, r))[0]))
+                pruned += sum(key[: 2 * d] not in kept for key in keys)
+        # one-row axes: one vertical line, or one horizontal line
+        axes = [e.coords for e in GapSet(basis, 1)][:5], [(0,) * d]
+        for xs, ys in (axes, axes[::-1]):
+            ((lines, keys, rich),) = counted_reference(basis, xs, ys, 2)
+            assert (lines, sum(rich)) == (1, 1)
+            assert counted(basis, xs, ys, 2, keys) == (lines, rich)
+            assert counted(basis, xs, ys, len(xs) * len(ys) + 1, keys) == (0, [False])
+    assert pruned
+    for n in (3, 5):
+        grid = ARITH_BASES[0], [(v,) for v in range(n)], [(v,) for v in range(n)]
+        for r, (lines, keys, rich) in zip((3, 5), counted_reference(*grid, 3, 5)):
+            assert counted(*grid, r, keys) == (lines, rich)
+        diagonals = [(1, -1, 0), (1, 1, 1 - n)]
+        assert counted(*grid, n, diagonals) == (2 * n + 2, [True, True])
+        assert counted(*grid, n + 1, keys) == (0, [False] * len(keys))
+    # intercepts past int64 in Z, and packed words past int64 in Z[sqrt2]
+    for basis, radius, scale in ((ARITH_BASES[0], 2, 2**62), (ARITH_BASES[1], 1, 2**31)):
+        xs, ys = ([e.coords for e in GapSet(basis, radius, s)] for s in (scale, 3 * scale))
+        ((lines, keys, rich),) = counted_reference(basis, xs, ys, 3)
+        assert np.array(keys, dtype=object).dtype == object and lines
+        assert counted(basis, xs, ys, 3, keys) == (lines, rich)
+    # a degree-2 intercept outside cm that packs to a rich line's word
+    sqrt2 = ARITH_BASES[1]
+    xs = ys = [e.coords for e in GapSet(sqrt2, 1)]
+    keys, _ = geo.rich_line_keys(sqrt2, xs, ys, 3)
+    ab, words, _ = next(geo._sweep(sqrt2, xs, ys, 3))
+    *ab_key, c0, c1 = keys[0].tolist()
+    row = list(geo.key_tuples(ab)).index(tuple(ab_key))
+    cm = int(words.cm[row])
+    base = 2 * cm + 1
+    alias = (*ab_key, c0 + base, c1 - 1)
+    assert abs(c0 + base) > cm
+    assert (c0 + base + cm) + (c1 - 1 + cm) * base == (c0 + cm) + (c1 + cm) * base
+    points = [Point(Element(sqrt2, x), Element(sqrt2, y)) for x in xs for y in ys]
+    assert not any(on_line(p, CanonicalLine(sqrt2, alias)) for p in points)
+    assert counted(sqrt2, xs, ys, 3, [keys[0].tolist(), alias])[1] == [True, False]
 
 
 def test_keys_are_primitive():
