@@ -17,14 +17,14 @@ every translate and one sort deduplicates them.  The family stays in that
 raw order.  Only output sorts it: lines_to_text when it writes lines.txt,
 and canonical_least for the few lines a report names or replays.
 CanonicalLines are built only for lines that are output.  One batched
-counter, _key_richnesses, counts every richness, by one rule per degree:
-in degree 1 in closed form, O(1) per line (a residue class inside an
-interval), and in every higher degree by keys x box columns.  A build
-only builds, and keeps the tuning gate's counts;
-verify_claim2 counts the lines of a fixed-c1 build, so each family key is
-counted once, and replays the multiplier mechanism in one array computation.
-A run builds no Point or Element and one CanonicalLine, the failing line it
-reports; LineFamily.witness_points builds Points on demand.
+counter, _key_richnesses, counts every richness in blocks (_blocks), by one
+rule per degree: in degree 1 in closed form, O(1) per line (a residue class
+inside an interval), and in every higher degree by keys x box columns.  A
+build only builds, and keeps the tuning gate's counts; verify_claim2 counts
+the lines of a fixed-c1 build, so each family key is counted once, and
+replays the multiplier mechanism in one array computation.  A run builds no
+Point or Element and one CanonicalLine, the failing line it reports;
+LineFamily.witness_points builds Points on demand.
 
 Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
@@ -311,16 +311,13 @@ def _spread(basis, keys, translates):
     stacked in (translate, key) order.
 
     A stable sort makes the first translate that reaches a line the head of
-    its run.  One translate needs no sort: a shift is a bijection on lines,
-    so its moved keys are already distinct.
+    its run.  It keeps one translate's keys, distinct and lexicographic, in
+    their order: a shift moves c by an amount that (a, b) fixes.
     """
     d = basis.degree
     moved = shift_keys(basis, keys, translates[:, :d], translates[:, d:])
-    if len(translates) == 1:
-        rows = np.arange(len(keys))
-    else:
-        order, heads = _sorted_runs(moved.T)
-        rows = order[heads]
+    order, heads = _sorted_runs(moved.T)
+    rows = order[heads]
     return moved[rows], rows
 
 
@@ -356,16 +353,28 @@ def generate_line_family(geom):
 
 def _key_richnesses(basis, keys, box):
     """Exact richness of each key row (a, b, c) in the box, as an int64
-    array: in closed form in degree 1 (_by_closed_form), and by columns
-    (_by_columns) in every higher degree."""
+    array, one block of _blocks at a time: in closed form in degree 1
+    (_by_closed_form), and by columns (_by_columns) in higher degrees."""
     d = basis.degree
     keys = np.reshape(keys, (len(keys), 3 * d))
     out = np.zeros(len(keys), dtype=np.int64)
-    if d == 1:
-        _by_closed_form(basis, keys, box, out)
-    else:
-        _by_columns(basis, keys, box, out)
+    count = _by_closed_form if d == 1 else _by_columns
+    for block in _blocks(basis, keys, box):
+        count(basis, keys[block], box, out[block])
     return out
+
+
+def _blocks(basis, keys, box):
+    """The slices of key rows _key_richnesses counts at once.  A key costs
+    its (key, column) pairs: one in closed form (degree 1), else the columns
+    of the axis _by_columns solves it along, |Y| if b = 0, else |X|.  Key i
+    joins block (cost of keys 0 .. i-1) // _CHUNK_PAIRS."""
+    d = basis.degree
+    if d == 1:
+        return [slice(k, k + _CHUNK_PAIRS) for k in range(0, len(keys), _CHUNK_PAIRS)]
+    cost = np.where((keys[:, d : 2 * d] != 0).any(axis=1), len(box.x_set), len(box.y_set))
+    heads = np.flatnonzero(np.diff((np.cumsum(cost) - cost) // _CHUNK_PAIRS, prepend=-1))
+    return [slice(a, b) for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(keys)])]
 
 
 def _by_closed_form(basis, keys, box, out):
@@ -446,37 +455,31 @@ def _closed_form_bound(basis, keys, box):
 def _by_columns(basis, keys, box, out):
     """Count into out the richness of each key row by columns.  Each line is
     solved for its pivot's axis (y, or x when b = 0) along every column u
-    of the other axis, in blocks of about _CHUNK_PAIRS (key, column) pairs:
-    the solution is -v / det for v = adj(M)(c + other*u) and M the pivot's
-    multiplication matrix, so it lies in the box exactly when every
-    coordinate of v is divisible by scale*det and at most
-    radius*scale*|det|.  A block runs in the dtype _exact_dtype picks for
-    _block_bound, object (exact Python ints) past int64."""
+    of the other axis: the solution is -v / det for v = adj(M)(c + other*u)
+    and M the pivot's multiplication matrix, so it lies in the box exactly
+    when every coordinate of v is divisible by scale*det and at most
+    radius*scale*|det|.  It takes one block of _blocks, in the dtype
+    _exact_dtype picks for _block_bound, object past int64."""
     d = basis.degree
     vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
-    for part, blocks, columns, target in (
+    for idx, blocks, columns, target in (
         (np.flatnonzero(~vertical), (1, 0, 2), box.x_set, box.y_set),
         (np.flatnonzero(vertical), (0, 1, 2), box.y_set, box.x_set),
     ):
-        if not len(part):
+        if not len(idx):
             continue
         cols = columns.coords()
-        size = max(1, _CHUNK_PAIRS // len(cols))
-        for b0 in range(0, len(part), size):
-            idx = part[b0 : b0 + size]
-            pivot, other, c = (keys[idx, k * d : (k + 1) * d] for k in blocks)
-            dtype = _exact_dtype(_block_bound(basis, pivot, other, c, cols, target))
-            # key coordinates as (keys, 1) arrays, column coordinates as (1, columns)
-            pivot, other, c = (list(m.astype(dtype).T[:, :, None]) for m in (pivot, other, c))
-            # adj(M) c, and adj(M) (other * l_j) for each basis vector l_j
-            (v, *other_l), det = _cofactor_solve(
-                basis, pivot, c, *zip(*_mul_matrix(basis, other))
-            )
-            for ol, u in zip(other_l, cols.astype(dtype).T[:, None, :]):
-                v = [vk + olk * u for vk, olk in zip(v, ol)]
-            step = target.scale * det
-            hit = [(vk % step == 0) & (np.abs(vk) <= target.radius * np.abs(step)) for vk in v]
-            out[idx] = np.all(hit, axis=0).sum(axis=1)
+        pivot, other, c = (keys[idx, k * d : (k + 1) * d] for k in blocks)
+        dtype = _exact_dtype(_block_bound(basis, pivot, other, c, cols, target))
+        # key coordinates as (keys, 1) arrays, column coordinates as (1, columns)
+        pivot, other, c = (list(m.astype(dtype).T[:, :, None]) for m in (pivot, other, c))
+        # adj(M) c, and adj(M) (other * l_j) for each basis vector l_j
+        (v, *other_l), det = _cofactor_solve(basis, pivot, c, *zip(*_mul_matrix(basis, other)))
+        for ol, u in zip(other_l, cols.astype(dtype).T[:, None, :]):
+            v = [vk + olk * u for vk, olk in zip(v, ol)]
+        step = target.scale * det
+        hit = [(vk % step == 0) & (np.abs(vk) <= target.radius * np.abs(step)) for vk in v]
+        out[idx] = np.all(hit, axis=0).sum(axis=1)
 
 
 def _block_bound(basis, pivot, other, c, cols, target):
@@ -617,30 +620,21 @@ class TunedConstruction:
     halvings: int
 
 
-# The tuning gate counts _GATE_PAIRS / |X| keys per block and stops at the
-# first block that holds a key below r, so a rejected attempt counts up to
-# one block past its first such key.  In degree >= 2 a block is about
-# _GATE_PAIRS (key, column) pairs of the columns path, fewer than the
-# counter's _CHUNK_PAIRS; the degree-1 closed form counts each key in O(1).
-_GATE_PAIRS = 1 << 14
-
-
 def _all_raw_rich(basis, keys, box, r, rich=None):
     """Fast tuning gate: (rich, low) with rich the richness of the raw
     family keys in the raw order, and low None when every key is r-rich or
     else the index of a key below r, found at the first block of keys that
     holds one; rich is then filled only up to that block.
 
-    The nonnegative entries of a given rich are counts already known, and
-    only the other keys are counted.  Blocks go in order of decreasing max
-    |entry| (steep lines fail first)."""
+    The nonnegative entries of a given rich are counts already known; the
+    other keys are counted by decreasing max |entry| (steep lines fail
+    first), one counter call per block of _blocks."""
     if rich is None:
         rich = np.full(len(keys), -1, dtype=np.int64)
     todo = np.flatnonzero(rich < 0)
     todo = todo[np.argsort(-np.abs(keys[todo]).max(axis=1), kind="stable")]
-    size = max(1, _GATE_PAIRS // len(box.x_set))
-    for b0 in range(0, len(todo), size):
-        idx = todo[b0 : b0 + size]
+    for block in _blocks(basis, keys[todo], box):
+        idx = todo[block]
         rich[idx] = _key_richnesses(basis, keys[idx], box)
         low = np.flatnonzero(rich[idx] < r)
         if len(low):
@@ -702,10 +696,13 @@ def auto_tune_c1(params):
     the family (_gated_family).  Those lines are family lines, so one below
     r rejects the attempt as the full gate would, and a probe that passes
     leaves the verdict to the full gate: the accepted c1, the halvings, the
-    family and every richness are the full gate's alone."""
+    family and every richness are the full gate's alone.  An attempt that
+    repeats the last gated one's cell and translate rows gates the same
+    family, so it reuses that line below r; the reason is formatted only
+    for the error."""
     basis = params.basis
     box = build_pointset(basis, params.n, params.alpha)
-    c1 = params.c1
+    c1, gated = params.c1, (None, None)
     for step in range(_MAX_HALVINGS + 1):
         trial = params.with_c1(c1)
         try:
@@ -715,17 +712,19 @@ def auto_tune_c1(params):
                 raise
             raise AutoTuneError(
                 f"cell degenerated after {step} halvings without reaching a "
-                f"fully r-rich family (last failure: {last_reason})"
+                f"fully r-rich family (last failure: {_below_r(*last)})"
             ) from err
-        cell = PointBox(geom.cell_x, geom.cell_y).coords()
-        family, rich, low = _gated_family(basis, cell, translate_vectors(geom), box, params.r)
-        if low is None:
-            return TunedConstruction(trial, geom, box, family, rich, step)
-        last_reason = _below_r(trial, *low)
+        cell, translates = PointBox(geom.cell_x, geom.cell_y).coords(), translate_vectors(geom)
+        if not all(map(np.array_equal, (cell, translates), gated)):
+            family, rich, low = _gated_family(basis, cell, translates, box, params.r)
+            if low is None:
+                return TunedConstruction(trial, geom, box, family, rich, step)
+            gated = cell, translates
+        last = (trial, *low)
         c1 = c1 / 2
     raise AutoTuneError(
         f"no c1 in {_MAX_HALVINGS} halvings gives a fully r-rich "
-        f"construction ({last_reason})"
+        f"construction ({_below_r(*last)})"
     )
 
 

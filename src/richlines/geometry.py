@@ -273,8 +273,8 @@ def _primitive_key(basis, flat):
 
 
 # Pairs, key rows, (direction, point) or (key, box column) pairs per chunk;
-# bounds the temporaries of group_pairs, key_tuples, rich_line_keys and the
-# richness counter.
+# bounds group_pairs, key_tuples, rich_line_keys and the blocks that
+# construction._blocks cuts for the richness counter and the tuning gate.
 _CHUNK_PAIRS = 1 << 16
 
 

@@ -13,7 +13,7 @@ import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
 from math import comb
@@ -155,7 +155,7 @@ class ExperimentReport:
     runtime_ms: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        row = asdict(self)
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
         # "p/q", with q written also when it is 1
         row["alpha"], row["c1"] = (f"{x.numerator}/{x.denominator}" for x in (self.alpha, self.c1))
         return row

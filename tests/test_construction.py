@@ -585,6 +585,53 @@ def test_closed_form_matches_reference():
     assert construction._key_richnesses(integers, [key], box).tolist() == [1]
 
 
+def test_counter_counts_block_by_block(integers, sqrt2, monkeypatch):
+    """_key_richnesses on more keys than one block equals count_on_line_int
+    and hands its path the keys in blocks of consecutive keys.  A key costs
+    one (key, column) pair in degree 1 and its axis' columns in degree 2,
+    |Y| for a vertical key and |X| for any other: every block holds fewer
+    than _CHUNK_PAIRS pairs before its last key, and every block but the
+    last more than _CHUNK_PAIRS less one key's columns, so degree 1 takes
+    exactly _CHUNK_PAIRS keys a block.  The keys repeat the seeded
+    _path_keys, shuffled and in lexicographic order, so the reference
+    counts each distinct key once."""
+    chunk = geometry._CHUNK_PAIRS
+    calls = []
+    for name in ("_by_closed_form", "_by_columns"):
+
+        def recording(basis, keys, box, out, path=getattr(construction, name)):
+            calls.append(keys.tolist())
+            return path(basis, keys, box, out)
+
+        monkeypatch.setattr(construction, name, recording)
+    rng = random.Random(29)
+    cases = (
+        (integers, PointBox(GapSet(integers, 2, 2), GapSet(integers, 4, 1)), chunk + chunk // 2),
+        (sqrt2, PointBox(GapSet(sqrt2, 1, 2), GapSet(sqrt2, 2, 1)), 20_000),
+    )
+    for basis, box, size in cases:
+        d = basis.degree
+        distinct = _path_keys(basis, box, rng)
+        reference = dict(zip(distinct, (count_on_line_int(basis, key, box) for key in distinct)))
+        shuffled = rng.choices(distinct, k=size)
+        for batch in (shuffled, sorted(shuffled)):
+            calls.clear()
+            counts = construction._key_richnesses(basis, batch, box)
+            assert counts.tolist() == [reference[key] for key in batch]
+            assert [tuple(key) for block in calls for key in block] == batch
+            assert len(calls) > 1
+            if d == 1:
+                assert [len(block) for block in calls[:-1]] == [chunk] * (len(calls) - 1)
+            widest = max(len(box.x_set), len(box.y_set))
+            for n, block in enumerate(calls, 1):
+                cost = [
+                    1 if d == 1 else len(box.x_set if any(key[d : 2 * d]) else box.y_set)
+                    for key in block
+                ]
+                assert sum(cost[:-1]) < chunk
+                assert n == len(calls) or sum(cost) > chunk - widest
+
+
 def test_verify_claim2_tuned(integers):
     params = ConstructionParams(integers, 2304, HALF, 3, Fraction(1), True)
     tuned = auto_tune_c1(params)
@@ -670,6 +717,84 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
     with pytest.raises(AutoTuneError):
         auto_tune_c1(params)
     assert calls == []
+
+
+def test_gate_counts_in_counter_blocks(integers, monkeypatch):
+    """The tuning gate on a degree-1 box with |X| = 1001 makes one counter
+    call per _CHUNK_PAIRS keys of its steep-first order and reports the key
+    that counting every key finds first below r in that order.  The keys
+    are the 200,001 horizontal lines y = -c, |c| <= 10^5, each holding
+    1001 points, and the steep lines y = -50000 x (41 points) and y =
+    -20000 x (101 points); 100,000 keys have a larger max |entry| than the
+    first, so it lies in the second block.  At r = 41 every key passes and
+    the gate counts every key once."""
+    chunk = geometry._CHUNK_PAIRS
+    box = PointBox(GapSet(integers, 500), GapSet(integers, 10**6))
+    keys = [(0, 1, c) for c in range(-100_000, 100_001)]
+    keys[7:7] = [(20_000, 1, 0)]
+    keys[150_000:150_000] = [(50_000, 1, 0)]
+    keys = np.array(keys)
+    every = construction._key_richnesses(integers, keys, box)
+    steep = np.argsort(-np.abs(keys).max(axis=1), kind="stable")
+    calls = []
+    key_richnesses = construction._key_richnesses
+
+    def counting(basis, keys, box):
+        calls.append(len(keys))
+        return key_richnesses(basis, keys, box)
+
+    monkeypatch.setattr(construction, "_key_richnesses", counting)
+    rich, low = construction._all_raw_rich(integers, keys, box, 200)
+    assert keys[low].tolist() == [50_000, 1, 0] and every[low] == 41
+    assert low == steep[np.flatnonzero(every[steep] < 200)[0]]
+    assert calls == [chunk, chunk]
+    counted = steep[: 2 * chunk]
+    assert rich[counted].tolist() == every[counted].tolist()
+    assert (np.delete(rich, counted) == -1).all()
+    calls.clear()
+    rich, low = construction._all_raw_rich(integers, keys, box, 41)
+    assert low is None and rich.tolist() == every.tolist()
+    assert calls == [chunk] * 3 + [len(keys) - 3 * chunk]
+
+
+def test_repeated_attempt_gated_once(sqrt2, monkeypatch):
+    """Quadratic k=2, alpha=1/2: c1 = 1 (s = 5) and c1 = 1/2 (s = 3) give the
+    same 81-point cell, and c1 = 1/4 degenerates.  At n=20000, r=5 both
+    attempts have the one translate 0, so the family is gated once and the
+    second attempt takes the first one's line below r.  At n=60000, r=9 the
+    81 translates are multiples of 5 and then of 3, so both attempts are
+    gated.  Each c1 still builds its geometry and translate rows once, and
+    the error names the line found at c1 = 1/2 as when every attempt was
+    gated."""
+    calls = {"_gated_family": 0, "build_cell_geometry": 0, "translate_vectors": 0}
+    for name in calls:
+
+        def counting(*args, name=name, wrapped=getattr(construction, name)):
+            calls[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(construction, name, counting)
+    for n, r, translates, gated, line in (
+        (20000, 5, 1, 1, "1/1 0/1 -10/7 -6/7 -5/7 -3/7 has richness 4"),
+        (60000, 9, 81, 2, "1/1 0/1 -8/7 2/7 60/7 -50/7 has richness 3"),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        params = ConstructionParams(sqrt2, n, HALF, r, Fraction(1), True)
+        with pytest.raises(AutoTuneError) as info:
+            auto_tune_c1(params)
+        assert calls == {"_gated_family": gated, "build_cell_geometry": 3, "translate_vectors": 2}
+        assert str(info.value) == (
+            "cell degenerated after 2 halvings without reaching a fully r-rich family "
+            f"(last failure: line {line} < r={r} at c1=1/2, basis quadratic basis "
+            f"{{1, sqrt(2)}}, n={n}, alpha=1/2)"
+        )
+        first, second = (build_cell_geometry(params.with_c1(c1)) for c1 in (1, HALF))
+        assert (first.s, second.s) == (5, 3)
+        for geom in (first, second):
+            assert (geom.cell_x.radius, geom.cell_y.radius) == (1, 1)
+        rows = [translate_vectors(geom) for geom in (first, second)]
+        assert len(rows[0]) == translates
+        assert (rows[0].tolist() == rows[1].tolist()) == (gated == 1)
 
 
 def _full_gate(basis, cell, translates, box, r):
