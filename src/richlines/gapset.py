@@ -130,10 +130,9 @@ def gap_set(basis, m, scale=1):
     return GapSet(basis, gap_radius(m, basis.degree), scale)
 
 
-def gap_set_power(basis, coeff, n, alpha, scale=1):
-    """A_m(scale * Lambda) for the bound m = coeff * n^alpha, exactly."""
-    r = floor_scaled_root(coeff, n, alpha, basis.degree) // 3
-    return GapSet(basis, r, scale)
+def gap_set_power(basis, coeff, n, alpha):
+    """A_m(Lambda) for the bound m = coeff * n^alpha, exactly."""
+    return GapSet(basis, floor_scaled_root(coeff, n, alpha, basis.degree) // 3)
 
 
 def sum_bound(m, m_prime, d):

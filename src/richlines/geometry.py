@@ -442,9 +442,13 @@ def shift_keys(basis, keys, tx, ty):
     stay, so a primitive key stays primitive.  Keys and translates are cast
     once to the dtype _exact_dtype picks for c_lambda and the largest entry
     product_bounds allow; _mul_rows takes a*tx and b*ty over (translate, key).
+    The shift bound is read from translate arrays as given.  Other sequences
+    become object arrays, exact at any size: np.asarray would read a list
+    holding an int in [2^63, 2^64) beside a small one as float64.
     """
     d = basis.degree
-    tx, ty = (np.array(t, dtype=object).reshape(-1, d) for t in (tx, ty))
+    tx, ty = (t if isinstance(t, np.ndarray) else np.array(t, dtype=object) for t in (tx, ty))
+    tx, ty = (t.reshape(-1, d) for t in (tx, ty))
     shift = int(max(np.abs(tx).max(initial=0), np.abs(ty).max(initial=0)))
     coeff = int(np.abs(keys[:, : 2 * d]).max(initial=1))
     const = int(np.abs(keys[:, 2 * d :]).max(initial=0))
@@ -483,9 +487,7 @@ class _InterceptWords:
     the word of the line through a box point (x, y), c = -(a x + b y), is
     zero_w - x . pa_w - y . pb_w, where zero_w is the word of c = 0 and
     x . pa_w = sum_k (a x)_k base_w^k; each partial sum is at most
-    (bins_w - 1) / 2.  pa_w[i] is the word of a l_i, whose coordinates are
-    (a l_i)_k = sum_j a_j c[j][i][k], summed over the nonzero structure
-    constants with no product by 1.
+    (bins_w - 1) / 2.  pa_w[i] is the word of a l_i, taken by _mul_rows.
 
     The arrays take the dtype _exact_dtype picks for the largest bins_w,
     bins, entry of pa or pb, and coordinate (object past int64).
@@ -503,15 +505,10 @@ class _InterceptWords:
         cm = (m[:, :d].max(axis=1, initial=0) * mx + m[:, d:].max(axis=1, initial=0) * my) * s
         base = 2 * cm + 1
         powers = base[:, None] ** np.arange(d)
-        # a and b as [a or b, w, j], their unit words as [a or b, w, i]
-        v = ab.reshape(-1, 2, d).transpose(1, 0, 2)
-        words = np.zeros_like(v)
-        for j, plane in enumerate(basis.structure_constants):
-            for i, row in enumerate(plane):
-                for k, c in enumerate(row):
-                    if c:
-                        term = v[..., j] if c == 1 else c * v[..., j]
-                        words[..., i] += term if k == 0 else term * powers[:, k]
+        unit = np.eye(d, dtype=ab.dtype)[:, None, None]
+        # l_i a_w and l_i b_w as [i, a or b, w, coordinate], then their words as [a or b, w, i]
+        prod = _mul_rows(basis, ab.reshape(-1, 2, d).transpose(1, 0, 2), unit)
+        words = sum(prod[..., k] * powers[:, k] for k in range(d)).transpose(1, 2, 0)
         self.degree = d
         self.bins = int(base.max(initial=1)) ** d
         self.dtype = _exact_dtype(max(self.bins, int(np.abs(words).max(initial=0)), mx, my))

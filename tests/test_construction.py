@@ -139,23 +139,6 @@ def test_point_box_coords():
         assert box.coords().tolist() == [list(p.x.coords + p.y.coords) for p in box]
 
 
-def test_translates_stay_in_outer_box(sqrt2, monkeypatch):
-    # build_cell_geometry runs the exhaustive observation (i) check itself;
-    # it must come back without the internal assertion firing
-    params = ConstructionParams(sqrt2, 6561, HALF, 3)
-    geom = build_cell_geometry(params)
-    assert geom.s >= 1 and geom.s_prime >= geom.s
-    # and fire when the multiplier box is far wider than A_r
-    gap_set = construction.gap_set
-    monkeypatch.setattr(
-        construction,
-        "gap_set",
-        lambda basis, m, scale=1: GapSet(basis, 10 * gap_set(basis, m).radius + 10, scale),
-    )
-    with pytest.raises(AssertionError, match="escapes its outer box"):
-        build_cell_geometry(params)
-
-
 def test_overlapping_translates_detected(integers, sqrt2):
     """The set reference finds neighbouring translates that meet: steps
     sabotaged down to the cell radius meet on both axes, a step of 2 radius
@@ -176,10 +159,12 @@ def test_overlapping_translates_detected(integers, sqrt2):
 def test_cell_radius_is_a_third_of_the_step():
     """On seeded random (basis, n <= 10^7, alpha, r <= 60, c1 = 2^-k) of
     every arithmetic basis, every geometry build_cell_geometry returns has
-    cell radii s // 3 and s' // 3, the radii of A_{C1 n^alpha / r}(Lambda)
-    and of its n^(1-alpha) twin, and disjoint translates: step > 2 radius
-    on both axes, and on cells of at most 4,096 points the set reference
-    finds the cell disjoint from its neighbouring copy on both axes."""
+    1 <= s <= s', cell radii s // 3 and s' // 3, the radii of A_{C1 n^alpha
+    / r}(Lambda) and of its n^(1-alpha) twin, translates inside the outer
+    box A_{C1 n^alpha}(Lambda) (resp. n^(1-alpha)), whose radius bounds
+    their largest |coordinate|, and disjoint translates: step > 2 radius on
+    both axes, and on cells of at most 4,096 points the set reference finds
+    the cell disjoint from its neighbouring copy on both axes."""
     rng = random.Random(22)
     for basis in ARITH_BASES:
         found = 0
@@ -192,10 +177,16 @@ def test_cell_radius_is_a_third_of_the_step():
             except (InvalidParameterError, RTooLargeError):
                 continue
             found += 1
+            assert 1 <= geom.s <= geom.s_prime
             small = geom.cell_x.size * geom.cell_y.size <= 4096
-            axes = ((geom.cell_x, geom.s, alpha), (geom.cell_y, geom.s_prime, 1 - alpha))
-            for axis, (cell, step, exponent) in enumerate(axes):
+            axes = (
+                (geom.cell_x, geom.trans_x, geom.s, alpha),
+                (geom.cell_y, geom.trans_y, geom.s_prime, 1 - alpha),
+            )
+            for axis, (cell, trans, step, exponent) in enumerate(axes):
                 assert cell.radius == step // 3 == gap_set_power(basis, c1 / r, n, exponent).radius
+                assert trans.scale == step
+                assert trans.radius * step <= gap_set_power(basis, c1, n, exponent).radius
                 assert step > 2 * cell.radius
                 if small:
                     assert not nearest_translates_meet(geom, axis)
@@ -295,6 +286,9 @@ def test_family_shift_exact_past_int64(sqrt2):
     # a zero translate keeps a and b exact when they outgrow c
     steep = np.array([[300, 0, 1, 0, 0, 0]], dtype=np.int16)
     assert shift_keys(sqrt2, steep, [(0, 0)], [(0, 0)]).tolist() == steep.tolist()
+    # a list translate in [2^63, 2^64) beside a small entry stays exact
+    moved = shift_keys(sqrt2, steep, [(2**63 + 1, 1)], [(0, 0)])
+    assert moved.tolist() == [[300, 0, 1, 0, -300 * (2**63 + 1), -300]]
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):
