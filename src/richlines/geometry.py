@@ -442,13 +442,9 @@ def shift_keys(basis, keys, tx, ty):
     stay, so a primitive key stays primitive.  Keys and translates are cast
     once to the dtype _exact_dtype picks for c_lambda and the largest entry
     product_bounds allow; _mul_rows takes a*tx and b*ty over (translate, key).
-    The shift bound is read from translate arrays as given.  Other sequences
-    become object arrays, exact at any size: np.asarray would read a list
-    holding an int in [2^63, 2^64) beside a small one as float64.
     """
     d = basis.degree
-    tx, ty = (t if isinstance(t, np.ndarray) else np.array(t, dtype=object) for t in (tx, ty))
-    tx, ty = (t.reshape(-1, d) for t in (tx, ty))
+    tx, ty = (np.array(t, dtype=object).reshape(-1, d) for t in (tx, ty))
     shift = int(max(np.abs(tx).max(initial=0), np.abs(ty).max(initial=0)))
     coeff = int(np.abs(keys[:, : 2 * d]).max(initial=1))
     const = int(np.abs(keys[:, 2 * d :]).max(initial=0))
