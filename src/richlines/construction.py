@@ -23,8 +23,8 @@ counter, _key_richnesses, counts every richness in blocks (_blocks), by one
 rule per degree: in degree 1 in closed form, O(1) per line (a residue class
 inside an interval), and in every higher degree by keys x box columns.  A
 build only builds, and keeps the tuning gate's counts; verify_claim2 counts
-the lines of a fixed-c1 build, so each family key is counted once, and
-replays the multiplier mechanism in one array computation.  A run builds no
+only the lines of a fixed-c1 build, so it counts nothing the gate counted,
+and replays the multiplier mechanism in one array computation.  A run builds no
 Point or Element and one CanonicalLine, the failing line it reports;
 LineFamily.witness_points builds Points on demand.
 
@@ -32,10 +32,14 @@ Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
 passes through two points of one translated cell, so it is a family line,
 and one below r rejects the attempt exactly as the full gate would.  The
-cell's pairs are grouped only when the probe passes, so the verdict, the
-accepted c1 and the family are the full gate's.
+cell's pairs are grouped only when the probe passes, and the full gate then
+counts every family key, the probe's lines again among them, so the
+verdict, the accepted c1 and the family are the full gate's.  Both gates
+count keys in the order given, one block of _blocks at a time, and stop
+at the first block that holds a line below r.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
@@ -57,7 +61,6 @@ from .geometry import (
     _exact_dtype,
     _pair_kernel,
     _sorted_runs,
-    _table_rows,
     canonical_least,
     group_pairs,
     key_tuples,
@@ -81,9 +84,10 @@ POINT_CAP = 50_000
 
 
 class AutoTuneError(RichlinesError, RuntimeError):
-    """No halving of the cell constant made every family line r-rich.
-    Richness is the only test: translates are disjoint by construction
-    (step > 2 (step // 3)), so no attempt checks them."""
+    """The cell degenerated before any halving of the cell constant made
+    every family line r-rich.  Richness is the only test: translates are
+    disjoint by construction (step > 2 (step // 3)), so no attempt checks
+    them."""
 
 
 @dataclass(frozen=True)
@@ -611,37 +615,19 @@ class TunedConstruction:
     halvings: int
 
 
-def _all_raw_rich(basis, keys, box, r, rich=None):
-    """Fast tuning gate: (rich, low) with rich the richness of the raw
-    family keys in the raw order, and low None when every key is r-rich or
-    else the index of a key below r, found at the first block of keys that
-    holds one; rich is then filled only up to that block.
-
-    The nonnegative entries of a given rich are counts already known; the
-    other keys are counted by decreasing max |entry| (steep lines fail
-    first), one counter call per block of _blocks."""
-    if rich is None:
-        rich = np.full(len(keys), -1, dtype=np.int64)
-    todo = np.flatnonzero(rich < 0)
-    todo = todo[np.argsort(-np.abs(keys[todo]).max(axis=1), kind="stable")]
-    for block in _blocks(basis, keys[todo], box):
-        idx = todo[block]
-        rich[idx] = _key_richnesses(basis, keys[idx], box)
-        low = np.flatnonzero(rich[idx] < r)
-        if len(low):
-            return rich, idx[low[0]]
-    return rich, None
-
-
-def _known_counts(keys, probe, counts):
-    """For the key rows keys: counts[k] where the row equals the distinct
-    probe row k, -1 elsewhere, found by _table_rows.  It is the rich
-    argument of _all_raw_rich in the tuning gate."""
-    index = _table_rows(probe, keys)
+def _all_raw_rich(basis, keys, box, r):
+    """Fast tuning gate: (rich, low) with rich the richness of the key rows
+    in their given order, and low None when every key is r-rich or else the
+    index of the first key below r; the keys are counted one block of
+    _blocks at a time, one counter call each, up to the first block that
+    holds a key below r, and rich is -1 past that block."""
     rich = np.full(len(keys), -1, dtype=np.int64)
-    known = index >= 0
-    rich[known] = counts[index[known]]
-    return rich
+    for block in _blocks(basis, keys, box):
+        rich[block] = _key_richnesses(basis, keys[block], box)
+        low = np.flatnonzero(rich[block] < r)
+        if len(low):
+            return rich, block.start + low[0]
+    return rich, None
 
 
 def _below_r(params, key, richness):
@@ -661,27 +647,33 @@ def _gated_family(basis, cell, translates, box, r):
     richness)) for the key row of a line found below r.
 
     The probe, _corner_keys, is gated first; the cell's pairs are grouped
-    only when it passes, and the full gate then counts only the keys the
-    probe did not, so each family key is counted once."""
-    keys = probe = _corner_keys(basis, cell, translates)
-    rich, low = _all_raw_rich(basis, probe, box, r)
+    only when it passes, and the full gate then counts every family key,
+    the probe's lines among them, in the family's raw order."""
+    keys = _corner_keys(basis, cell, translates)
+    rich, low = _all_raw_rich(basis, keys, box, r)
     if low is None:
         family = _raw_family(basis, cell, translates)
         keys = family.keys
-        rich, low = _all_raw_rich(basis, keys, box, r, _known_counts(keys, probe, rich))
+        rich, low = _all_raw_rich(basis, keys, box, r)
     if low is not None:
         return None, None, (keys[low], rich[low])
     return family, rich, None
 
 
-_MAX_HALVINGS = 20  # the most halvings of the cell constant auto_tune_c1 tries
-
-
 def auto_tune_c1(params):
     """Halve the cell constant from its starting value until every family
-    line is r-rich; fail loudly after _MAX_HALVINGS, naming the last line
-    found below r and the configuration.  Translates are disjoint by
-    construction (step > 2 (step // 3)), so r-richness is the only test.
+    line is r-rich; when the cell degenerates first, fail loudly, naming
+    the last line found below r and the configuration.  Translates are
+    disjoint by construction (step > 2 (step // 3)), so r-richness is the
+    only test.
+
+    The cell degenerates within 7, 6, 5 or 4 halvings for d = 1, 2, 3, 4,
+    so the loop needs no cap.  The smaller step is s, as alpha <= 1/2, and
+    the first cell holds at least (2 (s // 3) + 1)^(2d) points, so one
+    within POINT_CAP has s at most 335, 20, 8 or 5.  Each halving divides
+    the root (C1 n^alpha / r)^(1/d), whose floor is s, by 2^(1/d), and the
+    cell degenerates once the root is below 3: from below 336, 21, 9 or 6,
+    that takes 7, 6, 5 or 4 halvings.
 
     Each attempt gates the lines through one cell corner before it builds
     the family (_gated_family).  Those lines are family lines, so one below
@@ -694,7 +686,7 @@ def auto_tune_c1(params):
     basis = params.basis
     box = build_pointset(basis, params.n, params.alpha)
     c1, gated = params.c1, (None, None)
-    for step in range(_MAX_HALVINGS + 1):
+    for step in itertools.count():
         trial = params.with_c1(c1)
         try:
             geom = build_cell_geometry(trial)
@@ -713,10 +705,6 @@ def auto_tune_c1(params):
             gated = cell, translates
         last = (trial, *low)
         c1 = c1 / 2
-    raise AutoTuneError(
-        f"no c1 in {_MAX_HALVINGS} halvings gives a fully r-rich "
-        f"construction ({_below_r(*last)})"
-    )
 
 
 def build_construction(params):

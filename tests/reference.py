@@ -4,7 +4,8 @@ Each one computes its answer one point, pair or line at a time with exact
 Python integers, sharing no array code with the kernel it checks:
 
 - raw_pair_counts_loop: geometry.group_pairs;
-- count_on_line_int: construction._key_richnesses;
+- count_on_line_int: construction._key_richnesses, inverting each pivot
+  by fraction_solve, Gaussian elimination over Fractions;
 - count_incidences: the richness of a line by on_line over every point;
 - nearest_translates_meet: whether two neighbouring translated cells of a
   construction.CellGeometry share a point, by sets of rows;
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from richlines.geometry import CanonicalLine, Point, _primitive_key, on_line
-from richlines.numberfield import Element, integer_inverse
+from richlines.numberfield import Element
 
 
 def raw_pair_counts_loop(basis, xs, ys):
@@ -43,17 +44,45 @@ def raw_pair_counts_loop(basis, xs, ys):
     return raw
 
 
+def fraction_solve(basis, b, a):
+    """Reference a / b: Gaussian elimination over Fractions on M_b q = a,
+    M_b[k][i] the l_k coordinate of l_i * b; None when M_b is singular."""
+    d = basis.degree
+    sc = basis.structure_constants
+    m = [
+        [Fraction(sum(b[j] * sc[i][j][k] for j in range(d))) for i in range(d)]
+        + [Fraction(a[k])]
+        for k in range(d)
+    ]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(d):
+            if r != col and m[r][col]:
+                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[col])]
+    return [row[d] for row in m]
+
+
 def count_on_line_int(basis, key, box):
-    """Richness of the line with integer key (a, b, c) in the box.  Along
-    each column u of the other axis, the pivot's coordinate -(c + other*u) /
-    pivot is tested for membership in its axis' box."""
+    """Richness of the line with integer key (a, b, c) in the box.  The
+    pivot is inverted once by fraction_solve, as the unity (e / e for the
+    first basis vector e) over the pivot, and written q / delta for the
+    least common denominator delta; along each column u of the other axis,
+    the pivot's coordinate -(c + other*u) q / delta is tested for
+    membership in its axis' box."""
     d = basis.degree
     a, b, c = key[:d], key[d : 2 * d], key[2 * d :]
     if any(b):
         pivot, other, columns, target = b, a, box.x_set, box.y_set
     else:
         pivot, other, columns, target = a, b, box.y_set, box.x_set
-    q, delta = integer_inverse(basis, tuple(pivot))
+    e = (1,) + (0,) * (d - 1)
+    inverse = fraction_solve(basis, pivot, fraction_solve(basis, e, e))
+    delta = lcm(*(v.denominator for v in inverse))
+    q = tuple(int(v * delta) for v in inverse)
     mul = basis.mul_coords
     count = 0
     for u in columns:

@@ -678,6 +678,34 @@ def test_auto_tune_failure_modes(integers):
         auto_tune_c1(ConstructionParams(integers, 1500, THIRD, 3, Fraction(1), True))
 
 
+def test_halvings_end_by_degeneracy():
+    """auto_tune_c1 halves the cell constant without a cap, as its docstring
+    proves that a first cell within POINT_CAP degenerates within 7, 6, 5 or
+    4 halvings for d = 1, 2, 3, 4.  For n = 2^k below 2^64, every arithmetic
+    basis, every alpha in ALPHA_GRID and r in (2, 3, 5, 8, 13), the halvings
+    from c1 = 1 to the first degenerate cell are within that bound, and the
+    grid reaches it in every degree.  Only build_cell_geometry runs."""
+    bound = {1: 7, 2: 6, 3: 5, 4: 4}
+    worst = dict.fromkeys(bound, 0)
+    for basis, k, alpha, r in itertools.product(
+        ARITH_BASES, range(2, 64), construction.ALPHA_GRID, (2, 3, 5, 8, 13)
+    ):
+        try:
+            params = ConstructionParams(basis, 2**k, alpha, r)
+            build_cell_geometry(params)
+        except (InvalidParameterError, RTooLargeError):
+            continue
+        for halvings in itertools.count(1):
+            try:
+                build_cell_geometry(params.with_c1(Fraction(1, 2**halvings)))
+            except RTooLargeError:
+                break
+        d = basis.degree
+        assert halvings <= bound[d], (basis.description, 2**k, alpha, r)
+        worst[d] = max(worst[d], halvings)
+    assert worst == bound
+
+
 def test_auto_tune_error_names_failing_line(cbrt2):
     """The AutoTuneError of the cube-root-of-2 cell quotes a line below r as
     lines_to_text writes it, its exact richness and the configuration."""
@@ -714,14 +742,15 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
 
 
 def test_gate_counts_in_counter_blocks(integers, monkeypatch):
-    """The tuning gate on a degree-1 box with |X| = 1001 makes one counter
-    call per _CHUNK_PAIRS keys of its steep-first order and reports the key
-    that counting every key finds first below r in that order.  The keys
-    are the 200,001 horizontal lines y = -c, |c| <= 10^5, each holding
-    1001 points, and the steep lines y = -50000 x (41 points) and y =
-    -20000 x (101 points); 100,000 keys have a larger max |entry| than the
-    first, so it lies in the second block.  At r = 41 every key passes and
-    the gate counts every key once."""
+    """The tuning gate on a degree-1 box with |X| = 1001 counts the keys in
+    their given order, one counter call per _CHUNK_PAIRS keys, and stops at
+    the block that holds the first key below r, which it reports.  The keys
+    are the 200,001 horizontal lines y = -c, |c| <= 10^5, each holding 1001
+    points, with the steep line y = -20000 x (101 points) at index 7, in
+    the first block, and y = -50000 x (41 points) at index 150,000, in the
+    third.  At r = 200 the gate stops at index 7 after one call, at r = 100
+    at index 150,000 after three, and at r = 41 every key passes and the
+    gate counts every key once."""
     chunk = geometry._CHUNK_PAIRS
     box = PointBox(GapSet(integers, 500), GapSet(integers, 10**6))
     keys = [(0, 1, c) for c in range(-100_000, 100_001)]
@@ -729,7 +758,8 @@ def test_gate_counts_in_counter_blocks(integers, monkeypatch):
     keys[150_000:150_000] = [(50_000, 1, 0)]
     keys = np.array(keys)
     every = construction._key_richnesses(integers, keys, box)
-    steep = np.argsort(-np.abs(keys).max(axis=1), kind="stable")
+    assert keys[7].tolist() == [20_000, 1, 0] and every[7] == 101
+    assert keys[150_000].tolist() == [50_000, 1, 0] and every[150_000] == 41
     calls = []
     key_richnesses = construction._key_richnesses
 
@@ -738,13 +768,14 @@ def test_gate_counts_in_counter_blocks(integers, monkeypatch):
         return key_richnesses(basis, keys, box)
 
     monkeypatch.setattr(construction, "_key_richnesses", counting)
-    rich, low = construction._all_raw_rich(integers, keys, box, 200)
-    assert keys[low].tolist() == [50_000, 1, 0] and every[low] == 41
-    assert low == steep[np.flatnonzero(every[steep] < 200)[0]]
-    assert calls == [chunk, chunk]
-    counted = steep[: 2 * chunk]
-    assert rich[counted].tolist() == every[counted].tolist()
-    assert (np.delete(rich, counted) == -1).all()
+    for r, first, blocks in ((200, 7, 1), (100, 150_000, 3)):
+        calls.clear()
+        rich, low = construction._all_raw_rich(integers, keys, box, r)
+        assert low == first == np.flatnonzero(every < r)[0]
+        assert calls == [chunk] * blocks
+        counted = blocks * chunk
+        assert rich[:counted].tolist() == every[:counted].tolist()
+        assert (rich[counted:] == -1).all()
     calls.clear()
     rich, low = construction._all_raw_rich(integers, keys, box, 41)
     assert low is None and rich.tolist() == every.tolist()
@@ -769,8 +800,8 @@ def test_repeated_attempt_gated_once(sqrt2, monkeypatch):
 
         monkeypatch.setattr(construction, name, counting)
     for n, r, translates, gated, line in (
-        (20000, 5, 1, 1, "1/1 0/1 -10/7 -6/7 -5/7 -3/7 has richness 4"),
-        (60000, 9, 81, 2, "1/1 0/1 -8/7 2/7 60/7 -50/7 has richness 3"),
+        (20000, 5, 1, 1, "1/1 0/1 -4/1 -2/1 -4/1 -3/1 has richness 4"),
+        (60000, 9, 81, 2, "1/1 0/1 -4/1 2/1 -26/1 14/1 has richness 4"),
     ):
         calls.update(dict.fromkeys(calls, 0))
         params = ConstructionParams(sqrt2, n, HALF, r, Fraction(1), True)
@@ -805,7 +836,7 @@ def _auto_tune_reference(params):
     the halvings, the family and its richnesses."""
     box = build_pointset(params.basis, params.n, params.alpha)
     c1 = params.c1
-    for step in range(construction._MAX_HALVINGS + 1):
+    for step in itertools.count():
         trial = params.with_c1(c1)
         try:
             geom = build_cell_geometry(trial)
@@ -819,7 +850,6 @@ def _auto_tune_reference(params):
             if ok:
                 return trial.c1, step, family, rich
         c1 = c1 / 2
-    raise AutoTuneError("no c1")
 
 
 def _auto_tune(params):

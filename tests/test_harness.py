@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -446,7 +447,15 @@ def test_benchmark_hook_targets_exist():
     """The public functions the benchmark's tracer hooks by name: renaming
     one would silently zero a benchmark counter."""
     targets = {
-        construction: ("translate_vectors", "build_construction", "verify_claim2", "auto_tune_c1"),
+        construction: (
+            "translate_vectors",
+            "build_construction",
+            "verify_claim2",
+            "auto_tune_c1",
+            "build_cell_geometry",
+            "generate_line_family",
+            "claim1_statistic",
+        ),
         numberfield: ("build_power_basis", "integer_inverse"),
         geometry: ("points_to_text", "lines_to_text"),
         harness: ("sweep",),
@@ -634,16 +643,25 @@ def _count_keys(monkeypatch):
 QUAD_AUTO = {"basis": {"type": "quadratic", "k": 2}, "n": 6561, "alpha": "1/2", "r": 3}
 
 
+def _gated_keys(tuned):
+    """The key rows an accepted first attempt sends to the counter, the
+    corner probe's and the family's, as one sorted list."""
+    family = tuned.family
+    probe = construction._corner_keys(family.basis, family.cell, family.translates)
+    return sorted(itertools.chain(*map(geometry.key_tuples, (probe, family.keys))))
+
+
 def test_tuned_build_counts_each_key_once(monkeypatch):
-    """The accepted attempt of an auto-tuned build sends each family key to
-    the richness counter once, and verify_claim2 takes the gate's counts
-    without counting again."""
+    """The accepted attempt of an auto-tuned build sends each key of its
+    two gates to the richness counter once: the corner probe's keys, then
+    every family key, the probe's lines again among them.  verify_claim2
+    takes the gate's counts without counting again."""
     counted, _, _ = _count_keys(monkeypatch)
     sqrt2 = numberfield.build_quadratic_basis(2)
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)
     box, tuned = construction.build_construction(params)
     assert tuned.halvings == 0 and len(tuned.family) == 1520
-    keys = sorted(geometry.key_tuples(tuned.family.keys))
+    keys = _gated_keys(tuned)
     assert sorted(counted) == keys
     report = construction.verify_claim2(tuned.family, box, 3, tuned.richness)
     assert len(counted) == len(keys)
@@ -653,14 +671,14 @@ def test_tuned_build_counts_each_key_once(monkeypatch):
 
 def test_run_auto_counts_each_key_once(monkeypatch):
     """harness.run on an auto config: the build's tuning gate sends each
-    family key to the counter once, and verify_claim2 runs once, after the
-    build, on the gate's counts."""
+    key of the corner probe and each family key to the counter once, and
+    verify_claim2 runs once, after the build, on the gate's counts."""
     counted, builds, verified = _count_keys(monkeypatch)
     report = run(parse_config(QUAD_AUTO))
     [(tuned, at_build)] = builds
     assert report.num_lines == len(tuned.family) == 1520
     assert at_build == len(counted)
-    assert sorted(counted) == sorted(geometry.key_tuples(tuned.family.keys))
+    assert sorted(counted) == _gated_keys(tuned)
     assert verified == [1]
 
 

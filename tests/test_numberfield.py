@@ -28,6 +28,7 @@ from richlines.numberfield import (
 )
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
+from reference import fraction_solve
 
 
 def rand_element(rng, basis, bound=50):
@@ -211,28 +212,6 @@ def test_integer_inverse_cached(sqrt2):
     # nothing is cached: a second call computes the same answer again
     assert integer_inverse(sqrt2, (1, 1)) == (q, delta)
     assert not hasattr(sqrt2, "_inv_cache")
-
-
-def fraction_solve(basis, b, a):
-    """Reference a / b: Gaussian elimination over Fractions on M_b q = a,
-    M_b[k][i] the l_k coordinate of l_i * b; None when M_b is singular."""
-    d = basis.degree
-    sc = basis.structure_constants
-    m = [
-        [Fraction(sum(b[j] * sc[i][j][k] for j in range(d))) for i in range(d)]
-        + [Fraction(a[k])]
-        for k in range(d)
-    ]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        m[col] = [v / m[col][col] for v in m[col]]
-        for r in range(d):
-            if r != col and m[r][col]:
-                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[col])]
-    return [row[d] for row in m]
 
 
 def test_inverse_divide_and_one_match_fraction_reference():
