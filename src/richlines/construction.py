@@ -12,21 +12,12 @@ and the rate statistics by exact counting.
 
 Points are integer coordinate rows throughout: PointBox.coords() gives the
 box, the cell PointBox(cell_x, cell_y) and the translates PointBox(trans_x,
-trans_y) as (size, 2d) arrays, x then y.  The family is an integer array of
-primitive keys from translation to output, in the narrowest integer type
-that holds them (object past int64): one broadcast moves the cell's keys to
-every translate and one sort deduplicates them.  The family stays in that
-raw order.  Only output sorts it: lines_to_text when it writes lines.txt,
-and canonical_least for the few lines a report names or replays.
-CanonicalLines are built only for lines that are output.  One batched
-counter, _key_richnesses, counts every richness in blocks (_blocks), by one
-rule per degree: in degree 1 in closed form, O(1) per line (a residue class
-inside an interval), and in every higher degree by keys x box columns.  A
-build only builds, and keeps the tuning gate's counts; verify_claim2 counts
-only the lines of a fixed-c1 build, so it counts nothing the gate counted,
-and replays the multiplier mechanism in one array computation.  A run builds no
-Point or Element and one CanonicalLine, the failing line it reports;
-LineFamily.witness_points builds Points on demand.
+trans_y) as (size, 2d) arrays, x then y.  The family module builds the
+line family from them and the richness module counts its lines.  A build
+only builds, and keeps the tuning gate's counts; verify_claim2 counts only
+the lines of a fixed-c1 build, so it counts nothing the gate counted, and
+replays the multiplier mechanism in one array computation.  A run builds
+no Point or Element and one CanonicalLine, the failing line it reports.
 
 Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
@@ -34,19 +25,18 @@ passes through two points of one translated cell, so it is a family line,
 and one below r rejects the attempt exactly as the full gate would.  The
 cell's pairs are grouped only when the probe passes, and the full gate then
 counts every family key, the probe's lines again among them, so the
-verdict, the accepted c1 and the family are the full gate's.  Both gates
-count keys in the order given, one block of _blocks at a time, and stop
-at the first block that holds a line below r.
+verdict, the accepted c1 and the family are the full gate's.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor
+from math import floor
 
 import numpy as np
 
 from .errors import InvalidParameterError, RichlinesError, RTooLargeError
+from .family import LineFamily, _corner_keys, _raw_family
 from .gapset import (
     GapSet,
     floor_scaled_root,
@@ -55,20 +45,15 @@ from .gapset import (
     iroot,
 )
 from .geometry import (
-    _CHUNK_PAIRS,
     CanonicalLine,
     Point,
     _exact_dtype,
-    _pair_kernel,
-    _sorted_runs,
     canonical_least,
-    group_pairs,
-    key_tuples,
     lines_to_text,
     product_bounds,
-    shift_keys,
 )
-from .numberfield import Element, NiceBasis, _cofactor_solve, _mul_matrix, _mul_rows
+from .numberfield import NiceBasis, _mul_rows
+from .richness import _all_raw_rich, _key_richnesses
 
 ALPHA_GRID = (
     Fraction(1, 5),
@@ -231,117 +216,6 @@ def translate_vectors(geom):
     return PointBox(geom.trans_x, geom.trans_y).coords()
 
 
-@dataclass
-class LineFamily:
-    """Globally deduplicated lines as an (n, 3d) array of primitive keys in
-    raw order (in the narrowest integer type that holds every entry, or
-    object past int64): the order _spread leaves them in, not canonical.
-
-    A line's smallest witness is (translate index, i, j): the cell points i
-    and j moved by that translate.  It is stored as the line's origin, its
-    row in the cell's keys moved to every translate and stacked in
-    (translate, cell line) order, and the cell's first pair (i, j) on each
-    of its lines, first; witnesses derives the (n, 3) array.  The cell and
-    the translates are (points, 2d) coordinate rows, x then y.
-
-    Iterating yields CanonicalLines in raw order, which build their
-    coefficients only when asked; witness_points builds one line's witness
-    Points.
-    """
-
-    basis: NiceBasis
-    keys: np.ndarray
-    origin: np.ndarray
-    first: np.ndarray
-    cell: np.ndarray
-    translates: np.ndarray
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __iter__(self):
-        return (CanonicalLine(self.basis, key) for key in key_tuples(self.keys))
-
-    @property
-    def cell_lines(self):
-        """The number of lines the untranslated cell spans."""
-        return len(self.first)
-
-    @property
-    def witnesses(self):
-        """The (n, 3) int64 array of each line's (translate index, i, j)."""
-        return self.witness_rows(slice(None))
-
-    def witness_rows(self, index):
-        """The (translate index, i, j) rows of the lines `index` (an index
-        array or slice)."""
-        t_idx, line = np.divmod(self.origin[index], len(self.first))
-        return np.column_stack([t_idx, self.first[line]])
-
-    def witness_points(self, index):
-        """The two translated cell Points that witness line `index`."""
-        t_idx, i, j = self.witness_rows([index])[0].tolist()
-        d = self.basis.degree
-        rows = self.cell[[i, j]].astype(object) + self.translates[t_idx].astype(object)
-        return tuple(
-            Point(Element(self.basis, row[:d]), Element(self.basis, row[d:]))
-            for row in rows.tolist()
-        )
-
-
-def _raw_family(basis, cell, translates):
-    """The LineFamily of a cell and its translates, both given as coordinate
-    rows, in raw order.
-
-    The cell's pairs are grouped once and each cell key is moved to every
-    translate by _spread; a moved key keeps the cell's first pair on its
-    line as its first witness.
-    """
-    d = basis.degree
-    keys, _, first = group_pairs(basis, cell[:, :d], cell[:, d:])
-    moved, origin = _spread(basis, keys, translates)
-    return LineFamily(basis, moved, origin, first, cell, translates)
-
-
-def _spread(basis, keys, translates):
-    """Key rows of distinct lines moved to every translate by one
-    shift_keys broadcast over the translates' coordinate rows, deduplicated:
-    the distinct moved rows, and the position of each in the moved keys
-    stacked in (translate, key) order.
-
-    A stable sort makes the first translate that reaches a line the head of
-    its run.  It keeps one translate's keys, distinct and lexicographic, in
-    their order: a shift moves c by an amount that (a, b) fixes.
-    """
-    d = basis.degree
-    moved = shift_keys(basis, keys, translates[:, :d], translates[:, d:])
-    order, heads = _sorted_runs(moved.T)
-    rows = order[heads]
-    return moved[rows], rows
-
-
-def _corner_keys(basis, cell, translates):
-    """The probe of the tuning gate: the distinct key rows of the lines
-    through the cell's corner (row 0 of the cell, every coordinate at
-    -radius) and each other cell point, moved to every translate.
-
-    These are the lines of the cell's first n - 1 pairs in row-major order,
-    (0, j), keyed by the kernel of group_pairs.  Each passes through two
-    points of one translated cell, so each is a family line.  Several pairs
-    can key one line, so the anchor keys are deduplicated before they move.
-    _spread's sort would deduplicate them too, but it costs anchor rows x
-    translates: at integers n=10^8, alpha=1/2, r=1000 the 48 anchor rows
-    hold 25 lines, and moving all 48 to the 444,889 translates doubles the
-    probe's memory.
-    """
-    d = basis.degree
-    keys_of, entry = _pair_kernel(basis, cell[:, :d], cell[:, d:])
-    j = np.arange(1, len(cell))
-    anchor = keys_of(np.zeros_like(j), j).astype(entry)
-    order, heads = _sorted_runs(anchor.T)
-    return _spread(basis, anchor[order[heads]], translates)[0]
-
-
 def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
     deduplicated by primitive key, in raw order, with deterministic
@@ -349,150 +223,6 @@ def generate_line_family(geom):
     pair) witness."""
     cell = PointBox(geom.cell_x, geom.cell_y).coords()
     return _raw_family(geom.basis, cell, translate_vectors(geom))
-
-
-# ---------------------------------------------------------------------------
-# Richness counting against the box point set.
-
-
-def _key_richnesses(basis, keys, box):
-    """Exact richness of each key row (a, b, c) in the box, as an int64
-    array, one block of _blocks at a time: in closed form in degree 1
-    (_by_closed_form), and by columns (_by_columns) in higher degrees."""
-    d = basis.degree
-    keys = np.reshape(keys, (len(keys), 3 * d))
-    out = np.zeros(len(keys), dtype=np.int64)
-    count = _by_closed_form if d == 1 else _by_columns
-    for block in _blocks(basis, keys, box):
-        count(basis, keys[block], box, out[block])
-    return out
-
-
-def _blocks(basis, keys, box):
-    """The slices of key rows _key_richnesses counts at once.  A key costs
-    its (key, column) pairs: one in closed form (degree 1), else the columns
-    of the axis _by_columns solves it along, |Y| if b = 0, else |X|.  Key i
-    joins block (cost of keys 0 .. i-1) // _CHUNK_PAIRS."""
-    d = basis.degree
-    if d == 1:
-        return [slice(k, k + _CHUNK_PAIRS) for k in range(0, len(keys), _CHUNK_PAIRS)]
-    cost = np.where((keys[:, d : 2 * d] != 0).any(axis=1), len(box.x_set), len(box.y_set))
-    heads = np.flatnonzero(np.diff((np.cumsum(cost) - cost) // _CHUNK_PAIRS, prepend=-1))
-    return [slice(a, b) for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(keys)])]
-
-
-def _by_closed_form(basis, keys, box, out):
-    """Count into out the richness of each degree-1 key row (a, b, c), O(1)
-    per key.
-
-    With l the basis vector and l l = k l, the box points are (sx i, sy j)
-    for |i| <= Rx and |j| <= Ry, and one lies on the line when A i + B j + c
-    = 0 for A = k a sx and B = k b sy.  The box is symmetric, so i -> -i and
-    j -> -j take A and B to |A| and |B| without changing the count; let A,
-    B >= 0, and g = gcd(A, B).  No point lies on the line unless g divides
-    c.  A line with B = 0 then holds 2 Ry + 1 points if |c| / g <= Rx, and
-    one with A = 0 holds 2 Rx + 1 if |c| / g <= Ry.  Otherwise j is an
-    integer exactly when i = i0 mod m, for m = B / g and i0 = -(c / g) inv
-    mod m, with inv the inverse of A / g mod m; and |j| <= Ry exactly when
-    -(B Ry + c) / A <= i <= (B Ry - c) / A.  Floor divisions count the class
-    inside that interval cut to |i| <= Rx.
-
-    The keys are grouped by direction (a, b) with _sorted_runs, in any
-    order, and g, m and inv are computed once per direction.  Every array
-    takes the dtype _exact_dtype picks for _closed_form_bound, object (exact
-    Python ints) past int64."""
-    (rx, sx), (ry, sy) = ((s.radius, s.scale) for s in (box.x_set, box.y_set))
-    k = abs(basis.structure_constants[0][0][0])
-    dtype = _exact_dtype(_closed_form_bound(basis, keys, box))
-    order, heads = _sorted_runs(keys[:, :2].T)
-    ab = np.abs(keys[order[heads], :2].astype(dtype))
-    # the direction of each key, as a row of the directions' arrays
-    which = np.empty(len(keys), dtype=np.intp)
-    which[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=len(keys)))
-    del order
-    a, b = ab[:, 0] * (k * sx), ab[:, 1] * (k * sy)
-    g = np.gcd(a, b)
-    m = np.where(b == 0, 1, b // g)
-    inv = [pow(u, -1, v) for u, v in zip((a // g).tolist(), m.tolist())]
-    a, b, g, m, inv = (v[which] for v in (a, b, g, m, np.array(inv, dtype=dtype)))
-    c = keys[:, 2].astype(dtype)
-    q = c // g
-    i0 = (-q % m) * inv % m
-    safe = np.where(a == 0, 1, a)
-    lo = np.maximum(-((b * ry + c) // safe), -rx)
-    hi = np.minimum((b * ry - c) // safe, rx)
-    count = np.maximum((hi - i0) // m - (lo - 1 - i0) // m, 0)
-    vertical, flat = b == 0, a == 0
-    count[vertical] = (2 * ry + 1) * (np.abs(q[vertical]) <= rx)
-    count[flat] = (2 * rx + 1) * (np.abs(q[flat]) <= ry)
-    count *= q * g == c
-    out[:] = count
-
-
-def _closed_form_bound(basis, keys, box):
-    """A bound on every intermediate of _by_closed_form: with A and B the
-    largest |k a sx| and |k b sy| and C the largest |c|, (-c / g mod m) inv
-    is below B^2, (c // g) g lies within C + A + B, and the interval ends,
-    cut or not, and their floor quotients by m lie within B (Ry + 1) + C + R
-    + 1 for R the larger radius, so their differences lie within twice
-    that."""
-    (rx, sx), (ry, sy) = ((s.radius, s.scale) for s in (box.x_set, box.y_set))
-    k = abs(basis.structure_constants[0][0][0])
-    ma, mb, mc = (int(np.abs(keys[:, i]).max(initial=0)) for i in range(3))
-    big_a, big_b = k * ma * sx, k * mb * sy
-    return max(
-        k * max(sx, sy),
-        big_b**2,
-        big_a + 2 * (big_b * (ry + 1) + mc + max(rx, ry) + 1),
-    )
-
-
-def _by_columns(basis, keys, box, out):
-    """Count into out the richness of each key row by columns.  Each line is
-    solved for its pivot's axis (y, or x when b = 0) along every column u
-    of the other axis: the solution is -v / det for v = adj(M)(c + other*u)
-    and M the pivot's multiplication matrix, so it lies in the box exactly
-    when every coordinate of v is divisible by scale*det and at most
-    radius*scale*|det|.  It takes one block of _blocks, in the dtype
-    _exact_dtype picks for _block_bound, object past int64."""
-    d = basis.degree
-    vertical = ~(keys[:, d : 2 * d] != 0).any(axis=1)
-    for idx, blocks, columns, target in (
-        (np.flatnonzero(~vertical), (1, 0, 2), box.x_set, box.y_set),
-        (np.flatnonzero(vertical), (0, 1, 2), box.y_set, box.x_set),
-    ):
-        if not len(idx):
-            continue
-        cols = columns.coords()
-        pivot, other, c = (keys[idx, k * d : (k + 1) * d] for k in blocks)
-        dtype = _exact_dtype(_block_bound(basis, pivot, other, c, cols, target))
-        # key coordinates as (keys, 1) arrays, column coordinates as (1, columns)
-        pivot, other, c = (list(m.astype(dtype).T[:, :, None]) for m in (pivot, other, c))
-        # adj(M) c, and adj(M) (other * l_j) for each basis vector l_j
-        (v, *other_l), det = _cofactor_solve(basis, pivot, c, *zip(*_mul_matrix(basis, other)))
-        for ol, u in zip(other_l, cols.astype(dtype).T[:, None, :]):
-            v = [vk + olk * u for vk, olk in zip(v, ol)]
-        step = target.scale * det
-        hit = [(vk % step == 0) & (np.abs(vk) <= target.radius * np.abs(step)) for vk in v]
-        out[idx] = np.all(hit, axis=0).sum(axis=1)
-
-
-def _block_bound(basis, pivot, other, c, cols, target):
-    """A bound on every intermediate of _key_richnesses on one block, and on
-    the column coordinates x: with s the largest product_bounds(1, 1),
-    M_pivot and M_other are at most p s and o s entrywise, so the cofactors
-    of M_pivot are at most a = (d-1)! (p s)^(d-1) and its determinant
-    d p s a."""
-    d = basis.degree
-    p, o, cc, x = (int(np.abs(m).max(initial=0)) for m in (pivot, other, c, cols))
-    s = max(product_bounds(basis, 1, 1))
-    a = factorial(d - 1) * (p * s) ** (d - 1)
-    return max(
-        x,
-        o * s,
-        d * a * (cc + d * o * s * x),
-        max(target.radius, 1) * target.scale * d * p * s * a,
-    )
 
 
 @dataclass
@@ -613,21 +343,6 @@ class TunedConstruction:
     family: LineFamily
     richness: np.ndarray | None  # the tuning gate's int64 counts; None at fixed c1
     halvings: int
-
-
-def _all_raw_rich(basis, keys, box, r):
-    """Fast tuning gate: (rich, low) with rich the richness of the key rows
-    in their given order, and low None when every key is r-rich or else the
-    index of the first key below r; the keys are counted one block of
-    _blocks at a time, one counter call each, up to the first block that
-    holds a key below r, and rich is -1 past that block."""
-    rich = np.full(len(keys), -1, dtype=np.int64)
-    for block in _blocks(basis, keys, box):
-        rich[block] = _key_richnesses(basis, keys[block], box)
-        low = np.flatnonzero(rich[block] < r)
-        if len(low):
-            return rich, block.start + low[0]
-    return rich, None
 
 
 def _below_r(params, key, richness):

@@ -274,7 +274,7 @@ def _primitive_key(basis, flat):
 
 # Pairs, key rows, (direction, point) or (key, box column) pairs per chunk;
 # bounds group_pairs, key_tuples, rich_line_keys and the blocks that
-# construction._blocks cuts for the richness counter and the tuning gate.
+# richness._blocks cuts for the richness counter and the tuning gate.
 _CHUNK_PAIRS = 1 << 16
 
 

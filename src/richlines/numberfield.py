@@ -254,10 +254,6 @@ def _as_rational(basis, x):
     raise TypeError(f"cannot combine {type(x).__name__} with a field element")
 
 
-def zero(basis):
-    return Element(basis, (0,) * basis.degree)
-
-
 def basis_vector(basis, i):
     coords = [0] * basis.degree
     coords[i] = 1

@@ -4,7 +4,7 @@ Each one computes its answer one point, pair or line at a time with exact
 Python integers, sharing no array code with the kernel it checks:
 
 - raw_pair_counts_loop: geometry.group_pairs;
-- count_on_line_int: construction._key_richnesses, inverting each pivot
+- count_on_line_int: richness._key_richnesses, inverting each pivot
   by fraction_solve, Gaussian elimination over Fractions;
 - count_incidences: the richness of a line by on_line over every point;
 - nearest_translates_meet: whether two neighbouring translated cells of a
@@ -13,6 +13,9 @@ Python integers, sharing no array code with the kernel it checks:
   geometry.lines_to_text, one entry at a time through str and Fraction;
 - points_from_text and lines_from_text: the inverses of points_to_text and
   lines_to_text, for their round-trip tests.
+
+witness_points builds the two witness Points of one family line, for the
+tests that check witnesses point by point.
 """
 
 from fractions import Fraction
@@ -154,3 +157,15 @@ def lines_from_text(text, basis):
 def point_rows(points):
     """The coordinate rows (x then y) of a list of Points."""
     return [p.x.coords + p.y.coords for p in points]
+
+
+def witness_points(family, index):
+    """The two translated cell Points that witness line `index` of a
+    LineFamily."""
+    t_idx, i, j = family.witness_rows([index])[0].tolist()
+    d = family.basis.degree
+    rows = family.cell[[i, j]].astype(object) + family.translates[t_idx].astype(object)
+    return tuple(
+        Point(Element(family.basis, row[:d]), Element(family.basis, row[d:]))
+        for row in rows.tolist()
+    )

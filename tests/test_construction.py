@@ -9,13 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from richlines import construction, geometry
+from richlines import construction, geometry, richness
 from richlines.construction import (
     AutoTuneError,
     ConstructionParams,
-    LineFamily,
     PointBox,
-    _key_richnesses,
     auto_tune_c1,
     build_cell_geometry,
     build_construction,
@@ -29,8 +27,10 @@ from richlines.construction import (
     _round_cube_root,
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
+from richlines.family import LineFamily, _raw_family
 from richlines.gapset import GapSet, gap_set, gap_set_power
 from richlines.numberfield import Element, NiceBasis, _mul_rows, build_quadratic_basis
+from richlines.richness import _key_richnesses
 from richlines.geometry import (
     CanonicalLine,
     Point,
@@ -51,6 +51,7 @@ from reference import (
     lines_from_text,
     nearest_translates_meet,
     raw_pair_counts_loop,
+    witness_points,
 )
 
 HALF = Fraction(1, 2)
@@ -196,7 +197,7 @@ def test_family_witnesses_on_their_lines(sqrt2):
     geom = build_cell_geometry(ConstructionParams(sqrt2, 6561, HALF, 3))
     family = generate_line_family(geom)
     for index, line in zip(range(200), family):
-        p, q = family.witness_points(index)
+        p, q = witness_points(family, index)
         assert on_line(p, line) and on_line(q, line)
 
 
@@ -242,7 +243,7 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
         canonical = sorted(family, key=CanonicalLine.sort_key)
         assert canonical == sorted(best, key=CanonicalLine.sort_key)
         for index, line in enumerate(family):
-            witness = (family.witnesses[index][0], family.witness_points(index))
+            witness = (family.witnesses[index][0], witness_points(family, index))
             assert witness == best[line]
 
 
@@ -276,7 +277,7 @@ def test_family_shift_exact_past_int64(sqrt2):
             )
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
-        family = construction._raw_family(sqrt2, cell_rows, _rows(translates))
+        family = _raw_family(sqrt2, cell_rows, _rows(translates))
         keys, witnesses = family.keys, family.witnesses
         bound = max(coeff, const + 2 * max(product_bounds(sqrt2, coeff, big)))
         assert keys.dtype == _exact_dtype(bound)
@@ -325,17 +326,17 @@ def test_line_richness_matches_bruteforce(integers, sqrt2):
 
 def _richness_bound(basis, key, box):
     """The bound whose _exact_dtype the counter takes for the one key:
-    construction._closed_form_bound in degree 1, else _block_bound for a
+    richness._closed_form_bound in degree 1, else _block_bound for a
     block holding the key."""
     d = basis.degree
     if d == 1:
-        return construction._closed_form_bound(basis, np.array([key], dtype=object), box)
+        return richness._closed_form_bound(basis, np.array([key], dtype=object), box)
     a, b, c = (np.array([key[k : k + d]], dtype=object) for k in (0, d, 2 * d))
     if any(key[d : 2 * d]):
         pivot, other, columns, target = b, a, box.x_set, box.y_set
     else:
         pivot, other, columns, target = a, b, box.y_set, box.x_set
-    return construction._block_bound(basis, pivot, other, c, columns.coords(), target)
+    return richness._block_bound(basis, pivot, other, c, columns.coords(), target)
 
 
 def test_batched_richness_matches_per_line_reference():
@@ -366,7 +367,7 @@ def test_batched_richness_matches_per_line_reference():
             if any(key[: 2 * d]):
                 keys.append(key)
         expected = [count_on_line_int(basis, key, box) for key in keys]
-        assert construction._key_richnesses(basis, keys, box).tolist() == expected
+        assert richness._key_richnesses(basis, keys, box).tolist() == expected
         assert 0 in expected and max(expected) > 2
         vertical = [k for k, r in zip(keys, expected) if r and not any(k[d : 2 * d])]
         assert vertical
@@ -389,7 +390,7 @@ def test_batched_richness_matches_per_line_reference():
                     scaled = tuple(t * v for v in key)
                     assert _exact_dtype(_richness_bound(basis, scaled, box)) == dtype
                     assert count_on_line_int(basis, scaled, box) == rich
-                    assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
+                    assert richness._key_richnesses(basis, [scaled], box).tolist() == [rich]
             assert lo  # the int64 threshold
 
 
@@ -464,13 +465,13 @@ def test_counter_paths_match_reference(monkeypatch):
     2^62 is the same line, counted in object dtype."""
     rng = random.Random(18)
     calls = []
-    by_columns = construction._by_columns
+    by_columns = richness._by_columns
 
     def recording(basis, keys, box, out):
         calls.append(len(keys))
         return by_columns(basis, keys, box, out)
 
-    monkeypatch.setattr(construction, "_by_columns", recording)
+    monkeypatch.setattr(richness, "_by_columns", recording)
     # (radius, scale) of X and of Y
     shapes = {1: ((2, 2), (4, 1)), 2: ((1, 2), (2, 1)), 3: ((1, 1), (1, 1)), 4: ((1, 1), (1, 1))}
     for basis in ARITH_BASES:
@@ -482,7 +483,7 @@ def test_counter_paths_match_reference(monkeypatch):
         assert max(expected) > 1 and 0 in expected
         for batch in (keys, [tuple(2**62 * v for v in key) for key in keys]):
             calls.clear()
-            assert construction._key_richnesses(basis, batch, box).tolist() == expected
+            assert richness._key_richnesses(basis, batch, box).tolist() == expected
             assert calls == ([] if d == 1 else [len(keys)])
 
 
@@ -532,11 +533,11 @@ def test_closed_form_matches_reference():
         box = construction.PointBox(GapSet(basis, rx, sx), GapSet(basis, ry, sy))
         keys = _closed_form_keys(box, rng)
         expected = [count_on_line_int(basis, key, box) for key in keys]
-        assert construction._key_richnesses(basis, keys, box).tolist() == expected
+        assert richness._key_richnesses(basis, keys, box).tolist() == expected
         assert max(expected) > 2
         # the same keys in lexicographic order
         ordered = sorted(zip(keys, expected))
-        counts = construction._key_richnesses(basis, [key for key, _ in ordered], box)
+        counts = richness._key_richnesses(basis, [key for key, _ in ordered], box)
         assert counts.tolist() == [rich for _, rich in ordered]
         for (a, b, c), rich in zip(keys, expected):
             g = math.gcd(k * a * sx, k * b * sy)
@@ -568,7 +569,7 @@ def test_closed_form_matches_reference():
                     scaled = tuple(t * v for v in key)
                     assert _exact_dtype(_richness_bound(basis, scaled, box)) == dtype
                     sides.add(dtype)
-                    assert construction._key_richnesses(basis, [scaled], box).tolist() == [rich]
+                    assert richness._key_richnesses(basis, [scaled], box).tolist() == [rich]
     assert len(seen) == 7, seen
     assert sides == {t for _, below, above in DTYPE_THRESHOLDS for t in (below, above)}
     # 2^59 (15 X + 2 Y) = 0 meets the box only at the origin, but at x = +-2
@@ -576,7 +577,7 @@ def test_closed_form_matches_reference():
     box = construction.PointBox(GapSet(integers, 3), GapSet(integers, 3))
     key = (15 * 2**59, 2 * 2**59, 0)
     assert count_on_line_int(integers, key, box) == 1
-    assert construction._key_richnesses(integers, [key], box).tolist() == [1]
+    assert richness._key_richnesses(integers, [key], box).tolist() == [1]
 
 
 def test_counter_counts_block_by_block(integers, sqrt2, monkeypatch):
@@ -593,11 +594,11 @@ def test_counter_counts_block_by_block(integers, sqrt2, monkeypatch):
     calls = []
     for name in ("_by_closed_form", "_by_columns"):
 
-        def recording(basis, keys, box, out, path=getattr(construction, name)):
+        def recording(basis, keys, box, out, path=getattr(richness, name)):
             calls.append(keys.tolist())
             return path(basis, keys, box, out)
 
-        monkeypatch.setattr(construction, name, recording)
+        monkeypatch.setattr(richness, name, recording)
     rng = random.Random(29)
     cases = (
         (integers, PointBox(GapSet(integers, 2, 2), GapSet(integers, 4, 1)), chunk + chunk // 2),
@@ -610,7 +611,7 @@ def test_counter_counts_block_by_block(integers, sqrt2, monkeypatch):
         shuffled = rng.choices(distinct, k=size)
         for batch in (shuffled, sorted(shuffled)):
             calls.clear()
-            counts = construction._key_richnesses(basis, batch, box)
+            counts = richness._key_richnesses(basis, batch, box)
             assert counts.tolist() == [reference[key] for key in batch]
             assert [tuple(key) for block in calls for key in block] == batch
             assert len(calls) > 1
@@ -726,13 +727,13 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
     rejects its one nondegenerate attempt without grouping the cell's
     pairs."""
     calls = []
-    group_pairs = construction.group_pairs
+    group_pairs = geometry.group_pairs
 
     def counting_group_pairs(*args):
         calls.append(args)
         return group_pairs(*args)
 
-    monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
+    monkeypatch.setattr("richlines.family.group_pairs", counting_group_pairs)
     params = ConstructionParams(cbrt2, 18225, HALF, 5, Fraction(1), True)
     geom = build_cell_geometry(params)
     assert len(geom.cell_x) * len(geom.cell_y) == 729
@@ -757,29 +758,63 @@ def test_gate_counts_in_counter_blocks(integers, monkeypatch):
     keys[7:7] = [(20_000, 1, 0)]
     keys[150_000:150_000] = [(50_000, 1, 0)]
     keys = np.array(keys)
-    every = construction._key_richnesses(integers, keys, box)
+    every = richness._key_richnesses(integers, keys, box)
     assert keys[7].tolist() == [20_000, 1, 0] and every[7] == 101
     assert keys[150_000].tolist() == [50_000, 1, 0] and every[150_000] == 41
     calls = []
-    key_richnesses = construction._key_richnesses
+    by_closed_form = richness._by_closed_form
 
-    def counting(basis, keys, box):
+    def counting(basis, keys, box, out):
         calls.append(len(keys))
-        return key_richnesses(basis, keys, box)
+        return by_closed_form(basis, keys, box, out)
 
-    monkeypatch.setattr(construction, "_key_richnesses", counting)
+    monkeypatch.setattr(richness, "_by_closed_form", counting)
     for r, first, blocks in ((200, 7, 1), (100, 150_000, 3)):
         calls.clear()
-        rich, low = construction._all_raw_rich(integers, keys, box, r)
+        rich, low = richness._all_raw_rich(integers, keys, box, r)
         assert low == first == np.flatnonzero(every < r)[0]
         assert calls == [chunk] * blocks
         counted = blocks * chunk
         assert rich[:counted].tolist() == every[:counted].tolist()
         assert (rich[counted:] == -1).all()
     calls.clear()
-    rich, low = construction._all_raw_rich(integers, keys, box, 41)
+    rich, low = richness._all_raw_rich(integers, keys, box, 41)
     assert low is None and rich.tolist() == every.tolist()
     assert calls == [chunk] * 3 + [len(keys) - 3 * chunk]
+
+
+def test_counter_cuts_each_key_array_once(sqrt2, monkeypatch):
+    """_key_richnesses and the tuning gate cut a key array into blocks once
+    a call.  On a quadratic k=2 box with |X| = 49 and |Y| = 3025, the 3025
+    horizontal lines y = v, v in Y, hold 49 points each and cost 49 columns
+    each, so with the line y = -1000, which holds none, at index 2000 the
+    3026 keys span three blocks, the line below r in the second.  The gate
+    at r = 1 stops after that block and at r = 0 counts all three."""
+    box = PointBox(GapSet(sqrt2, 3), GapSet(sqrt2, 27))
+    keys = [(0, 0, 1, 0, -u, -v) for u, v in box.y_set.coords().tolist()]
+    keys.insert(2000, (0, 0, 1, 0, 1000, 0))
+    keys = np.array(keys)
+    _, second, third = richness._blocks(sqrt2, keys, box)
+    assert second.start <= 2000 < second.stop
+    cuts = []
+    blocks = richness._blocks
+
+    def cutting(*args):
+        cuts.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(richness, "_blocks", cutting)
+    every = richness._key_richnesses(sqrt2, keys, box)
+    assert len(cuts) == 1
+    assert every[2000] == 0 and (np.delete(every, 2000) == 49).all()
+    cuts.clear()
+    rich, low = richness._all_raw_rich(sqrt2, keys, box, 1)
+    assert len(cuts) == 1 and low == 2000
+    assert rich[: third.start].tolist() == every[: third.start].tolist()
+    assert (rich[third] == -1).all()
+    cuts.clear()
+    rich, low = richness._all_raw_rich(sqrt2, keys, box, 0)
+    assert len(cuts) == 1 and low is None and rich.tolist() == every.tolist()
 
 
 def test_repeated_attempt_gated_once(sqrt2, monkeypatch):
@@ -825,8 +860,8 @@ def test_repeated_attempt_gated_once(sqrt2, monkeypatch):
 def _full_gate(basis, cell, translates, box, r):
     """The tuning gate without the corner probe: the whole family and every
     key's richness, and whether every key is r-rich."""
-    family = construction._raw_family(basis, cell, translates)
-    rich = construction._key_richnesses(basis, family.keys, box)
+    family = _raw_family(basis, cell, translates)
+    rich = richness._key_richnesses(basis, family.keys, box)
     return family, rich.tolist(), bool(rich.min() >= r)
 
 
@@ -1022,7 +1057,7 @@ def _mechanism_reference(family, box, r):
     total = inside = 0
     all_on = True
     for index, line in _mechanism_sample(family):
-        p, q = family.witness_points(index)
+        p, q = witness_points(family, index)
         dx, dy = p.x - q.x, p.y - q.y
         for t in multipliers:
             point = Point(p.x + t * dx, p.y + t * dy)
@@ -1045,7 +1080,7 @@ def _random_family(basis, rng, size, translates):
     while len(cell) < size:
         x, y = ([rng.randint(-2, 2) for _ in range(basis.degree)] for _ in range(2))
         cell[tuple(x), tuple(y)] = x + y
-    return construction._raw_family(basis, np.array(list(cell.values())), _rows(translates))
+    return _raw_family(basis, np.array(list(cell.values())), _rows(translates))
 
 
 def test_mechanism_replay_matches_element_reference(integers, sqrt2, monkeypatch):
@@ -1154,7 +1189,7 @@ def test_structure_constants_wider_than_int8_operands():
             assert len(expected) == (r < 6)
 
     zero = np.zeros((1, 4), dtype=np.int8)
-    family = construction._raw_family(basis, cell, zero)
+    family = _raw_family(basis, cell, zero)
     family.keys = family.keys.astype(np.int8)
     box = PointBox(GapSet(basis, 1), GapSet(basis, 1))
     for r in (2, 3):

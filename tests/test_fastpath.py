@@ -12,13 +12,13 @@ import numpy as np
 from richlines import geometry as geo
 from richlines.construction import (
     ConstructionParams,
-    _key_richnesses,
     build_construction,
     build_pointset,
 )
 from richlines.gapset import GapSet
 from richlines.geometry import CanonicalLine, Point, line_through, lines_to_text, on_line
 from richlines.numberfield import Element, NiceBasis, build_quadratic_basis
+from richlines.richness import _key_richnesses
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 from reference import count_incidences, raw_pair_counts_loop

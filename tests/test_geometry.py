@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from richlines import geometry as geo
-from richlines.construction import LineFamily, _raw_family
 from richlines.errors import DegeneratePairError, InvalidParameterError
+from richlines.family import LineFamily, _raw_family
 from richlines.geometry import (
     CanonicalLine,
     collinear,

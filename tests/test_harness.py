@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from richlines import cli, construction, gapset, geometry, harness, numberfield
+from richlines import cli, construction, gapset, geometry, harness, numberfield, richness
 from richlines.errors import ConfigError, InvalidParameterError
+from richlines.family import _corner_keys
 from richlines.harness import (
     CSV_COLUMNS,
     fit_loglog,
@@ -538,7 +539,7 @@ def test_pipeline_builds_no_fractions(monkeypatch):
     calls = {"rational": 0, "group_pairs": 0, "line": 0}
     init = numberfield.RationalElement.__init__
     line_init = geometry.CanonicalLine.__init__
-    group_pairs = construction.group_pairs
+    group_pairs = geometry.group_pairs
 
     def counting_init(self, *args):
         calls["rational"] += 1
@@ -554,7 +555,7 @@ def test_pipeline_builds_no_fractions(monkeypatch):
 
     monkeypatch.setattr(numberfield.RationalElement, "__init__", counting_init)
     monkeypatch.setattr(geometry.CanonicalLine, "__init__", counting_line_init)
-    monkeypatch.setattr(construction, "group_pairs", counting_group_pairs)
+    monkeypatch.setattr("richlines.family.group_pairs", counting_group_pairs)
     report = run(parse_config(SWEEP_CFG), r=3)
     assert report.num_lines == 21400 and report.frac_r_rich < 1
     assert calls == {"rational": 0, "group_pairs": 1, "line": 1}
@@ -616,13 +617,13 @@ def _count_keys(monkeypatch):
     that harness makes and each verify_claim2 call, how many keys had been
     sent and how many builds had returned by then."""
     counted, builds, verified = [], [], []
-    key_richnesses = construction._key_richnesses
+    key_richnesses = richness._key_richnesses
     build_construction = construction.build_construction
     verify_claim2 = construction.verify_claim2
 
-    def counting(basis, keys, box):
+    def counting(basis, keys, box, r=0):
         counted.extend(geometry.key_tuples(keys))
-        return key_richnesses(basis, keys, box)
+        return key_richnesses(basis, keys, box, r)
 
     def building(params):
         box, tuned = build_construction(params)
@@ -634,6 +635,7 @@ def _count_keys(monkeypatch):
         return verify_claim2(*args)
 
     monkeypatch.setattr(construction, "_key_richnesses", counting)
+    monkeypatch.setattr(richness, "_key_richnesses", counting)
     monkeypatch.setattr(construction, "verify_claim2", verifying)
     monkeypatch.setattr(harness, "verify_claim2", verifying, raising=False)
     monkeypatch.setattr(harness, "build_construction", building)
@@ -647,7 +649,7 @@ def _gated_keys(tuned):
     """The key rows an accepted first attempt sends to the counter, the
     corner probe's and the family's, as one sorted list."""
     family = tuned.family
-    probe = construction._corner_keys(family.basis, family.cell, family.translates)
+    probe = _corner_keys(family.basis, family.cell, family.translates)
     return sorted(itertools.chain(*map(geometry.key_tuples, (probe, family.keys))))
 
 
@@ -665,7 +667,7 @@ def test_tuned_build_counts_each_key_once(monkeypatch):
     assert sorted(counted) == keys
     report = construction.verify_claim2(tuned.family, box, 3, tuned.richness)
     assert len(counted) == len(keys)
-    recount = construction._key_richnesses(sqrt2, tuned.family.keys, box)
+    recount = richness._key_richnesses(sqrt2, tuned.family.keys, box)
     assert report.richnesses.tolist() == recount.tolist()
 
 
@@ -726,19 +728,20 @@ def _columns_share(monkeypatch, config, **kwargs):
     """The keys harness.run sends to the richness counter, and how many of
     them the columns path counts."""
     sent, columns = [], []
-    key_richnesses = construction._key_richnesses
-    by_columns = construction._by_columns
+    key_richnesses = richness._key_richnesses
+    by_columns = richness._by_columns
 
-    def counting(basis, keys, box):
+    def counting(basis, keys, box, r=0):
         sent.append(len(keys))
-        return key_richnesses(basis, keys, box)
+        return key_richnesses(basis, keys, box, r)
 
     def recording(basis, keys, box, out):
         columns.append(len(keys))
         return by_columns(basis, keys, box, out)
 
     monkeypatch.setattr(construction, "_key_richnesses", counting)
-    monkeypatch.setattr(construction, "_by_columns", recording)
+    monkeypatch.setattr(richness, "_key_richnesses", counting)
+    monkeypatch.setattr(richness, "_by_columns", recording)
     run(parse_config(config), **kwargs)
     monkeypatch.undo()
     return sum(sent), sum(columns)
