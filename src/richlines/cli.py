@@ -55,7 +55,7 @@ def _dump_artifacts(args, config, report, out_dir):
             fh.write(points_to_text(box.coords()))
     if args.dump_lines:
         with open(os.path.join(out_dir, "lines.txt"), "w") as fh:
-            fh.write(lines_to_text(tuned.family))
+            fh.write(lines_to_text(tuned.family.basis, tuned.family.keys))
 
 
 def cmd_construct(args):

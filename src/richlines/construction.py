@@ -46,14 +46,13 @@ from .gapset import (
 )
 from .geometry import (
     CanonicalLine,
-    Point,
     _exact_dtype,
     canonical_least,
     lines_to_text,
     product_bounds,
 )
 from .numberfield import NiceBasis, _mul_rows
-from .richness import _all_raw_rich, _key_richnesses
+from .richness import _key_richnesses
 
 ALPHA_GRID = (
     Fraction(1, 5),
@@ -109,9 +108,8 @@ class ConstructionParams:
 
 
 class PointBox:
-    """The Cartesian product of two GAP boxes, as a deterministic point
-    sequence with O(1) membership.  The pipeline reads its coordinate rows,
-    coords(); iteration yields Points."""
+    """The Cartesian product of two GAP boxes, read as its coordinate rows,
+    coords()."""
 
     def __init__(self, x_set, y_set):
         self.x_set = x_set
@@ -125,23 +123,11 @@ class PointBox:
     def __len__(self):
         return self.size
 
-    def __iter__(self):
-        ys = list(self.y_set)
-        for x in self.x_set:
-            for y in ys:
-                yield Point(x, y)
-
     def coords(self):
-        """The (size, 2d) array of point coordinates, x then y, in iteration
-        order (x-major), in the wider dtype of the two axes' coords()."""
+        """The (size, 2d) array of point coordinates, x then y, x-major, in
+        the wider dtype of the two axes' coords()."""
         x, y = self.x_set.coords(), self.y_set.coords()
         return np.concatenate([np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1))], axis=1)
-
-    def contains(self, p):
-        return self.x_set.contains(p.x) and self.y_set.contains(p.y)
-
-    def __contains__(self, p):
-        return self.contains(p)
 
 
 def build_pointset(basis, n, alpha):
@@ -347,9 +333,9 @@ class TunedConstruction:
 
 def _below_r(params, key, richness):
     """Why an attempt was rejected: its line below r and the configuration."""
-    line = CanonicalLine(params.basis, tuple(key.tolist()))
+    line = lines_to_text(params.basis, key[None]).strip()
     return (
-        f"line {lines_to_text([line]).strip()} has richness {richness} < r={params.r} "
+        f"line {line} has richness {richness} < r={params.r} "
         f"at c1={params.c1}, basis {params.basis.description}, n={params.n}, "
         f"alpha={params.alpha}"
     )
@@ -365,14 +351,14 @@ def _gated_family(basis, cell, translates, box, r):
     only when it passes, and the full gate then counts every family key,
     the probe's lines among them, in the family's raw order."""
     keys = _corner_keys(basis, cell, translates)
-    rich, low = _all_raw_rich(basis, keys, box, r)
-    if low is None:
+    rich = _key_richnesses(basis, keys, box, r)
+    if (rich >= r).all():
         family = _raw_family(basis, cell, translates)
-        keys = family.keys
-        rich, low = _all_raw_rich(basis, keys, box, r)
-    if low is not None:
-        return None, None, (keys[low], rich[low])
-    return family, rich, None
+        keys, rich = family.keys, _key_richnesses(basis, family.keys, box, r)
+        if (rich >= r).all():
+            return family, rich, None
+    low = np.flatnonzero(rich < r)[0]
+    return None, None, (keys[low], rich[low])
 
 
 def auto_tune_c1(params):

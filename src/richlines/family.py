@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    CanonicalLine,
-    _pair_kernel,
-    _sorted_runs,
-    group_pairs,
-    key_tuples,
-    shift_keys,
-)
+from .geometry import _pair_kernel, _sorted_runs, group_pairs, shift_keys
 from .numberfield import NiceBasis
 
 
@@ -39,11 +32,8 @@ class LineFamily:
     and j moved by that translate.  It is stored as the line's origin, its
     row in the cell's keys moved to every translate and stacked in
     (translate, cell line) order, and the cell's first pair (i, j) on each
-    of its lines, first; witnesses derives the (n, 3) array.  The cell and
-    the translates are (points, 2d) coordinate rows, x then y.
-
-    Iterating yields CanonicalLines in raw order, which build their
-    coefficients only when asked.
+    of its lines, first; witness_rows derives the (n, 3) rows asked for.
+    The cell and the translates are (points, 2d) coordinate rows, x then y.
     """
 
     basis: NiceBasis
@@ -56,18 +46,10 @@ class LineFamily:
     def __len__(self):
         return len(self.keys)
 
-    def __iter__(self):
-        return (CanonicalLine(self.basis, key) for key in key_tuples(self.keys))
-
     @property
     def cell_lines(self):
         """The number of lines the untranslated cell spans."""
         return len(self.first)
-
-    @property
-    def witnesses(self):
-        """The (n, 3) int64 array of each line's (translate index, i, j)."""
-        return self.witness_rows(slice(None))
 
     def witness_rows(self, index):
         """The (translate index, i, j) rows of the lines `index` (an index

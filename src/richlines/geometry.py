@@ -11,7 +11,7 @@ demand, as integer (numerator, denominator) pairs for ordering and text
 output and as Fraction-based RationalElements only when coeffs() is called.
 Those pairs, entry by entry, define the canonical order of lines, and
 only output reads it: canonical_order gives the permutation of a whole key
-array, lines_to_text writes a LineFamily in that order, and canonical_least
+array, lines_to_text writes a key array in that order, and canonical_least
 picks the few rows first in it without sorting the rest.
 
 Points enter the kernels as integer coordinate rows, never as Point
@@ -33,10 +33,9 @@ its check of the family shares no grouping step with the family's own
 kernel, and writes no key row for a rich line.
 
 points_to_text and lines_to_text write the point and line dumps, from
-coordinate rows and from a LineFamily's key array, sorted as it is written
-(or a list of CanonicalLines, as given).  Both write their integers
-through one renderer, _render, which builds the text's bytes from the
-array in numpy; only entries past int64 go through str.
+coordinate rows and from a key array, sorted as it is written.  Both write
+their integers through one renderer, _render, which builds the text's bytes
+from the array in numpy; only entries past int64 go through str.
 """
 
 from fractions import Fraction
@@ -215,11 +214,6 @@ def raw_line_coeffs(p, q):
     return a, b, c
 
 
-def canonicalize_triple(basis, a, b, c):
-    """The CanonicalLine of the integer coefficient triple (a, b, c)."""
-    return CanonicalLine(basis, _primitive_key(basis, a.coords + b.coords + c.coords))
-
-
 def line_through(p, q):
     """CanonicalLine through two distinct points; both satisfy it exactly."""
     if p.basis != q.basis:
@@ -227,7 +221,7 @@ def line_through(p, q):
     if p == q:
         raise DegeneratePairError("need two distinct points")
     a, b, c = raw_line_coeffs(p, q)
-    return canonicalize_triple(p.basis, a, b, c)
+    return CanonicalLine(p.basis, _primitive_key(p.basis, a.coords + b.coords + c.coords))
 
 
 def on_line(p, line):
@@ -759,26 +753,15 @@ def points_to_text(rows):
     return _render(rows, " " * (rows.shape[1] - 1) + "\n")
 
 
-def lines_to_text(lines):
-    """One line per row: its 3d coefficient coordinates "num/den", reduced
-    with positive denominators, with the pivot (A, or B when A = 0) unity.
-
-    lines: a LineFamily, whose key array is written in canonical order (its
-    coefficient pairs are computed once, then sorted), or an iterable of
-    CanonicalLines of one basis, written in the order given."""
-    keys = getattr(lines, "keys", None)
-    if isinstance(keys, np.ndarray):
-        num, den = _coeff_pairs(lines.basis, keys)
-        order = _pair_order(num, den)
-        num, den = num[order], den[order]
-    else:
-        lines = list(lines)
-        if not lines:
-            return ""
-        keys = np.array([line.key for line in lines], dtype=object)
-        num, den = _coeff_pairs(lines[0].basis, keys)
+def lines_to_text(basis, keys):
+    """One line per primitive key row of keys, in canonical order: its 3d
+    coefficient coordinates "num/den", reduced with positive denominators,
+    with the pivot (A, or B when A = 0) unity.  The coefficient pairs are
+    computed once, then sorted."""
+    num, den = _coeff_pairs(basis, keys)
+    order = _pair_order(num, den)
     pairs = np.empty((len(num), 2 * num.shape[1]), dtype=num.dtype)
-    pairs[:, 0::2], pairs[:, 1::2] = num, den
+    pairs[:, 0::2], pairs[:, 1::2] = num[order], den[order]
     return _render(pairs, "/ " * (num.shape[1] - 1) + "/\n")
 
 

@@ -6,10 +6,9 @@ line (a residue class inside an interval), and in every higher degree by
 keys x box columns.  Each rule computes in the dtype _exact_dtype picks for
 its bound (_closed_form_bound, _block_bound), object past int64.
 
-The tuning gate, _all_raw_rich, is the counter's early-stop form: it counts
-the keys in the order given, one block at a time, and stops at the first
-block that holds a line below r.  Either form cuts a key array into blocks
-once.
+Given r > 0, the counter is the tuning gate: it counts the keys in the
+order given, one block at a time, and stops at the first block that holds
+a line below r.  Either way it cuts a key array into blocks once.
 """
 
 from math import factorial
@@ -162,14 +161,3 @@ def _block_bound(basis, pivot, other, c, cols, target):
         d * a * (cc + d * o * s * x),
         max(target.radius, 1) * target.scale * d * p * s * a,
     )
-
-
-def _all_raw_rich(basis, keys, box, r):
-    """Fast tuning gate: (rich, low) with rich the richness of the key rows
-    in their given order, and low None when every key is r-rich or else the
-    index of the first key below r; the keys are counted by _key_richnesses
-    up to the first block that holds a key below r, and rich is -1 past
-    that block."""
-    rich = _key_richnesses(basis, keys, box, r)
-    low = np.flatnonzero(rich < r)
-    return rich, (low[0] if len(low) else None)

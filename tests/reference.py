@@ -3,9 +3,13 @@
 Each one computes its answer one point, pair or line at a time with exact
 Python integers, sharing no array code with the kernel it checks:
 
-- raw_pair_counts_loop: geometry.group_pairs;
+- raw_pair_counts_loop: geometry.group_pairs, keying each pair by
+  geometry._primitive_key;
+- fraction_key: geometry._primitive_key, dividing each block by the pivot
+  with fraction_solve, Gaussian elimination over Fractions, where the
+  kernels multiply by the pivot's adjugate;
 - count_on_line_int: richness._key_richnesses, inverting each pivot
-  by fraction_solve, Gaussian elimination over Fractions;
+  by fraction_solve;
 - count_incidences: the richness of a line by on_line over every point;
 - nearest_translates_meet: whether two neighbouring translated cells of a
   construction.CellGeometry share a point, by sets of rows;
@@ -14,14 +18,16 @@ Python integers, sharing no array code with the kernel it checks:
 - points_from_text and lines_from_text: the inverses of points_to_text and
   lines_to_text, for their round-trip tests.
 
-witness_points builds the two witness Points of one family line, for the
-tests that check witnesses point by point.
+The scalar views of the pipeline's arrays: box_points and box_contains give
+a PointBox's Points and test one for membership, family_lines gives a
+LineFamily's CanonicalLines and witness_points the two witness Points of
+one family line, for the tests that check them one at a time.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from richlines.geometry import CanonicalLine, Point, _primitive_key, on_line
+from richlines.geometry import CanonicalLine, Point, _primitive_key, key_tuples, on_line
 from richlines.numberfield import Element
 
 
@@ -67,6 +73,23 @@ def fraction_solve(basis, b, a):
             if r != col and m[r][col]:
                 m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[col])]
     return [row[d] for row in m]
+
+
+def fraction_key(basis, flat):
+    """The primitive key of the flat integer triple (a, b, c): each block
+    over the pivot (a, or b when a = 0) by fraction_solve, so that the pivot
+    becomes unity, times the least common denominator, content-reduced with
+    its first nonzero entry made positive."""
+    d = basis.degree
+    blocks = flat[:d], flat[d : 2 * d], flat[2 * d :]
+    pivot = blocks[0] if any(blocks[0]) else blocks[1]
+    solved = [v for block in blocks for v in fraction_solve(basis, pivot, block)]
+    den = lcm(*(v.denominator for v in solved))
+    key = [int(v * den) for v in solved]
+    g = gcd(*key)
+    if next(v for v in key if v) < 0:
+        g = -g
+    return tuple(v // g for v in key)
 
 
 def count_on_line_int(basis, key, box):
@@ -150,13 +173,29 @@ def lines_from_text(text, basis):
     for row in text.splitlines():
         vals = [Fraction(v) for v in row.split()]
         den = lcm(*(f.denominator for f in vals))
-        lines.append(CanonicalLine(basis, _primitive_key(basis, tuple(int(f * den) for f in vals))))
+        lines.append(CanonicalLine(basis, fraction_key(basis, tuple(int(f * den) for f in vals))))
     return lines
 
 
 def point_rows(points):
     """The coordinate rows (x then y) of a list of Points."""
     return [p.x.coords + p.y.coords for p in points]
+
+
+def box_points(box):
+    """The Points of a PointBox, x-major, in the order of its coords()."""
+    ys = list(box.y_set)
+    return [Point(x, y) for x in box.x_set for y in ys]
+
+
+def box_contains(box, p):
+    """Whether the Point p lies in the PointBox."""
+    return box.x_set.contains(p.x) and box.y_set.contains(p.y)
+
+
+def family_lines(family):
+    """The CanonicalLines of a LineFamily's keys, in its raw order."""
+    return [CanonicalLine(family.basis, key) for key in key_tuples(family.keys)]
 
 
 def witness_points(family, index):

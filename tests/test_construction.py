@@ -47,7 +47,10 @@ from richlines.geometry import (
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 from reference import (
+    box_contains,
+    box_points,
     count_on_line_int,
+    family_lines,
     lines_from_text,
     nearest_translates_meet,
     raw_pair_counts_loop,
@@ -122,7 +125,7 @@ def test_translate_vectors_order(integers, sqrt2):
 
 
 def test_point_box_coords():
-    """PointBox.coords() rows are the box's Points in iteration order, x
+    """PointBox.coords() rows are the box's Points in box_points' order, x
     then y, for every arithmetic basis, with unequal and scaled axes, and in
     object dtype on a scale past int64."""
     for basis in ARITH_BASES:
@@ -134,10 +137,12 @@ def test_point_box_coords():
             box = PointBox(x_set, y_set)
             rows = box.coords()
             assert rows.shape == (box.size, 2 * d)
-            assert rows.tolist() == [list(p.x.coords + p.y.coords) for p in box]
+            assert rows.tolist() == [list(p.x.coords + p.y.coords) for p in box_points(box)]
         box = PointBox(GapSet(basis, 1, scale=2**70), GapSet(basis, 1))
         assert box.coords().dtype == object
-        assert box.coords().tolist() == [list(p.x.coords + p.y.coords) for p in box]
+        assert box.coords().tolist() == [
+            list(p.x.coords + p.y.coords) for p in box_points(box)
+        ]
 
 
 def test_overlapping_translates_detected(integers, sqrt2):
@@ -196,7 +201,7 @@ def test_cell_radius_is_a_third_of_the_step():
 def test_family_witnesses_on_their_lines(sqrt2):
     geom = build_cell_geometry(ConstructionParams(sqrt2, 6561, HALF, 3))
     family = generate_line_family(geom)
-    for index, line in zip(range(200), family):
+    for index, line in zip(range(200), family_lines(family)):
         p, q = witness_points(family, index)
         assert on_line(p, line) and on_line(q, line)
 
@@ -205,7 +210,7 @@ def test_family_dedups_across_translates(integers):
     geom = build_cell_geometry(ConstructionParams(integers, 2304, HALF, 3, HALF))
     family = generate_line_family(geom)
     per_translate_total = 0
-    cell = list(PointBox(geom.cell_x, geom.cell_y))
+    cell = box_points(PointBox(geom.cell_x, geom.cell_y))
     for tx, ty in itertools.product(geom.trans_x, geom.trans_y):
         shifted = [Point(p.x + tx, p.y + ty) for p in cell]
         xs, ys = [p.x.coords for p in shifted], [p.y.coords for p in shifted]
@@ -216,7 +221,7 @@ def test_family_dedups_across_translates(integers):
 def _family_by_pair_scan(geom):
     """Reference family: line_through over every pair of every translated
     cell, keeping the smallest (translate index, i, j) witness per line."""
-    cell = list(PointBox(geom.cell_x, geom.cell_y))
+    cell = box_points(PointBox(geom.cell_x, geom.cell_y))
     best = {}
     for t_idx, (tx, ty) in enumerate(itertools.product(geom.trans_x, geom.trans_y)):
         pts = [Point(p.x + tx, p.y + ty) for p in cell]
@@ -240,10 +245,11 @@ def test_family_matches_pair_scan_reference(integers, sqrt2):
         family = generate_line_family(geom)
         best = _family_by_pair_scan(geom)
         # the family is in raw order: compare the lines in canonical order
-        canonical = sorted(family, key=CanonicalLine.sort_key)
+        lines, witnesses = family_lines(family), family.witness_rows(slice(None))
+        canonical = sorted(lines, key=CanonicalLine.sort_key)
         assert canonical == sorted(best, key=CanonicalLine.sort_key)
-        for index, line in enumerate(family):
-            witness = (family.witnesses[index][0], witness_points(family, index))
+        for index, line in enumerate(lines):
+            witness = (witnesses[index][0], witness_points(family, index))
             assert witness == best[line]
 
 
@@ -278,7 +284,7 @@ def test_family_shift_exact_past_int64(sqrt2):
             for key, (_, i, j) in sorted(raw.items(), key=lambda kv: kv[1][1:]):
                 best.setdefault(key, (t_idx, i, j))
         family = _raw_family(sqrt2, cell_rows, _rows(translates))
-        keys, witnesses = family.keys, family.witnesses
+        keys, witnesses = family.keys, family.witness_rows(slice(None))
         bound = max(coeff, const + 2 * max(product_bounds(sqrt2, coeff, big)))
         assert keys.dtype == _exact_dtype(bound)
         assert keys.dtype == {10: np.int16, 10**17: np.int64, 10**19: object}[big]
@@ -318,7 +324,7 @@ def test_line_richness_matches_bruteforce(integers, sqrt2):
     # X + (2^62 - 3)/(2^62 + 1) Y = 0: a*x overflows int64 inside the box
     box = build_pointset(integers, 100, HALF)
     (line,) = lines_from_text(f"1/1 {2**62 - 3}/{2**62 + 1} 0/1\n", integers)
-    exact = sum(on_line(p, line) for p in box)
+    exact = sum(on_line(p, line) for p in box_points(box))
     assert exact == 1
     assert _key_richnesses(integers, [line.key], box).tolist() == [exact]
     assert count_on_line_int(integers, line.key, box) == exact
@@ -642,13 +648,13 @@ def test_verify_claim2_tuned(integers):
     # below r fail
     assert verify_claim2(tuned.family, box, 5).failing_line is None
     report = verify_claim2(tuned.family, box, 6)
-    below = [line for line, k in zip(tuned.family, report.richnesses.tolist()) if k < 6]
+    lines = family_lines(tuned.family)
+    below = [line for line, k in zip(lines, report.richnesses.tolist()) if k < 6]
     assert len(below) > 1
     assert report.failing_line == min(below, key=CanonicalLine.sort_key)
     # given counts that put random lines below r, the least of those fails;
     # the lines are not horizontal, since those lead both raw and canonical
     # order
-    lines = list(tuned.family)
     slanted = np.flatnonzero(tuned.family.keys[:, 0]).tolist()
     rng = random.Random(7)
     for _ in range(5):
@@ -743,10 +749,11 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
 
 
 def test_gate_counts_in_counter_blocks(integers, monkeypatch):
-    """The tuning gate on a degree-1 box with |X| = 1001 counts the keys in
-    their given order, one counter call per _CHUNK_PAIRS keys, and stops at
-    the block that holds the first key below r, which it reports.  The keys
-    are the 200,001 horizontal lines y = -c, |c| <= 10^5, each holding 1001
+    """The tuning gate, _key_richnesses given r, on a degree-1 box with
+    |X| = 1001 counts the keys in their given order, one counter call per
+    _CHUNK_PAIRS keys, and stops at the block that holds the first key
+    below r, whose count is the first below r.  The keys are the 200,001
+    horizontal lines y = -c, |c| <= 10^5, each holding 1001
     points, with the steep line y = -20000 x (101 points) at index 7, in
     the first block, and y = -50000 x (41 points) at index 150,000, in the
     third.  At r = 200 the gate stops at index 7 after one call, at r = 100
@@ -771,22 +778,23 @@ def test_gate_counts_in_counter_blocks(integers, monkeypatch):
     monkeypatch.setattr(richness, "_by_closed_form", counting)
     for r, first, blocks in ((200, 7, 1), (100, 150_000, 3)):
         calls.clear()
-        rich, low = richness._all_raw_rich(integers, keys, box, r)
-        assert low == first == np.flatnonzero(every < r)[0]
+        rich = richness._key_richnesses(integers, keys, box, r)
+        assert np.flatnonzero(rich < r)[0] == first == np.flatnonzero(every < r)[0]
         assert calls == [chunk] * blocks
         counted = blocks * chunk
         assert rich[:counted].tolist() == every[:counted].tolist()
         assert (rich[counted:] == -1).all()
     calls.clear()
-    rich, low = richness._all_raw_rich(integers, keys, box, 41)
-    assert low is None and rich.tolist() == every.tolist()
+    rich = richness._key_richnesses(integers, keys, box, 41)
+    assert (rich >= 41).all() and rich.tolist() == every.tolist()
     assert calls == [chunk] * 3 + [len(keys) - 3 * chunk]
 
 
 def test_counter_cuts_each_key_array_once(sqrt2, monkeypatch):
-    """_key_richnesses and the tuning gate cut a key array into blocks once
-    a call.  On a quadratic k=2 box with |X| = 49 and |Y| = 3025, the 3025
-    horizontal lines y = v, v in Y, hold 49 points each and cost 49 columns
+    """_key_richnesses cuts a key array into blocks once a call, as the full
+    count and as the tuning gate.  On a quadratic k=2 box with |X| = 49 and
+    |Y| = 3025, the 3025 horizontal lines y = v, v in Y, hold 49 points
+    each and cost 49 columns
     each, so with the line y = -1000, which holds none, at index 2000 the
     3026 keys span three blocks, the line below r in the second.  The gate
     at r = 1 stops after that block and at r = 0 counts all three."""
@@ -808,13 +816,13 @@ def test_counter_cuts_each_key_array_once(sqrt2, monkeypatch):
     assert len(cuts) == 1
     assert every[2000] == 0 and (np.delete(every, 2000) == 49).all()
     cuts.clear()
-    rich, low = richness._all_raw_rich(sqrt2, keys, box, 1)
-    assert len(cuts) == 1 and low == 2000
+    rich = richness._key_richnesses(sqrt2, keys, box, 1)
+    assert len(cuts) == 1 and np.flatnonzero(rich < 1)[0] == 2000
     assert rich[: third.start].tolist() == every[: third.start].tolist()
     assert (rich[third] == -1).all()
     cuts.clear()
-    rich, low = richness._all_raw_rich(sqrt2, keys, box, 0)
-    assert len(cuts) == 1 and low is None and rich.tolist() == every.tolist()
+    rich = richness._key_richnesses(sqrt2, keys, box, 0)
+    assert len(cuts) == 1 and (rich >= 0).all() and rich.tolist() == every.tolist()
 
 
 def test_repeated_attempt_gated_once(sqrt2, monkeypatch):
@@ -898,7 +906,7 @@ def _tune_outcome(tune, params):
         c1, step, family, rich = tune(params)
     except (AutoTuneError, RTooLargeError) as err:
         return type(err)
-    return c1, step, family.keys.tolist(), family.witnesses.tolist(), rich
+    return c1, step, family.keys.tolist(), family.witness_rows(slice(None)).tolist(), rich
 
 
 def test_probe_gate_matches_full_gate():
@@ -956,7 +964,8 @@ def test_probe_gate_matches_full_gate():
             if ok:
                 assert low is None
                 assert tuned.keys.tolist() == family.keys.tolist()
-                assert tuned.witnesses.tolist() == family.witnesses.tolist()
+                witnesses = tuned.witness_rows(slice(None)).tolist()
+                assert witnesses == family.witness_rows(slice(None)).tolist()
                 assert tuned_rich.tolist() == rich
             else:
                 key, richness = low
@@ -1045,7 +1054,7 @@ def test_szt_range_validation(integers):
 
 def _mechanism_sample(family):
     """The (index, line) of the _MECHANISM_SAMPLE lines least by sort_key."""
-    ranked = sorted(enumerate(family), key=lambda entry: entry[1].sort_key())
+    ranked = sorted(enumerate(family_lines(family)), key=lambda entry: entry[1].sort_key())
     return ranked[: construction._MECHANISM_SAMPLE]
 
 
@@ -1063,7 +1072,7 @@ def _mechanism_reference(family, box, r):
             point = Point(p.x + t * dx, p.y + t * dy)
             all_on &= on_line(point, line)
             total += 1
-            inside += box.contains(point)
+            inside += box_contains(box, point)
     return all_on, (inside / total if total else 1.0)
 
 

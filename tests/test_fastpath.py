@@ -21,7 +21,7 @@ from richlines.numberfield import Element, NiceBasis, build_quadratic_basis
 from richlines.richness import _key_richnesses
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
-from reference import count_incidences, raw_pair_counts_loop
+from reference import box_points, count_incidences, fraction_key, raw_pair_counts_loop
 
 
 def grouped(basis, xs, ys):
@@ -93,6 +93,42 @@ def test_backends_agree():
             keys, counts, first = geo.group_pairs(basis, xs, xs)
             assert (keys.shape, counts.shape, first.shape) == ((0, 3 * d), (0,), (0, 2))
             assert grouped(basis, xs, xs) == reference(basis, xs, xs)
+
+
+def test_keys_match_fraction_key():
+    """_primitive_key, the pair kernel and group_pairs key every line as
+    fraction_key does, which divides by the pivot over Fractions where they
+    multiply by its adjugate: on seeded random triples, a = 0 among them,
+    and on every pair of seeded random points with a horizontal and a
+    vertical pair among them, of every arithmetic basis and Z[sqrt(1000)],
+    with coordinates small, near int64 and past it."""
+    rng = random.Random(34)
+    for basis in ARITH_BASES + (build_quadratic_basis(1000),):
+        d = basis.degree
+        for bound in (5, 10**6, 2**62, 2**70):
+            for k in range(40):
+                flat = [rng.randint(-bound, bound) for _ in range(3 * d)]
+                if k % 4 == 0:
+                    flat[:d] = [0] * d
+                flat[d] += not any(flat[: 2 * d])
+                assert geo._primitive_key(basis, tuple(flat)) == fraction_key(basis, tuple(flat))
+            xs, ys = random_coords(rng, basis, 12, bound)
+            # (x_0, y_5) shares x with point 0, and (x_5, y_0) shares y with it
+            points = dict.fromkeys([*zip(xs, ys), (xs[0], ys[5]), (xs[5], ys[0])])
+            xs, ys = map(list, zip(*points))
+            i, j = (np.array(v) for v in zip(*combinations(range(len(xs)), 2)))
+            mul = basis.mul_coords
+            raw = [
+                tuple(u - v for u, v in zip(ys[q], ys[p]))
+                + tuple(u - v for u, v in zip(xs[p], xs[q]))
+                + tuple(u - v for u, v in zip(mul(ys[p], xs[q]), mul(xs[p], ys[q])))
+                for p, q in zip(i.tolist(), j.tolist())
+            ]
+            assert any(not any(t[:d]) for t in raw) and any(not any(t[d : 2 * d]) for t in raw)
+            expected = [fraction_key(basis, triple) for triple in raw]
+            keys_of, entry = geo._pair_kernel(basis, xs, ys)
+            assert list(geo.key_tuples(keys_of(i, j).astype(entry))) == expected
+            assert list(geo.key_tuples(geo.group_pairs(basis, xs, ys)[0])) == sorted(set(expected))
 
 
 def swept(basis, xs, ys, r):
@@ -330,7 +366,7 @@ def test_richness_sums_to_incidences(integers, sqrt2):
     sample = np.array(random.Random(9).sample(box.coords().tolist(), 8))
     cases.append((box, geo.group_pairs(box.basis, sample[:, :4], sample[:, 4:])[0]))
     for box, keys in cases:
-        points = list(box)
+        points = box_points(box)
         lines = [CanonicalLine(box.basis, key) for key in geo.key_tuples(keys)]
         rich = _key_richnesses(box.basis, keys, box).tolist()
         assert rich == [count_incidences(points, [line]) for line in lines]
@@ -342,7 +378,8 @@ def test_text_and_order_match_fraction_reference():
     routines _coeff_pairs and canonical_order equal the coefficients
     Fraction(entry, lam), with lam the pivot block's entry at the first
     nonzero coordinate of unity over that coordinate, and the canonical
-    order is the order of those (numerator, denominator) pairs."""
+    order, in which lines_to_text writes, is the order of those (numerator,
+    denominator) pairs."""
     # Z[sqrt2] on the basis (sqrt2, 1), whose unity is the second vector,
     # and Z on the basis (-1), whose unity has a negative coordinate
     swapped = NiceBasis([[[0, 2], [1, 0]], [[1, 0], [0, 1]]])
@@ -364,18 +401,18 @@ def test_text_and_order_match_fraction_reference():
         pairs = [tuple((f.numerator, f.denominator) for f in e) for e in expected]
         assert [line.sort_key() for line in lines] == pairs
         assert [[f for e in line.coeffs() for f in e.coords] for line in lines] == expected
-        assert lines_to_text(lines).splitlines() == [
-            " ".join(f"{f.numerator}/{f.denominator}" for f in e) for e in expected
-        ]
+        ref_order = sorted(range(len(keys)), key=pairs.__getitem__)
+        rows = np.array(keys, dtype=np.int64)
+        text = [" ".join(f"{f.numerator}/{f.denominator}" for f in e) for e in expected]
+        assert lines_to_text(basis, rows).splitlines() == [text[i] for i in ref_order]
+        assert lines_to_text(basis, rows[:0]) == ""
         by_reference = [CanonicalLine(basis, key) for _, key in sorted(zip(pairs, keys))]
         assert sorted(lines, key=CanonicalLine.sort_key) == by_reference
         # the array routines on int64 and object keys, and on keys scaled to
         # one step either side of each _exact_dtype threshold of the bound
         # max |key| * sum |c[j][0][0]|; a scaled key has the same coefficients
-        ref_order = sorted(range(len(keys)), key=pairs.__getitem__)
         top = max(abs(v) for key in keys for v in key)
         sc0 = sum(abs(row[0][0]) for row in basis.structure_constants)
-        rows = np.array(keys, dtype=np.int64)
         small = geo._exact_dtype(top * sc0)
         cases = [(rows, small), (rows.astype(object), small)]
         for limit, below, above in DTYPE_THRESHOLDS:
@@ -389,7 +426,6 @@ def test_text_and_order_match_fraction_reference():
             assert num.dtype == den.dtype == dtype
             assert [tuple(zip(*nd)) for nd in zip(num.tolist(), den.tolist())] == pairs
             assert geo.canonical_order(basis, scaled).tolist() == ref_order
-    assert lines_to_text([]) == ""
 
 
 def _distinct_shuffled(rng, rows):

@@ -10,7 +10,7 @@ import pytest
 
 from richlines import geometry as geo
 from richlines.errors import DegeneratePairError, InvalidParameterError
-from richlines.family import LineFamily, _raw_family
+from richlines.family import _raw_family
 from richlines.geometry import (
     CanonicalLine,
     collinear,
@@ -24,6 +24,7 @@ from richlines.geometry import (
 from conftest import ARITH_BASES, int_point, make_point
 from reference import (
     count_incidences,
+    family_lines,
     lines_from_text,
     lines_text_fraction,
     point_rows,
@@ -308,14 +309,15 @@ def test_points_round_trip(sqrt2):
 
 def test_lines_round_trip():
     """Every line spanned by random points of every basis survives
-    lines_to_text and lines_from_text."""
+    lines_to_text and lines_from_text, in canonical order."""
     rng = random.Random(102)
     for basis in ARITH_BASES:
         pts = random_points(rng, basis, 20, bound=30 // basis.degree)
         lines = list(pair_lines(pts))
         assert len(lines) > 100
-        back = lines_from_text(lines_to_text(lines), basis)
-        assert back == lines
+        keys = np.array([line.key for line in lines])
+        back = lines_from_text(lines_to_text(basis, keys), basis)
+        assert back == sorted(lines, key=CanonicalLine.sort_key)
 
 
 def edge_entries(low, high):
@@ -356,12 +358,11 @@ def test_points_to_text_matches_str_reference():
 
 
 def test_lines_to_text_matches_fraction_reference():
-    """lines_to_text writes the families of random cells and translates of
-    every basis as the Fraction reference does, given as a LineFamily, which
-    it writes in canonical order, and as the list of its CanonicalLines
-    sorted by sort_key, which it writes as given: coefficients in every
-    dtype _coeff_pairs picks, keys past int64 included, and families larger
-    than one block of the renderer."""
+    """lines_to_text writes the key arrays of the families of random cells
+    and translates of every basis, in canonical order, as the Fraction
+    reference writes their CanonicalLines sorted by sort_key: coefficients
+    in every dtype _coeff_pairs picks, keys past int64 included, families
+    larger than one block of the renderer, and no keys."""
     rng = random.Random(20)
     dtypes, longest = set(), 0
     for basis in ARITH_BASES:
@@ -375,14 +376,8 @@ def test_lines_to_text_matches_fraction_reference():
             family = _raw_family(basis, cell, translates)
             dtypes.add(geo._coeff_pairs(basis, family.keys)[0].dtype)
             longest = max(longest, len(family) * 6 * d)
-            lines = sorted(family, key=CanonicalLine.sort_key)
-            text = lines_text_fraction(lines)
-            assert lines_to_text(family) == text
-            assert lines_to_text(lines) == text
-        empty = LineFamily(
-            basis, family.keys[:0], family.origin[:0], family.first[:0], cell, translates
-        )
-        assert lines_to_text(empty) == ""
+            lines = sorted(family_lines(family), key=CanonicalLine.sort_key)
+            assert lines_to_text(basis, family.keys) == lines_text_fraction(lines)
+        assert lines_to_text(basis, family.keys[:0]) == ""
     assert dtypes == {np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64, object)}
     assert longest > 2 * geo._RENDER_ENTRIES
-    assert lines_to_text([]) == ""
