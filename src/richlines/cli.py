@@ -205,8 +205,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except RichlinesError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        message = err
+    except MemoryError:
+        # no config check bounds the memory a run takes; exit 1 means a failed check
+        config = getattr(args, "config", None)
+        message = f"{args.command}{f' on config {config!r}' if config else ''} ran out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -466,78 +466,72 @@ def _pairs_at(start, p):
 class _InterceptWords:
     """The packed intercepts of the lines with the direction rows ab, each
     (a, b) of 2d entries, through the points of a box X x Y whose largest
-    |coordinate| is mx on X and my on Y.
+    |coordinate| is mx on X and my on Y, both read as at least 1.
 
-    Every coordinate of a x + b y over the box is at most cm_w = (max |a|
-    mx + max |b| my) s for row w, with s the largest product_bounds(1, 1)
-    entry.  A line of row w with intercept c, |c_k| <= cm_w, has the word
-    sum_k (c_k + cm_w) base_w^k in base_w = 2 cm_w + 1: the words of row w
-    lie in [0, bins_w), bins_w = base_w^d, and two such intercepts have
+    Every direction packs its intercepts in one base.  Every coordinate of
+    a_w x + b_w y over the box is at most cm = max_w (max |a_w| mx + max
+    |b_w| my) s, s the largest product_bounds(1, 1) entry.  An intercept c,
+    |c_k| <= cm, has the word sum_k (c_k + cm) base^k in base = 2 cm + 1:
+    words lie in [0, bins), bins = base^d, and two such intercepts have
     equal words exactly when they are equal.  The word is linear in c, so
-    the word of the line through a box point (x, y), c = -(a x + b y), is
-    zero_w - x . pa_w - y . pb_w, where zero_w is the word of c = 0 and
-    x . pa_w = sum_k (a x)_k base_w^k; each partial sum is at most
-    (bins_w - 1) / 2.  pa_w[i] is the word of a l_i, taken by _mul_rows.
+    the line of direction w through a box point (x, y), c = -(a_w x + b_w
+    y), has the word zero - x . pa_w - y . pb_w: zero = cm sum_k base^k =
+    (bins - 1) / 2 is the word of c = 0, and pa_w[i] is the word of a_w
+    l_i, taken by _mul_rows, so that x . pa_w = sum_k (a_w x)_k base^k.
 
-    The arrays take the dtype _exact_dtype picks for the largest bins_w,
-    bins, entry of pa or pb, and coordinate (object past int64).
+    The arrays take the dtype _exact_dtype picks for max(bins, mx, my),
+    fixed before any word is built.  Proof: |(a_w l_i)_k| <= max |a_w| s <=
+    cm, and the same holds for b_w, so every entry of pa and pb and every
+    partial sum of a word lies within (bins - 1) / 2 (a partial sum of x .
+    pa_w is x . pa_w for x with some entries zeroed), and zero - x . pa_w
+    lies in [0, bins).  _mul_rows also meets c_lambda <= s <= cm; s enters
+    the max for an ab with no rows.
     """
 
     def __init__(self, basis, ab, mx, my):
         d = basis.degree
         s = max(product_bounds(basis, 1, 1))
-        ma, mb = (int(np.abs(ab[:, k * d : (k + 1) * d]).max(initial=0)) for k in (0, 1))
-        top = (2 * (ma * mx + mb * my) * s + 1) ** d
-        # pa and pb are at most max(ma, mb) s top, and c_lambda is at most s
-        wide = _exact_dtype(max(max(ma, mb, 1) * s * top, mx, my))
-        ab = ab.astype(np.promote_types(wide, np.int64))
+        mx, my = max(mx, 1), max(my, 1)
         m = np.abs(ab)
-        cm = (m[:, :d].max(axis=1, initial=0) * mx + m[:, d:].max(axis=1, initial=0) * my) * s
-        base = 2 * cm + 1
-        powers = base[:, None] ** np.arange(d)
-        unit = np.eye(d, dtype=ab.dtype)[:, None, None]
-        # l_i a_w and l_i b_w as [i, a or b, w, coordinate], then their words as [a or b, w, i]
-        prod = _mul_rows(basis, ab.reshape(-1, 2, d).transpose(1, 0, 2), unit)
-        words = sum(prod[..., k] * powers[:, k] for k in range(d)).transpose(1, 2, 0)
+        ma, mb = (int(m[:, k * d : (k + 1) * d].max(initial=0)) for k in (0, 1))
+        # each row's bound over s, in a dtype that holds it, mx and my
+        m = m.astype(_exact_dtype(max(ma * mx + mb * my, mx, my)))
+        per_row = m[:, :d].max(axis=1, initial=0) * mx + m[:, d:].max(axis=1, initial=0) * my
         self.degree = d
-        self.bins = int(base.max(initial=1)) ** d
-        self.dtype = _exact_dtype(max(self.bins, int(np.abs(words).max(initial=0)), mx, my))
-        self.cm, self.pa, self.pb = (m.astype(self.dtype, order="C") for m in (cm, *words))
-        self.zero = (cm * powers.sum(axis=1)).astype(self.dtype)
+        self.cm = int(per_row.max(initial=0)) * s
+        self.base = 2 * self.cm + 1
+        self.bins = self.base**d
+        self.zero = (self.bins - 1) // 2
+        self.dtype = _exact_dtype(max(self.bins, mx, my, s))
+        unit = np.eye(d, dtype=self.dtype)[:, None, None]
+        # l_i a_w and l_i b_w as [i, a or b, w, coordinate], then their words as [a or b, w, i]
+        prod = _mul_rows(basis, ab.astype(self.dtype).reshape(-1, 2, d).transpose(1, 0, 2), unit)
+        words = sum(prod[..., k] * self.base**k for k in range(d)).transpose(1, 2, 0)
+        self.pa, self.pb = (np.ascontiguousarray(w) for w in words)
 
     def of_points(self, rows, x, y):
         """The (rows, |X| |Y|) words of the lines through the box points,
         x-major, for the rows (a slice or index array) of ab and the
         coordinate rows x of X and y of Y in self.dtype."""
-        wx = self.zero[rows][:, None] - self.pa[rows] @ x.T
+        wx = self.zero - self.pa[rows] @ x.T
         wy = self.pb[rows] @ y.T
         return (wx[:, :, None] - wy[:, None, :]).reshape(len(wx), -1)
 
-    def of_intercepts(self, rows, c):
+    def of_intercepts(self, c):
         """(inside, words) for the intercept rows c, (n, d) in any integer
-        dtype, of lines of the directions rows: whether every |c_k| <= cm of
-        the row, and the word of each such intercept (zero's word where not
-        inside).  An intercept outside cm has no word: its packing could
-        equal another intercept's."""
-        cm = self.cm[rows][:, None]
-        inside = ((c <= cm) & (c >= -cm)).all(axis=1)
+        dtype: whether every |c_k| <= cm, and the word of each such
+        intercept (zero's word where not inside).  An intercept outside cm
+        has no word: its packing could equal another intercept's."""
+        inside = ((c <= self.cm) & (c >= -self.cm)).all(axis=1)
         c = np.where(inside[:, None], c, 0).astype(self.dtype)
-        base = 2 * cm[:, 0] + 1
-        words, power = self.zero[rows], np.ones_like(base)
-        for k in range(self.degree):
-            words = words + c[:, k] * power
-            power = power * base
-        return inside, words
+        return inside, self.zero + sum(c[:, k] * self.base**k for k in range(self.degree))
 
-    def intercepts(self, rows, words):
-        """The d coordinate columns of the intercepts of the words of the
-        directions rows."""
-        cm = self.cm[rows]
-        base = 2 * cm + 1
+    def intercepts(self, words):
+        """The d coordinate columns of the intercepts of the words."""
         c = []
         for _ in range(self.degree):
-            c.append(words % base - cm)
-            words = words // base
+            c.append(words % self.base - self.cm)
+            words = words // self.base
         return c
 
 
@@ -645,7 +639,7 @@ def rich_line_keys(basis, xs, ys, r):
     keys = [np.empty((0, 3 * d), dtype=entry)]
     richness = [np.empty(0, dtype=np.int64)]
     for rows, word, size in sweep:
-        c = words.intercepts(rows, word)
+        c = words.intercepts(word)
         keys.append(np.column_stack([ab[rows], *c]).astype(entry, copy=False))
         richness.append(size.astype(np.int64, copy=False))
     return np.concatenate(keys), np.concatenate(richness)
@@ -661,8 +655,8 @@ def count_rich_lines(basis, xs, ys, r, keys):
     among the kept directions by one stable sort of both (_table_rows): a
     key whose direction was pruned, or whose direction is no primitive
     direction of P, holds fewer than r points.  Its intercept is packed by
-    _InterceptWords.of_intercepts; one outside its direction's bound cm
-    holds no point of P.  Each block's runs are in order of (row, word), so
+    _InterceptWords.of_intercepts; one outside the bound cm holds no
+    point of P.  Each block's runs are in order of (row, word), so
     the keys of the block's directions are found among them by one
     searchsorted of (row, word) packed as row * bins + word, rows counted
     from the block's first run, in the dtype _exact_dtype picks for that
@@ -672,12 +666,10 @@ def count_rich_lines(basis, xs, ys, r, keys):
     sweep = _sweep(basis, xs, ys, r)
     ab, words, _ = next(sweep)
     row = _table_rows(ab, keys[:, : 2 * d])
-    known = np.flatnonzero(row >= 0)
-    inside, word = words.of_intercepts(row[known], keys[known, 2 * d :])
-    known, word = known[inside], word[inside]
-    order = np.argsort(row[known], kind="stable")
-    known, word = known[order], word[order]
-    known_row = row[known]
+    inside, word = words.of_intercepts(keys[:, 2 * d :])
+    known = np.flatnonzero((row >= 0) & inside)
+    known = known[np.argsort(row[known], kind="stable")]
+    word, known_row = word[known], row[known]
     rich = np.zeros(len(keys), dtype=bool)
     lines = 0
     for rows, run_word, size in sweep:

@@ -56,6 +56,7 @@ from reference import (
     raw_pair_counts_loop,
     witness_points,
 )
+from tracing import traced_max
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -405,9 +406,12 @@ def test_intercept_words_pack_box_intercepts():
     directions of every arithmetic basis over a box with a scaled x axis,
     and on one direction scaled by 2^62, whose words are past int64: the
     word of_points gives a box point decodes through intercepts to the
-    point's intercept c = -(a x + b y), sign included; each word lies in
-    [0, (2 cm + 1)^d); and two points share a word exactly when they share
-    an intercept."""
+    point's intercept c = -(a x + b y), sign included, and of_intercepts
+    packs c to the same word, the two routes count_rich_lines matches; each
+    word lies in [0, bins); two points share a word exactly when they share
+    an intercept; and an intercept one past +-cm in any coordinate is not
+    inside, while the corners +-(cm, ..., cm) are, with the words bins - 1
+    and 0."""
     rng = random.Random(7)
     for basis in ARITH_BASES:
         d = basis.degree
@@ -429,11 +433,57 @@ def test_intercept_words_pack_box_intercepts():
                     for p in sample
                 ]
                 w = packed[k, sample]
-                decoded = words.intercepts(np.full(len(sample), k), w)
+                decoded = words.intercepts(w)
                 assert list(zip(*(col.tolist() for col in decoded))) == c
-                bins = (2 * int(words.cm[k]) + 1) ** d
+                inside, packed_c = words.of_intercepts(np.array(c, dtype=object))
+                assert inside.all() and packed_c.tolist() == w.tolist()
+                bins = words.bins
                 assert all(0 <= v < bins for v in w.tolist())
                 assert len(set(zip(w.tolist(), c))) == len(set(w.tolist())) == len(set(c))
+            cm = words.cm
+            past = [[0] * d for _ in range(2 * d)]
+            for k in range(d):
+                past[2 * k][k], past[2 * k + 1][k] = cm + 1, -cm - 1
+            edges = np.array([[cm] * d, [-cm] * d, *past], words.dtype)
+            inside, corners = words.of_intercepts(edges)
+            assert inside.tolist() == [True, True] + [False] * 2 * d
+            assert corners[:2].tolist() == [words.bins - 1, 0]
+
+
+def test_intercept_words_stay_within_bins():
+    """Every intermediate that _InterceptWords computes, building its words
+    and then packing box points and intercepts, lies within bins, the bound
+    its dtype is picked for, by traced_max: on the sweep's kept directions
+    and on seeded random directions of every arithmetic basis, over a box
+    with a scaled x axis and over one whose x axis is the one point {0},
+    and on a direction scaled by 2^62.  The traced run gives the untraced
+    run's words."""
+    rng = random.Random(12)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        ys = GapSet(basis, 1).coords()
+        for xs in (GapSet(basis, 1, 2).coords(), np.zeros((1, d), dtype=np.int64)):
+            mx, my = (int(np.abs(v).max()) for v in (xs, ys))
+            kept = next(geometry._sweep(basis, xs, ys, 2))[0]
+            steep = [[rng.randint(-3, 3) for _ in range(d)] + [rng.randint(-1, 1)] * d]
+            for ab in (
+                kept[rng.sample(range(len(kept)), min(len(kept), 6))],
+                np.array([[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(3)] + steep),
+                np.array([[2**62] * d + [0] * d]),
+            ):
+                words, top = traced_max(geometry._InterceptWords, basis, ab, mx, my)
+                assert top < words.bins
+                packed, top = traced_max(words.of_points, slice(None), xs, ys)
+                assert top < words.bins
+                plain = geometry._InterceptWords(basis, ab, mx, my)
+                x, y = (v.astype(plain.dtype) for v in (xs, ys))
+                assert packed.tolist() == plain.of_points(slice(None), x, y).tolist()
+                cm = plain.cm
+                c = np.column_stack(plain.intercepts(packed.reshape(-1)))
+                grid = itertools.product((-cm, cm, cm + 1), repeat=d)
+                corners = np.array(list(grid), plain.dtype)
+                (inside, _), top = traced_max(words.of_intercepts, np.concatenate([c, corners]))
+                assert top < words.bins and inside.sum() == len(c) + 2**d
 
 
 def _path_keys(basis, box, rng):

@@ -429,6 +429,24 @@ def test_cli_error_exit_code(tmp_path, capsys, monkeypatch):
     assert runs == []
 
 
+def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A run that raises MemoryError, as a config with n = 2^70, r = 2^30
+    and c1 = 1 does while it lists its translate axis, exits 2 with one
+    error line that names the command and the config: exit 1 is kept for a
+    failed check."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for name in ("run", "sweep", "oracle"):
+        monkeypatch.setattr(harness, name, exhausted)
+    path = write_cfg(tmp_path, cfg())
+    for command in ("construct", "verify", "sweep", "oracle"):
+        assert cli.main([command, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {command} on config {path!r} ran out of memory\n")
+
+
 def test_python_m_richlines_runs_the_cli():
     """`python -m richlines` from a checkout runs the same CLI."""
     root = Path(__file__).resolve().parents[1]

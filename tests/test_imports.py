@@ -1,6 +1,8 @@
-"""Import hygiene of the library: every name a module imports is used."""
+"""Hygiene of the library: every name a module imports is used, and every
+private helper and module constant it defines is used somewhere in it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import richlines
@@ -43,3 +45,58 @@ def test_unused_import_is_found():
         "from .geometry import Point\nnp.zeros(1)\nlcm(2, 3)\n"
     )
     assert _unused_imports(tree) == [(1, "os"), (3, "gcd"), (4, "Point")]
+
+
+def _read_names(node):
+    """How often each name is read within node: as a bare name, or as the
+    attribute of an attribute chain."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    )
+
+
+def _unreferenced(trees):
+    """(module, name) of each private top-level function or class, and of
+    each module constant (an upper-case name, with or without a leading
+    underscore), that trees, module name to ast, define and that no node
+    outside its own definition reads."""
+    total = sum((_read_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name] if node.name.startswith("_") else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
+                continue
+            own = _read_names(node)
+            found += [(module, name) for name in names if total[name] == own[name]]
+    return sorted(found)
+
+
+def test_every_private_helper_and_constant_is_used():
+    """Each private function and class, and each module constant, that a
+    module of src/richlines defines is read somewhere in src/richlines
+    outside its own definition, so that a helper whose last caller goes
+    goes with it."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    assert _unreferenced(trees) == []
+
+
+def test_unreferenced_helper_is_found():
+    """The check finds a private function that only calls itself, a private
+    class and a constant no one reads, and counts a read from another
+    module, as a bare name or an attribute, and a public function's use."""
+    trees = {
+        "a": ast.parse(
+            "def _rec(n):\n    return _rec(n - 1)\nclass _Unused:\n    pass\n"
+            "_LIMIT = 3\nCAP = 4\nDONE = CAP\ndef _helper():\n    return 1\n"
+            "def public():\n    return _helper()\n"
+        ),
+        "b": ast.parse("from . import a\nprint(a.DONE)\n"),
+    }
+    assert _unreferenced(trees) == [("a", "_LIMIT"), ("a", "_Unused"), ("a", "_rec")]
