@@ -44,14 +44,8 @@ from .gapset import (
     gap_set_power,
     iroot,
 )
-from .geometry import (
-    CanonicalLine,
-    _exact_dtype,
-    canonical_least,
-    lines_to_text,
-    product_bounds,
-)
-from .numberfield import NiceBasis, _mul_rows
+from .geometry import CanonicalLine, canonical_least, lines_to_text
+from .numberfield import NiceBasis, _exact_dtype, _mul_rows, product_bounds
 from .richness import _key_richnesses
 
 ALPHA_GRID = (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _pair_kernel, _sorted_runs, group_pairs, shift_keys
+from .keys import _pair_kernel, _sorted_runs, group_pairs, shift_keys
 from .numberfield import NiceBasis
 
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import _exact_dtype
-from .numberfield import Element
+from .numberfield import Element, _exact_dtype
 
 
 def iroot(x, k):

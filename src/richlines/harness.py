@@ -32,14 +32,9 @@ from .construction import (
     verify_claim2,
 )
 from .errors import ConfigError
-from .geometry import (
-    _richness_from_pairs,
-    count_rich_lines,
-    group_pairs,
-    key_tuples,
-    rich_line_keys,
-)
+from .keys import _richness_from_pairs, group_pairs, key_tuples
 from .numberfield import _is_int, basis_from_spec
+from .sweep import count_rich_lines, rich_line_keys
 
 CSV_COLUMNS = (
     "basis,d,n_nominal,p_realized,alpha,r,c1,num_lines,min_richness,"

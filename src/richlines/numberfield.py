@@ -4,6 +4,8 @@ A basis Lambda = {l_1, ..., l_d} is "nice" when every product l_i * l_j is an
 integer combination sum_k c[i][j][k] * l_k.  The d^3 integers c[i][j][k] fully
 determine the ring, so all arithmetic here is exact (Python ints, Fractions,
 and integer or object numpy arrays); nothing here uses floating point.
+Every array kernel of the package takes its dtype from _exact_dtype of a
+bound it proves first, most bounds through product_bounds.
 """
 
 from fractions import Fraction
@@ -298,11 +300,37 @@ def _mul_matrix(basis, b):
     ]
 
 
+def product_bounds(basis, u, v):
+    """Per coordinate k, the largest |(x * y)_k| over coordinate vectors with
+    |x_i| <= u and |y_j| <= v: u v sum_ij |c_ijk|."""
+    rows = [row for plane in basis.structure_constants for row in plane]
+    return [u * v * sum(map(abs, column)) for column in zip(*rows)]
+
+
+# each integer dtype _exact_dtype picks from, and its largest value
+_INT_TOPS = tuple(
+    (np.dtype(t), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def _exact_dtype(bound):
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer v with |v| <= bound, or object (exact Python ints) past int64.
+
+    Every Python int that meets an array of this dtype must also lie within
+    the bound: NumPy raises on a Python int outside the dtype, and array
+    arithmetic that leaves it wraps silently."""
+    for t, top in _INT_TOPS:
+        if bound <= top:
+            return t
+    return np.dtype(object)
+
+
 def _mul_rows(basis, u, v):
     """The coordinates of u * v for integer arrays whose last axis holds d
     coordinates, broadcast over the others: sum c[i][j][k] u_i v_j over the
     nonzero c[i][j][k], in the operands' dtype, which must hold every partial
-    sum (within geometry.product_bounds) and every |c[i][j][k]| (c_lambda)."""
+    sum (within product_bounds) and every |c[i][j][k]| (c_lambda)."""
     out = [0] * basis.degree
     for i, plane in enumerate(basis.structure_constants):
         for j, row in enumerate(plane):

@@ -15,8 +15,8 @@ from math import factorial
 
 import numpy as np
 
-from .geometry import _CHUNK_PAIRS, _exact_dtype, _sorted_runs, product_bounds
-from .numberfield import _cofactor_solve, _mul_matrix
+from .keys import _CHUNK_PAIRS, _sorted_runs
+from .numberfield import _cofactor_solve, _exact_dtype, _mul_matrix, product_bounds
 
 
 def _key_richnesses(basis, keys, box, r=0):

@@ -15,7 +15,7 @@ ARITH_BASES = (
     rl.build_power_basis([-1, -1, 0, 0]),
 )
 
-# each threshold of geometry._exact_dtype: the largest bound its dtype
+# each threshold of numberfield._exact_dtype: the largest bound its dtype
 # holds, that dtype, and the dtype one step past it
 DTYPE_THRESHOLDS = (
     (127, np.int8, np.int16),

@@ -3,9 +3,9 @@
 Each one computes its answer one point, pair or line at a time with exact
 Python integers, sharing no array code with the kernel it checks:
 
-- raw_pair_counts_loop: geometry.group_pairs, keying each pair by
-  geometry._primitive_key;
-- fraction_key: geometry._primitive_key, dividing each block by the pivot
+- raw_pair_counts_loop: keys.group_pairs, keying each pair by
+  keys._primitive_key;
+- fraction_key: keys._primitive_key, dividing each block by the pivot
   with fraction_solve, Gaussian elimination over Fractions, where the
   kernels multiply by the pivot's adjugate;
 - count_on_line_int: richness._key_richnesses, inverting each pivot
@@ -27,7 +27,8 @@ one family line, for the tests that check them one at a time.
 from fractions import Fraction
 from math import gcd, lcm
 
-from richlines.geometry import CanonicalLine, Point, _primitive_key, key_tuples, on_line
+from richlines.geometry import CanonicalLine, Point, on_line
+from richlines.keys import _primitive_key, key_tuples
 from richlines.numberfield import Element
 
 

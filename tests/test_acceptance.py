@@ -31,18 +31,11 @@ from richlines.construction import (
 )
 from richlines.errors import RTooLargeError
 from richlines.gapset import gap_set, product_bound, sum_bound
-from richlines.geometry import (
-    CanonicalLine,
-    Point,
-    _richness_from_pairs,
-    collinear,
-    group_pairs,
-    key_tuples,
-    line_through,
-    rich_line_keys,
-)
+from richlines.geometry import CanonicalLine, Point, collinear, line_through
 from richlines.harness import parse_config, sweep, sweep_csv
+from richlines.keys import _richness_from_pairs, group_pairs, key_tuples
 from richlines.numberfield import Element, divide
+from richlines.sweep import rich_line_keys
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

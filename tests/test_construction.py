@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from richlines import construction, geometry, richness
+from richlines import construction, richness
 from richlines.construction import (
     AutoTuneError,
     ConstructionParams,
@@ -29,21 +29,26 @@ from richlines.construction import (
 from richlines.errors import InvalidParameterError, RTooLargeError
 from richlines.family import LineFamily, _raw_family
 from richlines.gapset import GapSet, gap_set, gap_set_power
-from richlines.numberfield import Element, NiceBasis, _mul_rows, build_quadratic_basis
-from richlines.richness import _key_richnesses
 from richlines.geometry import (
     CanonicalLine,
     Point,
-    _exact_dtype,
+    canonical_least,
     canonical_order,
-    group_pairs,
-    key_tuples,
     line_through,
     on_line,
-    product_bounds,
-    rich_line_keys,
-    shift_keys,
 )
+from richlines.keys import _CHUNK_PAIRS, _richness_from_pairs, group_pairs, key_tuples, shift_keys
+from richlines.numberfield import (
+    Element,
+    NiceBasis,
+    _exact_dtype,
+    _mul_rows,
+    build_power_basis,
+    build_quadratic_basis,
+    product_bounds,
+)
+from richlines.richness import _key_richnesses
+from richlines.sweep import _InterceptWords, _sweep, rich_line_keys
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 from reference import (
@@ -422,7 +427,7 @@ def test_intercept_words_pack_box_intercepts():
         ab = [[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(4)]
         ab.append([2**62] * d + [0] * d)
         for rows in ([0, 1, 2, 3], [4]):
-            words = geometry._InterceptWords(basis, np.array([ab[k] for k in rows]), 2, 1)
+            words = _InterceptWords(basis, np.array([ab[k] for k in rows]), 2, 1)
             assert (words.dtype == object) == (rows == [4])
             x, y = (s.coords().astype(words.dtype) for s in (box.x_set, box.y_set))
             packed = words.of_points(np.arange(len(rows)), x, y)
@@ -464,26 +469,154 @@ def test_intercept_words_stay_within_bins():
         ys = GapSet(basis, 1).coords()
         for xs in (GapSet(basis, 1, 2).coords(), np.zeros((1, d), dtype=np.int64)):
             mx, my = (int(np.abs(v).max()) for v in (xs, ys))
-            kept = next(geometry._sweep(basis, xs, ys, 2))[0]
+            kept = next(_sweep(basis, xs, ys, 2))[0]
             steep = [[rng.randint(-3, 3) for _ in range(d)] + [rng.randint(-1, 1)] * d]
             for ab in (
                 kept[rng.sample(range(len(kept)), min(len(kept), 6))],
                 np.array([[rng.randint(-3, 3) for _ in range(2 * d)] for _ in range(3)] + steep),
                 np.array([[2**62] * d + [0] * d]),
             ):
-                words, top = traced_max(geometry._InterceptWords, basis, ab, mx, my)
-                assert top < words.bins
-                packed, top = traced_max(words.of_points, slice(None), xs, ys)
-                assert top < words.bins
-                plain = geometry._InterceptWords(basis, ab, mx, my)
+                plain = _InterceptWords(basis, ab, mx, my)
                 x, y = (v.astype(plain.dtype) for v in (xs, ys))
-                assert packed.tolist() == plain.of_points(slice(None), x, y).tolist()
+                packed = plain.of_points(slice(None), x, y)
                 cm = plain.cm
                 c = np.column_stack(plain.intercepts(packed.reshape(-1)))
                 grid = itertools.product((-cm, cm, cm + 1), repeat=d)
                 corners = np.array(list(grid), plain.dtype)
-                (inside, _), top = traced_max(words.of_intercepts, np.concatenate([c, corners]))
-                assert top < words.bins and inside.sum() == len(c) + 2**d
+                (words, traced, (inside, _)), top = traced_max(
+                    _words_and_packing, basis, ab, mx, my, xs, ys, np.concatenate([c, corners])
+                )
+                assert top < words.bins
+                assert traced.tolist() == packed.tolist() and inside.sum() == len(c) + 2**d
+
+
+def _words_and_packing(basis, ab, mx, my, xs, ys, c):
+    """_InterceptWords(basis, ab, mx, my), its words of the points of the
+    box xs x ys and its of_intercepts(c): one run for traced_max, whose
+    patch must be in place when the words are built."""
+    words = _InterceptWords(basis, ab, mx, my)
+    return words, words.of_points(slice(None), xs, ys), words.of_intercepts(c)
+
+
+def _counted(path, basis, keys, box):
+    """The richness of each key row by the counter path (_by_closed_form or
+    _by_columns) as a fresh array: one run for traced_max."""
+    out = np.zeros(len(keys), dtype=object)
+    path(basis, keys, box, out)
+    return out
+
+
+def _traced_counter_cases(path, cases):
+    """For each (basis, box, keys) of cases: the traced run of the counter
+    path on the keys counts as _key_richnesses does, and its largest
+    intermediate lies within the largest bound the counter takes for one
+    key alone (_richness_bound), which no block's bound is below."""
+    for basis, box, keys in cases:
+        keys = np.array(keys, dtype=object)
+        counts, top = traced_max(_counted, path, basis, keys, box)
+        assert counts.tolist() == _key_richnesses(basis, keys, box).tolist()
+        assert top <= max(_richness_bound(basis, key, box) for key in keys.tolist())
+
+
+def test_closed_form_stays_within_its_bound():
+    """Every intermediate of richness._by_closed_form lies within
+    _closed_form_bound, by traced_max, on the degree-1 bases, the integers
+    and l * l = -3 l (whose k scales A and B), over a radius-1 box and over
+    boxes with scaled axes: the lines through every two box points, seeded
+    random keys, and the edges: steep directions (n, n + 1), whose inverse
+    mod m = n + 1 is n, vertical and horizontal keys, and keys whose |c| is
+    at a corner of the box and one past it.  On the radius-1 integer box the
+    key (996, 997, 5) takes (-c / g mod m) inv to 988,032: within B^2 =
+    994,009, and past every other term of the bound."""
+    rng = random.Random(31)
+    integers, minus3 = ARITH_BASES[0], NiceBasis([[[-3]]])
+    cases = []
+    for basis, x_set, y_set in (
+        (integers, GapSet(integers, 1), GapSet(integers, 1)),
+        (integers, GapSet(integers, 4, 2), GapSet(integers, 3, 3)),
+        (minus3, GapSet(minus3, 2, 2), GapSet(minus3, 3)),
+    ):
+        box = PointBox(x_set, y_set)
+        coords = box.coords()
+        cases.append((basis, box, group_pairs(basis, coords[:, :1], coords[:, 1:])[0]))
+        keys = ([rng.randint(-40, 40) for _ in range(3)] for _ in range(80))
+        cases.append((basis, box, [key for key in keys if any(key[:2])]))
+        corner = x_set.radius * x_set.scale + y_set.radius * y_set.scale
+        edges = [(n, n + 1, c) for n in (996, 1000, 2**20) for c in (5, -5, n)]
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            edges += [(a, b, c) for c in (corner, corner + 1, -corner, -corner - 1)]
+        cases.append((basis, box, edges))
+    _traced_counter_cases(richness._by_closed_form, cases)
+
+
+def test_columns_stay_within_block_bound():
+    """Every intermediate of richness._by_columns lies within _block_bound,
+    by traced_max, on every arithmetic basis of degree 2 or more and on
+    x^2 - 3x - 3, over a box with a scaled x axis: the lines through seeded
+    box points, seeded random keys, and the edges: keys whose a and b
+    blocks are all 1 or alternate in sign, vertical ones among them, and
+    whose c is +-C in every coordinate, in alternating signs.  On the
+    quadratic arithmetic bases a row of adj(M) sums to at most a, the
+    bound's cofactor bound.  On x^2 - 3x - 3 the column of l_1 carries 3 in
+    both of its rows, so for the pivot 1 + t the row (4, -3) of adj(M)
+    sums to 7 > a = 5, and adj(M) c reaches 7 C: within d a C = 10 C, and
+    past a (C + d o s x)."""
+    rng = random.Random(33)
+    cases = []
+    for basis in (*ARITH_BASES[1:], build_power_basis([-3, -3])):
+        d = basis.degree
+        box = PointBox(GapSet(basis, 1, 2), GapSet(basis, 1))
+        points = box.coords()[rng.sample(range(len(box)), 12)]
+        cases.append((basis, box, group_pairs(basis, points[:, :d], points[:, d:])[0]))
+        keys = ([rng.randint(-9, 9) for _ in range(3 * d)] for _ in range(40))
+        cases.append((basis, box, [key for key in keys if any(key[: 2 * d])]))
+        ones, signs = [1] * d, [(-1) ** k for k in range(d)]
+        edges = []
+        for a, b in ((ones, ones), (ones, signs), (signs, ones), (ones, [0] * d)):
+            edges += [a + b + [c * s for s in signs] for c in (1000, -1000)]
+        cases.append((basis, box, edges))
+    _traced_counter_cases(richness._by_columns, cases)
+
+
+def test_mechanism_check_stays_within_its_bound():
+    """Every intermediate of _mechanism_check lies within _mechanism_bound,
+    by traced_max, on corrupted families of every arithmetic basis: the
+    lines of a seeded cell and its translates, and the line through the
+    opposite corners (-w, ..., -w) and (w, ..., w) of a cell, with the b
+    block of every key negated so that it misses its witnesses.  On its
+    line a replayed point's a*x + b*y cancels to -c; off it, the two
+    products add, and on the integers at the corners they reach 2 k z, the
+    bound's term 2 max product_bounds(k, z), for the largest key entry k
+    and coordinate z.  The check finds each corrupted family off its
+    lines."""
+    rng = random.Random(37)
+    r = 3
+    for basis in ARITH_BASES:
+        d = basis.degree
+        box = PointBox(GapSet(basis, 1), GapSet(basis, 1))
+        t = gap_set(basis, Fraction(3**d * r)).coords()
+        seeded = [
+            np.array(sorted({tuple(rng.randint(-2, 2) for _ in range(2 * d)) for _ in range(k)}))
+            for k in (6, 2)
+        ]
+        cases = [seeded] + [
+            (np.array([[-w] * 2 * d, [w] * 2 * d]), np.zeros((1, 2 * d), np.int64)) for w in (1, 3)
+        ]
+        for cell, translates in cases:
+            family = _raw_family(basis, cell, translates)
+            keys = family.keys.astype(object)
+            keys[:, d : 2 * d] *= -1
+
+            def replay(cell, translates):
+                corrupt = LineFamily(basis, keys, family.origin, family.first, cell, translates)
+                return construction._mechanism_check(corrupt, box, r)
+
+            (on, _), top = traced_max(replay, cell, translates)
+            sample = canonical_least(basis, keys, construction._MECHANISM_SAMPLE)
+            t_idx, i, j = family.witness_rows(sample).T
+            p, q = (cell[k] + translates[t_idx] for k in (i, j))
+            assert not on
+            assert top <= construction._mechanism_bound(basis, p, q, keys[sample], t, box)
 
 
 def _path_keys(basis, box, rng):
@@ -646,7 +779,7 @@ def test_counter_counts_block_by_block(integers, sqrt2, monkeypatch):
     exactly _CHUNK_PAIRS keys a block.  The keys repeat the seeded
     _path_keys, shuffled and in lexicographic order, so the reference
     counts each distinct key once."""
-    chunk = geometry._CHUNK_PAIRS
+    chunk = _CHUNK_PAIRS
     calls = []
     for name in ("_by_closed_form", "_by_columns"):
 
@@ -783,7 +916,6 @@ def test_probe_rejects_without_grouping_pairs(cbrt2, monkeypatch):
     rejects its one nondegenerate attempt without grouping the cell's
     pairs."""
     calls = []
-    group_pairs = geometry.group_pairs
 
     def counting_group_pairs(*args):
         calls.append(args)
@@ -809,7 +941,7 @@ def test_gate_counts_in_counter_blocks(integers, monkeypatch):
     third.  At r = 200 the gate stops at index 7 after one call, at r = 100
     at index 150,000 after three, and at r = 41 every key passes and the
     gate counts every key once."""
-    chunk = geometry._CHUNK_PAIRS
+    chunk = _CHUNK_PAIRS
     box = PointBox(GapSet(integers, 500), GapSet(integers, 10**6))
     keys = [(0, 1, c) for c in range(-100_000, 100_001)]
     keys[7:7] = [(20_000, 1, 0)]
@@ -1240,7 +1372,7 @@ def test_structure_constants_wider_than_int8_operands():
         for r in (2, 5, 6):
             got, richness = rich_line_keys(basis, xs, ys, r)
             expected = {
-                key: geometry._richness_from_pairs(count)
+                key: _richness_from_pairs(count)
                 for key, (count, _, _) in raw.items()
                 if count >= math.comb(r, 2)
             }

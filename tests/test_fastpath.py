@@ -1,4 +1,4 @@
-"""The vectorized pair grouping (geometry.group_pairs) and the array
+"""The vectorized pair grouping (keys.group_pairs) and the array
 coefficient routines against their pure-Python references, on adversarial
 inputs and one step either side of each bound that picks their dtype."""
 
@@ -17,15 +17,26 @@ from richlines.construction import (
 )
 from richlines.gapset import GapSet
 from richlines.geometry import CanonicalLine, Point, line_through, lines_to_text, on_line
-from richlines.numberfield import Element, NiceBasis, build_quadratic_basis
+from richlines.keys import (
+    _pair_kernel,
+    _primitive_key,
+    _reduce_flat,
+    _richness_from_pairs,
+    group_pairs,
+    key_bound,
+    key_tuples,
+    shift_keys,
+)
+from richlines.numberfield import Element, NiceBasis, _exact_dtype, build_quadratic_basis
 from richlines.richness import _key_richnesses
+from richlines.sweep import _sweep, count_rich_lines, rich_line_keys
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 from reference import box_points, count_incidences, fraction_key, raw_pair_counts_loop
 
 
 def grouped(basis, xs, ys):
-    keys, counts, first = geo.group_pairs(basis, xs, ys)
+    keys, counts, first = group_pairs(basis, xs, ys)
     return (
         [tuple(k) for k in keys.tolist()],
         counts.tolist(),
@@ -77,20 +88,20 @@ def test_backends_agree():
         for n, bound in ((40, 3), (30, 10 ** (6 // d))):
             xs, ys = random_coords(rng, basis, n, bound)
             assert grouped(basis, xs, ys) == reference(basis, xs, ys)
-            keys_of, entry = geo._pair_kernel(basis, xs, ys)
+            keys_of, entry = _pair_kernel(basis, xs, ys)
             j = np.arange(1, n)
             anchor = keys_of(np.zeros_like(j), j).astype(entry)
             points = [Point(Element(basis, x), Element(basis, y)) for x, y in zip(xs, ys)]
             raw = [sum((e.coords for e in geo.raw_line_coeffs(points[0], q)), ()) for q in points[1:]]
             assert [tuple(row) for row in anchor.tolist()] == [
-                geo._primitive_key(basis, triple) for triple in raw
+                _primitive_key(basis, triple) for triple in raw
             ]
     # with one point at the origin only the structure constants, up to 1000
     # in Z[sqrt(1000)], set the work bound
     for basis in ARITH_BASES + (build_quadratic_basis(1000),):
         d = basis.degree
         for xs in ([], [(0,) * d]):
-            keys, counts, first = geo.group_pairs(basis, xs, xs)
+            keys, counts, first = group_pairs(basis, xs, xs)
             assert (keys.shape, counts.shape, first.shape) == ((0, 3 * d), (0,), (0, 2))
             assert grouped(basis, xs, xs) == reference(basis, xs, xs)
 
@@ -111,7 +122,7 @@ def test_keys_match_fraction_key():
                 if k % 4 == 0:
                     flat[:d] = [0] * d
                 flat[d] += not any(flat[: 2 * d])
-                assert geo._primitive_key(basis, tuple(flat)) == fraction_key(basis, tuple(flat))
+                assert _primitive_key(basis, tuple(flat)) == fraction_key(basis, tuple(flat))
             xs, ys = random_coords(rng, basis, 12, bound)
             # (x_0, y_5) shares x with point 0, and (x_5, y_0) shares y with it
             points = dict.fromkeys([*zip(xs, ys), (xs[0], ys[5]), (xs[5], ys[0])])
@@ -126,17 +137,17 @@ def test_keys_match_fraction_key():
             ]
             assert any(not any(t[:d]) for t in raw) and any(not any(t[d : 2 * d]) for t in raw)
             expected = [fraction_key(basis, triple) for triple in raw]
-            keys_of, entry = geo._pair_kernel(basis, xs, ys)
-            assert list(geo.key_tuples(keys_of(i, j).astype(entry))) == expected
-            assert list(geo.key_tuples(geo.group_pairs(basis, xs, ys)[0])) == sorted(set(expected))
+            keys_of, entry = _pair_kernel(basis, xs, ys)
+            assert list(key_tuples(keys_of(i, j).astype(entry))) == expected
+            assert list(key_tuples(group_pairs(basis, xs, ys)[0])) == sorted(set(expected))
 
 
 def swept(basis, xs, ys, r):
     """The sweep's rows, which come in sweep order, put in canonical order;
     no row may repeat."""
-    keys, richness = geo.rich_line_keys(basis, xs, ys, r)
+    keys, richness = rich_line_keys(basis, xs, ys, r)
     order = geo.canonical_order(basis, keys)
-    rows = list(geo.key_tuples(keys[order]))
+    rows = list(key_tuples(keys[order]))
     assert len(set(rows)) == len(rows)
     return rows, richness[order].tolist()
 
@@ -150,7 +161,7 @@ def swept_reference(basis, xs, ys, r):
     keys = [key for key, (count, _, _) in raw.items() if count >= comb(r, 2)]
     rows = np.array(keys, dtype=object).reshape(-1, 3 * basis.degree)
     keys = [keys[k] for k in geo.canonical_order(basis, rows)]
-    return keys, [geo._richness_from_pairs(raw[key][0]) for key in keys]
+    return keys, [_richness_from_pairs(raw[key][0]) for key in keys]
 
 
 def test_rich_line_keys_match_pair_reference():
@@ -182,12 +193,12 @@ def test_rich_line_keys_match_pair_reference():
         (ARITH_BASES[1], 1, 2**31, 0),
     ):
         xs, ys = ([e.coords for e in GapSet(basis, radius, s)] for s in (scale, 3 * scale))
-        keys, _ = geo.rich_line_keys(basis, xs, ys, 3)
+        keys, _ = rich_line_keys(basis, xs, ys, 3)
         assert keys.dtype == object and np.abs(keys).max() > top
         assert swept(basis, xs, ys, 3) == swept_reference(basis, xs, ys, 3)
     quartic = ARITH_BASES[5]
     xs = ys = [e.coords for e in GapSet(quartic, 1)][:3]
-    keys, richness = geo.rich_line_keys(quartic, xs, ys, 4)
+    keys, richness = rich_line_keys(quartic, xs, ys, 4)
     assert keys.shape == (0, 12) and richness.shape == (0,)
 
 
@@ -197,10 +208,10 @@ def counted(basis, xs, ys, r, keys):
     agree."""
     d = basis.degree
     rows = np.array(keys, dtype=object).reshape(-1, 3 * d)
-    lines, rich = geo.count_rich_lines(basis, xs, ys, r, rows)
-    narrow = rows.astype(geo._exact_dtype(int(np.abs(rows).max(initial=0))))
-    assert geo.count_rich_lines(basis, xs, ys, r, narrow)[0] == lines
-    assert geo.count_rich_lines(basis, xs, ys, r, narrow)[1].tolist() == rich.tolist()
+    lines, rich = count_rich_lines(basis, xs, ys, r, rows)
+    narrow = rows.astype(_exact_dtype(int(np.abs(rows).max(initial=0))))
+    assert count_rich_lines(basis, xs, ys, r, narrow)[0] == lines
+    assert count_rich_lines(basis, xs, ys, r, narrow)[1].tolist() == rich.tolist()
     return lines, rich.tolist()
 
 
@@ -244,9 +255,9 @@ def test_count_rich_lines_match_pair_reference():
             references = counted_reference(basis, *axes, *range(2, 7))
             for r, (lines, keys, rich) in enumerate(references, 2):
                 assert counted(basis, *axes, r, keys) == (lines, rich)
-                swept_keys = geo.rich_line_keys(basis, *axes, r)[0]
-                assert swept_keys.dtype == geo._exact_dtype(geo.key_bound(basis, mx, my)[1])
-                kept = set(geo.key_tuples(next(geo._sweep(basis, *axes, r))[0]))
+                swept_keys = rich_line_keys(basis, *axes, r)[0]
+                assert swept_keys.dtype == _exact_dtype(key_bound(basis, mx, my)[1])
+                kept = set(key_tuples(next(_sweep(basis, *axes, r))[0]))
                 pruned += sum(key[: 2 * d] not in kept for key in keys)
         # one-row axes: one vertical line, or one horizontal line
         axes = [e.coords for e in GapSet(basis, 1)][:5], [(0,) * d]
@@ -272,10 +283,10 @@ def test_count_rich_lines_match_pair_reference():
     # a degree-2 intercept outside cm that packs to a rich line's word
     sqrt2 = ARITH_BASES[1]
     xs = ys = [e.coords for e in GapSet(sqrt2, 1)]
-    keys, _ = geo.rich_line_keys(sqrt2, xs, ys, 3)
-    ab, words, _ = next(geo._sweep(sqrt2, xs, ys, 3))
+    keys, _ = rich_line_keys(sqrt2, xs, ys, 3)
+    ab, words, _ = next(_sweep(sqrt2, xs, ys, 3))
     *ab_key, c0, c1 = keys[0].tolist()
-    assert tuple(ab_key) in geo.key_tuples(ab)
+    assert tuple(ab_key) in key_tuples(ab)
     cm = int(words.cm)
     base = 2 * cm + 1
     alias = (*ab_key, c0 + base, c1 - 1)
@@ -332,7 +343,7 @@ def test_unit_multiple_raw_keys_merge():
     ys = [(u + 2 * v + 3, u + v) for u, v in steps]
     pts = [Point(Element(sqrt2, x), Element(sqrt2, y)) for x, y in zip(xs, ys)]
     raw = {
-        geo._reduce_flat(sum((e.coords for e in geo.raw_line_coeffs(p, q)), ()))
+        _reduce_flat(sum((e.coords for e in geo.raw_line_coeffs(p, q)), ()))
         for p, q in combinations(pts, 2)
     }
     assert len(raw) > 3
@@ -359,15 +370,15 @@ def test_richness_sums_to_incidences(integers, sqrt2):
     sizes = (2304, 81, 81, 81, 1000)
     for basis, n in zip(ARITH_BASES, sizes):
         box = build_pointset(basis, n, Fraction(1, 2))
-        keys, _ = geo.rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), 3)
+        keys, _ = rich_line_keys(basis, box.x_set.coords(), box.y_set.coords(), 3)
         cases.append((box, keys[geo.canonical_order(basis, keys)][:150]))
     box = build_pointset(ARITH_BASES[5], 10000, Fraction(1, 2))
     assert len(box) == 6561
     sample = np.array(random.Random(9).sample(box.coords().tolist(), 8))
-    cases.append((box, geo.group_pairs(box.basis, sample[:, :4], sample[:, 4:])[0]))
+    cases.append((box, group_pairs(box.basis, sample[:, :4], sample[:, 4:])[0]))
     for box, keys in cases:
         points = box_points(box)
-        lines = [CanonicalLine(box.basis, key) for key in geo.key_tuples(keys)]
+        lines = [CanonicalLine(box.basis, key) for key in key_tuples(keys)]
         rich = _key_richnesses(box.basis, keys, box).tolist()
         assert rich == [count_incidences(points, [line]) for line in lines]
         assert max(rich) > 2
@@ -413,7 +424,7 @@ def test_text_and_order_match_fraction_reference():
         # max |key| * sum |c[j][0][0]|; a scaled key has the same coefficients
         top = max(abs(v) for key in keys for v in key)
         sc0 = sum(abs(row[0][0]) for row in basis.structure_constants)
-        small = geo._exact_dtype(top * sc0)
+        small = _exact_dtype(top * sc0)
         cases = [(rows, small), (rows.astype(object), small)]
         for limit, below, above in DTYPE_THRESHOLDS:
             step = limit // (top * sc0)
@@ -430,7 +441,7 @@ def test_text_and_order_match_fraction_reference():
 
 def _distinct_shuffled(rng, rows):
     """The distinct rows of a key array, in a random order."""
-    distinct = list(set(geo.key_tuples(rows)))
+    distinct = list(set(key_tuples(rows)))
     rng.shuffle(distinct)
     return np.array(distinct, dtype=rows.dtype).reshape(-1, rows.shape[1])
 
@@ -446,16 +457,16 @@ def test_canonical_least_matches_canonical_order():
     for basis in ARITH_BASES:
         d = basis.degree
         xs, ys = random_coords(rng, basis, 25, 6 // d)
-        keys = _distinct_shuffled(rng, geo.group_pairs(basis, xs, ys)[0])
+        keys = _distinct_shuffled(rng, group_pairs(basis, xs, ys)[0])
         big = [[rng.randint(-(10**19), 10**19) for _ in range(d)] for _ in range(2)]
-        moved = geo.shift_keys(basis, keys, [big[0]], [big[1]])
+        moved = shift_keys(basis, keys, [big[0]], [big[1]])
         unit = [1] + [0] * (d - 1)
         shifts = [[rng.randint(-40, 40) for _ in range(d)] for _ in range(60)]
         families = [keys, moved]
         # the line through two points, moved by 60 translates: one direction
         for second_y in (unit, [0] * d):  # a slanted line, a horizontal one
-            line = geo.group_pairs(basis, [[0] * d, unit], [[0] * d, second_y])[0]
-            along = geo.shift_keys(basis, line, shifts, shifts[::-1])
+            line = group_pairs(basis, [[0] * d, unit], [[0] * d, second_y])[0]
+            along = shift_keys(basis, line, shifts, shifts[::-1])
             families.append(_distinct_shuffled(rng, along))
         assert not families[-1][:, :d].any()
         for family in families:
@@ -503,9 +514,9 @@ def test_vertical_and_horizontal_lines(integers):
 
 def test_exact_dtype_thresholds():
     for limit, below, above in DTYPE_THRESHOLDS:
-        assert geo._exact_dtype(limit) == below
-        assert geo._exact_dtype(limit + 1) == above
-    assert geo._exact_dtype(0) == np.int8
+        assert _exact_dtype(limit) == below
+        assert _exact_dtype(limit + 1) == above
+    assert _exact_dtype(0) == np.int8
 
 
 def test_overflow_guard():
@@ -517,14 +528,14 @@ def test_overflow_guard():
     rng = random.Random(6)
     for basis in ARITH_BASES:
         d = basis.degree
-        work = lambda m: geo.key_bound(basis, m, m)[0]
-        entry = lambda m: geo.key_bound(basis, m, m)[1]
+        work = lambda m: key_bound(basis, m, m)[0]
+        entry = lambda m: key_bound(basis, m, m)[1]
         tops = [largest_bound(lambda m: entry(m) <= limit) for limit, _, _ in DTYPE_THRESHOLDS]
         tops.append(largest_bound(lambda m: work(m) <= 2**63 - 1))
-        assert geo._exact_dtype(work(tops[-1])) == np.int64
-        assert geo._exact_dtype(work(tops[-1] + 1)) == object
+        assert _exact_dtype(work(tops[-1])) == np.int64
+        assert _exact_dtype(work(tops[-1] + 1)) == object
         for bound in sorted({m for top in tops for m in (top, top + 1)}):
-            dtype = geo._exact_dtype(entry(bound))
+            dtype = _exact_dtype(entry(bound))
             if bound == 0:  # the box holds one point
                 xs = ys = [(0,) * d]
             else:
@@ -537,12 +548,12 @@ def test_overflow_guard():
                     if (px, py) not in zip(xs, ys):
                         xs.append(px)
                         ys.append(py)
-            assert geo.group_pairs(basis, xs, ys)[0].dtype == dtype
+            assert group_pairs(basis, xs, ys)[0].dtype == dtype
             assert grouped(basis, xs, ys) == reference(basis, xs, ys)
-        assert geo._exact_dtype(entry(tops[3] + 1)) == object
+        assert _exact_dtype(entry(tops[3] + 1)) == object
         # every coordinate negative, as arrays: the bound is the largest
         # |coordinate|, 2 * top + 1 here, not the largest coordinate
         top = tops[1]
         xs, ys = (np.array(v) - (top + 1) for v in random_coords(rng, basis, 25, top))
-        assert geo.group_pairs(basis, xs, ys)[0].dtype == geo._exact_dtype(entry(2 * top + 1))
+        assert group_pairs(basis, xs, ys)[0].dtype == _exact_dtype(entry(2 * top + 1))
         assert grouped(basis, xs, ys) == reference(basis, xs.tolist(), ys.tolist())

@@ -18,8 +18,9 @@ from richlines.geometry import (
     lines_to_text,
     on_line,
     points_to_text,
-    rich_line_keys,
 )
+from richlines.keys import _richness_from_pairs, group_pairs, key_tuples
+from richlines.sweep import rich_line_keys
 
 from conftest import ARITH_BASES, int_point, make_point
 from reference import (
@@ -48,10 +49,10 @@ def pair_lines(points):
     from group_pairs' keys and counts."""
     basis = points[0].basis
     xs, ys = [p.x.coords for p in points], [p.y.coords for p in points]
-    keys, counts, _ = geo.group_pairs(basis, xs, ys)
+    keys, counts, _ = group_pairs(basis, xs, ys)
     return {
         CanonicalLine(basis, key): count
-        for key, count in zip(geo.key_tuples(keys), counts.tolist())
+        for key, count in zip(key_tuples(keys), counts.tolist())
     }
 
 
@@ -59,7 +60,7 @@ def rich_pair_lines(points, r):
     """{CanonicalLine: richness} of the lines with at least r of the points:
     the lines with at least C(r, 2) pairs, k points from C(k, 2) pairs."""
     return {
-        line: geo._richness_from_pairs(count)
+        line: _richness_from_pairs(count)
         for line, count in pair_lines(points).items()
         if count >= comb(r, 2)
     }
@@ -181,7 +182,7 @@ def test_rich_lines_r_validation(integers):
 def test_count_incidences_grid(integers):
     pts = grid(integers, 3, 3)
     keys, _ = rich_line_keys(integers, *grid_axes(3, 3), 3)
-    lines = [CanonicalLine(integers, key) for key in geo.key_tuples(keys)]
+    lines = [CanonicalLine(integers, key) for key in key_tuples(keys)]
     assert count_incidences(pts, lines) == 24
     assert count_incidences(pts, []) == 0
 
@@ -199,7 +200,7 @@ def test_beck_statistic(integers):
 
     def beck(points):
         counts = pair_lines(points).values()
-        return geo._richness_from_pairs(max(counts)), len(counts)
+        return _richness_from_pairs(max(counts)), len(counts)
 
     assert beck(grid(integers, 3, 3)) == (3, 20)
     collin = [int_point(integers, i, i) for i in range(7)]
@@ -214,7 +215,7 @@ def test_pair_grouping_identity_random(integers, sqrt2):
     rng = random.Random(41)
     for basis in (integers, sqrt2):
         pts = random_points(rng, basis, 35)
-        richness = map(geo._richness_from_pairs, pair_lines(pts).values())
+        richness = map(_richness_from_pairs, pair_lines(pts).values())
         assert sum(comb(k, 2) for k in richness) == comb(len(pts), 2)
 
 
@@ -266,7 +267,7 @@ def test_rich_lines_sorted_deterministically(integers):
     keys = np.array([line.key for line in rich_pair_lines(pts, 3)])
     assert len(keys) > 1
     keys = keys[geo.canonical_order(integers, keys)]
-    lines = [CanonicalLine(integers, key) for key in geo.key_tuples(keys)]
+    lines = [CanonicalLine(integers, key) for key in key_tuples(keys)]
     assert lines == sorted(lines, key=CanonicalLine.sort_key)
 
 
@@ -278,7 +279,7 @@ def test_raw_vec_equals_raw_loop(integers, sqrt2, cbrt2):
         pts = random_points(rng, basis, count, bound=bound)
         xs = [p.x.coords for p in pts]
         ys = [p.y.coords for p in pts]
-        keys, counts, first = geo.group_pairs(basis, xs, ys)
+        keys, counts, first = group_pairs(basis, xs, ys)
         raw = raw_pair_counts_loop(basis, xs, ys)
         assert {
             tuple(k): [c, i, j]

@@ -28,6 +28,7 @@ from richlines.harness import (
     sweep,
     sweep_csv,
 )
+from richlines.keys import group_pairs, key_tuples
 
 from reference import box_points, family_lines
 
@@ -559,7 +560,6 @@ def test_pipeline_builds_no_fractions(monkeypatch):
     calls = {"rational": 0, "group_pairs": 0, "line": 0}
     init = numberfield.RationalElement.__init__
     line_init = geometry.CanonicalLine.__init__
-    group_pairs = geometry.group_pairs
 
     def counting_init(self, *args):
         calls["rational"] += 1
@@ -642,7 +642,7 @@ def _count_keys(monkeypatch):
     verify_claim2 = construction.verify_claim2
 
     def counting(basis, keys, box, r=0):
-        counted.extend(geometry.key_tuples(keys))
+        counted.extend(key_tuples(keys))
         return key_richnesses(basis, keys, box, r)
 
     def building(params):
@@ -670,7 +670,7 @@ def _gated_keys(tuned):
     corner probe's and the family's, as one sorted list."""
     family = tuned.family
     probe = _corner_keys(family.basis, family.cell, family.translates)
-    return sorted(itertools.chain(*map(geometry.key_tuples, (probe, family.keys))))
+    return sorted(itertools.chain(*map(key_tuples, (probe, family.keys))))
 
 
 def test_tuned_build_counts_each_key_once(monkeypatch):
@@ -713,7 +713,7 @@ def test_run_fixed_c1_counts_each_key_once(monkeypatch):
     [(tuned, at_build)] = builds
     assert at_build == 0
     assert report.num_lines == len(tuned.family) == 944 and tuned.richness is None
-    assert sorted(counted) == sorted(geometry.key_tuples(tuned.family.keys))
+    assert sorted(counted) == sorted(key_tuples(tuned.family.keys))
     assert verified == [1]
 
 

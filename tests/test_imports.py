@@ -28,13 +28,61 @@ def test_every_import_is_used():
     re-exports, uses every name it imports, so that code moved out of a
     module takes its imports with it."""
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert {p.stem for p in modules} >= {"cli", "construction", "family", "geometry", "richness"}
+    assert {p.stem for p in modules} >= {
+        "cli", "construction", "family", "geometry", "keys", "richness", "sweep"
+    }
     unused = {
         p.name: found
         for p in modules
         if (found := _unused_imports(ast.parse(p.read_text(), filename=str(p))))
     }
     assert unused == {}
+
+
+# The layers of src/richlines, lowest first: a module imports only from the
+# modules before it.
+LAYERS = (
+    "errors", "numberfield", "gapset", "keys", "sweep", "geometry",
+    "family", "richness", "construction", "harness", "cli",
+)
+
+
+def _relative_imports(tree):
+    """The modules of the package that tree's relative imports name, as
+    `from .module import ...` or `from . import module, ...`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    """Every relative import of a module of src/richlines names a module of
+    an earlier layer in LAYERS, which lists every module but __init__ and
+    __main__.  gapset, family and richness, which use the dtype rule and
+    the key kernels, import nothing from geometry, whose scalar lines and
+    text dumps they do not use."""
+    modules = {p.stem: p for p in SRC.glob("*.py")}
+    assert set(modules) - {"__init__", "__main__"} == set(LAYERS)
+    imports = {name: _relative_imports(ast.parse(modules[name].read_text())) for name in LAYERS}
+    upward = {
+        name: sorted(imports[name] - set(LAYERS[:k]))
+        for k, name in enumerate(LAYERS)
+        if imports[name] - set(LAYERS[:k])
+    }
+    assert upward == {}
+    assert not any("geometry" in imports[name] for name in ("gapset", "family", "richness"))
+
+
+def test_upward_import_is_found():
+    """The layering check reads both forms of relative import, and leaves
+    absolute imports alone."""
+    tree = ast.parse(
+        "import numpy as np\nfrom math import gcd\nfrom .keys import group_pairs\n"
+        "from . import harness, numberfield\n"
+    )
+    assert _relative_imports(tree) == {"keys", "harness", "numberfield"}
 
 
 def test_unused_import_is_found():

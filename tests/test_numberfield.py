@@ -14,7 +14,6 @@ from richlines.errors import (
     InvalidPolynomialError,
     ZeroDivisorError,
 )
-from richlines.geometry import product_bounds
 from richlines.numberfield import (
     Element,
     NiceBasis,
@@ -24,6 +23,7 @@ from richlines.numberfield import (
     basis_vector,
     divide,
     integer_inverse,
+    product_bounds,
 )
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
