@@ -40,4 +40,38 @@ from .construction import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BasisMismatchError",
+    "CanonicalLine",
+    "ConfigError",
+    "ConstructionParams",
+    "DegeneratePairError",
+    "Element",
+    "GapSet",
+    "InvalidParameterError",
+    "InvalidPolynomialError",
+    "NiceBasis",
+    "Point",
+    "RTooLargeError",
+    "RationalElement",
+    "RichlinesError",
+    "ZeroDivisorError",
+    "basis_from_spec",
+    "build_cell_geometry",
+    "build_integers_basis",
+    "build_pointset",
+    "build_power_basis",
+    "build_quadratic_basis",
+    "collinear",
+    "divide",
+    "gap_radius",
+    "gap_set",
+    "generate_line_family",
+    "line_through",
+    "on_line",
+    "product_bound",
+    "sum_bound",
+    "szt_incidence_construction",
+    "translate_vectors",
+    "verify_claim2",
+]

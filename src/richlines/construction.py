@@ -13,30 +13,35 @@ and the rate statistics by exact counting.
 Points are integer coordinate rows throughout: PointBox.coords() gives the
 box, the cell PointBox(cell_x, cell_y) and the translates PointBox(trans_x,
 trans_y) as (size, 2d) arrays, x then y.  The family module builds the
-line family from them and the richness module counts its lines.  A build
-only builds, and keeps the tuning gate's counts; verify_claim2 counts only
-the lines of a fixed-c1 build, so it counts nothing the gate counted, and
-replays the multiplier mechanism in one array computation.  A run builds
-no Point or Element and one CanonicalLine, the failing line it reports.
+line family from them, by one rule per degree: in degree 1 in closed form
+from the grid cell and the translate rows (_grid, which generate_line_family
+and the tuning gate pass), in every higher degree by grouping the cell's
+pairs.  The richness module counts its lines.  A build only builds, and
+keeps the tuning gate's counts; verify_claim2 counts only the lines of a
+fixed-c1 build, so it counts nothing the gate counted, and replays the
+multiplier mechanism in one array computation.  A run builds no Point,
+Element or CanonicalLine: a RichnessReport builds its failing line when it
+is read, and no output reads it.
 
 Each auto-tuning attempt gates a probe first: the lines through the cell's
 corner and each other cell point, moved to every translate.  A probe line
 passes through two points of one translated cell, so it is a family line,
 and one below r rejects the attempt exactly as the full gate would.  The
-cell's pairs are grouped only when the probe passes, and the full gate then
-counts every family key, the probe's lines again among them, so the
-verdict, the accepted c1 and the family are the full gate's.
+family is built only when the probe passes, and the full gate then counts
+every family key, the probe's lines again among them, so the verdict, the
+accepted c1 and the family are the full gate's.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 
 import numpy as np
 
 from .errors import InvalidParameterError, RichlinesError, RTooLargeError
-from .family import LineFamily, _corner_keys, _raw_family
+from .family import LineFamily, _family, _probe
 from .gapset import (
     GapSet,
     floor_scaled_root,
@@ -200,28 +205,49 @@ def generate_line_family(geom):
     """Union over translates of all lines through two translated-cell points,
     deduplicated by primitive key, in raw order, with deterministic
     provenance: each line keeps its lexicographically-smallest (translate,
-    pair) witness."""
+    pair) witness.  In degree 1 the family is taken in closed form from
+    the grid cell, else by grouping the cell's pairs (family._family)."""
     cell = PointBox(geom.cell_x, geom.cell_y).coords()
-    return _raw_family(geom.basis, cell, translate_vectors(geom))
+    return _family(geom.basis, cell, translate_vectors(geom), _grid(geom))
+
+
+def _grid(geom):
+    """The cell's (width, height) in points, which the degree-1 family
+    kernels read its grid from: a degree-1 cell is the box of consecutive
+    integers, its axes at scale 1."""
+    return len(geom.cell_x), len(geom.cell_y)
 
 
 @dataclass
 class RichnessReport:
+    """verify_claim2's verdict on a family.  Its failing_line is built on
+    first read, so a run that names no line builds no CanonicalLine."""
+
     r: int
     num_lines: int
     min_richness: int
     frac_r_rich: float
-    failing_line: CanonicalLine | None
     richnesses: np.ndarray  # int64, in the family's (raw) order
     mechanism_on_line: bool
     mechanism_in_p_fraction: float
+    family: LineFamily = field(repr=False, compare=False)
+
+    @cached_property
+    def failing_line(self):
+        """The canonically least line below r, picked by canonical_least
+        among those lines alone, or None when every line is r-rich."""
+        low = np.flatnonzero(self.richnesses < self.r)
+        if not len(low):
+            return None
+        basis, keys = self.family.basis, self.family.keys
+        (least,) = low[canonical_least(basis, keys[low], 1)]
+        return CanonicalLine(basis, tuple(keys[least].tolist()))
 
 
 def verify_claim2(family, box, r, richnesses=None):
     """Exact per-line richness of the family in the box, counted here by
     _key_richnesses unless `richnesses` gives them in the family's key
-    order; the failing line is the canonically least line below r, picked
-    by canonical_least among those lines alone.
+    order.  The report picks its failing line only when it is read.
 
     Also replays the multiplier mechanism on a sample of lines
     (_mechanism_check): for each t in A_{3^d r}(Lambda) the point
@@ -234,17 +260,10 @@ def verify_claim2(family, box, r, richnesses=None):
         richnesses = _key_richnesses(family.basis, family.keys, box)
     rich = np.asarray(richnesses, dtype=np.int64)
     if not len(rich):
-        return RichnessReport(r, 0, 0, 1.0, None, rich, True, 1.0)
-    low = np.flatnonzero(rich < r)
-    failing = None
-    if len(low):
-        (least,) = low[canonical_least(family.basis, family.keys[low], 1)]
-        failing = CanonicalLine(family.basis, tuple(family.keys[least].tolist()))
+        return RichnessReport(r, 0, 0, 1.0, rich, True, 1.0, family)
     mech_on, mech_in = _mechanism_check(family, box, r)
-    frac = (len(rich) - len(low)) / len(rich)
-    return RichnessReport(
-        r, len(rich), int(rich.min()), frac, failing, rich, mech_on, mech_in
-    )
+    frac = int(np.count_nonzero(rich >= r)) / len(rich)
+    return RichnessReport(r, len(rich), int(rich.min()), frac, rich, mech_on, mech_in, family)
 
 
 _MECHANISM_SAMPLE = 8  # lines whose multiplier mechanism verify_claim2 replays
@@ -335,19 +354,22 @@ def _below_r(params, key, richness):
     )
 
 
-def _gated_family(basis, cell, translates, box, r):
+def _gated_family(basis, cell, translates, box, r, grid=None):
     """One attempt of auto_tune_c1, for the cell and translate rows:
     (family, rich, None) with rich the richness of each family line in the
     family's order when every line is r-rich, else (None, None, (key,
-    richness)) for the key row of a line found below r.
+    richness)) for the key row of a line found below r.  grid is the
+    cell's (width, height) when it is a grid (_grid), which the degree-1
+    kernels take their lines from.
 
-    The probe, _corner_keys, is gated first; the cell's pairs are grouped
-    only when it passes, and the full gate then counts every family key,
-    the probe's lines among them, in the family's raw order."""
-    keys = _corner_keys(basis, cell, translates)
+    The probe, the lines through the cell's corner (family._probe), is
+    gated first; the family is built only when it passes, and the full
+    gate then counts every family key, the probe's lines among them, in
+    the family's raw order."""
+    keys = _probe(basis, cell, translates, grid)
     rich = _key_richnesses(basis, keys, box, r)
     if (rich >= r).all():
-        family = _raw_family(basis, cell, translates)
+        family = _family(basis, cell, translates, grid)
         keys, rich = family.keys, _key_richnesses(basis, family.keys, box, r)
         if (rich >= r).all():
             return family, rich, None
@@ -394,7 +416,7 @@ def auto_tune_c1(params):
             ) from err
         cell, translates = PointBox(geom.cell_x, geom.cell_y).coords(), translate_vectors(geom)
         if not all(map(np.array_equal, (cell, translates), gated)):
-            family, rich, low = _gated_family(basis, cell, translates, box, params.r)
+            family, rich, low = _gated_family(basis, cell, translates, box, params.r, _grid(geom))
             if low is None:
                 return TunedConstruction(trial, geom, box, family, rich, step)
             gated = cell, translates

@@ -199,20 +199,29 @@ def shift_keys(basis, keys, tx, ty):
 
     c moves by integer combinations of the coordinates of a and b, which
     stay, so a primitive key stays primitive.  Keys and translates are cast
-    once to the dtype _exact_dtype picks for c_lambda and the largest entry
-    product_bounds allow; _mul_rows takes a*tx and b*ty over (translate, key).
+    once to the dtype _exact_dtype picks for _shift_bound; _mul_rows takes
+    a*tx and b*ty over (translate, key).
     """
     d = basis.degree
     tx, ty = (np.array(t, dtype=object).reshape(-1, d) for t in (tx, ty))
     shift = int(max(np.abs(tx).max(initial=0), np.abs(ty).max(initial=0)))
     coeff = int(np.abs(keys[:, : 2 * d]).max(initial=1))
     const = int(np.abs(keys[:, 2 * d :]).max(initial=0))
-    bound = max(coeff, const + 2 * max(product_bounds(basis, coeff, shift)), basis.c_lambda)
-    keys, tx, ty = (m.astype(_exact_dtype(bound)) for m in (keys, tx, ty))
+    dtype = _exact_dtype(_shift_bound(basis, coeff, const, shift))
+    keys, tx, ty = (m.astype(dtype) for m in (keys, tx, ty))
     moved = np.repeat(keys[None], len(tx), axis=0)
     a, b = keys[None, :, :d], keys[None, :, d : 2 * d]
     moved[:, :, 2 * d :] -= _mul_rows(basis, a, tx[:, None]) + _mul_rows(basis, b, ty[:, None])
     return moved.reshape(-1, 3 * d)
+
+
+def _shift_bound(basis, coeff, const, shift):
+    """The bound shift_keys picks its dtype for, given keys whose a and b
+    entries are at most coeff and whose c entries are at most const, and
+    translates whose coordinates are at most shift: a moved c_k is c_k -
+    (a tx)_k - (b ty)_k, so every partial sum lies within const + 2 max
+    product_bounds(coeff, shift), and _mul_rows meets c_lambda."""
+    return max(coeff, const + 2 * max(product_bounds(basis, coeff, shift)), basis.c_lambda)
 
 
 def key_tuples(keys):

@@ -15,7 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .keys import _CHUNK_PAIRS, _sorted_runs
+from .keys import _CHUNK_PAIRS
 from .numberfield import _cofactor_solve, _exact_dtype, _mul_matrix, product_bounds
 
 
@@ -65,19 +65,20 @@ def _by_closed_form(basis, keys, box, out):
     -(B Ry + c) / A <= i <= (B Ry - c) / A.  Floor divisions count the class
     inside that interval cut to |i| <= Rx.
 
-    The keys are grouped by direction (a, b) with _sorted_runs, in any
-    order, and g, m and inv are computed once per direction.  Every array
-    takes the dtype _exact_dtype picks for _closed_form_bound, object (exact
-    Python ints) past int64."""
+    g, m and inv are computed once per run of consecutive keys with one
+    direction (a, b), and hold for every key of the run.  Keys in any order
+    are counted; a family's and a probe's, in lexicographic order, hold each
+    direction in one run, so nothing sorts them.  Every array takes the
+    dtype _exact_dtype picks for _closed_form_bound, object (exact Python
+    ints) past int64."""
     (rx, sx), (ry, sy) = ((s.radius, s.scale) for s in (box.x_set, box.y_set))
     k = abs(basis.structure_constants[0][0][0])
     dtype = _exact_dtype(_closed_form_bound(basis, keys, box))
-    order, heads = _sorted_runs(keys[:, :2].T)
-    ab = np.abs(keys[order[heads], :2].astype(dtype))
-    # the direction of each key, as a row of the directions' arrays
-    which = np.empty(len(keys), dtype=np.intp)
-    which[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=len(keys)))
-    del order
+    # the runs of consecutive keys with one direction, and each key's run
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:, 0] != keys[:-1, 0]) | (keys[1:, 1] != keys[:-1, 1])
+    heads, which = np.flatnonzero(new), np.cumsum(new) - 1
+    ab = np.abs(keys[heads, :2].astype(dtype))
     a, b = ab[:, 0] * (k * sx), ab[:, 1] * (k * sy)
     g = np.gcd(a, b)
     m = np.where(b == 0, 1, b // g)

@@ -6,9 +6,10 @@ this file:
     python tests/mutants.py 6 7 8    # the mutants numbered 6, 7 and 8
 
 Each entry of MUTANTS is (file under src/richlines, exact old text, new
-text, tests).  For each one the script copies src/ to a temporary tree,
-replaces the one occurrence of the old text there, and runs only the named
-tests with PYTHONPATH set to the copy.  The mutant is caught when they fail
+text, tests); a mutant that edits several places gives a tuple of old
+texts and one of new texts.  For each one the script copies src/ to a
+temporary tree, replaces the one occurrence of each old text there, and
+runs only the named tests with PYTHONPATH set to the copy.  The mutant is caught when they fail
 and survived when they pass.  An entry whose old text does not occur
 exactly once stops the run: the entries follow the code they mutate.
 
@@ -27,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _CONSTRUCTION = "tests/test_construction.py::"
 _FASTPATH = "tests/test_fastpath.py::"
+_GRID = _CONSTRUCTION + "test_grid_family_matches_pair_route"
 
 MUTANTS = [
     (
@@ -77,20 +79,98 @@ MUTANTS = [
         "        max(product_bounds(basis, k, z)) + k,\n",
         [_CONSTRUCTION + "test_mechanism_check_stays_within_its_bound"],
     ),
+    (
+        "family.py",
+        "keep = (np.gcd(a, b) == 1) & ((a > 0) | (b > 0))",
+        "keep = (a > 0) | (b > 0)",
+        [_GRID],
+    ),
+    (
+        "family.py",
+        "start = (si < w - u) & (sj + v >= 0) & (sj + v < h)",
+        "start = (si <= w - u) & (sj + v >= 0) & (sj + v < h)",
+        [_GRID],
+    ),
+    (
+        "family.py",
+        "width, height = w - ux, h - np.abs(uy)",
+        "width, height = w - ux, h - np.abs(uy) + 1",
+        [_GRID],
+    ),
+    (
+        # origin by max: the empty value below every index, the largest kept
+        "family.py",
+        (
+            "mask = np.full(int(offset[-1] + slots[d1 - 1]), top, dtype=work)",
+            "np.minimum.at(mask, moved.ravel(), index.ravel())",
+            "hit = np.flatnonzero(mask < top)",
+        ),
+        (
+            "mask = np.full(int(offset[-1] + slots[d1 - 1]), -1, dtype=work)",
+            "np.maximum.at(mask, moved.ravel(), index.ravel())",
+            "hit = np.flatnonzero(mask >= 0)",
+        ),
+        [_GRID],
+    ),
+    (
+        "family.py",
+        "sign = 1 if k > 0 else -1",
+        "sign = 1",
+        [_GRID],
+    ),
+    (
+        "family.py",
+        "block_keys[:, 2] *= abs(k)",
+        "block_keys[:, 2] *= k",
+        [_GRID],
+    ),
+    (
+        "family.py",
+        "cx, cy = x[0] + np.stack([np.zeros_like(xhi), xhi]), y[0] + np.stack([ylo, yhi])",
+        "cx, cy = x[0] + np.stack([np.zeros_like(xhi), xhi]), y[0] + np.stack([ylo, ylo])",
+        [_GRID],
+    ),
+    (
+        "family.py",
+        "return moved, np.arange(len(moved))",
+        "return moved, np.arange(len(moved))[::-1]",
+        [_CONSTRUCTION + "test_spread_keeps_one_translate_in_order"],
+    ),
+    (
+        "keys.py",
+        "return max(coeff, const + 2 * max(product_bounds(basis, coeff, shift)), basis.c_lambda)",
+        "return max(coeff, const + max(product_bounds(basis, coeff, shift)), basis.c_lambda)",
+        [_CONSTRUCTION + "test_shift_keys_stays_within_its_bound"],
+    ),
+    (
+        "richness.py",
+        "new[1:] = (keys[1:, 0] != keys[:-1, 0]) | (keys[1:, 1] != keys[:-1, 1])",
+        "new[1:] = keys[1:, 0] != keys[:-1, 0]",
+        [_CONSTRUCTION + "test_counter_counts_block_by_block"],
+    ),
+    (
+        "construction.py",
+        "(least,) = low[canonical_least(basis, keys[low], 1)]",
+        "least = low[0]",
+        [_CONSTRUCTION + "test_verify_claim2_tuned"],
+    ),
 ]
 
 
 def run_mutant(file, old, new, tests):
     """True when the tests fail on src/ with the one occurrence of old in
-    src/richlines/file replaced by new."""
+    src/richlines/file replaced by new (each old text of a tuple by the new
+    text at its place)."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "richlines" / file
         text = target.read_text()
-        if text.count(old) != 1:
-            sys.exit(f"{file}: the old text occurs {text.count(old)} times, not once:\n{old}")
-        target.write_text(text.replace(old, new))
+        for old, new in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+            if text.count(old) != 1:
+                sys.exit(f"{file}: the old text occurs {text.count(old)} times, not once:\n{old}")
+            text = text.replace(old, new)
+        target.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         # pythonpath= keeps pytest from putting the checkout's own src/ first
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
@@ -109,7 +189,7 @@ def main(argv):
         file, old, new, tests = MUTANTS[number - 1]
         found = run_mutant(file, old, new, tests)
         caught += found
-        first = old.strip().splitlines()[0]
+        first = (old[0] if isinstance(old, tuple) else old).strip().splitlines()[0]
         print(f"{number}. {'caught' if found else 'SURVIVED'}: {file}: {first!r}", flush=True)
     print(f"caught {caught}/{len(picked)}")
 

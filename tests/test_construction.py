@@ -27,7 +27,16 @@ from richlines.construction import (
     _round_cube_root,
 )
 from richlines.errors import InvalidParameterError, RTooLargeError
-from richlines.family import LineFamily, _raw_family
+from richlines.family import (
+    LineFamily,
+    _corner_keys,
+    _family,
+    _grid_bound,
+    _grid_lines,
+    _probe,
+    _raw_family,
+    _spread,
+)
 from richlines.gapset import GapSet, gap_set, gap_set_power
 from richlines.geometry import (
     CanonicalLine,
@@ -37,7 +46,15 @@ from richlines.geometry import (
     line_through,
     on_line,
 )
-from richlines.keys import _CHUNK_PAIRS, _richness_from_pairs, group_pairs, key_tuples, shift_keys
+from richlines.keys import (
+    _CHUNK_PAIRS,
+    _richness_from_pairs,
+    _shift_bound,
+    _sorted_runs,
+    group_pairs,
+    key_tuples,
+    shift_keys,
+)
 from richlines.numberfield import (
     Element,
     NiceBasis,
@@ -302,6 +319,149 @@ def test_family_shift_exact_past_int64(sqrt2):
     # a list translate in [2^63, 2^64) beside a small entry stays exact
     moved = shift_keys(sqrt2, steep, [(2**63 + 1, 1)], [(0, 0)])
     assert moved.tolist() == [[300, 0, 1, 0, -300 * (2**63 + 1), -300]]
+
+
+def _same_family(got, expected):
+    """Whether two LineFamilys agree in cell_lines and in the dtype and
+    entries of keys, origin and first."""
+    return got.cell_lines == expected.cell_lines and all(
+        u.dtype == v.dtype and np.array_equal(u, v)
+        for u, v in (
+            (got.keys, expected.keys),
+            (got.origin, expected.origin),
+            (got.first, expected.first),
+        )
+    )
+
+
+def _grid_route(basis, cell, translates, grid):
+    """The closed-form family of a grid cell, asserting that it equals the
+    pair route's (_same_family) and that the closed-form probe equals
+    _corner_keys in rows and dtype."""
+    got = _family(basis, cell, translates, grid)
+    assert _same_family(got, _raw_family(basis, cell, translates))
+    probe, expected = _probe(basis, cell, translates, grid), _corner_keys(basis, cell, translates)
+    assert probe.dtype == expected.dtype and np.array_equal(probe, expected)
+    return got
+
+
+def _grid_rows(w, h, x0=0, y0=0):
+    """The rows of the w x h grid of consecutive integers from (x0, y0),
+    x-major, as PointBox.coords() gives a degree-1 cell."""
+    xs, ys = np.arange(x0, x0 + w), np.arange(y0, y0 + h)
+    return np.column_stack([np.repeat(xs, h), np.tile(ys, w)])
+
+
+def test_grid_family_matches_pair_route():
+    """The closed-form degree-1 family, family._family given the cell's
+    grid, equals the pair route, _raw_family, in its keys and their dtype,
+    origin, first and cell_lines, and the closed-form probe, family._probe,
+    equals _corner_keys in its rows and their dtype: on seeded construction
+    cells of the integers and of l l = -3 l, at alpha 1/2 and 1/3, with c1
+    from 1 down to 1/8, with one translate and with translate radii of 1 and
+    more; and on a 3 x 4 grid off the origin, with a zero translate and one
+    translate (t, -t), on each side of the int8 and int16 thresholds of
+    _exact_dtype, where the family's dtype steps as shift_keys' bound
+    says."""
+    rng = random.Random(41)
+    minus3 = NiceBasis([[[-3]]])
+    for basis in (ARITH_BASES[0], minus3):
+        seen = set()  # (alpha, one translate, c1 < 1): all 8 kinds
+        while len(seen) < 8:
+            alpha, c1 = rng.choice((HALF, THIRD)), Fraction(1, 2 ** rng.randint(0, 3))
+            n, r = int(10 ** rng.uniform(1, 7)), rng.randint(2, 12)
+            try:
+                geom = build_cell_geometry(ConstructionParams(basis, n, alpha, r, c1))
+            except (InvalidParameterError, RTooLargeError):
+                continue
+            grid = construction._grid(geom)
+            if grid[0] * grid[1] > 200:
+                continue
+            cell, translates = PointBox(geom.cell_x, geom.cell_y).coords(), translate_vectors(geom)
+            got = _grid_route(basis, cell, translates, grid)
+            assert _same_family(generate_line_family(geom), got)
+            seen.add((alpha, len(translates) == 1, c1 < 1))
+
+        cell = _grid_rows(3, 4, -1, 2)
+        keys = group_pairs(basis, cell[:, :1], cell[:, 1:])[0]
+        coeff, const = int(np.abs(keys[:, :2]).max()), int(np.abs(keys[:, 2]).max())
+        for top, dtype, wider in DTYPE_THRESHOLDS[:2]:
+            shift = max(t for t in range(top) if _shift_bound(basis, coeff, const, t) <= top)
+            for t, expected in ((shift, dtype), (shift + 1, wider)):
+                translates = np.array([[0, 0], [t, -t]])
+                assert _grid_route(basis, cell, translates, (3, 4)).keys.dtype == expected
+
+
+def test_spread_keeps_one_translate_in_order():
+    """_spread with one translate skips its sort: on seeded cells of every
+    arithmetic basis, with a zero and a nonzero translate, it returns the
+    moved keys deduplicated and ordered as the stable sort does, each its
+    own origin."""
+    rng = random.Random(43)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        cell = np.array(sorted({tuple(rng.randint(-2, 2) for _ in range(2 * d)) for _ in range(8)}))
+        keys = group_pairs(basis, cell[:, :d], cell[:, d:])[0]
+        for translate in ([0] * (2 * d), [rng.randint(-9, 9) for _ in range(2 * d)]):
+            translates = np.array([translate])
+            moved, origin = _spread(basis, keys, translates)
+            every = shift_keys(basis, keys, translates[:, :d], translates[:, d:])
+            order, heads = _sorted_runs(every.T)
+            assert moved.dtype == every.dtype
+            assert moved.tolist() == every[order[heads]].tolist()
+            assert origin.dtype == order.dtype
+            assert origin.tolist() == order[heads].tolist() == list(range(len(keys)))
+
+
+def test_grid_lines_stay_within_their_bound(monkeypatch):
+    """Every intermediate of _grid_lines lies within _grid_bound, by
+    traced_max, for the whole family and for the probe, on the integers and
+    on l l = -3 l: grids at the origin and off it, so that one corner holds
+    the largest |x| and |y|, with one zero translate, a 3 x 3 lattice, and
+    far translates of mixed signs.  The traced run gives the untraced keys,
+    origin and first."""
+    bounds = []
+    monkeypatch.setattr(
+        "richlines.family._grid_bound", lambda *a: bounds.append(_grid_bound(*a)) or bounds[-1]
+    )
+    lattice = np.array([[5 * i, 7 * j] for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    far = np.array([[0, 0], [40, -33], [-50, 61], [97, 97]])
+    for basis in (ARITH_BASES[0], NiceBasis([[[-3]]])):
+        for (w, h, x0, y0), translates in itertools.product(
+            ((3, 3, -1, -1), (4, 2, 5, -7), (1, 5, -2, 0), (5, 1, 0, 3)),
+            (np.zeros((1, 2), np.int64), lattice, far),
+        ):
+            cell = _grid_rows(w, h, x0, y0)
+            for corner in (False, True):
+                plain = _grid_lines(basis, cell, translates, (w, h), corner)
+                traced, top = traced_max(_grid_lines, basis, cell, translates, (w, h), corner)
+                assert top <= bounds[-1]
+                assert [v.tolist() for v in traced] == [v.tolist() for v in plain]
+
+
+def test_shift_keys_stays_within_its_bound():
+    """Every intermediate of keys.shift_keys lies within _shift_bound, by
+    traced_max: seeded cell keys of every arithmetic basis moved by seeded
+    translates, and over the integers the key (coeff, coeff, const) moved by
+    the translate (-shift, -shift), whose c - a tx - b ty = const + 2 coeff
+    shift reaches the bound."""
+    rng = random.Random(47)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        cell = np.array(sorted({tuple(rng.randint(-2, 2) for _ in range(2 * d)) for _ in range(7)}))
+        keys = group_pairs(basis, cell[:, :d], cell[:, d:])[0].astype(np.int64)
+        tx, ty = (
+            np.array([[rng.randint(-30, 30) for _ in range(d)] for _ in range(3)]) for _ in "xy"
+        )
+        coeff, const = int(np.abs(keys[:, : 2 * d]).max()), int(np.abs(keys[:, 2 * d :]).max())
+        shift = int(max(np.abs(tx).max(), np.abs(ty).max()))
+        moved, top = traced_max(shift_keys, basis, keys, tx, ty)
+        assert moved.tolist() == shift_keys(basis, keys, tx, ty).tolist()
+        assert top <= _shift_bound(basis, coeff, const, shift)
+    integers, far = ARITH_BASES[0], np.array([[-6]])
+    moved, top = traced_max(shift_keys, integers, np.array([[4, 4, 9]]), far, far)
+    assert moved.tolist() == [[4, 4, 9 + 2 * 4 * 6]]
+    assert top == _shift_bound(integers, 4, 9, 6) == 9 + 2 * 4 * 6
 
 
 def test_line_richness_matches_bruteforce(integers, sqrt2):

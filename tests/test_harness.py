@@ -553,11 +553,14 @@ def test_outputs_match_benchmark_reference(tmp_path, capsys):
 
 def test_pipeline_builds_no_fractions(monkeypatch):
     """A run and an auto-tuned build on a freshly built basis construct no
-    RationalElement, and a run groups its cell's pairs once: Fraction
-    coefficients are built only for lines that are output.  A run builds
-    one CanonicalLine, its failing line: the mechanism replay and the family
-    stay key arrays."""
+    RationalElement: Fraction coefficients are built only for lines that
+    are output.  A degree-1 run groups no pair, as its family is taken in
+    closed form, and builds no CanonicalLine: the mechanism replay and the
+    family stay key arrays.  Its claim-2 report builds one CanonicalLine
+    when its failing line is read, the least line below r."""
     calls = {"rational": 0, "group_pairs": 0, "line": 0}
+    reports = []
+    verify_claim2 = harness.verify_claim2
     init = numberfield.RationalElement.__init__
     line_init = geometry.CanonicalLine.__init__
 
@@ -573,12 +576,24 @@ def test_pipeline_builds_no_fractions(monkeypatch):
         calls["group_pairs"] += 1
         return group_pairs(*args)
 
+    def verifying(*args):
+        reports.append(verify_claim2(*args))
+        return reports[-1]
+
     monkeypatch.setattr(numberfield.RationalElement, "__init__", counting_init)
     monkeypatch.setattr(geometry.CanonicalLine, "__init__", counting_line_init)
     monkeypatch.setattr("richlines.family.group_pairs", counting_group_pairs)
+    monkeypatch.setattr(harness, "verify_claim2", verifying)
     report = run(parse_config(SWEEP_CFG), r=3)
     assert report.num_lines == 21400 and report.frac_r_rich < 1
-    assert calls == {"rational": 0, "group_pairs": 1, "line": 1}
+    assert calls == {"rational": 0, "group_pairs": 0, "line": 0}
+    [claim2] = reports
+    failing = claim2.failing_line
+    assert claim2.failing_line is failing
+    assert calls == {"rational": 0, "group_pairs": 0, "line": 1}
+    family, low = claim2.family, claim2.richnesses < 3
+    below = [geometry.CanonicalLine(family.basis, key) for key in key_tuples(family.keys[low])]
+    assert len(below) > 1 and failing == min(below, key=geometry.CanonicalLine.sort_key)
 
     sqrt2 = numberfield.build_quadratic_basis(2)
     params = construction.ConstructionParams(sqrt2, 6561, Fraction(1, 2), 3, auto_tune=True)

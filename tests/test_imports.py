@@ -1,7 +1,9 @@
-"""Hygiene of the library: every name a module imports is used, and every
-private helper and module constant it defines is used somewhere in it."""
+"""Hygiene of the library: every name a module imports is used, every
+private helper and module constant it defines is used somewhere in it, and
+the package exports names, not modules."""
 
 import ast
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -148,3 +150,19 @@ def test_unreferenced_helper_is_found():
         "b": ast.parse("from . import a\nprint(a.DONE)\n"),
     }
     assert _unreferenced(trees) == [("a", "_LIMIT"), ("a", "_Unused"), ("a", "_rec")]
+
+
+def test_package_exports_names_not_modules():
+    """richlines.__all__ lists the names the package exports, each bound in
+    it and none a module, so that `from richlines import *` binds no
+    submodule; every name the package imports from its modules is listed."""
+    exported = [getattr(richlines, name) for name in richlines.__all__]
+    assert not any(isinstance(value, types.ModuleType) for value in exported)
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(richlines.__all__) == sorted(imported)
