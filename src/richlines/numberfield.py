@@ -10,6 +10,7 @@ bound it proves first, most bounds through product_bounds.
 
 from fractions import Fraction
 from math import gcd, isqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -125,109 +126,55 @@ class NiceBasis:
         return f"NiceBasis(d={self.degree}, {self.description!r})"
 
 
-class Element:
-    """A ring element sum_i coords[i] * l_i with unbounded integer coords."""
+class _Element:
+    """The one arithmetic of Element and RationalElement: sum_i coords[i] *
+    l_i, with coordinates by the subclass's rule, _coordinate.
 
-    __slots__ = ("basis", "coords")
-
-    def __init__(self, basis, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != basis.degree:
-            raise InvalidParameterError(
-                f"expected {basis.degree} coordinates, got {len(coords)}"
-            )
-        self.basis = basis
-        self.coords = coords
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other):
-        _same_basis(self, other)
-        return Element(self.basis, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        _same_basis(self, other)
-        return Element(self.basis, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Element(self.basis, tuple(-x for x in self.coords))
-
-    def __mul__(self, other):
-        _same_basis(self, other)
-        return Element(self.basis, self.basis.mul_coords(self.coords, other.coords))
-
-    def to_rational(self):
-        return RationalElement(self.basis, tuple(Fraction(c) for c in self.coords))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.basis == other.basis
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"Element{self.coords}"
-
-
-class RationalElement:
-    """An element of the fraction field, with exact Fraction coordinates.
-
-    Fraction keeps every coordinate in lowest terms with positive denominator,
-    so equal field elements have identical coordinate vectors.
+    A sum, difference or product is a RationalElement when either operand
+    is one and an Element otherwise, with the exact coordinates either way;
+    the other operand must be an element (TypeError) of the same basis
+    (BasisMismatchError).  Equality is class-strict: an Element never
+    equals a RationalElement.
     """
 
     __slots__ = ("basis", "coords")
 
     def __init__(self, basis, coords):
-        # a Fraction is immutable and already in lowest terms: keep it
-        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+        coords = tuple(map(self._coordinate, coords))
         if len(coords) != basis.degree:
-            raise InvalidParameterError(
-                f"expected {basis.degree} coordinates, got {len(coords)}"
-            )
+            raise InvalidParameterError(f"expected {basis.degree} coordinates, got {len(coords)}")
         self.basis = basis
         self.coords = coords
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
-
-    def to_element(self):
-        if not self.is_integral():
-            raise InvalidParameterError(f"{self!r} has non-integer coordinates")
-        return Element(self.basis, tuple(int(c) for c in self.coords))
+    def _result(self, other):
+        """The class of self op other, once other is checked."""
+        if not isinstance(other, _Element):
+            raise TypeError(f"cannot combine {type(other).__name__} with a ring element")
+        if other.basis != self.basis:
+            raise BasisMismatchError("elements come from different bases")
+        return RationalElement if isinstance(other, RationalElement) else type(self)
 
     def __add__(self, other):
-        other = _as_rational(self.basis, other)
-        return RationalElement(
-            self.basis, tuple(x + y for x, y in zip(self.coords, other.coords))
-        )
+        cls = self._result(other)
+        return cls(self.basis, [x + y for x, y in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
-        other = _as_rational(self.basis, other)
-        return RationalElement(
-            self.basis, tuple(x - y for x, y in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        return RationalElement(self.basis, tuple(-x for x in self.coords))
+        cls = self._result(other)
+        return cls(self.basis, [x - y for x, y in zip(self.coords, other.coords)])
 
     def __mul__(self, other):
-        other = _as_rational(self.basis, other)
-        return RationalElement(
-            self.basis, self.basis.mul_coords(self.coords, other.coords)
-        )
+        cls = self._result(other)
+        return cls(self.basis, self.basis.mul_coords(self.coords, other.coords))
+
+    def __neg__(self):
+        return type(self)(self.basis, [-x for x in self.coords])
 
     def __eq__(self, other):
         return (
-            isinstance(other, RationalElement)
+            type(other) is type(self)
             and self.basis == other.basis
             and self.coords == other.coords
         )
@@ -235,25 +182,58 @@ class RationalElement:
     def __hash__(self):
         return hash(self.coords)
 
+
+class Element(_Element):
+    """A ring element with unbounded integer coordinates.
+
+    It shares one arithmetic with RationalElement (_Element): with an
+    Element the result is an Element, and with a RationalElement, in either
+    order, the RationalElement with the exact coordinates.  Each coordinate
+    must be an integer, a Python or NumPy int or an integral Fraction, and
+    is stored as a Python int; any other value, such as a float or the
+    Fraction 1/2, raises InvalidParameterError instead of being truncated.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _coordinate(c):
+        if isinstance(c, Integral) or isinstance(c, Fraction) and c.denominator == 1:
+            return int(c)
+        raise InvalidParameterError(f"Element coordinates must be integers, got {c!r}")
+
+    def to_rational(self):
+        return RationalElement(self.basis, self.coords)
+
+    def __repr__(self):
+        return f"Element{self.coords}"
+
+
+class RationalElement(_Element):
+    """An element of the fraction field, with exact Fraction coordinates.
+
+    Fraction keeps every coordinate in lowest terms with positive denominator,
+    so equal field elements have identical coordinate vectors.  It shares
+    one arithmetic with Element (_Element): a sum, difference or product
+    with a RationalElement on either side is a RationalElement.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _coordinate(c):
+        # a Fraction is immutable and already in lowest terms: keep it
+        return c if isinstance(c, Fraction) else Fraction(c)
+
+    def is_integral(self):
+        return all(c.denominator == 1 for c in self.coords)
+
+    def to_element(self):
+        """This element as an Element; InvalidParameterError unless integral."""
+        return Element(self.basis, self.coords)
+
     def __repr__(self):
         return f"RationalElement({', '.join(str(c) for c in self.coords)})"
-
-
-def _same_basis(a, b):
-    if a.basis != b.basis:
-        raise BasisMismatchError("elements come from different bases")
-
-
-def _as_rational(basis, x):
-    if isinstance(x, Element):
-        if x.basis != basis:
-            raise BasisMismatchError("elements come from different bases")
-        return x.to_rational()
-    if isinstance(x, RationalElement):
-        if x.basis != basis:
-            raise BasisMismatchError("elements come from different bases")
-        return x
-    raise TypeError(f"cannot combine {type(x).__name__} with a field element")
 
 
 def basis_vector(basis, i):

@@ -149,6 +149,20 @@ MUTANTS = [
         [_CONSTRUCTION + "test_counter_counts_block_by_block"],
     ),
     (
+        # every block's cell lines numbered from 0: wrong origins past block 1
+        "family.py",
+        "line = np.arange(len(slot), dtype=work) + int(line0[d0])",
+        "line = np.arange(len(slot), dtype=work) + 0",
+        [_GRID + "_in_blocks"],
+    ),
+    (
+        # a mixed result typed as its left operand: Element + RationalElement truncates
+        "numberfield.py",
+        "return RationalElement if isinstance(other, RationalElement) else type(self)",
+        "return type(self)",
+        ["tests/test_numberfield.py::test_mixed_operands_are_exact"],
+    ),
+    (
         "construction.py",
         "(least,) = low[canonical_least(basis, keys[low], 1)]",
         "least = low[0]",

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -352,21 +353,15 @@ def _grid_rows(w, h, x0=0, y0=0):
     return np.column_stack([np.repeat(xs, h), np.tile(ys, w)])
 
 
-def test_grid_family_matches_pair_route():
-    """The closed-form degree-1 family, family._family given the cell's
-    grid, equals the pair route, _raw_family, in its keys and their dtype,
-    origin, first and cell_lines, and the closed-form probe, family._probe,
-    equals _corner_keys in its rows and their dtype: on seeded construction
-    cells of the integers and of l l = -3 l, at alpha 1/2 and 1/3, with c1
-    from 1 down to 1/8, with one translate and with translate radii of 1 and
-    more; and on a 3 x 4 grid off the origin, with a zero translate and one
-    translate (t, -t), on each side of the int8 and int16 thresholds of
-    _exact_dtype, where the family's dtype steps as shift_keys' bound
-    says."""
+def _seeded_grid_cells(first_of_kind=False):
+    """(basis, geom, cell, translates, grid) of seeded construction cells of
+    the integers and of l l = -3 l with grids of at most 200 points, per
+    basis until all 8 kinds (alpha 1/2 or 1/3, one translate or more, c1 = 1
+    or below) are seen, c1 from 1 down to 1/8; with first_of_kind, only the
+    first cell of each kind."""
     rng = random.Random(41)
-    minus3 = NiceBasis([[[-3]]])
-    for basis in (ARITH_BASES[0], minus3):
-        seen = set()  # (alpha, one translate, c1 < 1): all 8 kinds
+    for basis in (ARITH_BASES[0], NiceBasis([[[-3]]])):
+        seen = set()
         while len(seen) < 8:
             alpha, c1 = rng.choice((HALF, THIRD)), Fraction(1, 2 ** rng.randint(0, 3))
             n, r = int(10 ** rng.uniform(1, 7)), rng.randint(2, 12)
@@ -378,10 +373,27 @@ def test_grid_family_matches_pair_route():
             if grid[0] * grid[1] > 200:
                 continue
             cell, translates = PointBox(geom.cell_x, geom.cell_y).coords(), translate_vectors(geom)
-            got = _grid_route(basis, cell, translates, grid)
-            assert _same_family(generate_line_family(geom), got)
-            seen.add((alpha, len(translates) == 1, c1 < 1))
+            kind = (alpha, len(translates) == 1, c1 < 1)
+            if not (first_of_kind and kind in seen):
+                yield basis, geom, cell, translates, grid
+            seen.add(kind)
 
+
+def test_grid_family_matches_pair_route():
+    """The closed-form degree-1 family, family._family given the cell's
+    grid, equals the pair route, _raw_family, in its keys and their dtype,
+    origin, first and cell_lines, and the closed-form probe, family._probe,
+    equals _corner_keys in its rows and their dtype: on seeded construction
+    cells of the integers and of l l = -3 l, at alpha 1/2 and 1/3, with c1
+    from 1 down to 1/8, with one translate and with translate radii of 1 and
+    more; and on a 3 x 4 grid off the origin, with a zero translate and one
+    translate (t, -t), on each side of the int8 and int16 thresholds of
+    _exact_dtype, where the family's dtype steps as shift_keys' bound
+    says."""
+    for basis, geom, cell, translates, grid in _seeded_grid_cells():
+        got = _grid_route(basis, cell, translates, grid)
+        assert _same_family(generate_line_family(geom), got)
+    for basis in (ARITH_BASES[0], NiceBasis([[[-3]]])):
         cell = _grid_rows(3, 4, -1, 2)
         keys = group_pairs(basis, cell[:, :1], cell[:, 1:])[0]
         coeff, const = int(np.abs(keys[:, :2]).max()), int(np.abs(keys[:, 2]).max())
@@ -390,6 +402,54 @@ def test_grid_family_matches_pair_route():
             for t, expected in ((shift, dtype), (shift + 1, wider)):
                 translates = np.array([[0, 0], [t, -t]])
                 assert _grid_route(basis, cell, translates, (3, 4)).keys.dtype == expected
+
+
+class _BlockCountingNumpy:
+    """numpy, for the family module, counting per _grid_lines call (calls)
+    the masks it fills, one a block of directions, and its np.minimum.at
+    calls, one a chunk of translates within a block."""
+
+    def __init__(self):
+        self.calls = []
+        self.minimum = types.SimpleNamespace(at=self._minimum_at)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def full(self, *args, **kwargs):
+        self.calls[-1][0] += 1
+        return np.full(*args, **kwargs)
+
+    def _minimum_at(self, *args):
+        self.calls[-1][1] += 1
+        np.minimum.at(*args)
+
+
+def test_grid_family_matches_pair_route_in_blocks(monkeypatch):
+    """With family._GRID_BLOCK cut to 1, 7 and 64, the closed form still
+    equals the pair route (_grid_route) on the first cell of each kind of
+    test_grid_family_matches_pair_route and on 1 x 1 grids, which span no
+    line; and at each size some _grid_lines call spans several blocks of
+    directions, one of them in several chunks of translates."""
+    cells = list(_seeded_grid_cells(first_of_kind=True))
+    for basis in (ARITH_BASES[0], NiceBasis([[[-3]]])):
+        cells.append((basis, None, _grid_rows(1, 1, 2, -1), np.array([[0, 0], [3, 4]]), (1, 1)))
+    counting = _BlockCountingNumpy()
+
+    def counted(*args, **kwargs):
+        counting.calls.append([0, 0])
+        return _grid_lines(*args, **kwargs)
+
+    monkeypatch.setattr("richlines.family.np", counting)
+    monkeypatch.setattr("richlines.family._grid_lines", counted)
+    for block in (1, 7, 64):
+        monkeypatch.setattr("richlines.family._GRID_BLOCK", block)
+        counting.calls.clear()
+        for basis, _, cell, translates, grid in cells:
+            got = _grid_route(basis, cell, translates, grid)
+            if grid == (1, 1):
+                assert len(got) == got.cell_lines == 0
+        assert any(masks > 1 and chunks > masks for masks, chunks in counting.calls), block
 
 
 def test_spread_keeps_one_translate_in_order():

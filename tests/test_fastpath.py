@@ -33,6 +33,7 @@ from richlines.sweep import _sweep, count_rich_lines, rich_line_keys
 
 from conftest import ARITH_BASES, DTYPE_THRESHOLDS
 from reference import box_points, count_incidences, fraction_key, raw_pair_counts_loop
+from tracing import traced_max
 
 
 def grouped(basis, xs, ys):
@@ -557,3 +558,28 @@ def test_overflow_guard():
         xs, ys = (np.array(v) - (top + 1) for v in random_coords(rng, basis, 25, top))
         assert group_pairs(basis, xs, ys)[0].dtype == _exact_dtype(entry(2 * top + 1))
         assert grouped(basis, xs, ys) == reference(basis, xs.tolist(), ys.tolist())
+
+
+def test_group_pairs_stays_within_key_bound():
+    """Every intermediate of group_pairs lies within key_bound's work bound,
+    by traced_max, on seeded point sets of every arithmetic basis, degree 4
+    included: the box corners on both axes, every coordinate +-m with all
+    signs equal or alternating, each corner paired with each, and seeded
+    points of the box.  The traced run gives the untraced keys, counts and
+    first pairs; over the integers the corners reach the bound."""
+    rng = random.Random(53)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        for m in (2, 6, 40):
+            signs = {(1,) * d, (-1,) * d, tuple((-1) ** i for i in range(d))}
+            corners = [tuple(s * m for s in v) for v in signs]
+            points = {(x, y) for x in corners for y in corners}
+            while len(points) < len(corners) ** 2 + 8:
+                points.add(tuple(tuple(rng.randint(-m, m) for _ in range(d)) for _ in "xy"))
+            xs, ys = (np.array([p[axis] for p in sorted(points)]) for axis in (0, 1))
+            traced, top = traced_max(group_pairs, basis, xs, ys)
+            plain = group_pairs(basis, xs, ys)
+            assert [v.tolist() for v in traced] == [v.tolist() for v in plain]
+            work = key_bound(basis, m, m)[0]
+            assert top <= work
+            assert d > 1 or top == work

@@ -1,5 +1,6 @@
 """Ring and field arithmetic over structure-constant presentations."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -258,6 +259,84 @@ def test_rational_element_normalization(sqrt2):
     b = RationalElement(sqrt2, (half, 3))
     assert b.coords[0] is half and b.coords[1] == Fraction(3)
     assert type(b.coords[1]) is Fraction
+
+
+def _rand_rational(rng, basis, bound=9):
+    """A RationalElement with seeded coordinates, none of them an integer:
+    odd numerators over even denominators."""
+    odd = [2 * rng.randint(-bound, bound) + 1 for _ in range(basis.degree)]
+    return RationalElement(basis, [Fraction(v, 2 * rng.randint(1, bound)) for v in odd])
+
+
+def test_mixed_operands_are_exact():
+    """+, - and * of an Element and a RationalElement, in both orders, and
+    of two RationalElements give the RationalElement with the coordinates of
+    Fraction arithmetic on the coordinates, products through
+    NiceBasis.mul_coords; two Elements give an Element, and negation keeps
+    the class.  Seeded cases over every arithmetic basis."""
+    rng = random.Random(38)
+    for basis in ARITH_BASES:
+        for _ in range(25):
+            a, b = rand_element(rng, basis), rand_element(rng, basis)
+            q, s = _rand_rational(rng, basis), _rand_rational(rng, basis)
+            for op in (operator.add, operator.sub, operator.mul):
+                for x, y, cls in (
+                    (a, q, RationalElement),
+                    (q, a, RationalElement),
+                    (q, s, RationalElement),
+                    (a, b, Element),
+                ):
+                    u, v = ([Fraction(c) for c in z.coords] for z in (x, y))
+                    expected = basis.mul_coords(u, v) if op is operator.mul else map(op, u, v)
+                    got = op(x, y)
+                    assert type(got) is cls and got.basis == basis
+                    assert got.coords == tuple(expected), (op, x, y)
+            for x in (a, q):
+                assert type(-x) is type(x) and (-x).coords == tuple(-c for c in x.coords)
+
+
+def test_operands_are_checked():
+    """A non-element operand raises TypeError and an element of another
+    basis BasisMismatchError, with either class on either side; equality
+    stays class-strict, so an Element never equals the RationalElement with
+    its coordinates, though both hash alike."""
+    rng = random.Random(39)
+    for basis, other in zip(ARITH_BASES, ARITH_BASES[1:] + ARITH_BASES[:1]):
+        a, q = rand_element(rng, basis), _rand_rational(rng, basis)
+        for x in (a, q):
+            for y in (1, Fraction(1, 2), a.coords, None):
+                for op in ("__add__", "__sub__", "__mul__"):
+                    with pytest.raises(TypeError):
+                        getattr(x, op)(y)
+            for y in (rand_element(rng, other), _rand_rational(rng, other)):
+                for op in ("__add__", "__sub__", "__mul__"):
+                    with pytest.raises(BasisMismatchError):
+                        getattr(x, op)(y)
+                    with pytest.raises(BasisMismatchError):
+                        getattr(y, op)(x)
+        assert a != a.to_rational() and a.to_rational() != a
+        assert hash(a) == hash(a.to_rational())
+        assert a.to_rational().to_element() == a
+
+
+def test_element_coordinates_are_integers(sqrt2):
+    """Element keeps every integer it is given, Python and NumPy ints and
+    integral Fractions, as a Python int, and raises InvalidParameterError
+    for any other value instead of truncating it; RationalElement.to_element
+    of an integral element gives the Element with its coordinates."""
+    for coords in ((3, -2), (np.int64(3), np.int8(-2)), (Fraction(6, 2), Fraction(-2))):
+        e = Element(sqrt2, coords)
+        assert e == Element(sqrt2, (3, -2))
+        assert [type(c) for c in e.coords] == [int, int]
+    rejected = ((Fraction(1, 2), 0.9), (0, Fraction(-7, 3)), (0.9, 0), (2.0, 1), (1, np.float64(1)))
+    for coords in rejected:
+        with pytest.raises(InvalidParameterError):
+            Element(sqrt2, coords)
+    q = RationalElement(sqrt2, (Fraction(8, 4), -5))
+    assert q.is_integral()
+    e = q.to_element()
+    assert type(e) is Element and e.coords == (2, -5)
+    assert [type(c) for c in e.coords] == [int, int]
 
 
 # ---------------------------------------------------------------------------
