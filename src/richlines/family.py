@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keys import _CHUNK_PAIRS, _pair_kernel, _shift_bound, _sorted_runs, group_pairs, shift_keys
+from .keys import (
+    _CHUNK_PAIRS, _cost_blocks, _pair_kernel, _shift_bound, _sorted_runs, group_pairs, shift_keys
+)
 from .numberfield import NiceBasis, _exact_dtype
 
 # Mask slots and cell starts, or moved (line, translate) entries, that
@@ -192,13 +194,13 @@ def _grid_lines(basis, cell, translates, grid, corner=False):
     origins _spread gives them.
 
     Memory.  A direction costs max(2 half + 1, starts): its slots, and the
-    start points tested for it (w h, or 1 with corner).  A block is the
-    directions whose preceding costs sum into one multiple of _GRID_BLOCK,
-    so a block costs less than _GRID_BLOCK + the largest cost, and its
-    lines, at most one a slot, come in chunks of translates of at most
-    max(_GRID_BLOCK, lines) entries.  So beyond the output, the translate
-    rows and the direction arrays (at most h (2 w - 1) entries), the
-    working arrays hold O(_GRID_BLOCK + largest cost) entries.
+    start points tested for it (w h, or 1 with corner).  _cost_blocks cuts
+    the directions into blocks of budget _GRID_BLOCK, so a block costs less
+    than _GRID_BLOCK + the largest cost, and its lines, at most one a slot,
+    come in chunks of translates of at most max(_GRID_BLOCK, lines)
+    entries.  So beyond the output, the translate rows and the direction
+    arrays (at most h (2 w - 1) entries), the working arrays hold
+    O(_GRID_BLOCK + largest cost) entries.
 
     The slots and origins take the dtype _exact_dtype picks for
     _grid_bound, the keys the one it picks for _shift_bound, and the mask
@@ -241,16 +243,12 @@ def _grid_lines(basis, cell, translates, grid, corner=False):
     half = a * (mx + mtx) + np.abs(b) * (my + mty)
     slots = 2 * half + 1
     cost = np.maximum(slots, starts[0] * starts[1])
-    group = (np.cumsum(cost) - cost) // _GRID_BLOCK
-    heads = np.flatnonzero(group[1:] != group[:-1]) + 1
-    cuts = [0, *heads.tolist(), len(a)] if len(a) else []
     line0 = np.cumsum(count) - count  # each direction's first cell line
     a_key, b_key = a.astype(entry), b.astype(entry)
     keys, origin, first = [], [], []
     si, sj = np.arange(starts[0])[:, None], np.arange(starts[1])
     top = lines * len(tx)  # past every t L + l
-    for d0, d1 in zip(cuts, cuts[1:]):
-        block = slice(d0, d1)
+    for block in _cost_blocks(cost, _GRID_BLOCK):
         # the starts (direction, i, j): p + u in the cell, p - u not
         u, v = ux[block, None, None], uy[block, None, None]
         start = (si < w - u) & (sj + v >= 0) & (sj + v < h)
@@ -267,8 +265,8 @@ def _grid_lines(basis, cell, translates, grid, corner=False):
         per = count[block]
         step_x, step_y = np.repeat(ux[block], per), np.repeat(uy[block], per)
         first.append(np.column_stack([i * h + j, (i + step_x) * h + j + step_y]))
-        line = np.arange(len(slot), dtype=work) + int(line0[d0])
-        mask = np.full(int(offset[-1] + slots[d1 - 1]), top, dtype=work)
+        line = np.arange(len(slot), dtype=work) + int(line0[block.start])
+        mask = np.full(int(offset[-1] + slots[block][-1]), top, dtype=work)
         step = max(1, _GRID_BLOCK // len(slot))
         for t0 in range(0, len(tx), step):
             t = slice(t0, t0 + step)

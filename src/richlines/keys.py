@@ -23,7 +23,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import DegeneratePairError
-from .numberfield import _adjugate, _cofactor_solve, _exact_dtype, _mul_rows, product_bounds
+from .numberfield import _cofactor_bound, _cofactor_solve, _exact_dtype, _mul_rows, product_bounds
 
 
 def _richness_from_pairs(pair_count):
@@ -63,32 +63,29 @@ def _primitive_key(basis, flat):
 _CHUNK_PAIRS = 1 << 16
 
 
+def _cost_blocks(cost, budget):
+    """The slices of consecutive items, with costs cost, that make up blocks:
+    item i joins block (cost of items 0 .. i-1) // budget, so a block costs
+    less than budget plus its last item's cost."""
+    group = (np.cumsum(cost) - cost) // budget
+    heads = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    return [slice(a, b) for a, b in zip(heads, heads[1:] + [len(cost)])]
+
+
 def key_bound(basis, mx, my):
     """(work, entry) for coordinates bounded by mx (x) and my (y): bounds on
     the absolute value of every intermediate of group_pairs, and of every
     entry of its primitive keys.
 
     A raw key has |a| <= 2 my, |b| <= 2 mx and |c_k| <= 2 product_bound_k.
-    Its pivot has entries at most p = 2 max(mx, my), so the multiplication
-    matrix M has |M[k][i]| <= p sum_j |c_ijk|, the permanents of its minors
-    bound adj(M) and the permanent of M bounds det(M), and adj(M) times the
-    raw bounds bounds the primitive key.  The structure constants meet the
-    arrays too.
+    Its pivot has entries at most 2 max(mx, my), so _cofactor_bound's work
+    bounds the cofactor step and the structure constants, and its bounds on
+    adj(M) times each raw block bound the primitive key.
     """
     d = basis.degree
-    sc = basis.structure_constants
-    raw = [2 * my] * d + [2 * mx] * d + [2 * m for m in product_bounds(basis, mx, my)]
-    p = 2 * max(mx, my)
-    mul = [[p * sum(abs(sc[i][j][k]) for j in range(d)) for i in range(d)] for k in range(d)]
-    adj = _adjugate(mul, sign=1)
-    det = sum(mul[0][i] * adj[i][0] for i in range(d))
-    entry = max(
-        sum(adj[k][i] * raw[block + i] for i in range(d))
-        for block in (0, d, 2 * d)
-        for k in range(d)
-    )
-    work = max(raw + sum(mul, []) + sum(adj, []) + [det, entry, basis.c_lambda])
-    return work, entry
+    raw = [2 * my] * d, [2 * mx] * d, [2 * m for m in product_bounds(basis, mx, my)]
+    solved, _, work = _cofactor_bound(basis, 2 * max(mx, my), *raw)
+    return max(*sum(raw, []), work), max(sum(solved, []))
 
 
 def group_pairs(basis, xs, ys):

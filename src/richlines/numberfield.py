@@ -48,6 +48,7 @@ class NiceBasis:
         self._check_commutative()
         self._check_associative()
         self._unity = None
+        self._permanents = None  # _cofactor_bound's, at p = 1
 
     def _check_commutative(self):
         sc = self.structure_constants
@@ -362,6 +363,37 @@ def _cofactor_solve(basis, b, *rhs):
             "the presented basis is not a domain (reducible minimal polynomial?)"
         )
     return [[sum(r[i] * a[i] for i in range(len(a))) for r in adj] for a in rhs], det
+
+
+def _cofactor_bound(basis, p, *rhs):
+    """(solved, det, work) for _cofactor_solve(basis, b, *rhs) over every b
+    with |b_j| <= p, each rhs giving bounds a_i on the coordinates of its
+    vector: solved[n][k] bounds (adj(M_b) a)_k for the n-th rhs, det bounds
+    det(M_b), and work bounds every entry and partial sum that the solve
+    and _mul_matrix form, b and the structure constants.
+
+    |M_b[k][i]| <= p U[k][i] for U[k][i] = sum_j |c_ijk|.  A minor of order
+    e of M_b is a signed sum of products of e entries, so p^e times the
+    permanent of the same minor of U bounds it and every partial sum of its
+    cofactor expansion.  So p^(d-1) times the permanents of U's minors bound
+    adj(M_b), p^d perm(U) bounds det(M_b), and solved[n][k] = sum_i
+    adj_bound[k][i] a_i bounds the solve's products and partial sums.  In a
+    domain multiplication by l_i is invertible, so no entry of U is 0: each
+    permanent bounds those of its minors, which _det's recursion forms, and
+    p max U bounds b, M_b and _mul_matrix's partial sums.  U and its
+    permanents are computed once per basis.  The adjugate bounds matter in
+    work only for a zero rhs bound: when every rhs bound is at least 1,
+    solved covers them."""
+    d = basis.degree
+    if basis._permanents is None:
+        sc = basis.structure_constants
+        unit = [[sum(abs(sc[i][j][k]) for j in range(d)) for i in range(d)] for k in range(d)]
+        basis._permanents = unit, _adjugate(unit, sign=1), _det(unit, sign=1)
+    unit, adj, det = basis._permanents
+    adj = [[p ** (d - 1) * v for v in row] for row in adj]
+    solved = [[sum(r[i] * a[i] for i in range(d)) for r in adj] for a in rhs]
+    det *= p**d
+    return solved, det, max(p * max(sum(unit, [])), *sum(adj + solved, []), det, basis.c_lambda)
 
 
 def _is_int(v):

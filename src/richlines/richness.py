@@ -11,12 +11,12 @@ order given, one block at a time, and stops at the first block that holds
 a line below r.  Either way it cuts a key array into blocks once.
 """
 
-from math import factorial
-
 import numpy as np
 
-from .keys import _CHUNK_PAIRS
-from .numberfield import _cofactor_solve, _exact_dtype, _mul_matrix, product_bounds
+from .keys import _CHUNK_PAIRS, _cost_blocks
+from .numberfield import (
+    _cofactor_bound, _cofactor_solve, _exact_dtype, _mul_matrix, product_bounds
+)
 
 
 def _key_richnesses(basis, keys, box, r=0):
@@ -39,14 +39,15 @@ def _key_richnesses(basis, keys, box, r=0):
 def _blocks(basis, keys, box):
     """The slices of key rows _key_richnesses counts at once.  A key costs
     its (key, column) pairs: one in closed form (degree 1), else the columns
-    of the axis _by_columns solves it along, |Y| if b = 0, else |X|.  Key i
-    joins block (cost of keys 0 .. i-1) // _CHUNK_PAIRS."""
+    of the axis _by_columns solves it along, |Y| if b = 0, else |X|.
+    keys._cost_blocks cuts blocks of budget _CHUNK_PAIRS; in degree 1,
+    where every cost is 1, its slices are cut in closed form, with no cost
+    array."""
     d = basis.degree
     if d == 1:
         return [slice(k, k + _CHUNK_PAIRS) for k in range(0, len(keys), _CHUNK_PAIRS)]
     cost = np.where((keys[:, d : 2 * d] != 0).any(axis=1), len(box.x_set), len(box.y_set))
-    heads = np.flatnonzero(np.diff((np.cumsum(cost) - cost) // _CHUNK_PAIRS, prepend=-1))
-    return [slice(a, b) for a, b in zip(heads.tolist(), [*heads[1:].tolist(), len(keys)])]
+    return _cost_blocks(cost, _CHUNK_PAIRS)
 
 
 def _by_closed_form(basis, keys, box, out):
@@ -147,18 +148,17 @@ def _by_columns(basis, keys, box, out):
 
 
 def _block_bound(basis, pivot, other, c, cols, target):
-    """A bound on every intermediate of _key_richnesses on one block, and on
-    the column coordinates x: with s the largest product_bounds(1, 1),
-    M_pivot and M_other are at most p s and o s entrywise, so the cofactors
-    of M_pivot are at most a = (d-1)! (p s)^(d-1) and its determinant
-    d p s a."""
-    d = basis.degree
+    """A bound on every intermediate of _by_columns on one block, and on the
+    column coordinates x: with p, o and C the largest |pivot|, |other| and
+    |c| entries, every coordinate of c, of each column other * l_j of
+    M_other, and of every partial sum of c + other * u lies within the
+    column bound C + product_bounds(o, max(x, 1)).  _cofactor_bound for
+    pivots at most p over the column bound then bounds adj(M_pivot) times
+    each of them, so every partial sum of v = adj(M_pivot) (c + other * u)
+    as _by_columns adds it up, and det(M_pivot).  step = scale * det, v %
+    step and radius * |step| lie within max(radius, 1) * scale times its
+    det bound."""
     p, o, cc, x = (int(np.abs(m).max(initial=0)) for m in (pivot, other, c, cols))
-    s = max(product_bounds(basis, 1, 1))
-    a = factorial(d - 1) * (p * s) ** (d - 1)
-    return max(
-        x,
-        o * s,
-        d * a * (cc + d * o * s * x),
-        max(target.radius, 1) * target.scale * d * p * s * a,
-    )
+    column = [cc + v for v in product_bounds(basis, o, max(x, 1))]
+    _, det, work = _cofactor_bound(basis, p, column)
+    return max(x, *column, work, max(target.radius, 1) * target.scale * det)

@@ -69,8 +69,8 @@ MUTANTS = [
     ),
     (
         "richness.py",
-        "        d * a * (cc + d * o * s * x),\n",
-        "        a * (cc + d * o * s * x),\n",
+        "column = [cc + v for v in product_bounds(basis, o, max(x, 1))]",
+        "column = [v for v in product_bounds(basis, o, max(x, 1))]",
         [_CONSTRUCTION + "test_columns_stay_within_block_bound"],
     ),
     (
@@ -101,12 +101,12 @@ MUTANTS = [
         # origin by max: the empty value below every index, the largest kept
         "family.py",
         (
-            "mask = np.full(int(offset[-1] + slots[d1 - 1]), top, dtype=work)",
+            "mask = np.full(int(offset[-1] + slots[block][-1]), top, dtype=work)",
             "np.minimum.at(mask, moved.ravel(), index.ravel())",
             "hit = np.flatnonzero(mask < top)",
         ),
         (
-            "mask = np.full(int(offset[-1] + slots[d1 - 1]), -1, dtype=work)",
+            "mask = np.full(int(offset[-1] + slots[block][-1]), -1, dtype=work)",
             "np.maximum.at(mask, moved.ravel(), index.ravel())",
             "hit = np.flatnonzero(mask >= 0)",
         ),
@@ -151,7 +151,7 @@ MUTANTS = [
     (
         # every block's cell lines numbered from 0: wrong origins past block 1
         "family.py",
-        "line = np.arange(len(slot), dtype=work) + int(line0[d0])",
+        "line = np.arange(len(slot), dtype=work) + int(line0[block.start])",
         "line = np.arange(len(slot), dtype=work) + 0",
         [_GRID + "_in_blocks"],
     ),
@@ -167,6 +167,25 @@ MUTANTS = [
         "(least,) = low[canonical_least(basis, keys[low], 1)]",
         "least = low[0]",
         [_CONSTRUCTION + "test_verify_claim2_tuned"],
+    ),
+    (
+        # the signed cofactors of the bound matrix in place of its permanents
+        "numberfield.py",
+        "basis._permanents = unit, _adjugate(unit, sign=1), _det(unit, sign=1)",
+        "basis._permanents = unit, _adjugate(unit), _det(unit, sign=1)",
+        [_CONSTRUCTION + "test_columns_stay_within_block_bound"],
+    ),
+    (
+        "numberfield.py",
+        "adj = [[p ** (d - 1) * v for v in row] for row in adj]",
+        "adj = [[p ** (d - 2) * v for v in row] for row in adj]",
+        [_FASTPATH + "test_group_pairs_stays_within_key_bound"],
+    ),
+    (
+        "richness.py",
+        "max(target.radius, 1) * target.scale * det)",
+        "target.scale * det)",
+        [_CONSTRUCTION + "test_columns_stay_within_block_bound"],
     ),
 ]
 

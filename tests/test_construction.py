@@ -775,12 +775,16 @@ def test_columns_stay_within_block_bound():
     x^2 - 3x - 3, over a box with a scaled x axis: the lines through seeded
     box points, seeded random keys, and the edges: keys whose a and b
     blocks are all 1 or alternate in sign, vertical ones among them, and
-    whose c is +-C in every coordinate, in alternating signs.  On the
-    quadratic arithmetic bases a row of adj(M) sums to at most a, the
-    bound's cofactor bound.  On x^2 - 3x - 3 the column of l_1 carries 3 in
-    both of its rows, so for the pivot 1 + t the row (4, -3) of adj(M)
-    sums to 7 > a = 5, and adj(M) c reaches 7 C: within d a C = 10 C, and
-    past a (C + d o s x)."""
+    whose c is +-C in every coordinate, in alternating signs.  On x^2 - 3x
+    - 3 the column of l_1 carries 3 in both of its rows, so for the pivot 1
+    + t the row (4, -3) of adj(M) reaches the permanents (4, 3) of
+    numberfield._cofactor_bound, and adj(M) c reaches 7 C, all of the
+    bound's share for c.  Then over a box of the alpha = 1/3 shape, a short
+    column axis (radius 1) and a long scaled target axis (radius 100, scale
+    3): lines b y + c = 0 with b's entries in {0, 1, -1} and c = 0 or 1.
+    There adj(M) c is at most a row sum of the permanents, while radius *
+    scale * |det| reaches 300 |det|, past every other term, so the bound
+    needs its radius factor."""
     rng = random.Random(33)
     cases = []
     for basis in (*ARITH_BASES[1:], build_power_basis([-3, -3])):
@@ -795,6 +799,10 @@ def test_columns_stay_within_block_bound():
         for a, b in ((ones, ones), (ones, signs), (signs, ones), (ones, [0] * d)):
             edges += [a + b + [c * s for s in signs] for c in (1000, -1000)]
         cases.append((basis, box, edges))
+        long_target = PointBox(GapSet(basis, 1), GapSet(basis, 100, 3))
+        unit, zero = [1] + [0] * (d - 1), [0] * d
+        flat = [zero + b + c for b in (unit, ones, signs) for c in (zero, unit)]
+        cases.append((basis, long_target, flat))
     _traced_counter_cases(richness._by_columns, cases)
 
 

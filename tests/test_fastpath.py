@@ -481,6 +481,40 @@ def test_canonical_least_matches_canonical_order():
     assert np.dtype(object) in dtypes and len(dtypes) > 1
 
 
+def test_canonical_order_stays_within_lam_bound():
+    """Every intermediate of _coeff_pairs and of canonical_least lies within
+    the bound geometry._lam_rows picks their dtype for, max(1, max |key|) *
+    sum_j |c[j][0][0]|, by traced_max, on seeded families of every
+    arithmetic basis: the keys of seeded points, those keys moved past int64
+    by seeded translates, and every line of one direction, moved by 60
+    translates, whose rows tie on the leading columns.  The traced runs give
+    the untraced results; over the integers some quotient reaches the
+    bound."""
+    rng = random.Random(57)
+    for basis in ARITH_BASES:
+        d = basis.degree
+        sc0 = sum(abs(row[0][0]) for row in basis.structure_constants)
+        xs, ys = random_coords(rng, basis, 25, 6 // d)
+        keys = _distinct_shuffled(rng, group_pairs(basis, xs, ys)[0])
+        big = [[rng.randint(-(10**19), 10**19) for _ in range(d)] for _ in range(2)]
+        unit = [1] + [0] * (d - 1)
+        line = group_pairs(basis, [[0] * d, unit], [[0] * d, unit])[0]
+        shifts = [[rng.randint(-40, 40) for _ in range(d)] for _ in range(60)]
+        along = _distinct_shuffled(rng, shift_keys(basis, line, shifts, shifts[::-1]))
+        moved = shift_keys(basis, keys, [big[0]], [big[1]])
+        assert int(np.abs(moved).max()) > 2**63
+        for family in (keys, moved, along):
+            bound = max(1, int(np.abs(family).max())) * sc0
+            (num, den), top = traced_max(geo._coeff_pairs, basis, family)
+            plain = geo._coeff_pairs(basis, family)
+            assert [num.tolist(), den.tolist()] == [m.tolist() for m in plain]
+            assert top <= bound and (d > 1 or top == bound)
+            for k in (1, 8, len(family) - 1):
+                least, top = traced_max(geo.canonical_least, basis, family, k)
+                assert least.tolist() == geo.canonical_least(basis, family, k).tolist()
+                assert top <= bound
+
+
 def test_counts_cover_all_pairs():
     rng = random.Random(5)
     for basis in ARITH_BASES:
